@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical failure.
 Stochastic commands take --seed; expensive spectra are cached on disk under
 $STABLEGOF_CACHE (default ~/.cache/stablegof) keyed by kernel kind, alpha,
-kappa and node count, so reruns are bit-identical.  Every output file
-starts with a comment manifest recording the resolved parameters, the seed
-and the cache entries used.
+kappa, node count and package version, so reruns are bit-identical.  Every
+output file starts with a comment manifest recording the resolved
+parameters, the seed and the cache entries used.
 """
 
 import argparse
@@ -13,6 +13,7 @@ import configparser
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -75,14 +76,28 @@ def cache_dir():
 
 
 def cached_spectrum(kind, alpha, kappa, n):
-    """Load a spectrum from the cache, building and saving it when absent."""
-    os.makedirs(cache_dir(), exist_ok=True)
-    name = f"{kind}_a{alpha:g}_k{kappa:g}_N{n}.spectrum"
-    path = os.path.join(cache_dir(), name)
+    """Load a spectrum from the cache, building and saving it when absent.
+
+    The file name holds alpha and kappa at full precision (repr) and the
+    package version, so distinct parameters or code versions never share an
+    entry; a new entry is written to a temporary file and renamed into
+    place, so a reader never sees a half-written spectrum.
+    """
+    directory = cache_dir()
+    os.makedirs(directory, exist_ok=True)
+    name = f"{kind}_a{float(alpha)!r}_k{float(kappa)!r}_N{n}_v{__version__}.spectrum"
+    path = os.path.join(directory, name)
     if os.path.exists(path):
         return Spectrum.load(path), name
     sp = build_spectrum(make_kernel(kind, alpha, kappa), n)
-    sp.save(path)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
+    os.close(fd)
+    try:
+        sp.save(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return sp, name
 
 
@@ -312,6 +327,9 @@ def _parse_alternative(text):
 
 
 def _experiment_from_section(sec):
+    missing = [key for key in ("n", "alpha", "kappas") if key not in sec]
+    if missing:
+        raise DataError(f"missing required key(s): {', '.join(missing)}")
     alt = _parse_alternative(sec.get("alternative", fallback=None))
     return ExperimentConfig(
         n=sec.getint("n"),

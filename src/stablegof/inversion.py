@@ -8,38 +8,112 @@ integrals between consecutive eigenvalue half-points; the cosine change of
 variable removes the square-root endpoint singularities, and the two
 factors of the determinant product that vanish on each interval are
 cancelled analytically against the square-root numerator.
+
+After the cosine substitution every series term is a smooth integral over
+z in [0, 1] whose only x-dependence is the factor e^{-x y}.  Each
+:class:`InversionConfig` therefore tabulates, once, the nodes y_kj of a
+fixed 64-point Gauss-Legendre rule on every term's interval together with
+the log-weights log(const_k w_j) - 1/2 sum_i log|1 - 2 y_kj / lambda_i|;
+a CDF or density evaluation is then one vectorized sum over an l x 64
+array instead of l adaptive quadratures.  The node count is fixed: on the
+24-cell H1 critical-value table, 24 nodes miss the series bounds (the
+last, smallest terms, down to 1e-302) of five cells by more than 1e-8
+relative, while 32 and 64 nodes reproduce every critical value and bound;
+with 64 every term agrees with adaptive quadrature at epsrel=1e-13 to
+better than 1e-12 relative (tested).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
-import warnings
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import SeriesDivergenceError
 from .spectral import Spectrum
 
 __all__ = ["InversionConfig", "default_inversion_config", "cdf_dk", "pdf_dk", "quantile_dk", "cdf_dk_with_bound"]
 
+_GL_NODES = 64
+_GL_Z, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
+_GL_Z, _GL_W = 0.5 * (_GL_Z + 1.0), 0.5 * _GL_W  # mapped to [0, 1]
+
+# F is returned only when its alternating-series bound is at most this share
+# of min(F, 1 - F), so that it keeps a correct leading digit; deeper in the
+# left tail the truncated series says nothing about F and the CDF raises.
+_BOUND_SHARE = 0.1
+
+
+@dataclass(frozen=True)
+class _SeriesTable:
+    """x-free part of the alternating series for one configuration.
+
+    ``structure`` is "simple", "paired" or "mixed" (see :func:`_pair_structure`);
+    the node arrays are filled for "simple" spectra only.  Rows are series
+    terms k = 1..l, columns the Gauss-Legendre nodes.
+    """
+
+    structure: str
+    y: np.ndarray | None = None
+    log_w_pdf: np.ndarray | None = None  # log(const_k w_j) - 1/2 log-product
+    log_w_cdf: np.ndarray | None = None  # the same minus log y_kj
+
+
+def _series_table(spectrum, l, m):
+    """Classify the leading eigenvalue pairs and tabulate the first l terms.
+
+    Term k integrates over y in [lambda_{2k-1}/2, lambda_{2k}/2]; the two
+    determinant factors vanishing there are cancelled analytically, leaving
+    sqrt(lambda_{2k-1} lambda_{2k})/2 over the deflated product.
+    """
+    lam = spectrum.lambdas
+    lo, hi = lam[0 : 2 * l : 2], lam[1 : 2 * l : 2]
+    gaps = (hi - lo) / hi
+    if np.all(gaps < 1e-8):
+        return _SeriesTable("paired")
+    if not np.all(gaps > 1e-6):
+        return _SeriesTable("mixed")
+    lm = lam[:m]
+    a, b = 0.5 * lo, 0.5 * hi
+    y = 0.5 * (b - a)[:, None] * np.cos(np.pi * _GL_Z) + 0.5 * (a + b)[:, None]
+    log_prod = np.empty_like(y)
+    for k in range(l):
+        rest = np.delete(lm, (2 * k, 2 * k + 1))
+        log_prod[k] = np.sum(np.log(np.abs(1.0 - 2.0 * y[k, :, None] / rest)), axis=1)
+    log_w = np.log(0.5 * np.sqrt(lo * hi))[:, None] + np.log(_GL_W) - 0.5 * log_prod
+    return _SeriesTable("simple", y, log_w, log_w - np.log(y))
+
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Truncation (l series terms, m product terms) and tolerance settings."""
+    """Truncation of the series (l terms) and of the determinant (m products).
+
+    ``quad_rel_tol`` states the relative accuracy the series terms meet; it
+    sets no quadrature tolerance, because the terms come from a fixed
+    Gauss-Legendre rule that the tests hold to 1e-12 relative against
+    adaptive quadrature.  Values above 1e-5 are rejected.
+
+    Construction tabulates the x-free part of every series term (see the
+    module docstring), so build one config per spectrum and reuse it.
+    """
 
     spectrum: Spectrum
     l: int
     m: int
     quad_rel_tol: float = 1e-6
+    _table: _SeriesTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_avail = len(self.spectrum.lambdas)
-        if 2 * self.l > n_avail:
-            raise ValueError(f"need 2l <= {n_avail} eigenvalues, got l={self.l}")
         if not (self.l < self.m <= n_avail):
             raise ValueError(f"need l < m <= {n_avail}, got l={self.l}, m={self.m}")
+        # the 2l eigenvalues bounding the series intervals are factors of the
+        # m-term product that each term cancels
+        if 2 * self.l > self.m:
+            raise ValueError(f"need 2l <= m, got l={self.l}, m={self.m}")
         if self.quad_rel_tol > 1e-5:
             raise ValueError("quad_rel_tol must be at most 1e-5")
+        object.__setattr__(self, "_table", _series_table(self.spectrum, self.l, self.m))
 
 
 def default_inversion_config(spectrum):
@@ -61,16 +135,11 @@ def _pair_structure(config):
     limit law is a finite sum of exponentials instead.  Anything between
     the two clean structures is not supported.
     """
-    lam = config.spectrum.lambdas
-    k = min(2 * config.l, len(lam) - len(lam) % 2)
-    gaps = (lam[1:k:2] - lam[0:k:2]) / lam[1:k:2]
-    if np.all(gaps < 1e-8):
-        return "paired"
-    if np.all(gaps > 1e-6):
-        return "simple"
-    raise SeriesDivergenceError(
-        "spectrum mixes simple and multiple eigenvalues; inversion undefined"
-    )
+    if config._table.structure == "mixed":
+        raise SeriesDivergenceError(
+            "spectrum mixes simple and multiple eigenvalues; inversion undefined"
+        )
+    return config._table.structure
 
 
 def _paired_rates(config):
@@ -101,43 +170,10 @@ def _hypoexp_sf_terms(x, rates):
 
 
 def _series_terms(x, config, with_inverse_y):
-    """Magnitudes of the first l alternating-series terms at argument x.
-
-    Term k integrates over y in [lambda_{2k-1}/2, lambda_{2k}/2]; the two
-    determinant factors vanishing there are cancelled analytically, leaving
-    sqrt(lambda_{2k-1} lambda_{2k})/2 over the deflated product.
-    """
-    lam = config.spectrum.lambdas
-    lm = lam[: config.m]
-    terms = []
-    for k in range(1, config.l + 1):
-        lo = lam[2 * k - 2]
-        hi = lam[2 * k - 1]
-        a, b = 0.5 * lo, 0.5 * hi
-        if (hi - lo) <= 1e-10 * hi:
-            # degenerate (multiple) eigenvalue pair: zero-width interval
-            warnings.warn(
-                f"eigenvalue pair {2 * k - 1},{2 * k} coincides; term skipped",
-                RuntimeWarning,
-            )
-            terms.append(0.0)
-            continue
-        const = 0.5 * math.sqrt(lo * hi)
-        mask = np.ones(len(lm), dtype=bool)
-        mask[2 * k - 2] = mask[2 * k - 1] = False
-        lm_rest = lm[mask]
-
-        def integrand(z):
-            y = 0.5 * (b - a) * math.cos(math.pi * z) + 0.5 * (a + b)
-            logprod = float(np.sum(np.log(np.abs(1.0 - 2.0 * y / lm_rest))))
-            v = const * math.exp(-x * y - 0.5 * logprod)
-            return v / y if with_inverse_y else v
-
-        val, _ = integrate.quad(
-            integrand, 0.0, 1.0, epsabs=1e-16, epsrel=config.quad_rel_tol, limit=200
-        )
-        terms.append(val)
-    return np.asarray(terms)
+    """Magnitudes of the first l alternating-series terms at argument x."""
+    t = config._table
+    log_w = t.log_w_cdf if with_inverse_y else t.log_w_pdf
+    return np.exp(log_w - x * t.y).sum(axis=1)
 
 
 def _check_alternating(terms):
@@ -151,7 +187,11 @@ def _check_alternating(terms):
 
 
 def cdf_dk_with_bound(x, config):
-    """CDF of the limit statistic plus the alternating-series error bound."""
+    """CDF of the limit statistic plus the alternating-series error bound.
+
+    Raises SeriesDivergenceError where the bound is not small against
+    min(F, 1 - F), which happens deep in the left tail.
+    """
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
     if _pair_structure(config) == "paired":
@@ -163,8 +203,14 @@ def cdf_dk_with_bound(x, config):
     terms = _series_terms(x, config, with_inverse_y=True)
     _check_alternating(terms)
     signs = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0)
-    value = 1.0 - float(np.sum(signs * terms))
+    sf = float(np.sum(signs * terms))  # 1 - F without the cancellation
+    value = 1.0 - sf
     bound = 0.5 * float(np.abs(terms[-1])) if len(terms) else 0.0
+    if bound > _BOUND_SHARE * min(value, sf):
+        raise SeriesDivergenceError(
+            f"series bound {bound:.3e} is not small against F={value:.3e}; "
+            "x too small for this truncation"
+        )
     return value, bound
 
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from stablegof.cli import load_table, main, read_column
+from stablegof.cli import cached_spectrum, load_table, main, read_column
 from stablegof.estimators import fisher_info
 from stablegof.stable_core import rand_stable
 
@@ -91,6 +91,14 @@ def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, ca
     fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
     assert fields["reject_10"] == "False"  # Cauchy data fit the stable family
     assert float(fields["statistic"]) > 0
+
+
+def test_spectrum_cache_keeps_alpha_at_full_precision(cache):
+    _, name1 = cached_spectrum("mle_h2", 1.2345678, 2.5, 20)
+    _, name2 = cached_spectrum("mle_h2", 1.2345679, 2.5, 20)
+    assert name1 != name2
+    # nothing but the two finished entries: no temporary file left behind
+    assert sorted(os.listdir(cache / "cache")) == sorted([name1, name2])
 
 
 def test_test_without_tables_is_input_error(cache, cauchy_file, capsys):

@@ -9,6 +9,7 @@ from scipy import integrate
 from stablegof.errors import SeriesDivergenceError
 from stablegof.inversion import (
     InversionConfig,
+    _series_terms,
     cdf_dk,
     cdf_dk_with_bound,
     default_inversion_config,
@@ -31,6 +32,31 @@ def imhof_cdf(x, lam):
 
     val, _ = integrate.quad(f, 0.0, np.inf, limit=2000)
     return 0.5 - val / math.pi
+
+
+def adaptive_series_terms(x, config, with_inverse_y):
+    """Series terms by adaptive quadrature of the cosine-substituted integrand.
+
+    Reference for the fixed Gauss-Legendre table the package evaluates.
+    """
+    lam = config.spectrum.lambdas
+    lm = lam[: config.m]
+    terms = []
+    for k in range(1, config.l + 1):
+        lo, hi = lam[2 * k - 2], lam[2 * k - 1]
+        a, b = 0.5 * lo, 0.5 * hi
+        const = 0.5 * math.sqrt(lo * hi)
+        lm_rest = np.delete(lm, (2 * k - 2, 2 * k - 1))
+
+        def integrand(z):
+            y = 0.5 * (b - a) * math.cos(math.pi * z) + 0.5 * (a + b)
+            logprod = float(np.sum(np.log(np.abs(1.0 - 2.0 * y / lm_rest))))
+            v = const * math.exp(-x * y - 0.5 * logprod)
+            return v / y if with_inverse_y else v
+
+        val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        terms.append(val)
+    return np.asarray(terms)
 
 
 def synthetic_spectrum(lambdas, kappa=1.0):
@@ -88,6 +114,22 @@ def test_cdf_monotone_increasing_to_one(simple_cfg):
     vals = [cdf_dk(x, simple_cfg) for x in xs]
     assert np.all(np.diff(vals) > 0)
     assert vals[-1] > 0.999
+
+
+@pytest.mark.parametrize("which", ["simple_cfg", "h1"])
+def test_series_terms_match_adaptive_quadrature(which, simple_cfg, spectrum_h1_a1k1):
+    if which == "simple_cfg":
+        cfg = simple_cfg
+    else:
+        cfg = default_inversion_config(spectrum_h1_a1k1)
+    mean = cfg.spectrum.trace_sum(cfg.m)
+    for x in mean * np.array([0.3, 0.5, 1.0, 2.0, 4.0, 10.0]):
+        for with_inverse_y in (True, False):
+            got = _series_terms(x, cfg, with_inverse_y)
+            want = adaptive_series_terms(x, cfg, with_inverse_y)
+            keep = want > 1e-200
+            assert keep[0]
+            np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0.0)
 
 
 def test_config_validation(simple_cfg):
