@@ -1,13 +1,17 @@
 """Half-line cosine/sine transforms against exponential-decay envelopes.
 
-Used by the EISE objective and the test statistic, which both need integrals
+Every Fourier-inversion grid in the package comes from here.  The EISE
+criterion (and through it the test statistic D = n*Q) needs integrals
 
     2 int_0^inf cos(t y) exp(-phi(t)) dt          (and t*sin, t^a*log(t)*cos)
 
-with phi(t) a sum of power terms c * t^p.  Moderate |y| goes through a
-shared panelized Gauss-Legendre grid; the few points beyond ``ysplit`` fall
-back to adaptive oscillatory quadrature so heavy-tail outliers cannot alias
-into the grid sum.
+with phi(t) a sum of power terms c * t^p.  Moderate |y| goes through the
+panelized Gauss-Legendre grid of :func:`panel_grid` and the three sums of
+:func:`_grid_sums`; the few points beyond ``ysplit`` fall back to adaptive
+oscillatory quadrature so heavy-tail outliers cannot alias into the grid
+sum.  The stable density's grid branch (``stable_core.pdf_batch``) is the
+same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2, and
+``stable_core.gaussian_pdf3`` uses the same grid for its single cosine sum.
 """
 
 import math
@@ -18,6 +22,7 @@ from scipy import integrate
 from .errors import QuadratureError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# exp(-_LOG_EPS) is treated as zero when truncating the half-line integrals
 _LOG_EPS = 41.5
 
 
@@ -42,7 +47,12 @@ def envelope_cutoff(terms):
 
 
 def panel_grid(T, xmax):
-    """Gauss-Legendre nodes/weights on [0, T], graded near 0, resolving cos(t*xmax)."""
+    """Gauss-Legendre nodes/weights on [0, T], 10 per panel.
+
+    Panels are graded dyadically toward t = 0, where the integrands have a
+    t^alpha cusp for alpha < 1, and are shorter than half a period of
+    cos(t*xmax) elsewhere.
+    """
     edges = [0.0]
     t0 = min(1.0, T) * 2.0 ** -14
     while t0 < T:
@@ -64,6 +74,31 @@ def panel_grid(T, xmax):
     return t, w
 
 
+def _grid_sums(ay, alpha, terms, T):
+    """int_0^T of cos(t y) env, t sin(t y) env and t^alpha log(t) cos(t y) env
+    at each |y| in ``ay`` on one panel grid, with env = exp(-sum c t^p) over ``terms``.
+    """
+    t, w = panel_grid(T, float(np.max(ay)))
+    phi = np.zeros_like(t)
+    for c, p in terms:
+        phi += c * t**p
+    env = np.exp(-phi)
+    lt = np.log(np.maximum(t, 1e-300))
+    e = np.exp(1j * np.outer(ay, t))
+    return e.real @ (w * env), e.imag @ (w * t * env), e.real @ (w * t**alpha * lt * env)
+
+
+def _far_quad(fn, weight, v, T):
+    """int_0^T fn(t) weight(v t) dt by QAWO; raises QuadratureError if it fails."""
+    out = integrate.quad(fn, 0, T, weight=weight, wvar=v, limit=400, full_output=1)
+    val, err = out[0], out[1]
+    # a message alone is tolerated while err meets QUADPACK's default epsabs
+    if not math.isfinite(val) or (len(out) > 3 and not err <= 1.49e-8):
+        msg = " ".join(out[3].split()) if len(out) > 3 else "non-finite value"
+        raise QuadratureError(f"far-point {weight} transform failed at y={v:g}: {msg}")
+    return val
+
+
 def cos_transforms(y, alpha, terms, ysplit=60.0):
     """Evaluate the three envelope transforms at each point of ``y``.
 
@@ -73,7 +108,10 @@ def cos_transforms(y, alpha, terms, ysplit=60.0):
         s1(y) = 2 int_0^inf t sin(t y)            exp(-phi(t)) dt
         ca(y) = 2 int_0^inf t^alpha log(t) cos(ty) exp(-phi(t)) dt
 
-    where phi(t) = sum c * t^p over ``terms``.
+    where phi(t) = sum c * t^p over ``terms``.  Raises
+    :class:`~stablegof.errors.QuadratureError` if a far-point quadrature
+    returns a non-finite value or reports a failure with its error estimate
+    above the requested absolute tolerance.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ay = np.abs(y)
@@ -84,16 +122,8 @@ def cos_transforms(y, alpha, terms, ysplit=60.0):
     ca = np.empty_like(ay)
     near = ay <= ysplit
     if np.any(near):
-        t, w = panel_grid(T, float(np.max(ay[near])))
-        phi = np.zeros_like(t)
-        for c, p in terms:
-            phi += c * t**p
-        env = np.exp(-phi)
-        lt = np.log(np.maximum(t, 1e-300))
-        e = np.exp(1j * np.outer(ay[near], t))
-        c0[near] = 2.0 * (e.real @ (w * env))
-        s1[near] = 2.0 * (e.imag @ (w * t * env))
-        ca[near] = 2.0 * (e.real @ (w * t**alpha * lt * env))
+        g0, g1, ga = _grid_sums(ay[near], alpha, terms, T)
+        c0[near], s1[near], ca[near] = 2.0 * g0, 2.0 * g1, 2.0 * ga
     far = ~near
     if np.any(far):
         def env_s(t):
@@ -101,12 +131,11 @@ def cos_transforms(y, alpha, terms, ysplit=60.0):
 
         for i in np.nonzero(far)[0]:
             v = ay[i]
-            c0[i] = 2.0 * integrate.quad(env_s, 0, T, weight="cos", wvar=v, limit=400)[0]
-            s1[i] = 2.0 * integrate.quad(lambda t: t * env_s(t), 0, T, weight="sin", wvar=v, limit=400)[0]
-            ca[i] = 2.0 * integrate.quad(
-                lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0,
-                0, T, weight="cos", wvar=v, limit=400,
-            )[0]
+            c0[i] = 2.0 * _far_quad(env_s, "cos", v, T)
+            s1[i] = 2.0 * _far_quad(lambda t: t * env_s(t), "sin", v, T)
+            ca[i] = 2.0 * _far_quad(
+                lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0, "cos", v, T
+            )
     # cos transforms even in y, the sine one odd
     return c0, s1 * sgn, ca
 

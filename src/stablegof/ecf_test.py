@@ -6,9 +6,10 @@ L2 with weight exp(-kappa|t|), and scale by n:
 
     D = n int |Phi_n(t) - exp(-|t|^a)|^2 exp(-kappa|t|) dt.
 
-The integral collapses to a pairwise Cauchy-weight sum plus n cosine
-transforms of the standardized points, which is how it is evaluated here;
-a direct-quadrature path exists for cross-checking.
+D is n times the EISE criterion Q with the weight exp(-kappa|t|), and is
+evaluated as exactly that, ``n * estimators.q_objective``: a pairwise
+Cauchy-weight sum plus n cosine transforms of the standardized points.  A
+direct-quadrature path exists for cross-checking.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,9 @@ import math
 import numpy as np
 from scipy import integrate
 
-from ._fourier import cos_transforms, envelope_moment, envelope_cutoff
+from ._fourier import envelope_cutoff
 from .errors import DataError
+from .estimators import WeightSpec, q_objective
 from .stable_core import StableParams
 
 __all__ = ["TestOutcome", "ecf", "test_statistic", "test_statistic_direct"]
@@ -44,21 +46,13 @@ def ecf(t, standardized):
     return np.exp(1j * np.multiply.outer(t, y)).mean(axis=-1)
 
 
-def _pairwise_cauchy_sum(y, kappa, block=1024):
-    """sum_{j,k} 2 kappa / (kappa^2 + (y_j - y_k)^2), blockwise in memory."""
-    total = 0.0
-    n = y.size
-    for start in range(0, n, block):
-        d = y[start : start + block, None] - y[None, :]
-        total += float(np.sum(2.0 * kappa / (kappa**2 + d * d)))
-    return total
-
-
 def test_statistic(data, fitted, kappa, hypothesis="H1"):
     """Compute the test statistic from a sample and its equivariant fit.
 
     Under H2 the caller passes a fit with alpha frozen at the hypothesized
-    value, so ``fitted.alpha`` is the exponent used either way.
+    value, so ``fitted.alpha`` is the exponent used either way.  Raises
+    :class:`~stablegof.errors.DataError` for an empty sample or one holding
+    NaN or infinite values.
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -67,14 +61,10 @@ def test_statistic(data, fitted, kappa, hypothesis="H1"):
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise DataError("empty sample")
+    if not np.all(np.isfinite(x)):
+        raise DataError("sample contains non-finite values")
     n = x.size
-    y = fitted.standardize(x)
-    alpha = fitted.alpha
-    pair = _pairwise_cauchy_sum(y, kappa) / n
-    terms1 = ((1.0, alpha), (kappa, 1.0))
-    i1, _, _ = cos_transforms(y, alpha, terms1)
-    i2 = envelope_moment(((2.0, alpha), (kappa, 1.0)))
-    d = pair - 2.0 * float(np.sum(i1)) + n * i2
+    d = n * q_objective(x, fitted, WeightSpec("exp_abs", kappa))
     return TestOutcome(statistic=float(d), fitted=fitted, kappa=kappa, hypothesis=hypothesis, n=n)
 
 

@@ -5,6 +5,8 @@ sum_j log f((x_j - mu)/sigma; alpha) - n log sigma using analytic score
 functions built from the density derivatives; the EISE minimizes the
 weighted integrated squared distance Q between the empirical
 characteristic function of the standardized data and exp(-|t|^alpha).
+The two fits differ only in their objective: one bounded L-BFGS routine
+runs both, with alpha free or fixed.
 
 The module also computes the asymptotic ingredients both estimators feed
 into the covariance kernels: the Fisher information matrix (numerically
@@ -23,14 +25,7 @@ from scipy.special import gammaln
 
 from ._fourier import cos_transforms, envelope_moment, envelope_cutoff
 from .errors import DataError, NonConvergenceError, QuadratureError
-from .stable_core import (
-    StableParams,
-    pdf_batch,
-    _pdf_quad,
-    _pdf0_triple,
-    _crossover,
-    _tail_series,
-)
+from .stable_core import StableParams, pdf, pdf_batch, _crossover
 
 __all__ = [
     "FisherInfo",
@@ -86,13 +81,10 @@ class FisherInfo:
         return 1.0 / self.I11, self.I33 / det, -self.I23 / det, self.I22 / det
 
 
-def _score_products(x, alpha, xc):
+def _score_products(x, alpha):
     """[h_mu^2, h_sigma^2, h_sigma*h_alpha, h_alpha^2] * f at a point x >= 0."""
-    if x <= xc:
-        f, fp, fa = _pdf_quad(x, alpha) if x > 0 else _pdf0_triple(alpha)
-    else:
-        fv, fpv, fav, _ = _tail_series(np.array([x]), alpha)
-        f, fp, fa = float(fv[0]), float(fpv[0]), float(fav[0])
+    d = pdf(x, alpha)
+    f, fp, fa = d.f, d.fprime, d.falpha
     fs = -f - x * fp  # location-scale identity for the sigma derivative
     return np.array([fp * fp / f, fs * fs / f, fs * fa / f, fa * fa / f])
 
@@ -111,10 +103,10 @@ def fisher_info(alpha):
         raise ValueError(f"fisher_info requires 0 < alpha < 2, got {alpha}")
     xc = _crossover(alpha)
     core, err1 = integrate.quad_vec(
-        lambda x: _score_products(x, alpha, xc), 0.0, xc, epsabs=1e-12, epsrel=1e-10
+        lambda x: _score_products(x, alpha), 0.0, xc, epsabs=1e-12, epsrel=1e-10
     )
     tail, err2 = integrate.quad_vec(
-        lambda x: _score_products(x, alpha, xc), xc, np.inf, epsabs=1e-12, epsrel=1e-10
+        lambda x: _score_products(x, alpha), xc, np.inf, epsabs=1e-12, epsrel=1e-10
     )
     vals = 2.0 * (core + tail)
     if max(err1, err2) > 1e-6:
@@ -351,6 +343,52 @@ def _accepted(res, floor=1e-6):
     return bool(np.max(np.abs(res.jac)) <= floor)
 
 
+def _lbfgs_fit(x, objective, estimator, report, fix_alpha, init, alpha_bounds, sigma_min, options):
+    """Bounded L-BFGS fit of (mu, sigma, alpha) shared by both estimators.
+
+    ``objective(mu, sigma, alpha)`` returns the value and its 3-gradient.  A
+    fixed alpha is dropped from the optimizer's variables (not pinned by
+    equal bounds), so L-BFGS-B sees the two-parameter (mu, sigma) problem.
+    ``report`` maps the final value to :attr:`FitResult.objective`.  Raises
+    :class:`~stablegof.errors.NonConvergenceError` carrying the best iterate
+    if the optimizer gives up.
+    """
+    if fix_alpha is not None and not (0 < fix_alpha <= 2):
+        raise ValueError(f"fix_alpha must be in (0, 2], got {fix_alpha}")
+    mu0, s0, a0 = _grid_init(x, _INIT_ALPHA_GRID, fix_alpha=fix_alpha) if init is None else init
+    amin, amax = alpha_bounds
+    if fix_alpha is None:
+        x0 = np.array([mu0, s0, min(max(a0, amin), amax)])
+        bounds = [(None, None), (sigma_min, None), (amin, amax)]
+
+        def fun(theta):
+            return objective(*theta)
+    else:
+        alpha = float(fix_alpha)
+        x0 = np.array([mu0, s0])
+        bounds = [(None, None), (sigma_min, None)]
+
+        def fun(theta):
+            val, g = objective(theta[0], theta[1], alpha)
+            return val, g[:2]
+
+    res = optimize.minimize(fun, x0=x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
+    a_hat = float(res.x[2]) if fix_alpha is None else alpha
+    ok = _accepted(res)
+    result = FitResult(
+        params=StableParams(float(res.x[0]), float(res.x[1]), a_hat),
+        converged=ok,
+        n_iter=int(res.nit),
+        objective=report(float(res.fun)),
+        message=str(res.message),
+        boundary_alpha=fix_alpha is None and a_hat >= amax - 1e-8,
+        estimator=estimator,
+    )
+    if not ok:
+        raise NonConvergenceError(f"{estimator.upper()} did not converge: {res.message}", best=result)
+    return result
+
+
 def loglik(data, params):
     """Mean log-likelihood of a symmetric stable sample."""
     y = params.standardize(data)
@@ -389,80 +427,21 @@ def mle_fit(
     iterate) if the optimizer gives up.
     """
     x = _check_sample(data)
-    amin, amax = alpha_bounds
-    if fix_alpha is not None and not (0 < fix_alpha <= 2):
-        raise ValueError(f"fix_alpha must be in (0, 2], got {fix_alpha}")
-    if init is None:
-        mu0, s0, a0 = _grid_init(x, _INIT_ALPHA_GRID, fix_alpha=fix_alpha)
-    else:
-        mu0, s0, a0 = init
     n = x.size
 
-    if fix_alpha is not None:
-        alpha = float(fix_alpha)
+    def negll(mu, sigma, alpha):
+        y = (x - mu) / sigma
+        f, fp, fa = pdf_batch(y, alpha)
+        f = np.maximum(f, 1e-300)
+        r = fp / f
+        val = -(np.log(f).mean() - math.log(sigma))
+        g = np.array([r.mean() / sigma, (1.0 + (y * r).mean()) / sigma, -(fa / f).mean()])
+        return val, g
 
-        def negll(theta):
-            mu, sigma = theta
-            y = (x - mu) / sigma
-            f, fp, _ = pdf_batch(y, alpha)
-            f = np.maximum(f, 1e-300)
-            r = fp / f
-            val = -(np.log(f).mean() - math.log(sigma))
-            g = np.array([r.mean() / sigma, (1.0 + (y * r).mean()) / sigma])
-            return val, g
-
-        res = optimize.minimize(
-            negll,
-            x0=np.array([mu0, s0]),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(None, None), (sigma_min, None)],
-            options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-13},
-        )
-        params = StableParams(float(res.x[0]), float(res.x[1]), alpha)
-        boundary = False
-    else:
-
-        def negll(theta):
-            mu, sigma, alpha = theta
-            y = (x - mu) / sigma
-            f, fp, fa = pdf_batch(y, alpha)
-            f = np.maximum(f, 1e-300)
-            r = fp / f
-            val = -(np.log(f).mean() - math.log(sigma))
-            g = np.array(
-                [
-                    r.mean() / sigma,
-                    (1.0 + (y * r).mean()) / sigma,
-                    -(fa / f).mean(),
-                ]
-            )
-            return val, g
-
-        res = optimize.minimize(
-            negll,
-            x0=np.array([mu0, s0, min(max(a0, amin), amax)]),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(None, None), (sigma_min, None), (amin, amax)],
-            options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-13},
-        )
-        params = StableParams(float(res.x[0]), float(res.x[1]), float(res.x[2]))
-        boundary = params.alpha >= amax - 1e-8
-
-    ok = _accepted(res)
-    result = FitResult(
-        params=params,
-        converged=ok,
-        n_iter=int(res.nit),
-        objective=-float(res.fun) * n,
-        message=str(res.message),
-        boundary_alpha=boundary,
-        estimator="mle",
+    return _lbfgs_fit(
+        x, negll, "mle", lambda fun: -fun * n, fix_alpha, init, alpha_bounds, sigma_min,
+        {"maxiter": maxiter, "gtol": gtol, "ftol": 1e-13},
     )
-    if not ok:
-        raise NonConvergenceError(f"MLE did not converge: {res.message}", best=result)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -470,12 +449,13 @@ def mle_fit(
 # ----------------------------------------------------------------------
 
 
-def _w0_and_deriv(d, weight):
-    """W0(d) = int cos(td) w(t) dt over the real line, and dW0/dd."""
+def _w0_and_deriv(d, weight, grad):
+    """W0(d) = int cos(td) w(t) dt over the real line, and dW0/dd (exp_abs: None unless ``grad``)."""
     if weight.kind == "exp_abs":
         k = weight.kappa_or_nu
-        den = k * k + d * d
-        return 2.0 * k / den, -4.0 * k * d / den**2
+        with np.errstate(over="ignore"):  # d*d = inf only where W0 and W0' are 0
+            den = k * k + d * d
+        return 2.0 * k / den, -4.0 * k * d / den**2 if grad else None
     nu, ba = weight.kappa_or_nu, weight.bar_alpha
     c = nu ** (-1.0 / ba)
     f, fp, _ = pdf_batch((c * d).ravel(), ba)
@@ -485,6 +465,21 @@ def _w0_and_deriv(d, weight):
     )
 
 
+def _pair_sums(x, sigma, weight, grad, block=1024):
+    """sum_jk W0(d_jk) and, with ``grad``, sum_jk W0'(d_jk) d_jk, d_jk = (x_j - x_k)/sigma.
+
+    Accumulated over blocks of ``block`` rows so memory stays O(block * n).
+    """
+    s0 = s1 = 0.0
+    for start in range(0, x.size, block):
+        d = (x[start : start + block, None] - x[None, :]) / sigma
+        w0, w0p = _w0_and_deriv(d, weight, grad)
+        s0 += float(np.sum(w0))
+        if grad:
+            s1 += float(np.sum(w0p * d))
+    return s0, s1
+
+
 def q_objective(data, params, weight, grad=False):
     """EISE criterion Q via the pairwise cosine expansion.
 
@@ -492,23 +487,23 @@ def q_objective(data, params, weight, grad=False):
     W0, W1, W2 the weighted cosine integrals; all three are evaluated
     against the characteristic-function envelope, so heavy outliers are
     exact rather than aliased.  With ``grad=True`` also returns dQ/dtheta.
+    With the weight exp(-kappa|t|), n*Q is the test statistic D.
     """
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
     mu, sigma, alpha = params.mu, params.sigma, params.alpha
-    dmat = (x[:, None] - x[None, :]) / sigma
-    w0, w0p = _w0_and_deriv(dmat, weight)
+    w0_sum, w0p_sum = _pair_sums(x, sigma, weight, grad)
     y = (x - mu) / sigma
     terms1 = ((1.0, alpha),) + weight.terms()
     c0, s1, ca = cos_transforms(y, alpha, terms1)
     terms2 = ((2.0, alpha),) + weight.terms()
     w2 = envelope_moment(terms2)
-    q = w0.mean() - 2.0 * c0.mean() + w2
+    q = w0_sum / (n * n) - 2.0 * c0.mean() + w2
     if not grad:
         return q
     w1p = -s1  # d/dy of the cosine transform
     dq_mu = 2.0 / sigma * w1p.mean()
-    dq_sigma = -(w0p * dmat).mean() / sigma + 2.0 / sigma * (y * w1p).mean()
+    dq_sigma = -(w0p_sum / (n * n)) / sigma + 2.0 / sigma * (y * w1p).mean()
     w2a = -2.0 * envelope_moment(terms2, power=alpha, logpow=1)
     dq_alpha = 2.0 * ca.mean() + w2a
     return q, np.array([dq_mu, dq_sigma, dq_alpha])
@@ -550,59 +545,14 @@ def eise_fit(
 
     Initialization reuses the profile-likelihood grid of :func:`mle_fit`;
     the minimization is bounded L-BFGS with the analytic gradient of Q.
+    ``fix_alpha`` freezes the characteristic exponent as in :func:`mle_fit`.
     """
     x = _check_sample(data)
-    amin, amax = alpha_bounds
-    if init is None:
-        mu0, s0, a0 = _grid_init(x, _INIT_ALPHA_GRID, fix_alpha=fix_alpha)
-    else:
-        mu0, s0, a0 = init
 
-    if fix_alpha is not None:
-        alpha = float(fix_alpha)
+    def q(mu, sigma, alpha):
+        return q_objective(x, StableParams(mu, max(sigma, sigma_min), alpha), weight, grad=True)
 
-        def fun(theta):
-            p = StableParams(theta[0], max(theta[1], sigma_min), alpha)
-            q, g = q_objective(x, p, weight, grad=True)
-            return q, g[:2]
-
-        res = optimize.minimize(
-            fun,
-            x0=np.array([mu0, s0]),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(None, None), (sigma_min, None)],
-            options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-15},
-        )
-        params = StableParams(float(res.x[0]), float(res.x[1]), alpha)
-        boundary = False
-    else:
-
-        def fun(theta):
-            p = StableParams(theta[0], max(theta[1], sigma_min), theta[2])
-            return q_objective(x, p, weight, grad=True)
-
-        res = optimize.minimize(
-            fun,
-            x0=np.array([mu0, s0, min(max(a0, amin), amax)]),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(None, None), (sigma_min, None), (amin, amax)],
-            options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-15},
-        )
-        params = StableParams(float(res.x[0]), float(res.x[1]), float(res.x[2]))
-        boundary = params.alpha >= amax - 1e-8
-
-    ok = _accepted(res)
-    result = FitResult(
-        params=params,
-        converged=ok,
-        n_iter=int(res.nit),
-        objective=float(res.fun),
-        message=str(res.message),
-        boundary_alpha=boundary,
-        estimator="eise",
+    return _lbfgs_fit(
+        x, q, "eise", lambda fun: fun, fix_alpha, init, alpha_bounds, sigma_min,
+        {"maxiter": maxiter, "gtol": gtol, "ftol": 1e-15},
     )
-    if not ok:
-        raise NonConvergenceError(f"EISE did not converge: {res.message}", best=result)
-    return result

@@ -187,25 +187,26 @@ def _check_alternating(terms):
 
 
 def cdf_dk_with_bound(x, config):
-    """CDF of the limit statistic plus the alternating-series error bound.
+    """CDF of the limit statistic plus an error bound.
 
-    Raises SeriesDivergenceError where the bound is not small against
+    For a simple spectrum the bound is that of the alternating series; for a
+    paired one it is the rounding bound m * eps * sum |c_j e^{-r_j x}| of the
+    signed exponential sum S = 1 - F.  Either way raises
+    SeriesDivergenceError where the bound is not small against
     min(F, 1 - F), which happens deep in the left tail.
     """
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
     if _pair_structure(config) == "paired":
-        r = _paired_rates(config)
-        terms = _hypoexp_sf_terms(x, r)
-        sf = float(np.sum(terms))
-        smallest = float(np.min(np.abs(terms[np.abs(terms) > 0]))) if np.any(terms) else 0.0
-        return 1.0 - sf, smallest
-    terms = _series_terms(x, config, with_inverse_y=True)
-    _check_alternating(terms)
-    signs = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0)
-    sf = float(np.sum(signs * terms))  # 1 - F without the cancellation
+        terms = _hypoexp_sf_terms(x, _paired_rates(config))
+        bound = float(len(terms) * np.finfo(float).eps * np.sum(np.abs(terms)))
+    else:
+        terms = _series_terms(x, config, with_inverse_y=True)
+        _check_alternating(terms)
+        terms = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0) * terms
+        bound = 0.5 * float(np.abs(terms[-1])) if len(terms) else 0.0
+    sf = float(np.sum(terms))  # 1 - F without the cancellation
     value = 1.0 - sf
-    bound = 0.5 * float(np.abs(terms[-1])) if len(terms) else 0.0
     if bound > _BOUND_SHARE * min(value, sf):
         raise SeriesDivergenceError(
             f"series bound {bound:.3e} is not small against F={value:.3e}; "

@@ -9,7 +9,6 @@ s = -sgn(u) log(1 - |u|), which is the form the eigenvalue solver consumes.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -19,6 +18,7 @@ from scipy.interpolate import CubicSpline
 from ._fourier import envelope_cutoff
 from .errors import QuadratureError
 from .estimators import (
+    EULER_GAMMA,
     EiseMatrices,
     WeightSpec,
     eise_matrices,
@@ -40,9 +40,7 @@ __all__ = [
     "kernel_fn",
 ]
 
-KERNEL_KINDS = ("mle_h1", "mle_h2", "cauchy_mle", "eise_h1", "eise_fixed", "efficient_general")
-
-EULER_GAMMA = 0.5772156649015328606
+KERNEL_KINDS = ("mle_h1", "mle_h2", "cauchy_mle", "eise_h1", "eise_fixed")
 
 
 def _safe_log_abs(a):
@@ -107,7 +105,8 @@ def gamma_efficient(s, t, params, fisher_inverse):
                - grad Phi(s)' I^-1 conj(grad Phi(t))
     for any family with characteristic function ``cf`` and an efficient
     estimator whose asymptotic covariance is the inverse information
-    ``fisher_inverse`` (p x p).
+    ``fisher_inverse`` (p x p).  Complex-valued, so no :data:`KERNEL_KINDS`
+    entry: the paper's general formula and the tests' oracle for the MLE kernels.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -193,9 +192,6 @@ def make_kernel(kind, alpha, kappa=1.0, weight=None):
         if alpha != 1.0:
             raise ValueError("cauchy_mle kernel is the alpha = 1 case")
         return KernelSpec(kind, alpha, kappa)
-    if kind == "efficient_general":
-        inv = np.linalg.inv(fisher_info(alpha).matrix())
-        return KernelSpec(kind, alpha, kappa, fisher_inv=tuple(map(tuple, inv)))
     if weight is None:
         raise ValueError(f"{kind} kernel needs a WeightSpec")
     em = eise_matrices(alpha, weight)
@@ -310,8 +306,3 @@ def transformed_kernel(u, v, spec):
         out = np.where(at_edge, 0.0, out)
     return out
 
-
-@lru_cache(maxsize=64)
-def cached_kernel(kind, alpha, kappa):
-    """Memoized make_kernel for the MLE-family kinds used by table runs."""
-    return make_kernel(kind, alpha, kappa)

@@ -98,8 +98,12 @@ def _fit(x, config):
     return eise_fit(x, weight, fix_alpha=fix)
 
 
-def _replicate(config, worker):
-    """Run the replication loop, redrawing on fit failure (1% budget)."""
+def _replicate(config):
+    """Fit and test every replication, redrawing on fit failure (1% budget).
+
+    Returns one row of statistics per replication (one per kappa) and the
+    number of failures.
+    """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
     failures = 0
     max_failures = max(1, config.replications // 100)
@@ -109,7 +113,8 @@ def _replicate(config, worker):
         for attempt in range(4):
             x = draw_alternative(config.alternative, config.n, config.alpha, rng)
             try:
-                out.append(worker(x))
+                p = _fit(x, config).params
+                out.append([test_statistic(x, p, k, config.hypothesis).statistic for k in config.kappas])
                 break
             except (NonConvergenceError, NumericsError, DataError):
                 failures += 1
@@ -138,14 +143,7 @@ def simulate_critical(config):
     if config.alternative is not None:
         raise ValueError("critical-value simulation runs under the null (no alternative)")
 
-    def worker(x):
-        fit = _fit(x, config)
-        return [
-            test_statistic(x, fit.params, k, config.hypothesis).statistic
-            for k in config.kappas
-        ]
-
-    rows, failures = _replicate(config, worker)
+    rows, failures = _replicate(config)
     stats = {k: np.sort(np.array([r[i] for r in rows])) for i, k in enumerate(config.kappas)}
     quantiles = {
         (k, xi): _order_quantile(stats[k], xi) for k in config.kappas for xi in config.xis
@@ -168,14 +166,7 @@ def power_study(config, critical_values):
             if (k, xi) not in critical_values:
                 raise ValueError(f"missing critical value for kappa={k}, xi={xi}")
 
-    def worker(x):
-        fit = _fit(x, config)
-        return [
-            test_statistic(x, fit.params, k, config.hypothesis).statistic
-            for k in config.kappas
-        ]
-
-    rows, failures = _replicate(config, worker)
+    rows, failures = _replicate(config)
     arr = np.asarray(rows)
     rates = {}
     r = config.replications

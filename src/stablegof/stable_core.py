@@ -23,6 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, digamma
 
+from ._fourier import _LOG_EPS, _grid_sums, panel_grid
 from .errors import QuadratureError
 
 __all__ = [
@@ -36,8 +37,6 @@ __all__ = [
     "gaussian_pdf3",
 ]
 
-# exp(-_TCUT) is treated as zero when truncating inversion integrals
-_TCUT = 41.5
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -191,40 +190,8 @@ def _crossover(alpha):
 
 
 # ----------------------------------------------------------------------
-# Fourier inversion on a panelized Gauss-Legendre grid (vectorized path)
+# Fourier inversion on the shared panelized Gauss-Legendre grid
 # ----------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _inversion_grid(alpha, xmax):
-    """Nodes/weights for int_0^T g(t) dt with T = cutoff of exp(-t^alpha).
-
-    Panels are graded dyadically toward t = 0 (the integrand has a t^alpha
-    cusp there for alpha < 1) and kept below half an oscillation period of
-    cos(t*xmax) elsewhere.
-    """
-    T = _TCUT ** (1.0 / alpha)
-    edges = [0.0]
-    t0 = min(1.0, T) * 2.0 ** -14
-    while t0 < T:
-        edges.append(t0)
-        t0 *= 2.0
-    edges.append(T)
-    edges = np.unique(np.asarray(edges))
-    h_osc = math.pi / max(xmax, 1e-9)
-    pieces = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nsub = max(1, int(math.ceil((b - a) / h_osc)))
-        sub = np.linspace(a, b, nsub + 1)
-        pieces.append(sub[:-1])
-    lo = np.concatenate(pieces)
-    hi = np.concatenate([np.concatenate(pieces)[1:], [T]])
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return t, w
 
 
 def gaussian_pdf3(x):
@@ -242,7 +209,7 @@ def gaussian_pdf3(x):
     fa = np.empty_like(ax)
     small = ax <= 10.0
     if np.any(small):
-        t, w = _inversion_grid(2.0, float(np.max(ax[small])))
+        t, w = panel_grid(_LOG_EPS**0.5, float(np.max(ax[small])))
         wt = w * np.where(t > 0, t**2 * np.log(np.maximum(t, 1e-300)), 0.0) * np.exp(-(t**2))
         fa[small] = -(np.cos(np.outer(ax[small], t)) @ wt) / math.pi
     if np.any(~small):
@@ -276,18 +243,13 @@ def pdf_batch(x, alpha):
         xmax = float(np.max(xs))
         # grid size scales like T*xmax; for small alpha the cutoff T blows
         # up, so fall back to per-point adaptive quadrature there
-        if _TCUT ** (1.0 / alpha) * max(xmax, 1.0) > 6.0e4:
+        T = _LOG_EPS ** (1.0 / alpha)
+        if T * max(xmax, 1.0) > 6.0e4:
             vals = np.array([_pdf_quad(v, alpha) if v > 0 else _pdf0_triple(alpha) for v in xs])
             f[small], fp[small], fa[small] = vals[:, 0], vals[:, 1], vals[:, 2]
         else:
-            t, w = _inversion_grid(alpha, xmax)
-            ta = t**alpha
-            env = np.exp(-ta)
-            lt = np.log(np.maximum(t, 1e-300))
-            e = np.exp(1j * np.outer(xs, t))
-            f[small] = (e.real @ (w * env)) / math.pi
-            fp[small] = -(e.imag @ (w * t * env)) / math.pi
-            fa[small] = -(e.real @ (w * ta * lt * env)) / math.pi
+            g0, g1, ga = _grid_sums(xs, alpha, ((1.0, alpha),), T)
+            f[small], fp[small], fa[small] = g0 / math.pi, -g1 / math.pi, -ga / math.pi
     large = ~small
     if np.any(large):
         fs, fps, fas, _ = _tail_series(ax[large], alpha)
@@ -307,7 +269,7 @@ def _pdf0_triple(alpha):
 
 def _pdf_quad(x, alpha):
     """Adaptive oscillatory quadrature (QAWO) for one standard-case point."""
-    T = _TCUT ** (1.0 / alpha)
+    T = _LOG_EPS ** (1.0 / alpha)
     kwargs = dict(epsabs=1e-14, epsrel=1e-11, limit=600, full_output=1)
 
     def run(fn, weight):

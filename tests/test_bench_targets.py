@@ -1,0 +1,49 @@
+"""The benchmark tracer's hook points exist in the package.
+
+``bench/tracer.py`` wraps package functions found by module attribute and
+binds some of their arguments by name, so a rename in the package would
+break a traced benchmark run without failing any other test.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def targets():
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def resolve(mod_name, attr):
+    obj = importlib.import_module(f"stablegof.{mod_name}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_target_resolves(targets):
+    assert targets
+    for mod_name, attr, _, _ in targets:
+        assert callable(resolve(mod_name, attr)), f"{mod_name}.{attr}"
+
+
+def test_bound_arguments_exist(targets):
+    bound = {f"{m}.{a}" for m, a, _, bind in targets if bind}
+    assert {"stable_core.pdf_batch", "_fourier.cos_transforms"} <= bound
+    assert "x" in inspect.signature(resolve("stable_core", "pdf_batch")).parameters
+    params = inspect.signature(resolve("_fourier", "cos_transforms")).parameters
+    assert "y" in params and "ysplit" in params
+
+
+def test_fisher_info_is_an_lru_cache():
+    # the tracer reports its misses through cache_info
+    assert hasattr(resolve("estimators", "fisher_info"), "cache_info")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stablegof.errors import DataError
+from stablegof.errors import DataError, QuadratureError
 from stablegof.ecf_test import ecf, test_statistic, test_statistic_direct
 from stablegof.estimators import mle_fit
 from stablegof.stable_core import StableParams, rand_stable
@@ -81,3 +81,18 @@ def test_outliers_increase_statistic():
         fitd = mle_fit(xd, fix_alpha=1.8)
         dirty_meds.append(test_statistic(xd, fitd.params, 2.5, "H2").statistic)
     assert np.median(dirty_meds) > np.median(clean_meds)
+
+
+def test_statistic_rejects_non_finite_data():
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.array([0.3, -1.2, bad, 2.0, 0.7])
+        with pytest.raises(DataError):
+            test_statistic(x, StableParams(0.0, 1.0, 1.5), 2.5)
+
+
+def test_far_point_quadrature_failure_raises():
+    # QUADPACK's oscillatory rule returns NaN (with a message) at |y| = 1e200
+    x = rand_stable(1.0, 50, np.random.default_rng(3))
+    x[7] = 1e200
+    with pytest.raises(QuadratureError):
+        test_statistic(x, StableParams(0.0, 1.0, 1.0), 2.5)

@@ -14,6 +14,7 @@ from stablegof.estimators import (
     eise_matrices,
     fisher_info,
     fisher_location_scale,
+    loglik,
     mle_fit,
     q_objective,
     q_objective_direct,
@@ -222,3 +223,37 @@ def test_eise_alpha_variance_matches_j33():
     ratio = alphas.var(ddof=1) / target_var
     assert 0.5 < ratio < 1.8
     assert abs(alphas.mean() - 1.5) < 3 * math.sqrt(target_var / reps)
+
+
+def test_eise_fixed_alpha_fit():
+    rng = np.random.default_rng(23)
+    x = rand_stable(1.6, 120, rng)
+    w = WeightSpec("exp_abs", 1.0)
+    fit = eise_fit(x, w, fix_alpha=1.6)
+    assert fit.params.alpha == 1.6
+    assert fit.boundary_alpha is False
+    assert fit.objective == pytest.approx(q_objective(x, fit.params, w), rel=1e-12)
+    p = eise_fit(5.0 + 0.5 * x, w, fix_alpha=1.6).params
+    assert p.alpha == 1.6
+    assert abs(p.mu - (5.0 + 0.5 * fit.params.mu)) < 1e-5
+    assert abs(p.sigma - 0.5 * fit.params.sigma) < 1e-5
+
+
+def test_fitters_reject_fixed_alpha_outside_range():
+    x = rand_stable(1.5, 50, np.random.default_rng(24))
+    for bad in (0.0, -1.0, 2.5):
+        with pytest.raises(ValueError):
+            mle_fit(x, fix_alpha=bad)
+        with pytest.raises(ValueError):
+            eise_fit(x, WeightSpec("exp_abs", 1.0), fix_alpha=bad)
+
+
+def test_mle_objective_is_total_loglik():
+    x = rand_stable(1.5, 100, np.random.default_rng(4))
+    n = x.size
+    for fit in (mle_fit(x), mle_fit(x, fix_alpha=1.5)):
+        assert fit.objective == pytest.approx(n * loglik(x, fit.params), rel=1e-12)
+    with pytest.raises(NonConvergenceError) as exc:
+        mle_fit(x, maxiter=1)
+    best = exc.value.best
+    assert best.objective == pytest.approx(n * loglik(x, best.params), rel=1e-12)

@@ -208,3 +208,26 @@ def test_alternating_bound_brackets_limit(simple_cfg):
     assert min(lo, hi) - 1e-12 <= full <= max(lo, hi) + 1e-12
     val, bound = cdf_dk_with_bound(x, simple_cfg)
     assert abs(val - imhof_cdf(x, sp.lambdas)) <= bound + 1e-8
+
+
+def test_paired_cdf_bound_and_left_tail():
+    lam = np.repeat(np.array([2.0, 6.5, 12.0, 19.0, 28.0, 40.0]), 2)
+    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12, quad_rel_tol=1e-8)
+    # 1 - sum c_j e^{-r_j x} cancels to rounding noise here (F = -2.2e-15)
+    with pytest.raises(SeriesDivergenceError):
+        cdf_dk_with_bound(1e-4, cfg)
+    for x in (0.8, 1.5, 2.5, 4.0):
+        val, bound = cdf_dk_with_bound(x, cfg)
+        # a rounding bound of S = 1 - F is at least the rounding of S itself
+        assert np.finfo(float).eps * (1.0 - val) <= bound <= 1e-12
+
+
+def test_paired_h2_cauchy_quantiles():
+    # mle_h2 spectra at alpha = 1 carry every eigenvalue twice; references are
+    # the critical values computed before the paired branch checked its bound
+    cfg = default_inversion_config(build_spectrum(make_kernel("mle_h2", 1.0, 2.5), 800))
+    for xi, ref in ((0.10, 0.28561050481335243), (0.05, 0.33498755484008136)):
+        q = quantile_dk(xi, cfg)
+        assert abs(q / ref - 1.0) < 1e-10
+        val, bound = cdf_dk_with_bound(q, cfg)
+        assert np.finfo(float).eps * (1.0 - val) <= bound <= 1e-12
