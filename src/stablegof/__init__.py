@@ -29,7 +29,6 @@ from .kernels import (
     KernelSpec,
     make_kernel,
     gamma_mle,
-    gamma_mle_fixed,
     gamma_cauchy,
     gamma_eise,
     gamma_efficient,

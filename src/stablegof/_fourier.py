@@ -24,6 +24,8 @@ from .errors import QuadratureError
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # exp(-_LOG_EPS) is treated as zero when truncating the half-line integrals
 _LOG_EPS = 41.5
+# (y, t) pairs per block of _grid_sums: 2^21 complex exponentials are 32 MB
+_BLOCK_CELLS = 2**21
 
 
 def envelope_cutoff(terms):
@@ -77,6 +79,9 @@ def panel_grid(T, xmax):
 def _grid_sums(ay, alpha, terms, T):
     """int_0^T of cos(t y) env, t sin(t y) env and t^alpha log(t) cos(t y) env
     at each |y| in ``ay`` on one panel grid, with env = exp(-sum c t^p) over ``terms``.
+
+    The exponentials exp(i t y) are formed over row blocks of at most
+    ``_BLOCK_CELLS`` (y, t) pairs, so memory stays bounded for large samples.
     """
     t, w = panel_grid(T, float(np.max(ay)))
     phi = np.zeros_like(t)
@@ -84,8 +89,14 @@ def _grid_sums(ay, alpha, terms, T):
         phi += c * t**p
     env = np.exp(-phi)
     lt = np.log(np.maximum(t, 1e-300))
-    e = np.exp(1j * np.outer(ay, t))
-    return e.real @ (w * env), e.imag @ (w * t * env), e.real @ (w * t**alpha * lt * env)
+    w0, w1, wa = w * env, w * t * env, w * t**alpha * lt * env
+    g0, g1, ga = np.empty_like(ay), np.empty_like(ay), np.empty_like(ay)
+    rows = max(1, _BLOCK_CELLS // t.size)
+    for lo in range(0, ay.size, rows):
+        blk = slice(lo, lo + rows)
+        e = np.exp(1j * np.outer(ay[blk], t))
+        g0[blk], g1[blk], ga[blk] = e.real @ w0, e.imag @ w1, e.real @ wa
+    return g0, g1, ga
 
 
 def _far_quad(fn, weight, v, T):

@@ -271,16 +271,9 @@ def cmd_table(args):
             try:
                 sp, name = cached_spectrum(kind, alpha, kappa, args.nodes)
                 spectra.append(name)
+                cfg = default_inversion_config(sp)
                 if args.terms or args.products:
-                    cfg = default_inversion_config(sp)
-                    cfg = InversionConfig(
-                        spectrum=sp,
-                        l=args.terms or cfg.l,
-                        m=args.products or cfg.m,
-                        quad_rel_tol=cfg.quad_rel_tol,
-                    )
-                else:
-                    cfg = default_inversion_config(sp)
+                    cfg = InversionConfig(sp, args.terms or cfg.l, args.products or cfg.m)
                 for xi in (0.10, 0.05):
                     q = quantile_dk(xi, cfg)
                     _, bound = cdf_dk_with_bound(q, cfg)

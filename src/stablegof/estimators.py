@@ -270,6 +270,8 @@ def eise_matrices(alpha, weight):
 # ----------------------------------------------------------------------
 
 _INIT_ALPHA_GRID = tuple(np.round(np.arange(0.5, 2.0001, 0.05), 10))
+_ALPHA_MIN, _ALPHA_MAX = 0.3, 2.0
+_SIGMA_MIN = 1e-6
 
 
 @lru_cache(maxsize=128)
@@ -343,7 +345,7 @@ def _accepted(res, floor=1e-6):
     return bool(np.max(np.abs(res.jac)) <= floor)
 
 
-def _lbfgs_fit(x, objective, estimator, report, fix_alpha, init, alpha_bounds, sigma_min, options):
+def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
     """Bounded L-BFGS fit of (mu, sigma, alpha) shared by both estimators.
 
     ``objective(mu, sigma, alpha)`` returns the value and its 3-gradient.  A
@@ -355,18 +357,17 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, init, alpha_bounds, s
     """
     if fix_alpha is not None and not (0 < fix_alpha <= 2):
         raise ValueError(f"fix_alpha must be in (0, 2], got {fix_alpha}")
-    mu0, s0, a0 = _grid_init(x, _INIT_ALPHA_GRID, fix_alpha=fix_alpha) if init is None else init
-    amin, amax = alpha_bounds
+    mu0, s0, a0 = _grid_init(x, _INIT_ALPHA_GRID, fix_alpha=fix_alpha)
     if fix_alpha is None:
-        x0 = np.array([mu0, s0, min(max(a0, amin), amax)])
-        bounds = [(None, None), (sigma_min, None), (amin, amax)]
+        x0 = np.array([mu0, s0, min(max(a0, _ALPHA_MIN), _ALPHA_MAX)])
+        bounds = [(None, None), (_SIGMA_MIN, None), (_ALPHA_MIN, _ALPHA_MAX)]
 
         def fun(theta):
             return objective(*theta)
     else:
         alpha = float(fix_alpha)
         x0 = np.array([mu0, s0])
-        bounds = [(None, None), (sigma_min, None)]
+        bounds = [(None, None), (_SIGMA_MIN, None)]
 
         def fun(theta):
             val, g = objective(theta[0], theta[1], alpha)
@@ -381,7 +382,7 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, init, alpha_bounds, s
         n_iter=int(res.nit),
         objective=report(float(res.fun)),
         message=str(res.message),
-        boundary_alpha=fix_alpha is None and a_hat >= amax - 1e-8,
+        boundary_alpha=fix_alpha is None and a_hat >= _ALPHA_MAX - 1e-8,
         estimator=estimator,
     )
     if not ok:
@@ -407,15 +408,7 @@ def _check_sample(data, min_n=5):
     return x
 
 
-def mle_fit(
-    data,
-    fix_alpha=None,
-    alpha_bounds=(0.3, 2.0),
-    sigma_min=1e-6,
-    gtol=1e-8,
-    maxiter=300,
-    init=None,
-):
+def mle_fit(data, fix_alpha=None, maxiter=300):
     """Maximum likelihood fit of (mu, sigma, alpha).
 
     Starts from the sample median and a profile-likelihood grid over
@@ -439,8 +432,8 @@ def mle_fit(
         return val, g
 
     return _lbfgs_fit(
-        x, negll, "mle", lambda fun: -fun * n, fix_alpha, init, alpha_bounds, sigma_min,
-        {"maxiter": maxiter, "gtol": gtol, "ftol": 1e-13},
+        x, negll, "mle", lambda fun: -fun * n, fix_alpha,
+        {"maxiter": maxiter, "gtol": 1e-8, "ftol": 1e-13},
     )
 
 
@@ -531,16 +524,7 @@ def q_objective_direct(data, params, weight, limit=3000):
     return 2.0 * val
 
 
-def eise_fit(
-    data,
-    weight,
-    fix_alpha=None,
-    alpha_bounds=(0.3, 2.0),
-    sigma_min=1e-6,
-    gtol=1e-9,
-    maxiter=300,
-    init=None,
-):
+def eise_fit(data, weight, fix_alpha=None, maxiter=300):
     """Fit (mu, sigma, alpha) by minimizing the EISE criterion Q.
 
     Initialization reuses the profile-likelihood grid of :func:`mle_fit`;
@@ -550,9 +534,9 @@ def eise_fit(
     x = _check_sample(data)
 
     def q(mu, sigma, alpha):
-        return q_objective(x, StableParams(mu, max(sigma, sigma_min), alpha), weight, grad=True)
+        return q_objective(x, StableParams(mu, max(sigma, _SIGMA_MIN), alpha), weight, grad=True)
 
     return _lbfgs_fit(
-        x, q, "eise", lambda fun: fun, fix_alpha, init, alpha_bounds, sigma_min,
-        {"maxiter": maxiter, "gtol": gtol, "ftol": 1e-15},
+        x, q, "eise", lambda fun: fun, fix_alpha,
+        {"maxiter": maxiter, "gtol": 1e-9, "ftol": 1e-15},
     )

@@ -88,19 +88,15 @@ def _series_table(spectrum, l, m):
 class InversionConfig:
     """Truncation of the series (l terms) and of the determinant (m products).
 
-    ``quad_rel_tol`` states the relative accuracy the series terms meet; it
-    sets no quadrature tolerance, because the terms come from a fixed
-    Gauss-Legendre rule that the tests hold to 1e-12 relative against
-    adaptive quadrature.  Values above 1e-5 are rejected.
-
     Construction tabulates the x-free part of every series term (see the
-    module docstring), so build one config per spectrum and reuse it.
+    module docstring), so build one config per spectrum and reuse it.  The
+    terms come from a fixed Gauss-Legendre rule that the tests hold to
+    1e-12 relative against adaptive quadrature.
     """
 
     spectrum: Spectrum
     l: int
     m: int
-    quad_rel_tol: float = 1e-6
     _table: _SeriesTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,8 +107,6 @@ class InversionConfig:
         # m-term product that each term cancels
         if 2 * self.l > self.m:
             raise ValueError(f"need 2l <= m, got l={self.l}, m={self.m}")
-        if self.quad_rel_tol > 1e-5:
-            raise ValueError("quad_rel_tol must be at most 1e-5")
         object.__setattr__(self, "_table", _series_table(self.spectrum, self.l, self.m))
 
 

@@ -1,11 +1,14 @@
 """Asymptotic covariance kernels of the ECF process with estimated parameters.
 
 Each kernel Gamma(s, t) is the covariance of the limiting Gaussian process
-of the empirical-characteristic-function distance, and depends on which
-parameters were estimated (all three under H1, location/scale only under
-H2) and by which estimator (MLE or EISE).  ``transformed_kernel`` folds in
-the exponential test weight and maps the plane onto [-1, 1]^2 through
-s = -sgn(u) log(1 - |u|), which is the form the eigenvalue solver consumes.
+of the empirical-characteristic-function distance.  There is one formula
+per estimator (:func:`gamma_mle`, :func:`gamma_eise`); which parameters
+were estimated only changes its coefficients.  A fixed alpha (the H2 and
+``eise_fixed`` kinds) removes alpha from the estimated parameters, which
+zeroes the alpha row and column of I^-1 (MLE), or of A^-1 and J (EISE).
+``transformed_kernel`` folds in the exponential test weight and maps the
+plane onto [-1, 1]^2 through s = -sgn(u) log(1 - |u|), which is the form
+the eigenvalue solver consumes.
 """
 
 from dataclasses import dataclass
@@ -16,11 +19,9 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from ._fourier import envelope_cutoff
-from .errors import QuadratureError
 from .estimators import (
     EULER_GAMMA,
     EiseMatrices,
-    WeightSpec,
     eise_matrices,
     fisher_info,
     fisher_location_scale,
@@ -32,7 +33,6 @@ __all__ = [
     "KernelSpec",
     "make_kernel",
     "gamma_mle",
-    "gamma_mle_fixed",
     "gamma_cauchy",
     "gamma_eise",
     "gamma_efficient",
@@ -40,7 +40,7 @@ __all__ = [
     "kernel_fn",
 ]
 
-KERNEL_KINDS = ("mle_h1", "mle_h2", "cauchy_mle", "eise_h1", "eise_fixed")
+KERNEL_KINDS = ("mle_h1", "mle_h2", "eise_h1", "eise_fixed")
 
 
 def _safe_log_abs(a):
@@ -48,10 +48,11 @@ def _safe_log_abs(a):
 
 
 def gamma_mle(s, t, alpha, inv_entries):
-    """MLE/H1 covariance kernel.
+    """MLE covariance kernel.
 
     ``inv_entries`` are (I^11, I^22, I^23, I^33) of the inverse Fisher
-    matrix.  Vanishes on the axes: every correction term carries s and t.
+    matrix; with alpha fixed, I^23 = I^33 = 0.  Vanishes on the axes: every
+    correction term carries s and t.
     """
     i11, i22, i23, i33 = inv_entries
     s = np.asarray(s, dtype=float)
@@ -70,19 +71,8 @@ def gamma_mle(s, t, alpha, inv_entries):
     return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
 
 
-def gamma_mle_fixed(s, t, alpha, inv_entries):
-    """MLE/H2 kernel (alpha fixed): only the location/scale bracket remains."""
-    i11, i22 = inv_entries[:2]
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    sa, ta = np.abs(s) ** alpha, np.abs(t) ** alpha
-    e_pp = np.exp(-(sa + ta))
-    bracket = i11 * s * t + i22 * sa * ta * alpha**2
-    return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
-
-
 def gamma_cauchy(s, t):
-    """Closed-form Cauchy (alpha = 1) kernel with all parameters estimated."""
+    """Closed-form Cauchy (alpha = 1) MLE/H1 kernel: the tests' oracle for :func:`gamma_mle`."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     a_s, a_t = np.abs(s), np.abs(t)
@@ -164,18 +154,24 @@ class _EiseInnerCache:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which asymptotic kernel to evaluate, with its precomputed pieces."""
+    """Which asymptotic kernel to evaluate, with its coefficients.
+
+    ``inv_entries`` are (V^11, V^22, V^23, V^33) of the inverse of the
+    estimator's matrix V: the Fisher matrix I for the MLE kinds, A for the
+    EISE kinds.  EISE kinds also carry J = A^-1 H A^-1, their
+    :class:`EiseMatrices` (for the B constants) and the inner-integral
+    cache.  The fixed-alpha kinds (``mle_h2``, ``eise_fixed``) invert only
+    the (mu, sigma) block and set V^23 = V^33 = 0 and J's alpha row and
+    column to zero.
+    """
 
     kind: str
     alpha: float
     kappa: float
-    weight: WeightSpec | None = None
-    fisher_inv: tuple | None = None
+    inv_entries: tuple
+    J: np.ndarray | None = None
     eise: EiseMatrices | None = None
-    inner: object | None = None
-
-    def label(self):
-        return f"{self.kind}(alpha={self.alpha:g}, kappa={self.kappa:g})"
+    inner: _EiseInnerCache | None = None
 
 
 def make_kernel(kind, alpha, kappa=1.0, weight=None):
@@ -183,28 +179,27 @@ def make_kernel(kind, alpha, kappa=1.0, weight=None):
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; choose from {KERNEL_KINDS}")
     if kind == "mle_h1":
-        inv = fisher_info(alpha).inverse_entries()
-        return KernelSpec(kind, alpha, kappa, fisher_inv=inv)
+        return KernelSpec(kind, alpha, kappa, fisher_info(alpha).inverse_entries())
     if kind == "mle_h2":
         i11, i22 = fisher_location_scale(alpha)
-        return KernelSpec(kind, alpha, kappa, fisher_inv=(1.0 / i11, 1.0 / i22))
-    if kind == "cauchy_mle":
-        if alpha != 1.0:
-            raise ValueError("cauchy_mle kernel is the alpha = 1 case")
-        return KernelSpec(kind, alpha, kappa)
+        return KernelSpec(kind, alpha, kappa, (1.0 / i11, 1.0 / i22, 0.0, 0.0))
     if weight is None:
         raise ValueError(f"{kind} kernel needs a WeightSpec")
     em = eise_matrices(alpha, weight)
-    cache = _EiseInnerCache(alpha, weight)
-    return KernelSpec(kind, alpha, kappa, weight=weight, eise=em, inner=cache)
+    if kind == "eise_h1":
+        inv, J = em.a_inverse_entries(), em.J
+    else:
+        inv = (1.0 / em.A[0, 0], 1.0 / em.A[1, 1], 0.0, 0.0)
+        J = np.diag([em.H[0, 0] * inv[0] ** 2, em.H[1, 1] * inv[1] ** 2, 0.0])
+    return KernelSpec(kind, alpha, kappa, inv, J, em, _EiseInnerCache(alpha, weight))
 
 
 def gamma_eise(s, t, spec):
-    """EISE/H1 covariance kernel (symmetrized form, negative-exponent inner integrals)."""
+    """EISE covariance kernel (symmetrized form, negative-exponent inner integrals)."""
     em = spec.eise
     a = spec.alpha
-    a11, a22, a23, a33 = em.a_inverse_entries()
-    J = em.J
+    a11, a22, a23, a33 = spec.inv_entries
+    J = spec.J
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     a_s, a_t = np.abs(s), np.abs(t)
@@ -237,42 +232,11 @@ def gamma_eise(s, t, spec):
     return np.exp(-np.abs(t - s) ** a) - e_pp + (jbr + bbr) * e_pp + cross
 
 
-def gamma_eise_fixed(s, t, spec):
-    """EISE kernel with alpha fixed: location/scale blocks only."""
-    em = spec.eise
-    a = spec.alpha
-    a11inv = 1.0 / em.A[0, 0]
-    a22inv = 1.0 / em.A[1, 1]
-    j11 = em.H[0, 0] * a11inv**2
-    j22 = em.H[1, 1] * a22inv**2
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    sa, ta = np.abs(s) ** a, np.abs(t) ** a
-    e_s, e_t = np.exp(-sa), np.exp(-ta)
-    e_pp = e_s * e_t
-    m1s, m2s, _ = spec.inner(s)
-    m1t, m2t, _ = spec.inner(t)
-    cross = (
-        -a11inv * (t * e_t * m1s + s * e_s * m1t)
-        - a22inv * a**2 * (ta * e_t * m2s + sa * e_s * m2t)
-    )
-    bracket = j11 * s * t + j22 * a**2 * sa * ta + a22inv * em.Bsigma * a * (ta + sa)
-    return np.exp(-np.abs(t - s) ** a) - e_pp + bracket * e_pp + cross
-
-
 def kernel_fn(spec):
-    """Gamma(s, t) evaluator for a kernel spec (vectorized, real kinds)."""
-    if spec.kind == "mle_h1":
-        return lambda s, t: gamma_mle(s, t, spec.alpha, spec.fisher_inv)
-    if spec.kind == "mle_h2":
-        return lambda s, t: gamma_mle_fixed(s, t, spec.alpha, spec.fisher_inv)
-    if spec.kind == "cauchy_mle":
-        return lambda s, t: gamma_cauchy(s, t)
-    if spec.kind == "eise_h1":
-        return lambda s, t: gamma_eise(s, t, spec)
-    if spec.kind == "eise_fixed":
-        return lambda s, t: gamma_eise_fixed(s, t, spec)
-    raise ValueError(f"no real-valued kernel for kind {spec.kind!r}")
+    """Gamma(s, t) evaluator for a kernel spec (vectorized)."""
+    if spec.eise is None:
+        return lambda s, t: gamma_mle(s, t, spec.alpha, spec.inv_entries)
+    return lambda s, t: gamma_eise(s, t, spec)
 
 
 def transform_point(u):

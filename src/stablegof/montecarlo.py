@@ -40,7 +40,6 @@ class ExperimentConfig:
     seed: int = 0
     alternative: tuple | None = None
     xis: tuple = (0.10, 0.05)
-    eise_weight: WeightSpec | None = None
 
     def __post_init__(self):
         if self.replications < 100:
@@ -94,8 +93,7 @@ def _fit(x, config):
     fix = config.alpha if config.hypothesis == "H2" else None
     if config.estimator == "mle":
         return mle_fit(x, fix_alpha=fix)
-    weight = config.eise_weight or WeightSpec("exp_power", 1.0, config.alpha)
-    return eise_fit(x, weight, fix_alpha=fix)
+    return eise_fit(x, WeightSpec("exp_power", 1.0, config.alpha), fix_alpha=fix)
 
 
 def _replicate(config):
@@ -192,18 +190,6 @@ class CriticalValueTable:
     values: np.ndarray  # shape (len(alphas), len(kappas), len(xis))
     bounds: np.ndarray
     hypothesis: str = "H1"
-
-    def lookup(self, alpha, kappa, xi):
-        ia = int(np.argmin(np.abs(self.alphas - alpha)))
-        ik = int(np.argmin(np.abs(self.kappas - kappa)))
-        ix = int(np.argmin(np.abs(self.xis - xi)))
-        if not (
-            math.isclose(self.alphas[ia], alpha, rel_tol=1e-9)
-            and math.isclose(self.kappas[ik], kappa, rel_tol=1e-9)
-            and math.isclose(self.xis[ix], xi, rel_tol=1e-9)
-        ):
-            raise KeyError(f"({alpha}, {kappa}, {xi}) not tabulated")
-        return float(self.values[ia, ik, ix])
 
     def column(self, kappa, xi):
         ik = int(np.argmin(np.abs(self.kappas - kappa)))

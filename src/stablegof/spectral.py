@@ -9,14 +9,14 @@ Midpoint nodes never touch +-1, which keeps the kappa <= 1 kernels (only
 continuous in the open square) evaluable without special casing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import io
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .errors import NumericsError
-from .kernels import KernelSpec, transformed_kernel
+from .kernels import transformed_kernel
 
 __all__ = ["Spectrum", "midpoint_grid", "discretize", "eigen_spectrum", "build_spectrum", "fredholm_det"]
 
@@ -32,7 +32,6 @@ class Spectrum:
     alpha: float
     kappa: float
     n_dropped: int = 0
-    spec: KernelSpec | None = field(default=None, compare=False, repr=False)
 
     def trace_sum(self, m=None):
         """sum_j 1/lambda_j over the first m eigenvalues = approximate E[D]."""
@@ -122,7 +121,6 @@ def eigen_spectrum(matrix, n, spec=None):
         alpha=spec.alpha if spec else float("nan"),
         kappa=spec.kappa if spec else float("nan"),
         n_dropped=int(np.sum(~keep)),
-        spec=spec,
     )
 
 

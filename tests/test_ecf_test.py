@@ -1,10 +1,12 @@
 """Empirical CF and the weighted-L2 statistic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stablegof._fourier import cos_transforms
 from stablegof.errors import DataError, QuadratureError
 from stablegof.ecf_test import ecf, test_statistic, test_statistic_direct
 from stablegof.estimators import mle_fit
@@ -96,3 +98,16 @@ def test_far_point_quadrature_failure_raises():
     x[7] = 1e200
     with pytest.raises(QuadratureError):
         test_statistic(x, StableParams(0.0, 1.0, 1.0), 2.5)
+
+
+def test_grid_transforms_memory_bounded():
+    # 4935 near points x 4570 grid nodes: the exponentials of all of them at
+    # once take ~700 MB; row blocks keep the peak near 100 MB
+    y = rand_stable(0.9, 5000, np.random.default_rng(11))
+    tracemalloc.start()
+    try:
+        cos_transforms(y, 0.9, ((1.0, 0.9), (1.0, 1.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20

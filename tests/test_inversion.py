@@ -70,7 +70,7 @@ def synthetic_spectrum(lambdas, kappa=1.0):
 @pytest.fixture(scope="module")
 def simple_cfg():
     lam = np.array([2.0, 5.0, 9.0, 14.0, 20.0, 27.0, 35.0, 44.0, 54.0, 65.0])
-    return InversionConfig(spectrum=synthetic_spectrum(lam), l=5, m=10, quad_rel_tol=1e-8)
+    return InversionConfig(spectrum=synthetic_spectrum(lam), l=5, m=10)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def test_cdf_matches_imhof_simple(simple_cfg):
 def test_cdf_matches_imhof_paired():
     base = np.array([2.0, 6.5, 12.0, 19.0, 28.0, 40.0])
     lam = np.repeat(base, 2)
-    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12, quad_rel_tol=1e-8)
+    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12)
     for x in (0.8, 1.5, 2.5, 4.0):
         assert abs(cdf_dk(x, cfg) - imhof_cdf(x, lam)) < 1e-8
 
@@ -138,8 +138,6 @@ def test_config_validation(simple_cfg):
         InversionConfig(spectrum=sp, l=6, m=10)  # 2l > available
     with pytest.raises(ValueError):
         InversionConfig(spectrum=sp, l=3, m=11)  # m > available
-    with pytest.raises(ValueError):
-        InversionConfig(spectrum=sp, l=3, m=10, quad_rel_tol=1e-4)
 
 
 def test_defaults_follow_weight_size():
@@ -192,7 +190,7 @@ def test_published_quantile_small_alpha():
 
 def test_truncation_stable_in_m(spectrum_h1_a1k1):
     base = default_inversion_config(spectrum_h1_a1k1)
-    alt = InversionConfig(spectrum=spectrum_h1_a1k1, l=base.l, m=300, quad_rel_tol=base.quad_rel_tol)
+    alt = InversionConfig(spectrum=spectrum_h1_a1k1, l=base.l, m=300)
     q1 = quantile_dk(0.10, base)
     q2 = quantile_dk(0.10, alt)
     assert abs(q2 / q1 - 1.0) < 0.005
@@ -202,9 +200,9 @@ def test_alternating_bound_brackets_limit(simple_cfg):
     # partial sums with l and l+1 terms must straddle the converged value
     sp = simple_cfg.spectrum
     x = 1.5
-    full = cdf_dk(x, InversionConfig(spectrum=sp, l=5, m=10, quad_rel_tol=1e-8))
-    lo = cdf_dk(x, InversionConfig(spectrum=sp, l=3, m=10, quad_rel_tol=1e-8))
-    hi = cdf_dk(x, InversionConfig(spectrum=sp, l=4, m=10, quad_rel_tol=1e-8))
+    full = cdf_dk(x, InversionConfig(spectrum=sp, l=5, m=10))
+    lo = cdf_dk(x, InversionConfig(spectrum=sp, l=3, m=10))
+    hi = cdf_dk(x, InversionConfig(spectrum=sp, l=4, m=10))
     assert min(lo, hi) - 1e-12 <= full <= max(lo, hi) + 1e-12
     val, bound = cdf_dk_with_bound(x, simple_cfg)
     assert abs(val - imhof_cdf(x, sp.lambdas)) <= bound + 1e-8
@@ -212,7 +210,7 @@ def test_alternating_bound_brackets_limit(simple_cfg):
 
 def test_paired_cdf_bound_and_left_tail():
     lam = np.repeat(np.array([2.0, 6.5, 12.0, 19.0, 28.0, 40.0]), 2)
-    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12, quad_rel_tol=1e-8)
+    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12)
     # 1 - sum c_j e^{-r_j x} cancels to rounding noise here (F = -2.2e-15)
     with pytest.raises(SeriesDivergenceError):
         cdf_dk_with_bound(1e-4, cfg)

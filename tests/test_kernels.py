@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stablegof.estimators import WeightSpec, fisher_info
+from stablegof.estimators import WeightSpec, fisher_info, fisher_location_scale
 from stablegof.kernels import (
     gamma_cauchy,
     gamma_eise,
     gamma_efficient,
     gamma_mle,
-    gamma_mle_fixed,
+    kernel_fn,
     make_kernel,
     transform_point,
     transformed_kernel,
@@ -20,6 +20,45 @@ from stablegof.kernels import (
 from stablegof.stable_core import StableParams
 
 ACCEPT_GRID = [(a, k) for a in (1.0, 1.5, 1.8) for k in (1.0, 2.5, 5.0, 10.0)]
+
+
+# Hand-written fixed-alpha kernels, kept as references: the mle_h2 and
+# eise_fixed kinds evaluate the H1 formulas with zero alpha entries and must
+# agree with them.
+
+
+def gamma_mle_fixed(s, t, alpha, inv_entries):
+    """MLE/H2 kernel (alpha fixed): only the location/scale bracket remains."""
+    i11, i22 = inv_entries[:2]
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    sa, ta = np.abs(s) ** alpha, np.abs(t) ** alpha
+    e_pp = np.exp(-(sa + ta))
+    bracket = i11 * s * t + i22 * sa * ta * alpha**2
+    return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
+
+
+def gamma_eise_fixed(s, t, spec):
+    """EISE kernel with alpha fixed: location/scale blocks only."""
+    em = spec.eise
+    a = spec.alpha
+    a11inv = 1.0 / em.A[0, 0]
+    a22inv = 1.0 / em.A[1, 1]
+    j11 = em.H[0, 0] * a11inv**2
+    j22 = em.H[1, 1] * a22inv**2
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    sa, ta = np.abs(s) ** a, np.abs(t) ** a
+    e_s, e_t = np.exp(-sa), np.exp(-ta)
+    e_pp = e_s * e_t
+    m1s, m2s, _ = spec.inner(s)
+    m1t, m2t, _ = spec.inner(t)
+    cross = (
+        -a11inv * (t * e_t * m1s + s * e_s * m1t)
+        - a22inv * a**2 * (ta * e_t * m2s + sa * e_s * m2t)
+    )
+    bracket = j11 * s * t + j22 * a**2 * sa * ta + a22inv * em.Bsigma * a * (ta + sa)
+    return np.exp(-np.abs(t - s) ** a) - e_pp + bracket * e_pp + cross
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +105,32 @@ def test_fixed_alpha_kernel_drops_exponent_terms():
     assert np.allclose(gamma_mle_fixed(0.0, t, 1.5, (inv[0], inv[1])), 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_mle_h2_is_h1_formula_with_zero_alpha_entries(alpha):
+    i11, i22 = fisher_location_scale(alpha)
+    rng = np.random.default_rng(9)
+    s, t = rng.uniform(-15, 15, 400), rng.uniform(-15, 15, 400)
+    got = kernel_fn(make_kernel("mle_h2", alpha, 2.5))(s, t)
+    ref = gamma_mle_fixed(s, t, alpha, (1.0 / i11, 1.0 / i22))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+    # independent oracle: the general efficient kernel with alpha not estimated
+    v = np.diag([1.0 / i11, 1.0 / i22, 0.0])
+    eff = gamma_efficient(s, t, StableParams(0.0, 1.0, alpha), v)
+    np.testing.assert_allclose(eff.real, got, rtol=0, atol=1e-12)
+
+
+def test_eise_fixed_is_h1_formula_with_zero_alpha_entries(eise_fixed_spec):
+    rng = np.random.default_rng(10)
+    s, t = rng.uniform(-15, 15, 400), rng.uniform(-15, 15, 400)
+    got = kernel_fn(eise_fixed_spec)(s, t)
+    np.testing.assert_allclose(got, gamma_eise_fixed(s, t, eise_fixed_spec), rtol=0, atol=1e-14)
+
+
+def test_make_kernel_rejects_unknown_kinds():
+    with pytest.raises(ValueError):
+        make_kernel("cauchy_mle", 1.0)
+
+
 def test_gamma_mle_diagonal_bounded():
     for alpha in (1.0, 1.5, 1.8):
         inv = fisher_info(alpha).inverse_entries()
@@ -89,11 +154,7 @@ def test_gamma_eise_positive_semidefinite(eise_spec, eise_fixed_spec):
     rng = np.random.default_rng(5)
     for spec in (eise_spec, eise_fixed_spec):
         nodes = rng.uniform(-8, 8, 60)
-        gram = gamma_eise(nodes[:, None], nodes[None, :], spec) if spec.kind == "eise_h1" else None
-        if gram is None:
-            from stablegof.kernels import gamma_eise_fixed
-
-            gram = gamma_eise_fixed(nodes[:, None], nodes[None, :], spec)
+        gram = kernel_fn(spec)(nodes[:, None], nodes[None, :])
         gram = 0.5 * (gram + gram.T)
         w = np.linalg.eigvalsh(gram)
         assert w.min() >= -1e-8 * max(w.max(), 1.0)
