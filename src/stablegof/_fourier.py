@@ -12,6 +12,12 @@ oscillatory quadrature so heavy-tail outliers cannot alias into the grid
 sum.  The stable density's grid branch (``stable_core.pdf_batch``) is the
 same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2, and
 ``stable_core.gaussian_pdf3`` uses the same grid for its single cosine sum.
+
+The non-oscillatory integrals after an EISE fit, the H matrix of
+``estimators.eise_matrices`` and the inner integrals of the EISE kernel
+(``kernels._EiseInnerCache``), use :func:`_graded_rule` instead: one
+Gauss-Legendre rule on many intervals at once, graded toward both ends
+where their integrands have cusps.
 """
 
 import math
@@ -26,6 +32,16 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _LOG_EPS = 41.5
 # (y, t) pairs per block of _grid_sums: 2^21 complex exponentials are 32 MB
 _BLOCK_CELLS = 2**21
+# panels of _graded_rule: dyadic levels toward each end, uniform ones in the middle
+_GRADE_LEVELS = 40
+_MID_PANELS = 4
+# nodes per interval of _graded_rule
+_GRADED_NODES = _GL_NODES.size * (2 * _GRADE_LEVELS + _MID_PANELS)
+# nodes per block of the sums over graded rules, which hold about eight
+# float arrays of that size at once: 2^17 nodes keep them near 8 MB.  Larger
+# blocks fragment the heap: with 2^19, a later EISE fit's arrays did not fit
+# in the freed blocks and peak RSS rose by 24 MB.
+_RULE_CELLS = 2**17
 
 
 def envelope_cutoff(terms):
@@ -74,6 +90,32 @@ def panel_grid(T, xmax):
     t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return t, w
+
+
+def _graded_rule(a, b):
+    """Gauss-Legendre nodes/weights on every interval [a, b] at once, 10 per panel.
+
+    Each interval gets ``_GRADE_LEVELS`` panels graded dyadically toward
+    each end, the outermost 2^-41 of its length, and ``_MID_PANELS``
+    uniform panels on its middle half, so an integrand with a |u - end|^p
+    cusp (p >= 0.3) at either end is integrated to rounding level.  Nodes
+    near ``b`` are measured from ``b``.  Returns (u, w) of shape
+    ``broadcast(a, b).shape + (_GRADED_NODES,)``; a degenerate interval gets
+    zero weights.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    levels = _GRADE_LEVELS
+    edges = np.concatenate(([0.0], 2.0 ** -np.arange(levels + 1.0, 1.0, -1.0)))
+    fmid = np.linspace(0.25, 0.75, _MID_PANELS + 1)
+    lo = np.concatenate((edges[:-1], fmid[:-1], edges[:-1]))
+    hi = np.concatenate((edges[1:], fmid[1:], edges[1:]))
+    off = (0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _GL_NODES).ravel()
+    fw = (0.5 * (hi - lo)[:, None] * _GL_WEIGHTS).ravel()
+    from_b = np.repeat(np.arange(lo.size) >= levels + _MID_PANELS, _GL_NODES.size)
+    a, b = a[..., None], b[..., None]
+    length = b - a
+    u = np.where(from_b, b - length * off, a + length * off)
+    return u, length * fw
 
 
 def _grid_sums(ay, alpha, terms, T):

@@ -142,19 +142,15 @@ def cmd_estimate(args):
     print(f"mu_hat       {p.mu:.6g}")
     print(f"sigma_hat    {p.sigma:.6g}")
     print(f"alpha_hat    {p.alpha:.6g}" + ("  (boundary)" if fit.boundary_alpha else ""))
-    if fit.estimator == "mle":
-        if p.alpha < 2.0 and args.fix_alpha is None:
-            inv = np.linalg.inv(fisher_info(p.alpha).matrix())
-            se = np.sqrt(np.diag(inv) / n)
-            print(f"se(mu_hat)    {p.sigma * se[0]:.6g}")
-            print(f"se(sigma_hat) {p.sigma * se[1]:.6g}")
-            print(f"se(alpha_hat) {se[2]:.6g}")
-        else:
-            print("se            boundary or fixed alpha: no asymptotic covariance reported")
+    se = None
+    if args.fix_alpha is None and fit.estimator == "mle" and p.alpha < 2.0:
+        se = np.sqrt(np.diag(np.linalg.inv(fisher_info(p.alpha).matrix())) / n)
+    elif args.fix_alpha is None and fit.estimator == "eise":
+        # the standard errors belong to the weight the fit used
+        se = np.sqrt(np.diag(eise_matrices(p.alpha, weight).J) / n)
+    if se is None:
+        print("se            boundary or fixed alpha: no asymptotic covariance reported")
     else:
-        weight = _weight_from_args(args, p.alpha)
-        em = eise_matrices(p.alpha, weight)
-        se = np.sqrt(np.diag(em.J) / n)
         print(f"se(mu_hat)    {p.sigma * se[0]:.6g}")
         print(f"se(sigma_hat) {p.sigma * se[1]:.6g}")
         print(f"se(alpha_hat) {se[2]:.6g}")

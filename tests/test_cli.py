@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stablegof.cli import cached_spectrum, load_table, main, read_column
-from stablegof.estimators import fisher_info
+from stablegof.estimators import WeightSpec, eise_matrices, fisher_info
 from stablegof.stable_core import rand_stable
 
 
@@ -46,6 +46,22 @@ def test_estimate_reports_information_se(cache, cauchy_file, capsys):
     inv = np.linalg.inv(fisher_info(alpha_hat).matrix())
     want = math.sqrt(inv[2, 2] / 200)
     assert abs(float(fields["se(alpha_hat)"]) - want) < 1e-6
+
+
+def test_estimate_eise_se_uses_the_fit_weight(cache, tmp_path, capsys):
+    path = tmp_path / "x.txt"
+    np.savetxt(path, rand_stable(1.0, 60, np.random.default_rng(8)))
+    assert main(["estimate", str(path), "--estimator", "eise"]) == 0
+    fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+    alpha_hat = float(fields["alpha_hat"].split()[0])
+    # without --bar-alpha the fit weight is exp_power(nu, 1.5), not exp_power(nu, alpha_hat)
+    j = eise_matrices(alpha_hat, WeightSpec("exp_power", 1.0, 1.5)).J
+    assert float(fields["se(alpha_hat)"]) == pytest.approx(math.sqrt(j[2, 2] / 60), rel=1e-5)
+
+    assert main(["estimate", str(path), "--estimator", "eise", "--fix-alpha", "1.0"]) == 0
+    out = capsys.readouterr().out
+    assert "no asymptotic covariance reported" in out
+    assert "se(alpha_hat)" not in out
 
 
 def test_estimate_input_failures(cache, tmp_path, capsys):

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stablegof.estimators import WeightSpec, fisher_info, fisher_location_scale
+from stablegof._fourier import envelope_cutoff
+from stablegof.estimators import WeightSpec, eise_matrices, fisher_info, fisher_location_scale
 from stablegof.kernels import (
+    _N_GRID,
+    _S_MAX,
+    _inner_values,
     gamma_cauchy,
     gamma_eise,
     gamma_efficient,
@@ -59,6 +63,33 @@ def gamma_eise_fixed(s, t, spec):
     )
     bracket = j11 * s * t + j22 * a**2 * sa * ta + a22inv * em.Bsigma * a * (ta + sa)
     return np.exp(-np.abs(t - s) ** a) - e_pp + bracket * e_pp + cross
+
+
+def adaptive_inner(alpha, weight, s):
+    """(M1, M2, M3) at one s >= 0 by adaptive quadrature.
+
+    Reference copy of the per-node computation the EISE inner-integral cache
+    used before the graded Gauss-Legendre rule, with epsrel tightened from
+    1e-10 to 1e-12: at the old tolerance it errs by 1.2e-12 at alpha = 0.5,
+    s = 0.  QUADPACK's roundoff notes are dropped (``full_output``); the
+    comparison itself is the check.
+    """
+    U = envelope_cutoff(((1.0, alpha),) + weight.terms())
+
+    def base(u):
+        return math.exp(-abs(s - u) ** alpha - abs(u) ** alpha) * float(weight.values(u))
+
+    pts = sorted({0.0, min(max(s, -U), U)})
+
+    def do(g):
+        return integrate.quad(
+            g, -U, U, points=pts, limit=300, epsabs=1e-15, epsrel=1e-12, full_output=1
+        )[0]
+
+    m1 = do(lambda u: base(u) * u)
+    m2 = do(lambda u: base(u) * abs(u) ** alpha)
+    m3 = do(lambda u: base(u) * abs(u) ** alpha * (math.log(abs(u)) if u != 0 else 0.0))
+    return np.array([m1, m2, m3])
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +160,34 @@ def test_eise_fixed_is_h1_formula_with_zero_alpha_entries(eise_fixed_spec):
 def test_make_kernel_rejects_unknown_kinds():
     with pytest.raises(ValueError):
         make_kernel("cauchy_mle", 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "weight",
+    [WeightSpec("exp_abs", 1.0), WeightSpec("exp_power", 1.0, 0.7), WeightSpec("exp_power", 2.5, 1.5)],
+    ids=["exp_abs", "power0.7", "power1.5"],
+)
+def test_inner_values_match_adaptive_quadrature(alpha, weight):
+    # nodes of the cache's s-grid: both ends, near the u = 0 cusp, and past
+    # the cutoff U of every case
+    grid = np.linspace(0.0, _S_MAX, _N_GRID)
+    s = grid[[0, 1, 3, 10, 40, 150, 600, _N_GRID - 1]]
+    got = _inner_values(alpha, weight, s)
+    want = np.array([adaptive_inner(alpha, weight, si) for si in s])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_make_kernel_reuses_read_only_eise_matrices():
+    w = WeightSpec("exp_abs", 1.0)
+    em = eise_matrices(1.0, w)
+    hits = eise_matrices.cache_info().hits
+    spec = make_kernel("eise_fixed", 1.0, kappa=1.0, weight=w)
+    assert spec.eise is em
+    assert eise_matrices.cache_info().hits == hits + 1
+    for m in (em.A, em.H, em.J):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 def test_gamma_mle_diagonal_bounded():
