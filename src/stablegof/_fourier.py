@@ -10,8 +10,8 @@ panelized Gauss-Legendre grid of :func:`panel_grid` and the three sums of
 :func:`_grid_sums`; the few points beyond ``ysplit`` fall back to adaptive
 oscillatory quadrature so heavy-tail outliers cannot alias into the grid
 sum.  The stable density's grid branch (``stable_core.pdf_batch``) is the
-same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2, and
-``stable_core.gaussian_pdf3`` uses the same grid for its single cosine sum.
+same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2
+(alpha = 2 included).
 
 The non-oscillatory integrals after an EISE fit, the H matrix of
 ``estimators.eise_matrices`` and the inner integrals of the EISE kernel

@@ -116,13 +116,6 @@ def _manifest_lines(subcommand, params, spectra=()):
     return lines
 
 
-def _weight_from_args(args, alpha_for_power):
-    if args.weight_kind == "exp_abs":
-        return WeightSpec("exp_abs", args.nu)
-    bar = args.bar_alpha if args.bar_alpha is not None else alpha_for_power
-    return WeightSpec("exp_power", args.nu, bar)
-
-
 # ----------------------------------------------------------------------
 # estimate
 # ----------------------------------------------------------------------
@@ -133,7 +126,11 @@ def cmd_estimate(args):
     if args.estimator == "mle":
         fit = mle_fit(x, fix_alpha=args.fix_alpha)
     else:
-        weight = _weight_from_args(args, args.fix_alpha or 1.5)
+        if args.weight_kind == "exp_abs":
+            weight = WeightSpec("exp_abs", args.nu)
+        else:
+            bar = args.bar_alpha if args.bar_alpha is not None else args.fix_alpha or 1.5
+            weight = WeightSpec("exp_power", args.nu, bar)
         fit = eise_fit(x, weight, fix_alpha=args.fix_alpha)
     p = fit.params
     n = len(x)
@@ -187,15 +184,16 @@ def load_table(path):
 
 
 def cmd_test(args):
-    x = read_column(args.input)
     if args.hypothesis == "H2" and args.alpha0 is None:
         raise UsageError("--alpha0 is required under H2")
-    fix = args.alpha0 if args.hypothesis == "H2" else None
-    if args.estimator == "mle":
-        fit = mle_fit(x, fix_alpha=fix)
-    else:
-        weight = _weight_from_args(args, fix or 1.5)
-        fit = eise_fit(x, weight, fix_alpha=fix)
+    if args.tables is None:
+        raise DataError(
+            "no critical-value table given; generate one with "
+            "'stablegof table' and pass it via --tables"
+        )
+    table = load_table(args.tables)
+    x = read_column(args.input)
+    fit = mle_fit(x, fix_alpha=args.alpha0 if args.hypothesis == "H2" else None)
     out = test_statistic(x, fit.params, args.kappa, args.hypothesis)
 
     lines = {
@@ -207,12 +205,6 @@ def cmd_test(args):
         "alpha_hat": f"{fit.params.alpha:.6g}",
         "statistic": f"{out.statistic:.6g}",
     }
-    if args.tables is None:
-        raise DataError(
-            "no critical-value table given; generate one with "
-            "'stablegof table' and pass it via --tables"
-        )
-    table = load_table(args.tables)
     alpha_ref = args.alpha0 if args.hypothesis == "H2" else fit.params.alpha
     rng = tuple(args.alpha_range) if args.alpha_range else None
     try:
@@ -415,7 +407,6 @@ def build_parser():
     q.add_argument("--kappa", type=float, required=True)
     q.add_argument("--hypothesis", choices=("H1", "H2"), default="H1")
     q.add_argument("--alpha0", type=float, default=None)
-    q.add_argument("--estimator", choices=("mle", "eise"), default="mle")
     q.add_argument("--tables", default=None, help="critical-value table from 'stablegof table'")
     q.add_argument("--method", choices=("plugin", "sup_all", "sup_range"), default="plugin")
     q.add_argument("--alpha-range", type=float, nargs=2, default=None)

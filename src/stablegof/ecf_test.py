@@ -8,22 +8,19 @@ L2 with weight exp(-kappa|t|), and scale by n:
 
 D is n times the EISE criterion Q with the weight exp(-kappa|t|), and is
 evaluated as exactly that, ``n * estimators.q_objective``: a pairwise
-Cauchy-weight sum plus n cosine transforms of the standardized points.  A
-direct-quadrature path exists for cross-checking.
+Cauchy-weight sum plus n cosine transforms of the standardized points.
+``estimators.q_objective_direct`` is its direct-quadrature cross-check.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
-from scipy import integrate
 
-from ._fourier import envelope_cutoff
 from .errors import DataError
 from .estimators import WeightSpec, q_objective
 from .stable_core import StableParams
 
-__all__ = ["TestOutcome", "ecf", "test_statistic", "test_statistic_direct"]
+__all__ = ["TestOutcome", "ecf", "test_statistic"]
 
 
 @dataclass(frozen=True)
@@ -68,28 +65,7 @@ def test_statistic(data, fitted, kappa, hypothesis="H1"):
     return TestOutcome(statistic=float(d), fitted=fitted, kappa=kappa, hypothesis=hypothesis, n=n)
 
 
-def test_statistic_direct(data, fitted, kappa, limit=4000):
-    """The statistic by direct quadrature of the weighted L2 distance.
-
-    Independent evaluation path for validating :func:`test_statistic`.
-    """
-    x = np.asarray(data, dtype=float).ravel()
-    y = fitted.standardize(x)
-    alpha = fitted.alpha
-    T = envelope_cutoff(((kappa, 1.0),))
-
-    def integrand(t):
-        re = np.cos(t * y).mean()
-        im = np.sin(t * y).mean()
-        g = math.exp(-abs(t) ** alpha)
-        return ((re - g) ** 2 + im * im) * math.exp(-kappa * t)
-
-    val, _ = integrate.quad(integrand, 0.0, T, limit=limit, epsabs=1e-14, epsrel=1e-10)
-    return 2.0 * val * x.size
-
-
 # public names that start with "test": keep pytest from collecting them in
 # the test modules that import them
 TestOutcome.__test__ = False
 test_statistic.__test__ = False
-test_statistic_direct.__test__ = False

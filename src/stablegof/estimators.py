@@ -21,7 +21,6 @@ import math
 import numpy as np
 from scipy import integrate, optimize
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaln
 
 from ._fourier import (
     _BLOCK_CELLS,
@@ -33,7 +32,7 @@ from ._fourier import (
     envelope_moment,
 )
 from .errors import DataError, NonConvergenceError, QuadratureError
-from .stable_core import StableParams, pdf, pdf_batch, _crossover
+from .stable_core import StableParams, pdf, pdf_batch, _crossover, _tail_series
 
 __all__ = [
     "FisherInfo",
@@ -304,7 +303,13 @@ def _log_density_spline(alpha):
 
 
 def _logf_lookup(alpha, ax):
-    """log f(|x|; alpha) from the cached spline, analytic beyond its range."""
+    """log f(|x|; alpha) from the cached spline, the tail series beyond its range.
+
+    The series is summed in linear space and underflows once x^(alpha+1)
+    nears 1e300, so beyond x_far = 10^(250/(alpha+1)), where f(x_far) is
+    about 1e-250 and the series' corrections to x^-(alpha+1) are below
+    x_far^-alpha, log f continues from x_far as a straight line in log x.
+    """
     spl = _log_density_spline(alpha)
     u = np.arcsinh(ax)
     out = spl(np.minimum(u, spl.x[-1]))
@@ -313,19 +318,19 @@ def _logf_lookup(alpha, ax):
         if alpha == 2.0:
             out[big] = -0.25 * ax[big] ** 2 - math.log(2.0 * math.sqrt(math.pi))
         else:
-            lc1 = gammaln(alpha + 1.0) + math.log(math.sin(0.5 * math.pi * alpha) / math.pi)
-            out[big] = lc1 - (alpha + 1.0) * np.log(ax[big])
+            xb = np.minimum(ax[big], 10.0 ** (250.0 / (alpha + 1.0)))
+            out[big] = np.log(_tail_series(xb, alpha)[0]) - (alpha + 1.0) * np.log(ax[big] / xb)
     return out
 
 
-def _grid_init(x, alpha_grid, n_sigma=40, fix_alpha=None):
+def _grid_init(x, fix_alpha=None):
     """Median location plus profile grid search over (sigma, alpha)."""
     mu0 = float(np.median(x))
     q75, q25 = np.percentile(x, [75, 25])
     iqr = max(q75 - q25, 1e-12)
-    sigma_grid = 0.5 * iqr * np.logspace(math.log10(0.15), math.log10(8.0), n_sigma)
+    sigma_grid = 0.5 * iqr * np.logspace(math.log10(0.15), math.log10(8.0), 40)
     ax = np.abs(x - mu0)
-    grid = (fix_alpha,) if fix_alpha is not None else alpha_grid
+    grid = (fix_alpha,) if fix_alpha is not None else _INIT_ALPHA_GRID
     best = (-np.inf, sigma_grid[0], grid[0])
     for a in grid:
         lf = _logf_lookup(a, ax[None, :] / sigma_grid[:, None])
@@ -354,16 +359,16 @@ class FitResult:
     estimator: str = "mle"
 
 
-def _accepted(res, floor=1e-6):
+def _accepted(res):
     """Whether an L-BFGS-B result counts as converged.
 
     A line search can abort at the floating-point floor of the objective
-    while the projected gradient is already at its achievable minimum; such
-    exits are solutions, not failures.
+    while the projected gradient is already at its achievable minimum (every
+    component within 1e-6); such exits are solutions, not failures.
     """
     if res.success:
         return True
-    return bool(np.max(np.abs(res.jac)) <= floor)
+    return bool(np.max(np.abs(res.jac)) <= 1e-6)
 
 
 def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
@@ -378,7 +383,7 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
     """
     if fix_alpha is not None and not (0 < fix_alpha <= 2):
         raise ValueError(f"fix_alpha must be in (0, 2], got {fix_alpha}")
-    mu0, s0, a0 = _grid_init(x, _INIT_ALPHA_GRID, fix_alpha=fix_alpha)
+    mu0, s0, a0 = _grid_init(x, fix_alpha=fix_alpha)
     if fix_alpha is None:
         x0 = np.array([mu0, s0, min(max(a0, _ALPHA_MIN), _ALPHA_MAX)])
         bounds = [(None, None), (_SIGMA_MIN, None), (_ALPHA_MIN, _ALPHA_MAX)]
@@ -525,10 +530,13 @@ def q_objective(data, params, weight, grad=False):
     return q, np.array([dq_mu, dq_sigma, dq_alpha])
 
 
-def q_objective_direct(data, params, weight, limit=3000):
+def q_objective_direct(data, params, weight):
     """Q by direct adaptive quadrature of |Phi_n(t) - exp(-|t|^alpha)|^2 w(t).
 
-    Independent evaluation path used to validate :func:`q_objective`.
+    Independent evaluation path used to validate :func:`q_objective` and,
+    with weight exp(-kappa|t|), the statistic D = n*Q.  Raises
+    :class:`~stablegof.errors.QuadratureError` if its error estimate
+    exceeds 1e-7 relative.
     """
     x = np.asarray(data, dtype=float).ravel()
     y = (x - params.mu) / params.sigma
@@ -541,7 +549,7 @@ def q_objective_direct(data, params, weight, limit=3000):
         g = math.exp(-(t**alpha))
         return ((re - g) ** 2 + im**2) * float(weight.values(t))
 
-    val, err = integrate.quad(integrand, 0.0, T, limit=limit, epsabs=1e-13, epsrel=1e-10)
+    val, err = integrate.quad(integrand, 0.0, T, limit=3000, epsabs=1e-13, epsrel=1e-10)
     if err > 1e-7 * max(abs(val), 1e-12):
         raise QuadratureError(f"direct Q quadrature error {err}")
     return 2.0 * val

@@ -153,7 +153,11 @@ class _EiseInnerCache:
     them on a fixed grid once keeps the Nystrom assembly O(N^2) cheap.  The
     ``_N_GRID`` node values on [0, ``_S_MAX``] come from :func:`_inner_values`
     and match mpmath to 1e-15 absolute for alpha and the weight exponent
-    down to 0.3; between the nodes the values are cubic-spline interpolants.
+    down to 0.3.  Between the nodes the values are cubic-spline interpolants,
+    whose error dominates: with the weight exp(-|t|^1.5), at the nodes of an
+    N = 800 discretization (|s| <= log N, about 6.7) M2 is off by up to
+    1.8e-7 absolute at alpha = 1.33 and 5.2e-8 at 1.76, which moves the 5%
+    critical value by 1.7e-7 and 1.0e-7 relative.
     """
 
     def __init__(self, alpha, weight):

@@ -11,8 +11,9 @@ alpha-derivatives are computed by Fourier inversion
     f(x; alpha)  = (1/pi) int_0^inf cos(t x) exp(-t^alpha) dt
 
 for moderate |x| and by the algebraic tail expansion in powers of
-x^(-k*alpha-1) beyond a per-alpha crossover.  The location/scale derivatives
-follow from the identities f_mu = -f' and f_sigma = -f - x f'.
+x^(-k*alpha-1) beyond a per-alpha crossover; at alpha = 2 the normal closed
+forms then replace f and f'.  The location/scale derivatives follow from the
+identities f_mu = -f' and f_sigma = -f - x f'.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, digamma
 
-from ._fourier import _LOG_EPS, _grid_sums, panel_grid
+from ._fourier import _LOG_EPS, _grid_sums
 from .errors import QuadratureError
 
 __all__ = [
@@ -34,11 +35,7 @@ __all__ = [
     "pdf",
     "pdf_batch",
     "rand_stable",
-    "gaussian_pdf3",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
-
 
 @dataclass(frozen=True)
 class StableParams:
@@ -108,13 +105,19 @@ def cf_grad(t, params):
 # ----------------------------------------------------------------------
 
 
-def _tail_series(x, alpha, rel_floor=1e-17, kmax=400):
+# stopping share of the partial sum and term cap of the tail series
+_TAIL_REL_FLOOR = 1e-17
+_TAIL_KMAX = 400
+
+
+def _tail_series(x, alpha):
     """Evaluate (f, f', f_alpha) at x > 0 by the algebraic tail expansion.
 
     The expansion is convergent for alpha < 1 and asymptotic for alpha > 1;
-    each point stops accumulating once its term drops below ``rel_floor``
-    relative to the partial sum, or starts growing (asymptotic guard).
-    Returns the three arrays plus the worst relative truncation estimate.
+    each point stops accumulating once its term drops below
+    ``_TAIL_REL_FLOOR`` relative to the partial sum, or starts growing
+    (asymptotic guard).  Returns the three arrays plus the worst relative
+    truncation estimate.
     """
     x = np.asarray(x, dtype=float)
     lx = np.log(x)
@@ -124,7 +127,7 @@ def _tail_series(x, alpha, rel_floor=1e-17, kmax=400):
     active = np.ones(x.shape, dtype=bool)
     prev_mag = np.full(x.shape, np.inf)
     worst = 0.0
-    for k in range(1, kmax + 1):
+    for k in range(1, _TAIL_KMAX + 1):
         ka = k * alpha
         theta = 0.5 * math.pi * ka
         s_t, c_t = math.sin(theta), math.cos(theta)
@@ -152,7 +155,7 @@ def _tail_series(x, alpha, rel_floor=1e-17, kmax=400):
             0.0,
         )
         prev_mag = np.where(active, mag, prev_mag)
-        done = active & (mag <= rel_floor * np.abs(f))
+        done = active & (mag <= _TAIL_REL_FLOOR * np.abs(f))
         active &= ~done
         if not np.any(active):
             break
@@ -166,13 +169,15 @@ def _crossover(alpha):
     """Smallest |x| at which the tail series is trusted for this alpha.
 
     Picks the first trial point where the estimated truncation-plus-
-    cancellation floor of the f-series is below 1e-13 relative.
+    cancellation floor of the f-series is below 1e-13 relative.  At
+    alpha = 2 the f-series vanishes (f and f' have closed forms there) but
+    the f_alpha series survives; it is trusted beyond |x| = 10.
     """
     if alpha == 2.0:
-        return math.inf  # tail series degenerates; Gaussian branch instead
+        return 10.0
     trials = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0, 12.0, 15.0, 20.0, 30.0)
     for xc in trials:
-        k = np.arange(1, 401, dtype=float)
+        k = np.arange(1, _TAIL_KMAX + 1, dtype=float)
         lmag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - (k * alpha + 1.0) * math.log(xc)
         mag = np.exp(np.minimum(lmag, 600.0))
         sgn = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(0.5 * np.pi * k * alpha)
@@ -194,43 +199,18 @@ def _crossover(alpha):
 # ----------------------------------------------------------------------
 
 
-def gaussian_pdf3(x):
-    """(f, f', f_alpha) of the alpha = 2 member, i.e. N(0, 2).
-
-    f and f' are the closed-form normal expressions.  The alpha-derivative
-    comes from the inversion grid for |x| <= 10 and from the tail expansion
-    beyond (its sine terms vanish at alpha = 2 but the cosine terms survive
-    and carry the algebraic x^-3, x^-5, ... tail of f_alpha).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f = np.exp(-0.25 * x * x) / (2.0 * _SQRT_PI)
-    fp = -0.5 * x * f
-    ax = np.abs(x)
-    fa = np.empty_like(ax)
-    small = ax <= 10.0
-    if np.any(small):
-        t, w = panel_grid(_LOG_EPS**0.5, float(np.max(ax[small])))
-        wt = w * np.where(t > 0, t**2 * np.log(np.maximum(t, 1e-300)), 0.0) * np.exp(-(t**2))
-        fa[small] = -(np.cos(np.outer(ax[small], t)) @ wt) / math.pi
-    if np.any(~small):
-        _, _, fa_big, _ = _tail_series(ax[~small], 2.0)
-        fa[~small] = fa_big
-    return f, fp, fa
-
-
 def pdf_batch(x, alpha):
     """Vectorized (f, f', f_alpha) of the standard density at array ``x``.
 
     Splits the points at the per-alpha crossover: Fourier inversion on a
-    shared Gauss-Legendre grid below it, tail series above.  Accuracy is
+    shared Gauss-Legendre grid below it, tail series above.  At alpha = 2,
+    f and f' are then replaced by the closed forms of N(0, 2).  Accuracy is
     ~1e-9 relative; use :func:`pdf` when adaptive-quadrature accuracy is
     needed at a single point.
     """
     if not (0 < alpha <= 2):
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if alpha == 2.0:
-        return gaussian_pdf3(x)
     ax = np.abs(x)
     sgn = np.where(x < 0, -1.0, 1.0)
     xc = _crossover(alpha)
@@ -252,12 +232,17 @@ def pdf_batch(x, alpha):
             f[small], fp[small], fa[small] = g0 / math.pi, -g1 / math.pi, -ga / math.pi
     large = ~small
     if np.any(large):
-        fs, fps, fas, _ = _tail_series(ax[large], alpha)
-        f[large] = fs
-        fp[large] = fps
-        fa[large] = fas
+        f[large], fp[large], fa[large], _ = _tail_series(ax[large], alpha)
+    if alpha == 2.0:
+        return (*_gaussian_f_fp(x), fa)
     # f even, f' odd, f_alpha even
     return f, fp * sgn, fa
+
+
+def _gaussian_f_fp(x):
+    """Closed-form f and f' of the alpha = 2 member, N(0, 2), at signed ``x``."""
+    f = np.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi))
+    return f, -0.5 * x * f
 
 
 def _pdf0_triple(alpha):
@@ -305,17 +290,18 @@ def pdf(x, alpha):
     x = float(x)
     ax = abs(x)
     sgn = -1.0 if x < 0 else 1.0
-    if alpha == 2.0:
-        f, fp, fa = gaussian_pdf3(np.array([ax]))
-        return DensityEval(float(f[0]), sgn * float(fp[0]), float(fa[0]), "inversion")
     if ax == 0.0:
-        f0, fp0, fa0 = _pdf0_triple(alpha)
-        return DensityEval(f0, fp0, fa0, "inversion")
-    if ax > _crossover(alpha):
-        f, fp, fa, _ = _tail_series(np.array([ax]), alpha)
-        return DensityEval(float(f[0]), sgn * float(fp[0]), float(fa[0]), "tail_series")
-    f, fp, fa = _pdf_quad(ax, alpha)
-    return DensityEval(f, sgn * fp, fa, "inversion")
+        f, fp, fa = _pdf0_triple(alpha)
+        method = "inversion"
+    elif ax > _crossover(alpha):
+        f, fp, fa = (float(v[0]) for v in _tail_series(np.array([ax]), alpha)[:3])
+        method = "tail_series"
+    else:
+        f, fp, fa = _pdf_quad(ax, alpha)
+        method = "inversion"
+    if alpha == 2.0:
+        f, fp = (float(v[0]) for v in _gaussian_f_fp(np.array([ax])))
+    return DensityEval(f, sgn * fp, fa, method)
 
 
 def rand_stable(alpha, size=None, rng=None):

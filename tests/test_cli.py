@@ -117,10 +117,19 @@ def test_spectrum_cache_keeps_alpha_at_full_precision(cache):
     assert sorted(os.listdir(cache / "cache")) == sorted([name1, name2])
 
 
-def test_test_without_tables_is_input_error(cache, cauchy_file, capsys):
+def test_test_without_tables_is_input_error(cache, cauchy_file, tmp_path, capsys):
     assert main(["test", str(cauchy_file), "--kappa", "2.5"]) == 2
     err = capsys.readouterr().err
     assert "stablegof table" in err
+    # the missing table is reported before the sample is read
+    assert main(["test", str(tmp_path / "missing.txt"), "--kappa", "2.5"]) == 2
+    assert "stablegof table" in capsys.readouterr().err
+
+
+def test_test_has_no_estimator_option(cauchy_file, capsys):
+    # the tables hold MLE critical values only, so test fits by MLE
+    assert main(["test", str(cauchy_file), "--kappa", "2.5", "--estimator", "eise"]) == 1
+    assert "unrecognized arguments: --estimator" in capsys.readouterr().err
 
 
 def test_test_missing_cell_mentions_table_command(cache, cauchy_file, tmp_path, capsys):

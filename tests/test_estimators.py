@@ -13,6 +13,7 @@ from stablegof.estimators import (
     EULER_GAMMA,
     WeightSpec,
     _eise_h_quadrant,
+    _logf_lookup,
     _pair_sums,
     cauchy_al,
     eise_fit,
@@ -24,7 +25,7 @@ from stablegof.estimators import (
     q_objective,
     q_objective_direct,
 )
-from stablegof.stable_core import StableParams, rand_stable
+from stablegof.stable_core import StableParams, pdf, rand_stable
 
 
 def adaptive_h_quadrant(alpha, weight):
@@ -145,6 +146,23 @@ def test_weight_spec_validation():
         WeightSpec("exp_power", 1.0)  # missing bar_alpha
     with pytest.raises(ValueError):
         WeightSpec("gauss", 1.0)
+
+
+def test_log_density_lookup_beyond_its_spline():
+    # the spline ends at |x| = 1e9; beyond it the lookup sums the whole tail
+    # series, not only its first term (off by ~x^-alpha relative)
+    ax = np.array([2e9, 1e12, 1e100])
+    for alpha in (0.5, 1.5):
+        want = [math.log(pdf(v, alpha).f) for v in ax]
+        np.testing.assert_allclose(_logf_lookup(alpha, ax), want, rtol=1e-13)
+        # where f underflows, log f is the log of the series' first term
+        lc1 = math.lgamma(alpha + 1.0) + math.log(math.sin(0.5 * math.pi * alpha) / math.pi)
+        far = np.array([1e200, 1e300])
+        np.testing.assert_allclose(
+            _logf_lookup(alpha, far), lc1 - (alpha + 1.0) * np.log(far), rtol=1e-13
+        )
+    want = -0.25 * ax[:2] ** 2 - math.log(2.0 * math.sqrt(math.pi))
+    np.testing.assert_array_equal(_logf_lookup(2.0, ax[:2]), want)
 
 
 def test_mle_symmetric_pairs_center_at_zero():

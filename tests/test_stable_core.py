@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln
 
+from stablegof._fourier import _LOG_EPS, panel_grid
 from stablegof.stable_core import (
     StableParams,
     cf,
@@ -158,6 +159,38 @@ def test_pdf_batch_matches_scalar():
             assert abs(f[i] - d.f) < 1e-8 * max(abs(d.f), 1e-12)
             assert abs(fp[i] - d.fprime) < 1e-7 * max(abs(d.fprime), 1e-10)
             assert abs(fa[i] - d.falpha) < 1e-7 * max(abs(d.falpha), 1e-10)
+
+
+def gaussian_pdf3(x):
+    """(f, f', f_alpha) of the alpha = 2 member, i.e. N(0, 2): the package's
+    former separate route, kept as the reference for ``pdf_batch(x, 2.0)``.
+
+    f and f' are the closed-form normal expressions.  The alpha-derivative
+    comes from a single cosine sum on the inversion grid for |x| <= 10 and
+    from the tail expansion beyond.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    f = np.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi))
+    fp = -0.5 * x * f
+    ax = np.abs(x)
+    fa = np.empty_like(ax)
+    small = ax <= 10.0
+    if np.any(small):
+        t, w = panel_grid(_LOG_EPS**0.5, float(np.max(ax[small])))
+        wt = w * np.where(t > 0, t**2 * np.log(np.maximum(t, 1e-300)), 0.0) * np.exp(-(t**2))
+        fa[small] = -(np.cos(np.outer(ax[small], t)) @ wt) / math.pi
+    if np.any(~small):
+        _, _, fa_big, _ = _tail_series(ax[~small], 2.0)
+        fa[~small] = fa_big
+    return f, fp, fa
+
+
+def test_pdf_batch_gaussian_member_matches_reference():
+    xs = np.concatenate([np.linspace(0.0, 60.0, 241), [9.999, 10.0, 10.001]])
+    for x in (xs, -xs, np.concatenate([-xs[::3], xs[1::3]])):
+        got, want = pdf_batch(x, 2.0), gaussian_pdf3(x)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-15)
 
 
 def test_rand_stable_gaussian_variance():
