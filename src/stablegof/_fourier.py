@@ -9,9 +9,11 @@ with phi(t) a sum of power terms c * t^p.  Moderate |y| goes through the
 panelized Gauss-Legendre grid of :func:`panel_grid` and the three sums of
 :func:`_grid_sums`; the few points beyond ``ysplit`` fall back to adaptive
 oscillatory quadrature so heavy-tail outliers cannot alias into the grid
-sum.  The stable density's grid branch (``stable_core.pdf_batch``) is the
-same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2
-(alpha = 2 included).
+sum.  The value of D needs only the first transform: without ``grad``,
+:func:`cos_transforms` forms the grid sum from real cosines alone and makes
+one quadrature per far point instead of three.  The stable density's grid
+branch (``stable_core.pdf_batch``) is the same three sums with
+phi(t) = t^alpha, scaled by 1/pi instead of 2 (alpha = 2 included).
 
 The non-oscillatory integrals after an EISE fit, the H matrix of
 ``estimators.eise_matrices`` and the inner integrals of the EISE kernel
@@ -118,26 +120,36 @@ def _graded_rule(a, b):
     return u, length * fw
 
 
-def _grid_sums(ay, alpha, terms, T):
+def _grid_sums(ay, alpha, terms, T, grad=True):
     """int_0^T of cos(t y) env, t sin(t y) env and t^alpha log(t) cos(t y) env
     at each |y| in ``ay`` on one panel grid, with env = exp(-sum c t^p) over ``terms``.
 
     The exponentials exp(i t y) are formed over row blocks of at most
     ``_BLOCK_CELLS`` (y, t) pairs, so memory stays bounded for large samples.
+    Without ``grad`` only the first sum is formed, from real cosines, and the
+    other two are None; it differs from the first sum with ``grad`` by
+    rounding only, since the matrix products add in another order.
     """
     t, w = panel_grid(T, float(np.max(ay)))
     phi = np.zeros_like(t)
     for c, p in terms:
         phi += c * t**p
     env = np.exp(-phi)
-    lt = np.log(np.maximum(t, 1e-300))
-    w0, w1, wa = w * env, w * t * env, w * t**alpha * lt * env
-    g0, g1, ga = np.empty_like(ay), np.empty_like(ay), np.empty_like(ay)
+    w0 = w * env
+    g0, g1, ga = np.empty_like(ay), None, None
+    if grad:
+        lt = np.log(np.maximum(t, 1e-300))
+        w1, wa = w * t * env, w * t**alpha * lt * env
+        g1, ga = np.empty_like(ay), np.empty_like(ay)
     rows = max(1, _BLOCK_CELLS // t.size)
     for lo in range(0, ay.size, rows):
         blk = slice(lo, lo + rows)
-        e = np.exp(1j * np.outer(ay[blk], t))
-        g0[blk], g1[blk], ga[blk] = e.real @ w0, e.imag @ w1, e.real @ wa
+        if grad:
+            e = np.exp(1j * np.outer(ay[blk], t))
+            g0[blk], g1[blk], ga[blk] = e.real @ w0, e.imag @ w1, e.real @ wa
+        else:
+            arg = np.outer(ay[blk], t)
+            g0[blk] = np.cos(arg, out=arg) @ w0
     return g0, g1, ga
 
 
@@ -152,7 +164,7 @@ def _far_quad(fn, weight, v, T):
     return val
 
 
-def cos_transforms(y, alpha, terms, ysplit=60.0):
+def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
     """Evaluate the three envelope transforms at each point of ``y``.
 
     Returns arrays (c0, s1, ca) with
@@ -161,22 +173,26 @@ def cos_transforms(y, alpha, terms, ysplit=60.0):
         s1(y) = 2 int_0^inf t sin(t y)            exp(-phi(t)) dt
         ca(y) = 2 int_0^inf t^alpha log(t) cos(ty) exp(-phi(t)) dt
 
-    where phi(t) = sum c * t^p over ``terms``.  Raises
+    where phi(t) = sum c * t^p over ``terms``.  Without ``grad`` it returns
+    (c0, None, None): the grid sum is formed from real cosines, which moves
+    c0 by rounding only, and each point beyond ``ysplit`` gets one quadrature
+    instead of three, with the same far values.  Raises
     :class:`~stablegof.errors.QuadratureError` if a far-point quadrature
     returns a non-finite value or reports a failure with its error estimate
     above the requested absolute tolerance.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ay = np.abs(y)
-    sgn = np.where(y < 0, -1.0, 1.0)
     T = envelope_cutoff(terms)
     c0 = np.empty_like(ay)
-    s1 = np.empty_like(ay)
-    ca = np.empty_like(ay)
+    s1 = np.empty_like(ay) if grad else None
+    ca = np.empty_like(ay) if grad else None
     near = ay <= ysplit
     if np.any(near):
-        g0, g1, ga = _grid_sums(ay[near], alpha, terms, T)
-        c0[near], s1[near], ca[near] = 2.0 * g0, 2.0 * g1, 2.0 * ga
+        g0, g1, ga = _grid_sums(ay[near], alpha, terms, T, grad)
+        c0[near] = 2.0 * g0
+        if grad:
+            s1[near], ca[near] = 2.0 * g1, 2.0 * ga
     far = ~near
     if np.any(far):
         def env_s(t):
@@ -185,12 +201,15 @@ def cos_transforms(y, alpha, terms, ysplit=60.0):
         for i in np.nonzero(far)[0]:
             v = ay[i]
             c0[i] = 2.0 * _far_quad(env_s, "cos", v, T)
-            s1[i] = 2.0 * _far_quad(lambda t: t * env_s(t), "sin", v, T)
-            ca[i] = 2.0 * _far_quad(
-                lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0, "cos", v, T
-            )
-    # cos transforms even in y, the sine one odd
-    return c0, s1 * sgn, ca
+            if grad:
+                s1[i] = 2.0 * _far_quad(lambda t: t * env_s(t), "sin", v, T)
+                ca[i] = 2.0 * _far_quad(
+                    lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0, "cos", v, T
+                )
+    if grad:
+        # cos transforms even in y, the sine one odd
+        s1 *= np.where(y < 0, -1.0, 1.0)
+    return c0, s1, ca
 
 
 def envelope_moment(terms, power=0.0, logpow=0):

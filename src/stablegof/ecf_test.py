@@ -8,7 +8,9 @@ L2 with weight exp(-kappa|t|), and scale by n:
 
 D is n times the EISE criterion Q with the weight exp(-kappa|t|), and is
 evaluated as exactly that, ``n * estimators.q_objective``: a pairwise
-Cauchy-weight sum plus n cosine transforms of the standardized points.
+Cauchy-weight sum, taken once per unordered pair, plus n cosine transforms
+of the standardized points.  It takes the objective's value-only route,
+which forms none of the gradient's transforms.
 ``estimators.q_objective_direct`` is its direct-quadrature cross-check.
 """
 
@@ -50,6 +52,13 @@ def test_statistic(data, fitted, kappa, hypothesis="H1"):
     value, so ``fitted.alpha`` is the exponent used either way.  Raises
     :class:`~stablegof.errors.DataError` for an empty sample or one holding
     NaN or infinite values.
+
+    Q is a small difference of O(1) terms, so D = n*Q carries an absolute
+    rounding error of order n*1e-15 whatever its size, and its relative
+    accuracy falls as D shrinks.  On the benchmark samples, summing in
+    another order moved D by at most 2e-13 at n <= 200 and 1.1e-12 at
+    n = 5000; relative to D that reached 5e-11 (D = 8e-4) and 5e-10
+    (D = 2e-3).
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")

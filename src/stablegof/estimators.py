@@ -487,17 +487,28 @@ def _w0_and_deriv(d, weight, grad):
 def _pair_sums(x, sigma, weight, grad):
     """sum_jk W0(d_jk) and, with ``grad``, sum_jk W0'(d_jk) d_jk, d_jk = (x_j - x_k)/sigma.
 
-    Accumulated over row blocks of at most ``_BLOCK_CELLS`` pairs, as in
-    ``_fourier._grid_sums``, so memory stays bounded for large samples.
+    Both summands are even in d, so each row block [start, stop) of at most
+    ``_BLOCK_CELLS`` pairs (as in ``_fourier._grid_sums``) is summed over its
+    own square of columns [start, stop) once and over the columns [stop, n)
+    twice: about n^2/2 pairs, in bounded memory.  Up to n = 1448 one block
+    holds every row, the square is the whole matrix and nothing is doubled.
     """
+    n = x.size
     s0 = s1 = 0.0
-    block = max(1, _BLOCK_CELLS // x.size)
-    for start in range(0, x.size, block):
-        d = (x[start : start + block, None] - x[None, :]) / sigma
-        w0, w0p = _w0_and_deriv(d, weight, grad)
-        s0 += float(np.sum(w0))
-        if grad:
-            s1 += float(np.sum(w0p * d))
+    block = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = x[start:stop, None]
+        for cols, mult in ((slice(start, stop), 1.0), (slice(stop, n), 2.0)):
+            if cols.start == cols.stop:
+                continue
+            # the square and the rectangle are formed one after the other to
+            # bound peak memory
+            d = (rows - x[None, cols]) / sigma
+            w0, w0p = _w0_and_deriv(d, weight, grad)
+            s0 += mult * float(np.sum(w0))
+            if grad:
+                s1 += mult * float(np.sum(w0p * d))
     return s0, s1
 
 
@@ -507,8 +518,11 @@ def q_objective(data, params, weight, grad=False):
     Q = (1/n^2) sum_jk W0((x_j-x_k)/sigma) - (2/n) sum_j W1(y_j) + W2 with
     W0, W1, W2 the weighted cosine integrals; all three are evaluated
     against the characteristic-function envelope, so heavy outliers are
-    exact rather than aliased.  With ``grad=True`` also returns dQ/dtheta.
-    With the weight exp(-kappa|t|), n*Q is the test statistic D.
+    exact rather than aliased.  With ``grad=True`` also returns dQ/dtheta;
+    without it only the value's transform W1 is formed (see
+    ``_fourier.cos_transforms``), and Q differs from the one returned with
+    ``grad`` by rounding only.  With the weight exp(-kappa|t|), n*Q is the
+    test statistic D.
     """
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
@@ -516,7 +530,7 @@ def q_objective(data, params, weight, grad=False):
     w0_sum, w0p_sum = _pair_sums(x, sigma, weight, grad)
     y = (x - mu) / sigma
     terms1 = ((1.0, alpha),) + weight.terms()
-    c0, s1, ca = cos_transforms(y, alpha, terms1)
+    c0, s1, ca = cos_transforms(y, alpha, terms1, grad=grad)
     terms2 = ((2.0, alpha),) + weight.terms()
     w2 = envelope_moment(terms2)
     q = w0_sum / (n * n) - 2.0 * c0.mean() + w2

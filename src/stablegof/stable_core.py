@@ -46,6 +46,8 @@ class StableParams:
     alpha: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError(f"mu and sigma must be finite, got mu={self.mu}, sigma={self.sigma}")
         if not (self.sigma > 0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not (0 < self.alpha <= 2):

@@ -10,16 +10,25 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
+
+import stablegof
+from stablegof.stable_core import StableParams, rand_stable
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
 
 
 @pytest.fixture(scope="module")
-def targets():
+def tracer():
     spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def targets(tracer):
     return tracer.TARGETS
 
 
@@ -47,3 +56,19 @@ def test_bound_arguments_exist(targets):
 def test_fisher_info_is_an_lru_cache():
     # the tracer reports its misses through cache_info
     assert hasattr(resolve("estimators", "fisher_info"), "cache_info")
+
+
+def test_tracer_counts_the_statistics_transforms(tracer):
+    # the per-layer cos_transforms metrics cover the statistic only while it
+    # reaches the transforms through that module attribute
+    x = rand_stable(0.8, 200, np.random.default_rng(5))
+    x[0] = 400.0  # one point beyond the grid split
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        stablegof.ecf_test.test_statistic(x, StableParams(0.0, 1.0, 0.8), 1.0)
+    finally:
+        tr.uninstall()
+    st = tr.totals("_fourier.cos_transforms")
+    assert st.calls >= 1
+    assert st.counts["far"] > 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from stablegof import _fourier, estimators
 from stablegof._fourier import envelope_cutoff
 from stablegof.errors import DataError, NonConvergenceError
 from stablegof.estimators import (
@@ -15,6 +16,7 @@ from stablegof.estimators import (
     _eise_h_quadrant,
     _logf_lookup,
     _pair_sums,
+    _w0_and_deriv,
     cauchy_al,
     eise_fit,
     eise_matrices,
@@ -240,6 +242,40 @@ def test_q_gradient_matches_finite_differences():
         assert abs(g[i] - (qp - qm) / (2 * h)) < 1e-6 * max(abs(g[i]), 1e-4)
 
 
+def heavy_sample(alpha, n, seed):
+    """A stable sample with three points beyond the transforms' grid split at |y| = 60."""
+    x = rand_stable(alpha, n, np.random.default_rng(seed))
+    x[:3] = (75.0, -130.0, 400.0)
+    return x
+
+
+@pytest.mark.parametrize("alpha,n", [(0.6, 200), (0.9, 500), (1.4, 1000), (1.9, 2000)])
+def test_q_value_route_matches_gradient_route(alpha, n):
+    x = heavy_sample(alpha, n, 40 + n)
+    p = StableParams(0.1, 1.2, alpha)
+    weights = [WeightSpec("exp_abs", 1.0), WeightSpec("exp_abs", 10.0)]
+    # the exp_power pair sum runs pdf_batch on all n^2 differences: small n only
+    x_pow = x[:200]
+    for xs, w in [(x, w) for w in weights] + [(x_pow, WeightSpec("exp_power", 1.0, 1.5))]:
+        q, _ = q_objective(xs, p, w, grad=True)
+        assert abs(q_objective(xs, p, w) - q) <= 1e-14
+
+
+def test_q_value_route_makes_one_far_quadrature_per_far_point(monkeypatch):
+    calls = []
+    far_quad = _fourier._far_quad
+
+    def counting(fn, weight, v, T):
+        calls.append(weight)
+        return far_quad(fn, weight, v, T)
+
+    monkeypatch.setattr(_fourier, "_far_quad", counting)
+    x = heavy_sample(0.8, 200, 41)
+    far = np.count_nonzero(np.abs(x) > 60.0)
+    q_objective(x, StableParams(0.0, 1.0, 0.8), WeightSpec("exp_abs", 1.0))
+    assert calls == ["cos"] * far
+
+
 @pytest.mark.slow
 def test_mle_replication_means_match_reported_simulation():
     # mean alpha-hat over n=200 replications at alpha=1.5 sits near 1.51
@@ -347,3 +383,51 @@ def test_pair_sums_memory_bounded():
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20
+
+
+def full_matrix_pair_sums(x, sigma, weight, grad):
+    """Reference copy of ``_pair_sums`` before the symmetric block sum.
+
+    Sums W0 (and W0' d) over every (j, k) pair, row block by row block, with
+    no use of the symmetry d_kj = -d_jk.
+    """
+    s0 = s1 = 0.0
+    block = max(1, estimators._BLOCK_CELLS // x.size)
+    for start in range(0, x.size, block):
+        d = (x[start : start + block, None] - x[None, :]) / sigma
+        w0, w0p = _w0_and_deriv(d, weight, grad)
+        s0 += float(np.sum(w0))
+        if grad:
+            s1 += float(np.sum(w0p * d))
+    return s0, s1
+
+
+@pytest.mark.parametrize(
+    "n,weight",
+    [
+        (100, WeightSpec("exp_abs", 2.5)),
+        (100, WeightSpec("exp_power", 1.0, 1.5)),
+        # the largest n whose pairs fit one block of _BLOCK_CELLS
+        (1448, WeightSpec("exp_abs", 1.0)),
+    ],
+)
+def test_pair_sums_in_one_block_match_full_matrix_exactly(n, weight):
+    x = 2.0 + 3.0 * rand_stable(1.2, n, np.random.default_rng(n))
+    for grad in (False, True):
+        assert _pair_sums(x, 3.1, weight, grad) == full_matrix_pair_sums(x, 3.1, weight, grad)
+
+
+def test_pair_sums_over_blocks_match_full_matrix(monkeypatch):
+    def check(x, weight):
+        for grad in (False, True):
+            got = _pair_sums(x, 1.3, weight, grad)
+            want = full_matrix_pair_sums(x, 1.3, weight, grad)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    check(rand_stable(0.9, 5000, np.random.default_rng(12)), WeightSpec("exp_abs", 1.0))
+    # the exp_power pair sum at n = 5000 takes minutes (pdf_batch on 25M
+    # differences); smaller blocks give n = 200 ten row blocks instead
+    monkeypatch.setattr(estimators, "_BLOCK_CELLS", 2**12)
+    x = rand_stable(1.5, 200, np.random.default_rng(13))
+    for weight in (WeightSpec("exp_abs", 5.0), WeightSpec("exp_power", 1.0, 1.5)):
+        check(x, weight)

@@ -31,6 +31,11 @@ def test_params_validation():
         StableParams(0.0, 1.0, 2.5)
     with pytest.raises(ValueError):
         StableParams(0.0, 1.0, 0.0)
+    # a NaN or infinite mu or sigma made loglik return NaN or -inf and
+    # test_statistic a finite D, or failed later as a QuadratureError
+    for mu, sigma in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            StableParams(mu, sigma, 1.5)
 
 
 def test_cf_values():
