@@ -85,7 +85,7 @@ def cached_spectrum(kind, alpha, kappa, n):
     """
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
-    name = f"{kind}_a{float(alpha)!r}_k{float(kappa)!r}_N{n}_v{__version__}.spectrum"
+    name = f"{kind}_a{float(alpha)!r}_k{float(kappa)!r}_N{n}_v{__version__}.npz"
     path = os.path.join(directory, name)
     if os.path.exists(path):
         return Spectrum.load(path), name
@@ -174,7 +174,10 @@ def load_table(path):
                     continue
                 if not ln or ln.startswith("alpha"):
                     continue
-                a, k, xi, v, b = (float(tok) for tok in ln.split(","))
+                try:
+                    a, k, xi, v, b = (float(tok) for tok in ln.split(","))
+                except ValueError:
+                    raise DataError(f"malformed table row in {path}: {ln!r}")
                 rows.append((a, k, xi, v, b))
     except OSError as exc:
         raise DataError(f"cannot read table {path}: {exc}")
@@ -192,6 +195,11 @@ def cmd_test(args):
             "'stablegof table' and pass it via --tables"
         )
     table = load_table(args.tables)
+    if table.hypothesis != args.hypothesis:
+        raise DataError(
+            f"{args.tables} holds {table.hypothesis} critical values, not "
+            f"{args.hypothesis}; build one with 'stablegof table --hypothesis {args.hypothesis}'"
+        )
     x = read_column(args.input)
     fit = mle_fit(x, fix_alpha=args.alpha0 if args.hypothesis == "H2" else None)
     out = test_statistic(x, fit.params, args.kappa, args.hypothesis)
@@ -280,7 +288,6 @@ def cmd_table(args):
     with open(args.output, "w", encoding="utf-8") as fh:
         for ln in _manifest_lines("table", params, spectra):
             fh.write(ln + "\n")
-        fh.write(f"# hypothesis={args.hypothesis}\n")
         fh.write("alpha,kappa,xi,critical_value,series_bound\n")
         for a, k, xi, v, b in rows:
             fh.write(f"{a:.10g},{k:.10g},{xi:.10g},{v:.10g},{b:.10g}\n")

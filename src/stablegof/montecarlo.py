@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ValueError("estimator must be 'mle' or 'eise'")
         if not all(k > 0 for k in self.kappas):
             raise ValueError("kappas must be positive")
+        if not all(0 < xi < 1 for xi in self.xis):
+            raise ValueError("xis must lie in (0, 1)")
 
 
 @dataclass
@@ -199,7 +201,11 @@ class CriticalValueTable:
             and math.isclose(self.xis[ix], xi, rel_tol=1e-9)
         ):
             raise KeyError(f"kappa={kappa}, xi={xi} not tabulated")
-        return self.alphas, self.values[:, ik, ix]
+        curve = self.values[:, ik, ix]
+        if np.any(np.isnan(curve)):
+            missing = ", ".join(f"{a:g}" for a in self.alphas[np.isnan(curve)])
+            raise KeyError(f"kappa={kappa}, xi={xi} lacks alpha={missing}")
+        return self.alphas, curve
 
     def to_rows(self):
         rows = []

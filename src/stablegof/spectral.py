@@ -7,10 +7,14 @@ approximate the operator eigenvalues 1/lambda_j; their reciprocals are the
 lambda_j the Fredholm determinant and the distribution series consume.
 Midpoint nodes never touch +-1, which keeps the kappa <= 1 kernels (only
 continuous in the open square) evaluable without special casing.
+
+A saved spectrum is an uncompressed numpy archive (``np.savez``) with one
+array per stored field: ``lambdas`` (float64, ascending), ``kind`` (a
+unicode scalar), ``alpha`` and ``kappa`` (float64 scalars) and
+``n_dropped`` (an integer scalar).  It loads without pickling.
 """
 
 from dataclasses import dataclass
-import io
 
 import numpy as np
 from scipy.linalg import eigh
@@ -23,15 +27,22 @@ __all__ = ["Spectrum", "midpoint_grid", "discretize", "eigen_spectrum", "build_s
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending positive eigenvalues lambda_j of a discretized kernel."""
+    """Ascending positive eigenvalues lambda_j of a discretized kernel.
+
+    ``n_dropped`` counts the eigenvalues discarded as discretization noise;
+    together with the kept ones they are all N eigenvalues of the matrix.
+    """
 
     lambdas: np.ndarray
-    n_nodes: int
-    grid: np.ndarray
     kind: str
     alpha: float
     kappa: float
     n_dropped: int = 0
+
+    @property
+    def n_nodes(self):
+        """Node count N of the discretization."""
+        return len(self.lambdas) + self.n_dropped
 
     def trace_sum(self, m=None):
         """sum_j 1/lambda_j over the first m eigenvalues = approximate E[D]."""
@@ -39,47 +50,21 @@ class Spectrum:
         return float(np.sum(1.0 / lam))
 
     def save(self, path):
-        """Write the spectrum as a flat text file (header + grid + eigenvalues)."""
-        with open(path, "w") as fh:
-            fh.write("# stablegof spectrum v1\n")
-            fh.write(f"kind={self.kind}\n")
-            fh.write(f"alpha={self.alpha!r}\n")
-            fh.write(f"kappa={self.kappa!r}\n")
-            fh.write(f"n_nodes={self.n_nodes}\n")
-            fh.write(f"n_dropped={self.n_dropped}\n")
-            fh.write("[grid]\n")
-            np.savetxt(fh, self.grid)
-            fh.write("[lambdas]\n")
-            np.savetxt(fh, self.lambdas)
+        """Write the stored fields to ``path`` as an uncompressed numpy archive."""
+        # an open handle keeps np.savez from appending ".npz" to the name
+        with open(path, "wb") as fh:
+            np.savez(fh, **vars(self))
 
     @classmethod
     def load(cls, path):
-        head = {}
-        grid_lines, lam_lines = [], []
-        target = None
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line == "[grid]":
-                    target = grid_lines
-                elif line == "[lambdas]":
-                    target = lam_lines
-                elif target is None:
-                    key, val = line.split("=", 1)
-                    head[key] = val
-                else:
-                    target.append(line)
-        return cls(
-            lambdas=np.loadtxt(io.StringIO("\n".join(lam_lines))),
-            n_nodes=int(head["n_nodes"]),
-            grid=np.loadtxt(io.StringIO("\n".join(grid_lines))),
-            kind=head["kind"],
-            alpha=float(head["alpha"]),
-            kappa=float(head["kappa"]),
-            n_dropped=int(head["n_dropped"]),
-        )
+        with np.load(path) as arc:
+            return cls(
+                lambdas=arc["lambdas"],
+                kind=str(arc["kind"]),
+                alpha=float(arc["alpha"]),
+                kappa=float(arc["kappa"]),
+                n_dropped=int(arc["n_dropped"]),
+            )
 
 
 def midpoint_grid(n):
@@ -94,18 +79,18 @@ def discretize(spec, n):
         raise ValueError("node count must be even and at least 16")
     xi = midpoint_grid(n)
     mat = transformed_kernel(xi[:, None], xi[None, :], spec)
-    mat = 0.5 * (mat + mat.T)
-    return mat, xi
+    return 0.5 * (mat + mat.T)
 
 
-def eigen_spectrum(matrix, n, spec=None):
+def eigen_spectrum(matrix, spec=None):
     """Spectrum of the integral operator from a discretized kernel matrix.
 
-    Solves the symmetric dense problem for (2/N) K~, keeps the positive
-    eigenvalues (tiny or negative ones are discretization noise and are
-    counted in ``n_dropped``) and returns their reciprocals ascending.
+    The node count N is the matrix order.  Solves the symmetric dense
+    problem for (2/N) K~, keeps the positive eigenvalues (tiny or negative
+    ones are discretization noise and are counted in ``n_dropped``) and
+    returns their reciprocals ascending.
     """
-    nu = eigh(2.0 / n * matrix, eigvals_only=True)
+    nu = eigh(2.0 / matrix.shape[0] * matrix, eigvals_only=True)
     if not np.all(np.isfinite(nu)):
         raise NumericsError("eigensolve returned non-finite values")
     numax = float(np.max(nu))
@@ -115,8 +100,6 @@ def eigen_spectrum(matrix, n, spec=None):
     lam = np.sort(1.0 / nu[keep])
     return Spectrum(
         lambdas=lam,
-        n_nodes=n,
-        grid=midpoint_grid(n),
         kind=spec.kind if spec else "unknown",
         alpha=spec.alpha if spec else float("nan"),
         kappa=spec.kappa if spec else float("nan"),
@@ -126,8 +109,7 @@ def eigen_spectrum(matrix, n, spec=None):
 
 def build_spectrum(spec, n=800):
     """Discretize a kernel and extract its spectrum in one step."""
-    mat, _ = discretize(spec, n)
-    return eigen_spectrum(mat, n, spec)
+    return eigen_spectrum(discretize(spec, n), spec)
 
 
 def fredholm_det(lam, spectrum, m=None):

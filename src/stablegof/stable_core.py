@@ -62,14 +62,12 @@ class DensityEval:
     """Standard-case density value and derivatives at one point.
 
     ``f`` is f(x; alpha), ``fprime`` the x-derivative and ``falpha`` the
-    alpha-derivative.  ``method`` records which evaluation route produced
-    the numbers ("inversion" or "tail_series").
+    alpha-derivative.
     """
 
     f: float
     fprime: float
     falpha: float
-    method: str
 
 
 def cf(t, params):
@@ -210,35 +208,46 @@ def pdf_batch(x, alpha):
     ~1e-9 relative; use :func:`pdf` when adaptive-quadrature accuracy is
     needed at a single point.
     """
+    return _density(np.atleast_1d(np.asarray(x, dtype=float)), alpha, _near_grid)
+
+
+def _density(x, alpha, near):
+    """(f, f', f_alpha) at signed array ``x``.
+
+    ``near(ax, alpha)`` evaluates the points 0 <= ax <= crossover; the tail
+    series takes the rest.  f and f_alpha are even in x, f' is odd.
+    """
     if not (0 < alpha <= 2):
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     ax = np.abs(x)
-    sgn = np.where(x < 0, -1.0, 1.0)
-    xc = _crossover(alpha)
     f = np.empty_like(ax)
     fp = np.empty_like(ax)
     fa = np.empty_like(ax)
-    small = ax <= xc
+    small = ax <= _crossover(alpha)
     if np.any(small):
-        xs = ax[small]
-        xmax = float(np.max(xs))
-        # grid size scales like T*xmax; for small alpha the cutoff T blows
-        # up, so fall back to per-point adaptive quadrature there
-        T = _LOG_EPS ** (1.0 / alpha)
-        if T * max(xmax, 1.0) > 6.0e4:
-            vals = np.array([_pdf_quad(v, alpha) if v > 0 else _pdf0_triple(alpha) for v in xs])
-            f[small], fp[small], fa[small] = vals[:, 0], vals[:, 1], vals[:, 2]
-        else:
-            g0, g1, ga = _grid_sums(xs, alpha, ((1.0, alpha),), T)
-            f[small], fp[small], fa[small] = g0 / math.pi, -g1 / math.pi, -ga / math.pi
+        f[small], fp[small], fa[small] = near(ax[small], alpha)
     large = ~small
     if np.any(large):
         f[large], fp[large], fa[large], _ = _tail_series(ax[large], alpha)
     if alpha == 2.0:
         return (*_gaussian_f_fp(x), fa)
-    # f even, f' odd, f_alpha even
-    return f, fp * sgn, fa
+    return f, np.where(x < 0, -fp, fp), fa
+
+
+def _near_grid(ax, alpha):
+    """Inversion on the shared grid; per-point quadrature where that grid would be too large."""
+    # grid size scales like T*xmax; for small alpha the cutoff T blows up
+    T = _LOG_EPS ** (1.0 / alpha)
+    if T * max(float(np.max(ax)), 1.0) > 6.0e4:
+        return _near_quad(ax, alpha)
+    g0, g1, ga = _grid_sums(ax, alpha, ((1.0, alpha),), T)
+    return g0 / math.pi, -g1 / math.pi, -ga / math.pi
+
+
+def _near_quad(ax, alpha):
+    """Per-point adaptive quadrature, with the closed form at x = 0."""
+    vals = np.array([_pdf_quad(v, alpha) if v > 0 else _pdf0_triple(alpha) for v in ax])
+    return vals[:, 0], vals[:, 1], vals[:, 2]
 
 
 def _gaussian_f_fp(x):
@@ -287,23 +296,8 @@ def pdf(x, alpha):
     Raises ``ValueError`` for alpha outside (0, 2] and
     :class:`~stablegof.errors.QuadratureError` if the adaptive rule fails.
     """
-    if not (0 < alpha <= 2):
-        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    x = float(x)
-    ax = abs(x)
-    sgn = -1.0 if x < 0 else 1.0
-    if ax == 0.0:
-        f, fp, fa = _pdf0_triple(alpha)
-        method = "inversion"
-    elif ax > _crossover(alpha):
-        f, fp, fa = (float(v[0]) for v in _tail_series(np.array([ax]), alpha)[:3])
-        method = "tail_series"
-    else:
-        f, fp, fa = _pdf_quad(ax, alpha)
-        method = "inversion"
-    if alpha == 2.0:
-        f, fp = (float(v[0]) for v in _gaussian_f_fp(np.array([ax])))
-    return DensityEval(f, sgn * fp, fa, method)
+    f, fp, fa = _density(np.array([float(x)]), alpha, _near_quad)
+    return DensityEval(float(f[0]), float(fp[0]), float(fa[0]))
 
 
 def rand_stable(alpha, size=None, rng=None):

@@ -140,6 +140,39 @@ def test_test_missing_cell_mentions_table_command(cache, cauchy_file, tmp_path, 
     assert code == 2
 
 
+HAND_TABLE = (
+    "# stablegof run manifest\n"
+    "# hypothesis=H1\n"
+    "# hypothesis=H1\n"
+    "alpha,kappa,xi,critical_value,series_bound\n"
+    "1.0,2.5,0.1,0.05,1e-06\n"
+    "1.0,2.5,0.05,0.07,1e-06\n"
+    "2.0,2.5,0.1,0.01,1e-06\n"
+    "2.0,2.5,0.05,0.02,1e-06\n"
+)
+
+
+def test_test_refuses_table_of_other_hypothesis(cache, cauchy_file, tmp_path, capsys):
+    table = tmp_path / "h1.csv"
+    table.write_text(HAND_TABLE)
+    # a table with the manifest line and the older second line still parses
+    assert load_table(table).hypothesis == "H1"
+    code = main([
+        "test", str(cauchy_file), "--kappa", "2.5", "--hypothesis", "H2",
+        "--alpha0", "1.5", "--tables", str(table),
+    ])
+    assert code == 2
+    assert "H1 critical values" in capsys.readouterr().err
+
+
+def test_malformed_table_row_is_input_error(cache, cauchy_file, tmp_path, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text("alpha,kappa,xi,critical_value,series_bound\n1.0,2.5,0.1,oops,1e-06\n")
+    assert main(["test", str(cauchy_file), "--kappa", "2.5", "--tables", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert str(table) in err and "oops" in err
+
+
 def test_simulate_determinism_and_power_rows(cache, tmp_path):
     cfg = tmp_path / "sim.ini"
     cfg.write_text(
@@ -170,3 +203,7 @@ def test_simulate_bad_config(cache, tmp_path):
     none = tmp_path / "none.ini"
     none.write_text("")
     assert main(["simulate", str(none), "-o", str(tmp_path / "o.csv")]) == 2
+    # an out-of-range level is refused before any replication runs
+    level = tmp_path / "level.ini"
+    level.write_text("[exp]\nn = 20\nalpha = 1.5\nkappas = 2.5\nreplications = 100\nxis = 1.5\n")
+    assert main(["simulate", str(level), "-o", str(tmp_path / "o.csv")]) == 2

@@ -61,10 +61,7 @@ def adaptive_series_terms(x, config, with_inverse_y):
 
 def synthetic_spectrum(lambdas, kappa=1.0):
     lam = np.asarray(lambdas, dtype=float)
-    return Spectrum(
-        lambdas=lam, n_nodes=len(lam), grid=np.zeros(len(lam)), kind="synthetic",
-        alpha=0.0, kappa=kappa,
-    )
+    return Spectrum(lambdas=lam, kind="synthetic", alpha=0.0, kappa=kappa)
 
 
 @pytest.fixture(scope="module")

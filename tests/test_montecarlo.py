@@ -38,6 +38,8 @@ def test_config_validation():
         ExperimentConfig(n=50, alpha=1.5, kappas=(-1.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(n=50, alpha=1.5, kappas=(1.0,), hypothesis="H3")
+    with pytest.raises(ValueError):
+        ExperimentConfig(n=50, alpha=1.5, kappas=(1.0,), xis=(0.10, 1.5))
 
 
 def test_draw_alternative_kinds():
@@ -104,6 +106,25 @@ def test_h1_decision_methods():
         h1_decision(0.02, table, 10.0, 0.10, method="sup_range")
     with pytest.raises(KeyError):
         h1_decision(0.02, table, 3.3, 0.10, method="sup_all")
+
+
+def test_decision_refuses_a_column_with_a_hole():
+    # a partial table: the kappa = 2.5 column lacks alpha = 1.5
+    rows = [
+        (a, k, 0.10, v, 1e-5)
+        for a, v in KAPPA10_COLUMN
+        for k in (2.5, 10.0)
+        if (a, k) != (1.5, 2.5)
+    ]
+    table = CriticalValueTable.from_rows(rows)
+    for method, kw in (
+        ("plugin", {"alpha_hat": 1.3}),
+        ("sup_all", {}),
+        ("sup_range", {"alpha_range": (1.0, 1.8)}),
+    ):
+        with pytest.raises(KeyError, match="alpha=1.5"):
+            h1_decision(0.02, table, 2.5, 0.10, method=method, **kw)
+        assert h1_decision(0.02, table, 10.0, 0.10, method=method, **kw).threshold > 0
 
 
 def test_table_roundtrip_through_rows():
