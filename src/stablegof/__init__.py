@@ -17,7 +17,6 @@ from .estimators import (
     FitResult,
     fisher_info,
     fisher_location_scale,
-    cauchy_al,
     eise_matrices,
     mle_fit,
     eise_fit,

@@ -260,7 +260,15 @@ def cmd_table(args):
     kappas = [float(k) for k in args.kappas.split(",")]
     if any(k < 1.0 for k in kappas):
         raise UsageError("critical-value tables support kappa >= 1 only")
-    kind = "mle_h1" if args.hypothesis == "H1" else "mle_h2"
+    if args.nodes < 16 or args.nodes % 2:
+        raise UsageError(f"--nodes must be even and at least 16, got {args.nodes}")
+    # H2 fixes alpha, so the normal endpoint has a kernel; H1 needs I(alpha) finite
+    h2 = args.hypothesis == "H2"
+    bad = [a for a in alphas if not (0 < a < 2 or (h2 and a == 2))]
+    if bad:
+        interval = "(0, 2]" if h2 else "(0, 2)"
+        raise UsageError(f"{args.hypothesis} tables need alpha in {interval}, got {bad}")
+    kind = "mle_h2" if h2 else "mle_h1"
     rows, spectra, failed = [], [], []
     for alpha in alphas:
         for kappa in kappas:

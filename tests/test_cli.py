@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from stablegof import cli
 from stablegof.cli import cached_spectrum, load_table, main, read_column
 from stablegof.estimators import WeightSpec, eise_matrices, fisher_info
 from stablegof.stable_core import rand_stable
@@ -78,6 +79,42 @@ def test_usage_errors(cache, cauchy_file):
     assert main(["test", str(cauchy_file), "--kappa", "2.5", "--hypothesis", "H2"]) == 1
     assert main(["table", "--alphas", "1.0", "--kappas", "0.5", "--hypothesis", "H1", "-o", "x"]) == 1
     assert main(["bogus"]) == 1
+
+
+@pytest.mark.parametrize(
+    "hypothesis, alphas, nodes",
+    [
+        ("H1", "1.5", "15"),
+        ("H1", "1.5", "14"),
+        ("H2", "1.5", "801"),
+        ("H1", "2.0", "16"),
+        ("H1", "1.5,2.5", "16"),
+        ("H2", "2.5", "16"),
+        ("H2", "0", "16"),
+        ("H1", "nan", "16"),
+    ],
+)
+def test_table_checks_nodes_and_alphas_before_any_cell(
+    cache, tmp_path, monkeypatch, capsys, hypothesis, alphas, nodes
+):
+    def no_cell(*args):
+        pytest.fail("a table cell was attempted")
+
+    monkeypatch.setattr(cli, "cached_spectrum", no_cell)
+    out = tmp_path / "t.csv"
+    argv = ["table", "--hypothesis", hypothesis, "--alphas", alphas, "--kappas", "2.5",
+            "--nodes", nodes, "-o", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+def test_h2_table_accepts_the_normal_endpoint(cache, tmp_path):
+    out = tmp_path / "t.csv"
+    argv = ["table", "--hypothesis", "H2", "--alphas", "2.0", "--kappas", "2.5",
+            "--nodes", "16", "-o", str(out)]
+    assert main(argv) == 0
+    assert len(load_table(out).to_rows()) == 2
 
 
 def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, capsys):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stablegof import _fourier, estimators
+from stablegof import _fourier, estimators, stable_core
 from stablegof._fourier import envelope_cutoff
-from stablegof.errors import DataError, NonConvergenceError
+from stablegof.errors import DataError, NonConvergenceError, QuadratureError
 from stablegof.estimators import (
     EULER_GAMMA,
     WeightSpec,
@@ -17,7 +17,6 @@ from stablegof.estimators import (
     _logf_lookup,
     _pair_sums,
     _w0_and_deriv,
-    cauchy_al,
     eise_fit,
     eise_matrices,
     fisher_info,
@@ -27,7 +26,7 @@ from stablegof.estimators import (
     q_objective,
     q_objective_direct,
 )
-from stablegof.stable_core import StableParams, pdf, rand_stable
+from stablegof.stable_core import StableParams, _crossover, pdf, rand_stable
 
 
 def adaptive_h_quadrant(alpha, weight):
@@ -74,10 +73,68 @@ def closed_form_cauchy_info():
 def test_fisher_cauchy_closed_forms():
     fi = fisher_info(1.0)
     i11, i22, i23, i33 = closed_form_cauchy_info()
-    assert abs(fi.I11 - i11) < 1e-8
-    assert abs(fi.I22 - i22) < 1e-8
-    assert abs(fi.I23 - i23) < 1e-8
-    assert abs(fi.I33 - i33) < 1e-8
+    assert abs(fi.I11 - i11) < 1e-12
+    assert abs(fi.I22 - i22) < 1e-12
+    assert abs(fi.I23 - i23) < 1e-12
+    assert abs(fi.I33 - i33) < 1e-12
+
+
+def adaptive_fisher_info(alpha):
+    """(I11, I22, I23, I33) by adaptive quadrature over the per-point ``pdf``.
+
+    Reference copy of the computation that ``fisher_info`` used before the
+    fixed rule over ``pdf_batch``: two quad_vec calls split at the
+    crossover, each point through three adaptive QAWO inversions.
+    """
+
+    def score_products(x):
+        d = pdf(x, alpha)
+        f, fp, fa = d.f, d.fprime, d.falpha
+        fs = -f - x * fp
+        return np.array([fp * fp / f, fs * fs / f, fs * fa / f, fa * fa / f])
+
+    xc = _crossover(alpha)
+    core, err1 = integrate.quad_vec(score_products, 0.0, xc, epsabs=1e-12, epsrel=1e-10)
+    tail, err2 = integrate.quad_vec(score_products, xc, np.inf, epsabs=1e-12, epsrel=1e-10)
+    assert max(err1, err2) <= 1e-6
+    return 2.0 * (core + tail)
+
+
+@pytest.mark.parametrize("alpha, rtol", [(0.5, 5e-9), (0.8, 5e-11), (1.5, 5e-11), (1.9, 5e-11)])
+def test_fisher_matches_adaptive_quadrature_over_pdf(alpha, rtol):
+    fi = fisher_info(alpha)
+    got = np.array([fi.I11, fi.I22, fi.I23, fi.I33])
+    want = adaptive_fisher_info(alpha)
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+@pytest.fixture()
+def fresh_fisher_cache():
+    fisher_info.cache_clear()
+    yield
+    fisher_info.cache_clear()
+
+
+def test_fisher_refuses_a_zero_density(monkeypatch, fresh_fisher_cache):
+    batch = estimators.pdf_batch
+
+    def zero_at_one_node(x, alpha):
+        f, fp, fa = batch(x, alpha)
+        f[x.size // 3] = 0.0
+        return f, fp, fa
+
+    monkeypatch.setattr(estimators, "pdf_batch", zero_at_one_node)
+    with pytest.raises(QuadratureError):
+        fisher_info(1.5)
+
+
+def test_fisher_needs_no_per_point_quadrature(monkeypatch, fresh_fisher_cache):
+    def no_quad(x, alpha):
+        raise AssertionError("per-point density quadrature called")
+
+    monkeypatch.setattr(stable_core, "_pdf_quad", no_quad)
+    fi = fisher_info(1.5)
+    assert fi.I11 > 0 and fi.I22 > 0 and fi.I33 > 0
 
 
 def test_fisher_continuity_near_cauchy():
@@ -105,6 +162,18 @@ def test_fisher_matrix_positive_definite():
         m = fisher_info(alpha).matrix()
         assert np.all(np.linalg.eigvalsh(m) > 0)
         assert m[0, 1] == m[0, 2] == 0.0
+
+
+def cauchy_al(x):
+    """Closed-form score triple (h_mu, h_sigma, h_alpha) in the Cauchy case."""
+    x = np.asarray(x, dtype=float)
+    d = x * x + 1.0
+    h_mu = 2.0 * x / d
+    h_sigma = (x * x - 1.0) / d
+    h_alpha = (1.0 - x * x) / d * (0.5 * np.log(d) - 1.0 + EULER_GAMMA) + (
+        2.0 * x / d
+    ) * np.arctan(x)
+    return h_mu, h_sigma, h_alpha
 
 
 def test_cauchy_al_values():
