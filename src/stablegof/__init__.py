@@ -28,17 +28,15 @@ from .kernels import (
     KernelSpec,
     make_kernel,
     gamma_mle,
-    gamma_cauchy,
     gamma_eise,
     gamma_efficient,
     transformed_kernel,
 )
-from .spectral import Spectrum, discretize, eigen_spectrum, build_spectrum, fredholm_det
+from .spectral import Spectrum, discretize, eigen_spectrum, build_spectrum
 from .inversion import (
     InversionConfig,
     default_inversion_config,
     cdf_dk,
-    pdf_dk,
     quantile_dk,
 )
 from .montecarlo import (

@@ -7,11 +7,14 @@ criterion (and through it the test statistic D = n*Q) needs integrals
 
 with phi(t) a sum of power terms c * t^p.  Moderate |y| goes through the
 panelized Gauss-Legendre grid of :func:`panel_grid` and the three sums of
-:func:`_grid_sums`; the few points beyond ``ysplit`` fall back to adaptive
-oscillatory quadrature so heavy-tail outliers cannot alias into the grid
-sum.  The value of D needs only the first transform: without ``grad``,
-:func:`cos_transforms` forms the grid sum from real cosines alone and makes
-one quadrature per far point instead of three.  The stable density's grid
+:func:`_grid_sums`, formed from real ``np.cos``/``np.sin`` (no complex
+``exp``) and summed row by row, so a point's three sums depend on the rest
+of its batch only through the grid, which max |y| sets.  The few points
+beyond ``ysplit`` fall back to adaptive oscillatory quadrature so heavy-tail
+outliers cannot alias into the grid sum.  The value of D needs only the
+first transform: without ``grad``, :func:`cos_transforms` forms the grid sum
+from real cosines alone, in one BLAS product per block, and makes one
+quadrature per far point instead of three.  The stable density's grid
 branch (``stable_core.pdf_batch``) is the same three sums with
 phi(t) = t^alpha, scaled by 1/pi instead of 2 (alpha = 2 included).
 
@@ -32,7 +35,7 @@ from .errors import QuadratureError
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # exp(-_LOG_EPS) is treated as zero when truncating the half-line integrals
 _LOG_EPS = 41.5
-# (y, t) pairs per block of _grid_sums: 2^21 complex exponentials are 32 MB
+# (y, t) pairs per block of _grid_sums: 2^21 complex cos + i sin values are 32 MB
 _BLOCK_CELLS = 2**21
 # panels of _graded_rule: dyadic levels toward each end, uniform ones in the middle
 _GRADE_LEVELS = 40
@@ -124,11 +127,19 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
     """int_0^T of cos(t y) env, t sin(t y) env and t^alpha log(t) cos(t y) env
     at each |y| in ``ay`` on one panel grid, with env = exp(-sum c t^p) over ``terms``.
 
-    The exponentials exp(i t y) are formed over row blocks of at most
+    cos(t y) and sin(t y) are formed over row blocks of at most
     ``_BLOCK_CELLS`` (y, t) pairs, so memory stays bounded for large samples.
-    Without ``grad`` only the first sum is formed, from real cosines, and the
-    other two are None; it differs from the first sum with ``grad`` by
-    rounding only, since the matrix products add in another order.
+    With ``grad`` they are written by ``np.cos`` and ``np.sin`` into the real
+    and imaginary parts of one complex array, and the three products are
+    taken on those strided views: numpy then adds each row's terms in order
+    itself, where a contiguous array (or a single row) would go to BLAS and
+    add in another order.  So every row's sums depend only on its own y and
+    the grid, whatever the block.  They are bit-identical to the complex-exp
+    route, np.exp(1j t y), on glibc with numpy 2.4 as tested, where np.cos
+    and np.sin equal its real and imaginary parts.
+    Without ``grad`` only the first sum is formed, from a contiguous cosine
+    array, and the other two are None; it differs from the first sum with
+    ``grad`` by rounding only, since that matrix product adds in BLAS order.
     """
     t, w = panel_grid(T, float(np.max(ay)))
     phi = np.zeros_like(t)
@@ -143,12 +154,19 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
         g1, ga = np.empty_like(ay), np.empty_like(ay)
     rows = max(1, _BLOCK_CELLS // t.size)
     for lo in range(0, ay.size, rows):
-        blk = slice(lo, lo + rows)
+        yb = ay[lo : lo + rows]
+        blk = slice(lo, lo + yb.size)
         if grad:
-            e = np.exp(1j * np.outer(ay[blk], t))
-            g0[blk], g1[blk], ga[blk] = e.real @ w0, e.imag @ w1, e.real @ wa
+            # a lone row is summed as a pair of equal rows: numpy hands a
+            # one-row product to BLAS, which adds in another order
+            arg = np.outer(yb if yb.size > 1 else np.repeat(yb, 2), t)
+            e = np.empty(arg.shape, dtype=complex)
+            np.cos(arg, out=e.real)
+            np.sin(arg, out=e.imag)
+            m = yb.size
+            g0[blk], g1[blk], ga[blk] = (e.real @ w0)[:m], (e.imag @ w1)[:m], (e.real @ wa)[:m]
         else:
-            arg = np.outer(ay[blk], t)
+            arg = np.outer(yb, t)
             g0[blk] = np.cos(arg, out=arg) @ w0
     return g0, g1, ga
 

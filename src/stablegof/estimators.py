@@ -53,8 +53,6 @@ __all__ = [
     "q_objective_direct",
 ]
 
-EULER_GAMMA = 0.5772156649015328606
-
 
 # ----------------------------------------------------------------------
 # Fisher information
@@ -510,7 +508,16 @@ def mle_fit(data, fix_alpha=None, maxiter=300):
 
 
 def _w0_and_deriv(d, weight, grad):
-    """W0(d) = int cos(td) w(t) dt over the real line, and dW0/dd (exp_abs: None unless ``grad``)."""
+    """W0(d) = int cos(td) w(t) dt over the real line and, with ``grad``, dW0/dd (else None).
+
+    For ``exp_power``, W0(d) = 2 pi c f(c d; bar_alpha) with c = nu^(-1/bar_alpha).
+    The density is evaluated once per distinct |c d|, in one ``pdf_batch``
+    call, and scattered back with the sign of f' restored: d_kj = -d_jk and
+    the diagonal is zero, so a square of pair differences holds about half
+    as many distinct values as cells.  ``pdf_batch`` computes each point
+    from its |x| alone (its grid depends only on max |x|, which is kept),
+    so the result is bit-identical to one call over every cell.
+    """
     if weight.kind == "exp_abs":
         k = weight.kappa_or_nu
         with np.errstate(over="ignore"):  # d*d = inf only where W0 and W0' are 0
@@ -518,11 +525,14 @@ def _w0_and_deriv(d, weight, grad):
         return 2.0 * k / den, -4.0 * k * d / den**2 if grad else None
     nu, ba = weight.kappa_or_nu, weight.bar_alpha
     c = nu ** (-1.0 / ba)
-    f, fp, _ = pdf_batch((c * d).ravel(), ba)
-    return (
-        2.0 * math.pi * c * f.reshape(d.shape),
-        2.0 * math.pi * c * c * fp.reshape(d.shape),
-    )
+    cd = c * d
+    u, inv = np.unique(np.abs(cd).ravel(), return_inverse=True)
+    fu, fpu, _ = pdf_batch(u, ba)
+    w0 = 2.0 * math.pi * c * fu[inv].reshape(d.shape)
+    if not grad:
+        return w0, None
+    fp = fpu[inv].reshape(d.shape)
+    return w0, 2.0 * math.pi * c * c * np.where(cd < 0, -fp, fp)
 
 
 def _pair_sums(x, sigma, weight, grad):
@@ -533,6 +543,9 @@ def _pair_sums(x, sigma, weight, grad):
     own square of columns [start, stop) once and over the columns [stop, n)
     twice: about n^2/2 pairs, in bounded memory.  Up to n = 1448 one block
     holds every row, the square is the whole matrix and nothing is doubled.
+    The sums still run over every cell of the square, in row order: only
+    the density evaluations inside :func:`_w0_and_deriv` are shared between
+    mirrored cells, so the sums are those of the full square to the last bit.
     """
     n = x.size
     s0 = s1 = 0.0

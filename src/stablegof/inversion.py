@@ -32,7 +32,7 @@ from scipy import optimize
 from .errors import SeriesDivergenceError
 from .spectral import Spectrum
 
-__all__ = ["InversionConfig", "default_inversion_config", "cdf_dk", "pdf_dk", "quantile_dk", "cdf_dk_with_bound"]
+__all__ = ["InversionConfig", "default_inversion_config", "cdf_dk", "quantile_dk", "cdf_dk_with_bound"]
 
 _GL_NODES = 64
 _GL_Z, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -212,19 +212,6 @@ def cdf_dk_with_bound(x, config):
 def cdf_dk(x, config):
     """P(D <= x) for the limiting statistic."""
     return cdf_dk_with_bound(x, config)[0]
-
-
-def pdf_dk(x, config):
-    """Density of the limiting statistic (same series without the 1/y factor)."""
-    if x <= 0:
-        raise ValueError(f"the statistic is positive; got x={x}")
-    if _pair_structure(config) == "paired":
-        r = _paired_rates(config)
-        return float(np.sum(r * _hypoexp_sf_terms(x, r)))
-    terms = _series_terms(x, config, with_inverse_y=False)
-    _check_alternating(terms)
-    signs = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0)
-    return float(np.sum(signs * terms))
 
 
 def quantile_dk(xi, config):

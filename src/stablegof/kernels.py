@@ -19,13 +19,7 @@ from scipy.interpolate import CubicSpline
 
 from ._fourier import _GRADED_NODES, _RULE_CELLS, _graded_rule, envelope_cutoff
 from .errors import QuadratureError
-from .estimators import (
-    EULER_GAMMA,
-    EiseMatrices,
-    eise_matrices,
-    fisher_info,
-    fisher_location_scale,
-)
+from .estimators import EiseMatrices, eise_matrices, fisher_info, fisher_location_scale
 from .stable_core import cf, cf_grad
 
 __all__ = [
@@ -33,7 +27,6 @@ __all__ = [
     "KernelSpec",
     "make_kernel",
     "gamma_mle",
-    "gamma_cauchy",
     "gamma_eise",
     "gamma_efficient",
     "transformed_kernel",
@@ -69,23 +62,6 @@ def gamma_mle(s, t, alpha, inv_entries):
         + i33 * ast * ls * lt
     )
     return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
-
-
-def gamma_cauchy(s, t):
-    """Closed-form Cauchy (alpha = 1) MLE/H1 kernel: the tests' oracle for :func:`gamma_mle`."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a_s, a_t = np.abs(s), np.abs(t)
-    c = EULER_GAMMA + math.log(2.0) - 1.0
-    ls, lt = _safe_log_abs(a_s), _safe_log_abs(a_t)
-    e_pp = np.exp(-(a_s + a_t))
-    st = s * t
-    out = (
-        np.exp(-np.abs(t - s))
-        - (1.0 + 2.0 * (st + np.abs(st))) * e_pp
-        - 12.0 / math.pi**2 * (ls + c) * (lt + c) * np.abs(st) * e_pp
-    )
-    return out
 
 
 def gamma_efficient(s, t, params, fisher_inverse):

@@ -22,7 +22,7 @@ from scipy.linalg import eigh
 from .errors import NumericsError
 from .kernels import transformed_kernel
 
-__all__ = ["Spectrum", "midpoint_grid", "discretize", "eigen_spectrum", "build_spectrum", "fredholm_det"]
+__all__ = ["Spectrum", "midpoint_grid", "discretize", "eigen_spectrum", "build_spectrum"]
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,3 @@ def eigen_spectrum(matrix, spec=None):
 def build_spectrum(spec, n=800):
     """Discretize a kernel and extract its spectrum in one step."""
     return eigen_spectrum(discretize(spec, n), spec)
-
-
-def fredholm_det(lam, spectrum, m=None):
-    """Finite-product Fredholm determinant prod_{j<=m} (1 - lam/lambda_j)."""
-    lams = spectrum.lambdas if m is None else spectrum.lambdas[:m]
-    return float(np.prod(1.0 - lam / lams))

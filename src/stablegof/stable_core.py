@@ -264,18 +264,32 @@ def _pdf0_triple(alpha):
 
 
 def _pdf_quad(x, alpha):
-    """Adaptive oscillatory quadrature (QAWO) for one standard-case point."""
+    """Adaptive oscillatory quadrature (QAWO) for one standard-case point.
+
+    A QUADPACK message with an error estimate above 1e-9 relative is a
+    failure.  After one, the integral is retried as [0, 1] + [1, T]: QAWO's
+    roundoff test can trip on the whole half-line where the split runs
+    clean (f_alpha at x = 0.0515, alpha = 0.32).  Only a retry that fails the
+    same test raises.
+    """
     T = _LOG_EPS ** (1.0 / alpha)
     kwargs = dict(epsabs=1e-14, epsrel=1e-11, limit=600, full_output=1)
 
+    def quad(fn, weight, pieces):
+        outs = [integrate.quad(fn, a, b, weight=weight, wvar=x, **kwargs) for a, b in pieces]
+        val, abserr = outs[0][0], outs[0][1]
+        for out in outs[1:]:
+            val, abserr = val + out[0], abserr + out[1]
+        # a message present => warning/failure, tolerated while err is small
+        msg = " ".join(out[3] for out in outs if len(out) > 3)
+        return val, msg if msg and abserr > 1e-9 * max(abs(val), 1e-8) else ""
+
     def run(fn, weight):
-        out = integrate.quad(fn, 0.0, T, weight=weight, wvar=x, **kwargs)
-        val, abserr = out[0], out[1]
-        if len(out) > 3:  # message present => warning/failure
-            if abserr > 1e-9 * max(abs(val), 1e-8):
-                raise QuadratureError(
-                    f"density inversion failed at x={x}, alpha={alpha}: {out[3]}"
-                )
+        val, msg = quad(fn, weight, ((0.0, T),))
+        if msg:
+            val, msg = quad(fn, weight, ((0.0, 1.0), (1.0, T)))
+            if msg:
+                raise QuadratureError(f"density inversion failed at x={x}, alpha={alpha}: {msg}")
         return val
 
     f = run(lambda t: math.exp(-(t**alpha)), "cos") / math.pi

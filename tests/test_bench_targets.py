@@ -72,3 +72,21 @@ def test_tracer_counts_the_statistics_transforms(tracer):
     st = tr.totals("_fourier.cos_transforms")
     assert st.calls >= 1
     assert st.counts["far"] > 0
+
+
+def test_tracer_counts_the_pair_terms_distinct_differences(tracer):
+    # the exp_power pair term evaluates the density once, at each distinct
+    # |d|: n(n-1)/2 mirrored pairs and the zero of the diagonal
+    x = rand_stable(1.3, 50, np.random.default_rng(6))
+    assert np.unique(x).size == 50
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        stablegof.estimators.q_objective(
+            x, StableParams(0.0, 1.0, 1.3), stablegof.WeightSpec("exp_power", 1.0, 1.5), grad=True
+        )
+    finally:
+        tr.uninstall()
+    st = tr.totals("stable_core.pdf_batch")
+    assert st.calls == 1
+    assert st.counts["points"] == 50 * 49 // 2 + 1

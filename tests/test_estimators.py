@@ -11,7 +11,6 @@ from stablegof import _fourier, estimators, stable_core
 from stablegof._fourier import envelope_cutoff
 from stablegof.errors import DataError, NonConvergenceError, QuadratureError
 from stablegof.estimators import (
-    EULER_GAMMA,
     WeightSpec,
     _eise_h_quadrant,
     _logf_lookup,
@@ -26,7 +25,9 @@ from stablegof.estimators import (
     q_objective,
     q_objective_direct,
 )
-from stablegof.stable_core import StableParams, _crossover, pdf, rand_stable
+from stablegof.stable_core import StableParams, _crossover, pdf, pdf_batch, rand_stable
+
+EULER_GAMMA = np.euler_gamma
 
 
 def adaptive_h_quadrant(alpha, weight):
@@ -454,17 +455,79 @@ def test_pair_sums_memory_bounded():
         assert peak < limit * 2**20
 
 
+def one_call_w0_and_deriv(d, weight, grad):
+    """Reference copy of ``_w0_and_deriv`` before the dedupe of |d|.
+
+    The exp_power branch runs ``pdf_batch`` once over every cell of ``d``,
+    mirrored and repeated differences included, and forms W0' even without
+    ``grad``.
+    """
+    if weight.kind == "exp_abs":
+        k = weight.kappa_or_nu
+        with np.errstate(over="ignore"):  # d*d = inf only where W0 and W0' are 0
+            den = k * k + d * d
+        return 2.0 * k / den, -4.0 * k * d / den**2 if grad else None
+    nu, ba = weight.kappa_or_nu, weight.bar_alpha
+    c = nu ** (-1.0 / ba)
+    f, fp, _ = pdf_batch((c * d).ravel(), ba)
+    return (
+        2.0 * math.pi * c * f.reshape(d.shape),
+        2.0 * math.pi * c * c * fp.reshape(d.shape),
+    )
+
+
+def assert_same_w0(d, weight, grad):
+    got, want = _w0_and_deriv(d, weight, grad), one_call_w0_and_deriv(d, weight, grad)
+    assert np.array_equal(got[0], want[0])
+    if grad:
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] is None
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_w0_from_distinct_differences_is_bit_identical(ties):
+    x = 2.0 + 3.0 * rand_stable(1.2, 100, np.random.default_rng(31))
+    if ties:
+        x = np.round(x, 1)  # tied observations: zero and repeated |d| off the diagonal
+        assert np.unique(x).size < 90
+    d = (x[:, None] - x[None, :]) / 1.7
+    weights = (WeightSpec("exp_power", 1.0, 1.5), WeightSpec("exp_power", 2.0, 0.8),
+               WeightSpec("exp_power", 0.5, 2.0))
+    for weight in weights:
+        for grad in (False, True):
+            assert_same_w0(d, weight, grad)
+
+
+def test_w0_from_distinct_differences_over_blocks(monkeypatch):
+    # ten row blocks: squares of 20 x 20 cells and rectangles to their right,
+    # whose differences are not mirrored within one call
+    monkeypatch.setattr(estimators, "_BLOCK_CELLS", 2**12)
+    shapes = []
+
+    def checked(d, weight, grad):
+        assert_same_w0(d, weight, grad)
+        shapes.append(d.shape)
+        return _w0_and_deriv(d, weight, grad)
+
+    monkeypatch.setattr(estimators, "_w0_and_deriv", checked)
+    x = rand_stable(1.5, 200, np.random.default_rng(13))
+    for grad in (False, True):
+        _pair_sums(x, 1.3, WeightSpec("exp_power", 1.0, 1.5), grad)
+    assert len(shapes) == 2 * 19 and (20, 180) in shapes
+
+
 def full_matrix_pair_sums(x, sigma, weight, grad):
     """Reference copy of ``_pair_sums`` before the symmetric block sum.
 
     Sums W0 (and W0' d) over every (j, k) pair, row block by row block, with
-    no use of the symmetry d_kj = -d_jk.
+    no use of the symmetry d_kj = -d_jk, and one density call per cell.
     """
     s0 = s1 = 0.0
     block = max(1, estimators._BLOCK_CELLS // x.size)
     for start in range(0, x.size, block):
         d = (x[start : start + block, None] - x[None, :]) / sigma
-        w0, w0p = _w0_and_deriv(d, weight, grad)
+        w0, w0p = one_call_w0_and_deriv(d, weight, grad)
         s0 += float(np.sum(w0))
         if grad:
             s1 += float(np.sum(w0p * d))

@@ -9,15 +9,35 @@ from scipy import integrate
 from stablegof.errors import SeriesDivergenceError
 from stablegof.inversion import (
     InversionConfig,
+    _check_alternating,
+    _hypoexp_sf_terms,
+    _pair_structure,
+    _paired_rates,
     _series_terms,
     cdf_dk,
     cdf_dk_with_bound,
     default_inversion_config,
-    pdf_dk,
     quantile_dk,
 )
 from stablegof.kernels import make_kernel
 from stablegof.spectral import Spectrum, build_spectrum
+
+
+def pdf_dk(x, config):
+    """Density of the limiting statistic (the CDF's series without the 1/y factor).
+
+    Moved here from ``stablegof.inversion``, where no package path called it;
+    it checks the CDF route against its derivative.
+    """
+    if x <= 0:
+        raise ValueError(f"the statistic is positive; got x={x}")
+    if _pair_structure(config) == "paired":
+        r = _paired_rates(config)
+        return float(np.sum(r * _hypoexp_sf_terms(x, r)))
+    terms = _series_terms(x, config, with_inverse_y=False)
+    _check_alternating(terms)
+    signs = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0)
+    return float(np.sum(signs * terms))
 
 
 def imhof_cdf(x, lam):

@@ -12,7 +12,7 @@ from stablegof.kernels import (
     _N_GRID,
     _S_MAX,
     _inner_values,
-    gamma_cauchy,
+    _safe_log_abs,
     gamma_eise,
     gamma_efficient,
     gamma_mle,
@@ -24,6 +24,26 @@ from stablegof.kernels import (
 from stablegof.stable_core import StableParams
 
 ACCEPT_GRID = [(a, k) for a in (1.0, 1.5, 1.8) for k in (1.0, 2.5, 5.0, 10.0)]
+
+
+def gamma_cauchy(s, t):
+    """Closed-form Cauchy (alpha = 1) MLE/H1 kernel: the oracle for ``gamma_mle``.
+
+    Moved here from ``stablegof.kernels``, where no package path called it.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a_s, a_t = np.abs(s), np.abs(t)
+    c = np.euler_gamma + math.log(2.0) - 1.0
+    ls, lt = _safe_log_abs(a_s), _safe_log_abs(a_t)
+    e_pp = np.exp(-(a_s + a_t))
+    st = s * t
+    out = (
+        np.exp(-np.abs(t - s))
+        - (1.0 + 2.0 * (st + np.abs(st))) * e_pp
+        - 12.0 / math.pi**2 * (ls + c) * (lt + c) * np.abs(st) * e_pp
+    )
+    return out
 
 
 # Hand-written fixed-alpha kernels, kept as references: the mle_h2 and

@@ -12,9 +12,17 @@ from stablegof.spectral import (
     build_spectrum,
     discretize,
     eigen_spectrum,
-    fredholm_det,
     midpoint_grid,
 )
+
+
+def fredholm_det(lam, spectrum, m=None):
+    """Finite-product Fredholm determinant prod_{j<=m} (1 - lam/lambda_j).
+
+    Moved here from ``stablegof.spectral``, where no package path called it.
+    """
+    lams = spectrum.lambdas if m is None else spectrum.lambdas[:m]
+    return float(np.prod(1.0 - lam / lams))
 
 
 @pytest.fixture(scope="module")

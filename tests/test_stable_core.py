@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,48 @@ def test_derivatives_match_finite_differences(alpha):
         fa_fd = (pdf(x, alpha + h).f - pdf(x, alpha - h).f) / (2 * h)
         assert abs(d.fprime - fp_fd) < 1e-5 * max(abs(d.fprime), 1e-6)
         assert abs(d.falpha - fa_fd) < 1e-5 * max(abs(d.falpha), 1e-6)
+
+
+def mpmath_series_density(x, alpha):
+    """(f, f', f_alpha) from the power series in x^(-k*alpha-1) at 40 digits.
+
+    Convergent at every x > 0 for alpha < 1; f_alpha by mpmath's numerical
+    derivative of the series in alpha.
+    """
+    with mpmath.workdps(40):
+        x, alpha = mpmath.mpf(x), mpmath.mpf(alpha)
+
+        def terms(a):
+            k = 0
+            while True:
+                k += 1
+                yield (-1) ** (k + 1) * mpmath.gamma(k * a + 1) / mpmath.factorial(k) * mpmath.sin(
+                    k * mpmath.pi * a / 2
+                ) * x ** (-k * a - 1) / mpmath.pi, k * a + 1
+
+        def series(a, deriv):
+            total, k = mpmath.mpf(0), 0
+            for term, power in terms(a):
+                k += 1
+                total += -term * power / x if deriv else term
+                if k > 20 and abs(term) < mpmath.mpf(10) ** -45:
+                    return total
+
+        f, fp = series(alpha, False), series(alpha, True)
+        fa = mpmath.diff(lambda a: series(a, False), alpha)
+        return float(f), float(fp), float(fa)
+
+
+def test_small_alpha_density_where_qawo_reports_roundoff():
+    # QAWO flags "roundoff" on the whole half-line for f_alpha here; the
+    # [0, 1] + [1, T] split runs clean
+    x, alpha = 0.051474888479710317, 0.32
+    want = mpmath_series_density(x, alpha)
+    d = pdf(x, alpha)
+    batch = pdf_batch(np.array([x, -x]), alpha)
+    for got in ((d.f, d.fprime, d.falpha), [b[0] for b in batch]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want[0])
+    assert batch[1][0] == -batch[1][1]  # f' at x and -x
 
 
 def test_pdf_batch_matches_scalar():
