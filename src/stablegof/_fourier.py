@@ -74,7 +74,11 @@ def panel_grid(T, xmax):
 
     Panels are graded dyadically toward t = 0, where the integrands have a
     t^alpha cusp for alpha < 1, and are shorter than half a period of
-    cos(t*xmax) elsewhere.
+    cos(t*xmax) elsewhere.  Each dyadic piece [a, b] is cut into nsub equal
+    panels whose left ends are built for all pieces at once by
+    ``np.linspace``'s own formula i ((b - a)/nsub) + a, so they equal
+    ``np.linspace(a, b, nsub + 1)[:-1]`` bit for bit (its step is never zero
+    here, which would take linspace's other branch).
     """
     edges = [0.0]
     t0 = min(1.0, T) * 2.0 ** -14
@@ -84,11 +88,11 @@ def panel_grid(T, xmax):
     edges.append(T)
     edges = np.unique(np.asarray(edges))
     h_osc = math.pi / max(xmax, 1e-9)
-    pieces = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nsub = max(1, int(math.ceil((b - a) / h_osc)))
-        pieces.append(np.linspace(a, b, nsub + 1)[:-1])
-    lo = np.concatenate(pieces)
+    delta = np.diff(edges)
+    nsub = np.maximum(np.ceil(delta / h_osc), 1.0).astype(np.intp)
+    piece = np.repeat(np.arange(nsub.size), nsub)
+    i = np.arange(piece.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    lo = i * (delta / nsub)[piece] + edges[piece]
     hi = np.concatenate([lo[1:], [T]])
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)

@@ -333,50 +333,84 @@ _ALPHA_MIN, _ALPHA_MAX = 0.3, 2.0
 _SIGMA_MIN = 1e-6
 
 
+# knots of the log-density splines, uniform in u = asinh|x| up to |x| = 1e9
+_LOGF_KNOTS = np.linspace(0.0, math.asinh(1e9), 480)
+# (sigma, x) cells per block of the profile grid search: a block holds about
+# eight float arrays of that size, near 4 MB in all
+_GRID_CELLS = 2**16
+
+
 @lru_cache(maxsize=128)
-def _log_density_spline(alpha):
-    u = np.linspace(0.0, math.asinh(1e9), 480)
-    x = np.sinh(u)
-    f, _, _ = pdf_batch(x, alpha)
-    return CubicSpline(u, np.log(np.maximum(f, 1e-300)))
+def _log_density_coefficients(alpha):
+    """Per-interval coefficients (c3, c2, c1, c0) of the cubic spline of log f in u."""
+    f, _, _ = pdf_batch(np.sinh(_LOGF_KNOTS), alpha)
+    c = CubicSpline(_LOGF_KNOTS, np.log(np.maximum(f, 1e-300))).c
+    return c[3], c[2], c[1], c[0]
 
 
-def _logf_lookup(alpha, ax):
-    """log f(|x|; alpha) from the cached spline, the tail series beyond its range.
+def _logf_lookup(alphas, ax):
+    """Yield log f(|x|; alpha) at array ``ax`` for each of ``alphas`` in turn.
+
+    Up to |x| = 1e9 the value comes from the cached cubic spline of log f in
+    u = asinh|x|.  Every alpha's spline has the same knots, so the interval
+    search and the powers of the offset s = u - u_i are formed once for all
+    alphas, and each alpha costs ((c3 + c2 s) + c1 s^2) + c0 s^3 with
+    s^3 = (s s) s: the order in which scipy's ``PPoly`` evaluates, on its
+    intervals closed on the left (the last one on both ends), so the values
+    equal ``CubicSpline.__call__``'s bit for bit.
 
     The series is summed in linear space and underflows once x^(alpha+1)
     nears 1e300, so beyond x_far = 10^(250/(alpha+1)), where f(x_far) is
     about 1e-250 and the series' corrections to x^-(alpha+1) are below
     x_far^-alpha, log f continues from x_far as a straight line in log x.
     """
-    spl = _log_density_spline(alpha)
     u = np.arcsinh(ax)
-    out = spl(np.minimum(u, spl.x[-1]))
-    big = u > spl.x[-1]
-    if np.any(big):
-        if alpha == 2.0:
-            out[big] = -0.25 * ax[big] ** 2 - math.log(2.0 * math.sqrt(math.pi))
-        else:
-            xb = np.minimum(ax[big], 10.0 ** (250.0 / (alpha + 1.0)))
-            out[big] = np.log(_tail_series(xb, alpha)[0]) - (alpha + 1.0) * np.log(ax[big] / xb)
-    return out
+    end = _LOGF_KNOTS[-1]
+    uc = np.minimum(u, end)
+    i = np.minimum(np.searchsorted(_LOGF_KNOTS, uc, side="right") - 1, _LOGF_KNOTS.size - 2)
+    s = uc - _LOGF_KNOTS[i]
+    s2 = s * s
+    s3 = s2 * s
+    big = u > end
+    axb = ax[big]
+    for alpha in alphas:
+        c3, c2, c1, c0 = _log_density_coefficients(alpha)
+        out = c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * s3
+        if axb.size:
+            if alpha == 2.0:
+                out[big] = -0.25 * axb**2 - math.log(2.0 * math.sqrt(math.pi))
+            else:
+                xb = np.minimum(axb, 10.0 ** (250.0 / (alpha + 1.0)))
+                out[big] = np.log(_tail_series(xb, alpha)[0]) - (alpha + 1.0) * np.log(axb / xb)
+        yield out
 
 
 def _grid_init(x, fix_alpha=None):
-    """Median location plus profile grid search over (sigma, alpha)."""
+    """Median location plus profile grid search over (sigma, alpha).
+
+    The log-likelihood at every grid point comes from :func:`_logf_lookup`,
+    over blocks of sigma rows of at most ``_GRID_CELLS`` (sigma, x) cells, so
+    memory stays bounded for large samples; each row's sum runs over the
+    whole sample, so it does not depend on the block.
+    """
     mu0 = float(np.median(x))
     q75, q25 = np.percentile(x, [75, 25])
     iqr = max(q75 - q25, 1e-12)
     sigma_grid = 0.5 * iqr * np.logspace(math.log10(0.15), math.log10(8.0), 40)
     ax = np.abs(x - mu0)
     grid = (fix_alpha,) if fix_alpha is not None else _INIT_ALPHA_GRID
+    n_log_sigma = len(x) * np.log(sigma_grid)
+    ll = np.empty((len(grid), sigma_grid.size))
+    rows = max(1, _GRID_CELLS // ax.size)
+    for lo in range(0, sigma_grid.size, rows):
+        blk = slice(lo, lo + rows)
+        for ll_a, lf in zip(ll, _logf_lookup(grid, ax[None, :] / sigma_grid[blk, None])):
+            ll_a[blk] = lf.sum(axis=1) - n_log_sigma[blk]
     best = (-np.inf, sigma_grid[0], grid[0])
-    for a in grid:
-        lf = _logf_lookup(a, ax[None, :] / sigma_grid[:, None])
-        ll = lf.sum(axis=1) - len(x) * np.log(sigma_grid)
-        i = int(np.argmax(ll))
-        if ll[i] > best[0]:
-            best = (float(ll[i]), float(sigma_grid[i]), float(a))
+    for a, ll_a in zip(grid, ll):
+        i = int(np.argmax(ll_a))
+        if ll_a[i] > best[0]:
+            best = (float(ll_a[i]), float(sigma_grid[i]), float(a))
     return mu0, best[1], best[2]
 
 
@@ -418,7 +452,7 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
     equal bounds), so L-BFGS-B sees the two-parameter (mu, sigma) problem.
     ``report`` maps the final value to :attr:`FitResult.objective`.  Raises
     :class:`~stablegof.errors.NonConvergenceError` carrying the best iterate
-    if the optimizer gives up.
+    if the optimizer gives up or ends with sigma at its floor ``_SIGMA_MIN``.
     """
     if fix_alpha is not None and not (0 < fix_alpha <= 2):
         raise ValueError(f"fix_alpha must be in (0, 2], got {fix_alpha}")
@@ -440,7 +474,10 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
 
     res = optimize.minimize(fun, x0=x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
     a_hat = float(res.x[2]) if fix_alpha is None else alpha
-    ok = _accepted(res)
+    # a scale pinned at its floor is a degenerate fit (a likelihood spike on
+    # tied points), however the optimizer ended
+    floored = float(res.x[1]) <= _SIGMA_MIN
+    ok = _accepted(res) and not floored
     result = FitResult(
         params=StableParams(float(res.x[0]), float(res.x[1]), a_hat),
         converged=ok,
@@ -451,7 +488,8 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
         estimator=estimator,
     )
     if not ok:
-        raise NonConvergenceError(f"{estimator.upper()} did not converge: {res.message}", best=result)
+        why = f"scale at its lower bound {_SIGMA_MIN:g}" if floored else res.message
+        raise NonConvergenceError(f"{estimator.upper()} did not converge: {why}", best=result)
     return result
 
 
@@ -482,7 +520,8 @@ def mle_fit(data, fix_alpha=None, maxiter=300):
     hypothesis), fitting location and scale only.  An estimate pinned at
     the upper alpha bound is flagged as a boundary solution.  Raises
     :class:`~stablegof.errors.NonConvergenceError` (carrying the best
-    iterate) if the optimizer gives up.
+    iterate) if the optimizer gives up, or if sigma ends at its lower bound
+    1e-6, where the likelihood of a sample with tied points is unbounded.
     """
     x = _check_sample(data)
     n = x.size

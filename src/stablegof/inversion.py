@@ -13,9 +13,9 @@ After the cosine substitution every series term is a smooth integral over
 z in [0, 1] whose only x-dependence is the factor e^{-x y}.  Each
 :class:`InversionConfig` therefore tabulates, once, the nodes y_kj of a
 fixed 64-point Gauss-Legendre rule on every term's interval together with
-the log-weights log(const_k w_j) - 1/2 sum_i log|1 - 2 y_kj / lambda_i|;
-a CDF or density evaluation is then one vectorized sum over an l x 64
-array instead of l adaptive quadratures.  The node count is fixed: on the
+the CDF's log-weights log(const_k w_j / y_kj) - 1/2 sum_i log|1 - 2 y_kj / lambda_i|;
+a CDF evaluation is then one vectorized sum over an l x 64 array instead
+of l adaptive quadratures.  The node count is fixed: on the
 24-cell H1 critical-value table, 24 nodes miss the series bounds (the
 last, smallest terms, down to 1e-302) of five cells by more than 1e-8
 relative, while 32 and 64 nodes reproduce every critical value and bound;
@@ -55,8 +55,7 @@ class _SeriesTable:
 
     structure: str
     y: np.ndarray | None = None
-    log_w_pdf: np.ndarray | None = None  # log(const_k w_j) - 1/2 log-product
-    log_w_cdf: np.ndarray | None = None  # the same minus log y_kj
+    log_w_cdf: np.ndarray | None = None  # log(const_k w_j / y_kj) - 1/2 log-product
 
 
 def _series_table(spectrum, l, m):
@@ -81,7 +80,7 @@ def _series_table(spectrum, l, m):
         rest = np.delete(lm, (2 * k, 2 * k + 1))
         log_prod[k] = np.sum(np.log(np.abs(1.0 - 2.0 * y[k, :, None] / rest)), axis=1)
     log_w = np.log(0.5 * np.sqrt(lo * hi))[:, None] + np.log(_GL_W) - 0.5 * log_prod
-    return _SeriesTable("simple", y, log_w, log_w - np.log(y))
+    return _SeriesTable("simple", y, log_w - np.log(y))
 
 
 @dataclass(frozen=True)
@@ -163,11 +162,10 @@ def _hypoexp_sf_terms(x, rates):
     return np.asarray(terms)
 
 
-def _series_terms(x, config, with_inverse_y):
-    """Magnitudes of the first l alternating-series terms at argument x."""
+def _series_terms(x, config):
+    """Magnitudes of the first l alternating-series terms of the CDF at argument x."""
     t = config._table
-    log_w = t.log_w_cdf if with_inverse_y else t.log_w_pdf
-    return np.exp(log_w - x * t.y).sum(axis=1)
+    return np.exp(t.log_w_cdf - x * t.y).sum(axis=1)
 
 
 def _check_alternating(terms):
@@ -195,7 +193,7 @@ def cdf_dk_with_bound(x, config):
         terms = _hypoexp_sf_terms(x, _paired_rates(config))
         bound = float(len(terms) * np.finfo(float).eps * np.sum(np.abs(terms)))
     else:
-        terms = _series_terms(x, config, with_inverse_y=True)
+        terms = _series_terms(x, config)
         _check_alternating(terms)
         terms = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0) * terms
         bound = 0.5 * float(np.abs(terms[-1])) if len(terms) else 0.0

@@ -108,6 +108,9 @@ def cf_grad(t, params):
 # stopping share of the partial sum and term cap of the tail series
 _TAIL_REL_FLOOR = 1e-17
 _TAIL_KMAX = 400
+# (term, point) cells per block of the tail series: a block holds about five
+# float arrays of that size, near 3 MB in all
+_TAIL_CELLS = 2**16
 
 
 def _tail_series(x, alpha):
@@ -118,50 +121,85 @@ def _tail_series(x, alpha):
     ``_TAIL_REL_FLOOR`` relative to the partial sum, or starts growing
     (asymptotic guard).  Returns the three arrays plus the worst relative
     truncation estimate.
+
+    The points are summed in chunks of at most ``_TAIL_CELLS // 8``, each by
+    :func:`_tail_chunk`, so memory stays bounded for large calls.
     """
     x = np.asarray(x, dtype=float)
-    lx = np.log(x)
-    f = np.zeros_like(x)
-    fp = np.zeros_like(x)
-    fa = np.zeros_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    prev_mag = np.full(x.shape, np.inf)
+    out = np.empty((3,) + x.shape)
+    flat, xs = out.reshape(3, -1), x.ravel()
     worst = 0.0
-    for k in range(1, _TAIL_KMAX + 1):
+    step = _TAIL_CELLS // 8
+    for lo in range(0, xs.size, step):
+        worst = max(worst, _tail_chunk(xs[lo : lo + step], alpha, flat[:, lo : lo + step]))
+    return out[0], out[1], out[2], worst
+
+
+def _tail_chunk(x, alpha, out):
+    """Sum the tail series of 1-D ``x`` into ``out`` = (f, f', f_alpha); return ``worst``.
+
+    The terms k are formed in blocks of 8, 16, 32, ... at a time (at most
+    ``_TAIL_CELLS`` cells), as (k, point) arrays over the points still
+    summing.  Each sum is one ``cumsum`` down the block with the carried sum
+    stacked in as row 0: the same additions in the same order as adding one
+    term per k, so the sums are those of the term-by-term loop to the last
+    bit.  The per-k scalars come from ``math.sin``/``math.cos`` and the
+    elementwise products keep that loop's operation order.  A point stops at
+    its first k whose term grows (before adding it) or falls to
+    ``_TAIL_REL_FLOOR`` of the partial sum or below (after adding it); its
+    sums are written out and the rest carry on into the next block.
+    """
+    lx = np.log(x)
+    act = np.arange(x.size)  # points still summing
+    carry = np.zeros((3, x.size))  # their partial sums
+    prev = np.full(x.size, np.inf)  # and their last term's magnitude
+    worst = 0.0
+    k0, rows = 1, 8
+    while act.size and k0 <= _TAIL_KMAX:
+        k = np.arange(k0, min(k0 + rows, k0 + _TAIL_CELLS // act.size, _TAIL_KMAX + 1))
+        k0, rows = k0 + k.size, 2 * rows
         ka = k * alpha
-        theta = 0.5 * math.pi * ka
-        s_t, c_t = math.sin(theta), math.cos(theta)
-        sign = -1.0 if k % 2 == 0 else 1.0
-        # log of gamma(k*alpha + 1)/k! * x^(-k*alpha-1), elementwise in x
-        lmag = gammaln(ka + 1.0) - gammaln(k + 1.0) - (ka + 1.0) * lx
-        mag = np.exp(np.where(active, lmag, -np.inf))
-        growing = active & (mag > prev_mag)
-        if np.any(growing):
-            # stop before adding a growing term; record its size as the error
-            worst = max(worst, float(np.max(mag[growing] / np.maximum(np.abs(f[growing]), 1e-300))))
-            active &= ~growing
-            mag = np.where(growing, 0.0, mag)
-        if not np.any(active):
-            break
-        term_f = sign * s_t / math.pi * mag
-        f += np.where(active, term_f, 0.0)
+        kap1 = ka + 1.0
+        sign = np.where(k % 2 == 0, -1.0, 1.0)
+        s_t = np.array([math.sin(0.5 * math.pi * v) for v in ka.tolist()])
+        c_t = np.array([math.cos(0.5 * math.pi * v) for v in ka.tolist()])
+        xa, la = x[act], lx[act]
+        # gamma(k*alpha + 1)/k! * x^(-k*alpha-1)
+        mag = np.exp((gammaln(kap1) - gammaln(k + 1.0))[:, None] - kap1[:, None] * la)
+        s = np.empty((3, k.size + 1, act.size))
+        s[:, 0] = carry
+        np.multiply((sign * s_t / math.pi)[:, None], mag, out=s[0, 1:])
         # f' picks up gamma(k*alpha+2)/gamma(k*alpha+1) = (k*alpha+1) and a
         # sign flip plus one extra power of 1/x
-        fp += np.where(active, -term_f * (ka + 1.0) / x, 0.0)
-        psi = digamma(ka + 1.0)
-        fa += np.where(
-            active,
-            sign * k / math.pi * mag * ((psi - lx) * s_t + 0.5 * math.pi * c_t),
-            0.0,
-        )
-        prev_mag = np.where(active, mag, prev_mag)
-        done = active & (mag <= _TAIL_REL_FLOOR * np.abs(f))
-        active &= ~done
-        if not np.any(active):
-            break
-    if np.any(active):
-        worst = max(worst, float(np.max(mag[active] / np.maximum(np.abs(f[active]), 1e-300))))
-    return f, fp, fa, worst
+        np.multiply(-s[0, 1:], kap1[:, None], out=s[1, 1:])
+        s[1, 1:] /= xa
+        fa = s[2, 1:]
+        np.subtract(digamma(kap1)[:, None], la, out=fa)
+        fa *= s_t[:, None]
+        fa += (0.5 * math.pi * c_t)[:, None]
+        fa *= (sign * k / math.pi)[:, None] * mag
+        np.cumsum(s, axis=1, out=s)
+        grow = np.empty(mag.shape, dtype=bool)
+        np.greater(mag[0], prev, out=grow[0])
+        np.greater(mag[1:], mag[:-1], out=grow[1:])
+        stop = mag <= _TAIL_REL_FLOOR * np.abs(s[0, 1:])
+        stop |= grow
+        hit = np.any(stop, axis=0)
+        cols = np.flatnonzero(hit)
+        j = np.argmax(stop[:, cols], axis=0)
+        g = grow[j, cols]
+        if np.any(g):
+            # stop before adding a growing term; record its size as the error
+            ratio = mag[j[g], cols[g]] / np.maximum(np.abs(s[0, j[g], cols[g]]), 1e-300)
+            worst = max(worst, float(np.max(ratio)))
+        # row j + 1 of s holds the sums after term j, row j those before it
+        out[:, act[cols]] = s[:, j + 1 - g, cols]
+        keep = ~hit
+        act, carry, prev = act[keep], s[:, -1, keep], mag[-1, keep]
+    if act.size:
+        worst = max(worst, float(np.max(prev / np.maximum(np.abs(carry[0]), 1e-300))))
+        out[:, act] = carry
+    return worst
 
 
 @lru_cache(maxsize=512)
@@ -171,16 +209,20 @@ def _crossover(alpha):
     Picks the first trial point where the estimated truncation-plus-
     cancellation floor of the f-series is below 1e-13 relative.  At
     alpha = 2 the f-series vanishes (f and f' have closed forms there) but
-    the f_alpha series survives; it is trusted beyond |x| = 10.
+    the f_alpha series survives; it is trusted beyond |x| = 10.  The
+    alpha-only factors of the terms (the gammaln difference, k alpha + 1 and
+    the signs) are formed once for all trials; each trial then takes the
+    same operations in the same order as when it formed them itself.
     """
     if alpha == 2.0:
         return 10.0
     trials = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0, 12.0, 15.0, 20.0, 30.0)
+    k = np.arange(1, _TAIL_KMAX + 1, dtype=float)
+    kap1 = k * alpha + 1.0
+    lcoef = gammaln(kap1) - gammaln(k + 1.0)
+    sgn = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(0.5 * np.pi * k * alpha)
     for xc in trials:
-        k = np.arange(1, _TAIL_KMAX + 1, dtype=float)
-        lmag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) - (k * alpha + 1.0) * math.log(xc)
-        mag = np.exp(np.minimum(lmag, 600.0))
-        sgn = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(0.5 * np.pi * k * alpha)
+        mag = np.exp(np.minimum(lcoef - kap1 * math.log(xc), 600.0))
         # honest partial sum with the asymptotic guard
         grow = np.nonzero(np.diff(mag) > 0)[0]
         stop = int(grow[0]) + 1 if grow.size else len(k)

@@ -226,15 +226,16 @@ def test_log_density_lookup_beyond_its_spline():
     ax = np.array([2e9, 1e12, 1e100])
     for alpha in (0.5, 1.5):
         want = [math.log(pdf(v, alpha).f) for v in ax]
-        np.testing.assert_allclose(_logf_lookup(alpha, ax), want, rtol=1e-13)
+        [got] = _logf_lookup([alpha], ax)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
         # where f underflows, log f is the log of the series' first term
         lc1 = math.lgamma(alpha + 1.0) + math.log(math.sin(0.5 * math.pi * alpha) / math.pi)
         far = np.array([1e200, 1e300])
-        np.testing.assert_allclose(
-            _logf_lookup(alpha, far), lc1 - (alpha + 1.0) * np.log(far), rtol=1e-13
-        )
+        [got] = _logf_lookup([alpha], far)
+        np.testing.assert_allclose(got, lc1 - (alpha + 1.0) * np.log(far), rtol=1e-13)
     want = -0.25 * ax[:2] ** 2 - math.log(2.0 * math.sqrt(math.pi))
-    np.testing.assert_array_equal(_logf_lookup(2.0, ax[:2]), want)
+    [got] = _logf_lookup([2.0], ax[:2])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_mle_symmetric_pairs_center_at_zero():
@@ -257,6 +258,16 @@ def test_mle_nonconvergence_carries_best_iterate():
         mle_fit(x, maxiter=1)
     assert exc.value.best is not None
     assert exc.value.best.params.sigma > 0
+
+
+def test_mle_with_sigma_at_its_floor_is_not_converged():
+    # 60 tied points make the likelihood unbounded as sigma -> 0: L-BFGS-B
+    # stopped at the bound sigma = 1e-6 and the fit came back as converged
+    x = np.concatenate([np.zeros(60), np.random.default_rng(3).standard_cauchy(40)])
+    with pytest.raises(NonConvergenceError, match="lower bound") as exc:
+        mle_fit(x)
+    best = exc.value.best
+    assert best.params.sigma == estimators._SIGMA_MIN and not best.converged
 
 
 def test_mle_affine_equivariance():
