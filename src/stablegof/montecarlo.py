@@ -4,10 +4,23 @@ Replications are driven by spawned child streams of one seed, so results
 are reproducible and order-independent.  Individual fit failures are
 tolerated (the replication is redrawn from its own stream) up to a 1%
 budget; beyond that the experiment aborts.
+
+The replications run in a pool of spawned worker processes, one per CPU
+available to the caller, each started with BLAS at one thread (a threaded
+BLAS only spins on the small products of one fit).  Because each worker
+imports the caller's main module, a script that runs an experiment must do
+so under ``if __name__ == "__main__":``; otherwise the pool breaks and the
+experiment raises ``RuntimeError``.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 import math
+import multiprocessing
+import os
 
 import numpy as np
 
@@ -98,33 +111,107 @@ def _fit(x, config):
     return eise_fit(x, WeightSpec("exp_power", 1.0, config.alpha), fix_alpha=fix)
 
 
+_MAX_DRAWS = 4
+# OpenBLAS, OpenMP and MKL read their thread counts when they load, so the
+# workers must be started with these set.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_UNGUARDED_MAIN = (
+    "a Monte Carlo worker process died; each worker imports the main script, "
+    "so a script that runs an experiment must do so under "
+    '`if __name__ == "__main__":`'
+)
+
+
+def _attempts(config, child):
+    """One replication from its own stream: draw, fit and test, up to 4 draws.
+
+    Returns the row of statistics (one per kappa), or None when every draw
+    failed, and the number of failed draws.
+    """
+    rng = np.random.default_rng(child)
+    for attempt in range(_MAX_DRAWS):
+        x = draw_alternative(config.alternative, config.n, config.alpha, rng)
+        try:
+            p = _fit(x, config).params
+            return [test_statistic(x, p, k, config.hypothesis).statistic for k in config.kappas], attempt
+        except (NonConvergenceError, NumericsError, DataError):
+            pass
+    return None, _MAX_DRAWS
+
+
+def _fold(outcomes, config):
+    """Apply the 1% failure budget to replication outcomes taken in order.
+
+    Raises where a serial loop over the replications would have: at the
+    failure that exceeds the budget, or after four failed draws of one
+    replication.
+    """
+    max_failures = max(1, config.replications // 100)
+    rows, failures = [], 0
+    for row, n_failed in outcomes:
+        if failures + n_failed > max_failures:
+            raise NumericsError(
+                f"fit failure rate exceeded 1% ({max_failures + 1} failures)"
+            )
+        failures += n_failed
+        if row is None:
+            raise NumericsError("replication failed repeatedly; aborting")
+        rows.append(row)
+    return rows, failures
+
+
+def _available_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Set the BLAS thread counts to 1 for processes started inside; restore after.
+
+    ``os.environ`` is process-wide, so two threads must not be inside at once.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def _replicate(config):
     """Fit and test every replication, redrawing on fit failure (1% budget).
 
+    The replications run in contiguous chunks, about four per worker, in a
+    pool of spawned processes (one per available CPU) whose BLAS runs on
+    one thread.  Their outcomes are folded in replication order, so the
+    rows, the failure count and any abort are those of one serial loop.
     Returns one row of statistics per replication (one per kappa) and the
     number of failures.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    failures = 0
-    max_failures = max(1, config.replications // 100)
-    out = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        for attempt in range(4):
-            x = draw_alternative(config.alternative, config.n, config.alpha, rng)
-            try:
-                p = _fit(x, config).params
-                out.append([test_statistic(x, p, k, config.hypothesis).statistic for k in config.kappas])
-                break
-            except (NonConvergenceError, NumericsError, DataError):
-                failures += 1
-                if failures > max_failures:
-                    raise NumericsError(
-                        f"fit failure rate exceeded 1% ({failures} failures)"
-                    )
-        else:
-            raise NumericsError("replication failed repeatedly; aborting")
-    return out, failures
+    cpus = _available_cpus()
+    size = -(-len(children) // (4 * cpus))
+    pool = ProcessPoolExecutor(
+        max_workers=min(cpus, -(-len(children) // size)),
+        mp_context=multiprocessing.get_context("spawn"),
+    )
+    try:
+        # map submits every chunk at once, and the pool starts its workers
+        # during those submits
+        with _single_threaded_blas():
+            outcomes = pool.map(partial(_attempts, config), children, chunksize=size)
+        return _fold(outcomes, config)
+    except BrokenProcessPool as exc:
+        raise RuntimeError(_UNGUARDED_MAIN) from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _order_quantile(sorted_stats, xi):
@@ -139,7 +226,12 @@ def _order_quantile(sorted_stats, xi):
 
 
 def simulate_critical(config):
-    """Simulated upper percentage points of the statistic under the null."""
+    """Simulated upper percentage points of the statistic under the null.
+
+    The replications run in one spawned worker process per available CPU,
+    each with single-threaded BLAS; a script that calls this must do so
+    under ``if __name__ == "__main__":`` (see the module docstring).
+    """
     if config.alternative is not None:
         raise ValueError("critical-value simulation runs under the null (no alternative)")
 
@@ -157,7 +249,9 @@ def power_study(config, critical_values):
     """Rejection rates of the test against ``config.alternative``.
 
     ``critical_values`` maps (kappa, xi) to the threshold used, asymptotic
-    or simulated.
+    or simulated.  The replications run as in :func:`simulate_critical`:
+    one spawned worker per available CPU, single-threaded BLAS, and the
+    caller's script guarded by ``if __name__ == "__main__":``.
     """
     if config.alternative is None:
         raise ValueError("power study needs an alternative")

@@ -1,10 +1,20 @@
 """Monte Carlo harness: reproducibility, tabulated decisions, size."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
 
+from stablegof import StableParams
+from stablegof import montecarlo as mc
+from stablegof.errors import DataError, NonConvergenceError, NumericsError
+from stablegof.estimators import FitResult
 from stablegof.montecarlo import (
     CriticalValueTable,
     Decision,
@@ -22,6 +32,35 @@ KAPPA10_COLUMN = [
     (1.3, 0.015530), (1.4, 0.011770), (1.5, 0.008650), (1.6, 0.006077),
     (1.7, 0.003974), (1.8, 0.002283), (1.9, 0.000973),
 ]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def serial_replicate(config):
+    """The replication loop as one serial pass: the oracle for the pool and its fold."""
+    children = np.random.SeedSequence(config.seed).spawn(config.replications)
+    failures = 0
+    max_failures = max(1, config.replications // 100)
+    out = []
+    for child in children:
+        rng = np.random.default_rng(child)
+        for attempt in range(4):
+            x = mc.draw_alternative(config.alternative, config.n, config.alpha, rng)
+            try:
+                p = mc._fit(x, config).params
+                out.append([mc.test_statistic(x, p, k, config.hypothesis).statistic for k in config.kappas])
+                break
+            except (NonConvergenceError, NumericsError, DataError):
+                failures += 1
+                if failures > max_failures:
+                    raise NumericsError(
+                        f"fit failure rate exceeded 1% ({failures} failures)"
+                    )
+        else:
+            raise NumericsError("replication failed repeatedly; aborting")
+    return out, failures
 
 
 def small_table():
@@ -145,3 +184,134 @@ def test_size_matches_level_under_null():
     res = power_study(cfg, crit)
     p, se = res.rates[(2.5, 0.10)]
     assert abs(p - 0.10) < 3 * max(se, math.sqrt(0.1 * 0.9 / 300))
+
+
+class FailingFit:
+    """Stands in for ``_fit``: fails on the chosen calls, else returns a fixed fit."""
+
+    def __init__(self, failing_calls):
+        self.failing_calls = set(failing_calls)
+        self.calls = 0
+
+    def __call__(self, x, config):
+        self.calls += 1
+        if self.calls in self.failing_calls:
+            raise NonConvergenceError(f"call {self.calls} fails")
+        return FitResult(StableParams(0.0, 1.0, config.alpha), True, 1, 0.0, "ok")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except NumericsError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "replications, failing_calls",
+    [
+        (100, ()),  # clean
+        (100, (5,)),  # one redraw within the budget
+        (200, (3, 50, 120)),  # the budget of 2 exceeded at the third failure
+        (100, (10, 11, 12, 13)),  # four in one replication: the budget of 1 fires first
+        (400, (10, 11, 12, 13)),  # four in one replication within a budget of 4
+    ],
+)
+def test_fold_matches_the_serial_loop(monkeypatch, replications, failing_calls):
+    cfg = ExperimentConfig(
+        n=20, alpha=1.5, kappas=(1.0, 2.5), hypothesis="H2", replications=replications, seed=3
+    )
+    monkeypatch.setattr(mc, "_fit", FailingFit(failing_calls))
+    expected = _outcome(lambda: serial_replicate(cfg))
+    monkeypatch.setattr(mc, "_fit", FailingFit(failing_calls))
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    got = _outcome(lambda: mc._fold(map(partial(mc._attempts, cfg), children), cfg))
+    assert got == expected
+
+
+@pytest.fixture(scope="module")
+def oracle_statistics(tmp_path_factory):
+    """The serial loop's statistics, computed in a process with single-threaded BLAS."""
+    out = tmp_path_factory.mktemp("oracle") / "stats.npy"
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        sys.path[:0] = [{SRC!r}, {os.path.dirname(os.path.abspath(__file__))!r}]
+        from test_montecarlo import POOL_CONFIG, serial_replicate
+        rows, _ = serial_replicate(POOL_CONFIG)
+        np.save({str(out)!r}, np.sort(np.array(rows)[:, 0]))
+    """)
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+    return np.load(out)
+
+
+POOL_CONFIG = ExperimentConfig(
+    n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=51
+)
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_pool_is_bit_identical_and_restores_the_environment(monkeypatch, oracle_statistics, preset):
+    for name in BLAS_THREAD_VARS:
+        if preset is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, preset)
+    before = dict(os.environ)
+    res = simulate_critical(POOL_CONFIG)
+    assert dict(os.environ) == before
+    assert np.array_equal(res.statistics[2.5], oracle_statistics)
+    assert multiprocessing.active_children() == []
+
+
+def report_worker(config, child):
+    """Stands in for ``_attempts`` in the workers: a row naming the process and its BLAS settings."""
+    return [os.getpid(), *(os.environ.get(name) for name in BLAS_THREAD_VARS)], 0
+
+
+def test_workers_start_with_single_threaded_blas(monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.setenv(name, "4")
+    monkeypatch.setattr(mc, "_attempts", report_worker)
+    rows, failures = mc._replicate(POOL_CONFIG)
+    assert failures == 0 and len(rows) == POOL_CONFIG.replications
+    assert {tuple(r[1:]) for r in rows} == {("1", "1", "1")}
+    pids = {r[0] for r in rows}
+    assert os.getpid() not in pids
+    assert len(pids) <= len(os.sched_getaffinity(0))
+    assert all(os.environ[name] == "4" for name in BLAS_THREAD_VARS)
+
+
+def test_worker_exception_reaches_the_caller():
+    cfg = ExperimentConfig(
+        n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=1,
+        alternative=("weibull", 1.0),
+    )
+    with pytest.raises(ValueError, match="unknown alternative 'weibull'"):
+        power_study(cfg, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
+    assert multiprocessing.active_children() == []
+
+
+def test_unguarded_script_fails_with_the_main_guard_message(tmp_path):
+    # each spawned worker imports the script, which starts another experiment
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""
+        import multiprocessing
+        from stablegof.montecarlo import ExperimentConfig, simulate_critical
+
+        cfg = ExperimentConfig(n=20, alpha=1.5, kappas=(2.5,), replications=100, seed=1)
+        try:
+            simulate_critical(cfg)
+        finally:
+            if multiprocessing.parent_process() is None:
+                print("children left:", len(multiprocessing.active_children()))
+    """))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode != 0
+    assert "RuntimeError" in proc.stderr
+    assert 'if __name__ == "__main__":' in proc.stderr
+    assert "children left: 0" in proc.stdout
