@@ -13,10 +13,10 @@ of its batch only through the grid, which max |y| sets.  The few points
 beyond ``ysplit`` fall back to adaptive oscillatory quadrature so heavy-tail
 outliers cannot alias into the grid sum.  The value of D needs only the
 first transform: without ``grad``, :func:`cos_transforms` forms the grid sum
-from real cosines alone, in one BLAS product per block, and makes one
-quadrature per far point instead of three.  The stable density's grid
-branch (``stable_core.pdf_batch``) is the same three sums with
-phi(t) = t^alpha, scaled by 1/pi instead of 2 (alpha = 2 included).
+from real cosines alone and makes one quadrature per far point instead of
+three.  The stable density's grid branch (``stable_core.pdf_batch``) is the
+same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2
+(alpha = 2 included).
 
 The non-oscillatory integrals after an EISE fit, the H matrix of
 ``estimators.eise_matrices`` and the inner integrals of the EISE kernel
@@ -132,18 +132,19 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
     at each |y| in ``ay`` on one panel grid, with env = exp(-sum c t^p) over ``terms``.
 
     cos(t y) and sin(t y) are formed over row blocks of at most
-    ``_BLOCK_CELLS`` (y, t) pairs, so memory stays bounded for large samples.
-    With ``grad`` they are written by ``np.cos`` and ``np.sin`` into the real
-    and imaginary parts of one complex array, and the three products are
-    taken on those strided views: numpy then adds each row's terms in order
+    ``_BLOCK_CELLS`` (y, t) pairs, in one complex buffer that every block
+    reuses, so memory stays bounded for large samples.  The products t*y
+    go into its imaginary part; ``np.cos`` writes the real part from them
+    and ``np.sin`` then overwrites them.  The sums are taken on the strided
+    real and imaginary views: numpy then adds each row's terms in order
     itself, where a contiguous array (or a single row) would go to BLAS and
     add in another order.  So every row's sums depend only on its own y and
-    the grid, whatever the block.  They are bit-identical to the complex-exp
-    route, np.exp(1j t y), on glibc with numpy 2.4 as tested, where np.cos
-    and np.sin equal its real and imaginary parts.
-    Without ``grad`` only the first sum is formed, from a contiguous cosine
-    array, and the other two are None; it differs from the first sum with
-    ``grad`` by rounding only, since that matrix product adds in BLAS order.
+    the grid, whatever the block or the BLAS thread count.  They are
+    bit-identical to the complex-exp route, np.exp(1j t y), on glibc with
+    numpy 2.4 as tested, where np.cos and np.sin equal its real and
+    imaginary parts.  Without ``grad`` only the cosines and the first sum
+    are formed, the same bits as the first sum with ``grad``, and the other
+    two are None.
     """
     t, w = panel_grid(T, float(np.max(ay)))
     phi = np.zeros_like(t)
@@ -157,21 +158,20 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
         w1, wa = w * t * env, w * t**alpha * lt * env
         g1, ga = np.empty_like(ay), np.empty_like(ay)
     rows = max(1, _BLOCK_CELLS // t.size)
+    buf = np.empty((max(2, min(rows, ay.size)), t.size), dtype=complex)
     for lo in range(0, ay.size, rows):
         yb = ay[lo : lo + rows]
-        blk = slice(lo, lo + yb.size)
+        m = yb.size
+        blk = slice(lo, lo + m)
+        # a lone row is summed as a pair of equal rows: numpy hands a
+        # one-row product to BLAS, which adds in another order
+        e = buf[: max(m, 2)]
+        np.multiply.outer(yb if m > 1 else np.repeat(yb, 2), t, out=e.imag)
+        np.cos(e.imag, out=e.real)
+        g0[blk] = (e.real @ w0)[:m]
         if grad:
-            # a lone row is summed as a pair of equal rows: numpy hands a
-            # one-row product to BLAS, which adds in another order
-            arg = np.outer(yb if yb.size > 1 else np.repeat(yb, 2), t)
-            e = np.empty(arg.shape, dtype=complex)
-            np.cos(arg, out=e.real)
-            np.sin(arg, out=e.imag)
-            m = yb.size
-            g0[blk], g1[blk], ga[blk] = (e.real @ w0)[:m], (e.imag @ w1)[:m], (e.real @ wa)[:m]
-        else:
-            arg = np.outer(yb, t)
-            g0[blk] = np.cos(arg, out=arg) @ w0
+            np.sin(e.imag, out=e.imag)
+            g1[blk], ga[blk] = (e.imag @ w1)[:m], (e.real @ wa)[:m]
     return g0, g1, ga
 
 
@@ -196,9 +196,9 @@ def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
         ca(y) = 2 int_0^inf t^alpha log(t) cos(ty) exp(-phi(t)) dt
 
     where phi(t) = sum c * t^p over ``terms``.  Without ``grad`` it returns
-    (c0, None, None): the grid sum is formed from real cosines, which moves
-    c0 by rounding only, and each point beyond ``ysplit`` gets one quadrature
-    instead of three, with the same far values.  Raises
+    (c0, None, None): the grid sum is formed from real cosines alone and
+    each point beyond ``ysplit`` gets one quadrature instead of three, with
+    the same c0 to the last bit.  Raises
     :class:`~stablegof.errors.QuadratureError` if a far-point quadrature
     returns a non-finite value or reports a failure with its error estimate
     above the requested absolute tolerance.

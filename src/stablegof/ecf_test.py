@@ -58,9 +58,7 @@ def test_statistic(data, fitted, kappa, hypothesis="H1"):
     accuracy falls as D shrinks.  On the benchmark samples, summing in
     another order moved D by at most 2e-13 at n <= 200 and 1.1e-12 at
     n = 5000; relative to D that reached 5e-11 (D = 8e-4) and 5e-10
-    (D = 2e-3).  D also depends on the BLAS thread count, which splits the
-    value route's matrix product differently: of 600 statistics of n = 100
-    and 200, one moved by 3.6e-14 relative between one thread and two.
+    (D = 2e-3).
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")

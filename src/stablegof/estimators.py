@@ -613,9 +613,9 @@ def q_objective(data, params, weight, grad=False):
     against the characteristic-function envelope, so heavy outliers are
     exact rather than aliased.  With ``grad=True`` also returns dQ/dtheta;
     without it only the value's transform W1 is formed (see
-    ``_fourier.cos_transforms``), and Q differs from the one returned with
-    ``grad`` by rounding only.  With the weight exp(-kappa|t|), n*Q is the
-    test statistic D.
+    ``_fourier.cos_transforms``), and Q is the one returned with ``grad`` to
+    the last bit.  With the weight exp(-kappa|t|), n*Q is the test
+    statistic D.
     """
     x = np.asarray(data, dtype=float).ravel()
     n = x.size

@@ -8,6 +8,24 @@ lambda_j the Fredholm determinant and the distribution series consume.
 Midpoint nodes never touch +-1, which keeps the kappa <= 1 kernels (only
 continuous in the open square) evaluable without special casing.
 
+The laws under test are symmetric, so every kernel is even under
+(s, t) -> (-s, -t): ``transformed_kernel(-u, -v)`` equals
+``transformed_kernel(u, v)`` bit for bit for every kind.  The grid is
+mirrored about 0 as well, so with x the N/2 positive nodes, P = K(x_i, x_j)
+and M = K(x_i, -x_j), and J the order reversal, the N x N matrix is
+
+    [[J P J, J M],
+     [M J,   P  ]].
+
+It maps [Jw; w] to [J(P + M)w; (P + M)w] and [-Jw; w] to
+[-J(P - M)w; (P - M)w], so its eigenvectors split into even ones, from the
+block E = P + M, and odd ones, from O = P - M, and its N eigenvalues are
+exactly those of E together with those of O.  Two solves of order N/2
+replace one of order N, on N^2/2 kernel evaluations instead of N^2.  In the
+Cauchy case (alpha = 1 with alpha fixed, ``mle_h2``) the eigenvalues come in
+pairs; each pair is one even and one odd eigenfunction with the same
+eigenvalue, one from each block.
+
 A saved spectrum is an uncompressed numpy archive (``np.savez``) with one
 array per stored field: ``lambdas`` (float64, ascending), ``kind`` (a
 unicode scalar), ``alpha`` and ``kappa`` (float64 scalars) and
@@ -68,29 +86,51 @@ class Spectrum:
 
 
 def midpoint_grid(n):
-    """Midpoint nodes xi_i = -1 + (2i - 1)/N on [-1, 1]."""
-    i = np.arange(1, n + 1)
-    return -1.0 + (2.0 * i - 1.0) / n
+    """Midpoint nodes xi_i = -1 + (2i - 1)/N on [-1, 1], mirrored about 0.
+
+    The positive nodes are formed once and the negative ones are their
+    negated mirror image, so ``xi[::-1] == -xi`` holds exactly and, for even
+    N, the upper half is (2i - 1)/N, i = 1..N/2, bit for bit.
+    """
+    pos = (2.0 * np.arange(n // 2) + 1.0 + n % 2) / n
+    return np.concatenate((-pos[::-1], np.zeros(n % 2), pos))
 
 
 def discretize(spec, n):
-    """Kernel matrix K(xi_i, xi_j) on the midpoint grid (exactly symmetric)."""
+    """Even and odd Nystrom blocks (E, O) of the kernel on the N-node midpoint grid.
+
+    With x the N/2 positive nodes, E = K(x_i, x_j) + K(x_i, -x_j) and
+    O = K(x_i, x_j) - K(x_i, -x_j).  The eigenvalues of the full matrix
+    K(xi_i, xi_j) are exactly those of E and O together, because the kernel
+    is even under (u, v) -> (-u, -v) and the grid is mirrored about 0 (see
+    the module docstring): E carries the even eigenvectors, O the odd ones.
+    K(x_i, -x_j) is symmetric in (i, j) only up to rounding, so each block
+    is symmetrized exactly.  Raises ValueError unless N is even and >= 16.
+    """
     if n < 16 or n % 2:
         raise ValueError("node count must be even and at least 16")
-    xi = midpoint_grid(n)
-    mat = transformed_kernel(xi[:, None], xi[None, :], spec)
-    return 0.5 * (mat + mat.T)
+    x = midpoint_grid(n)[n // 2 :]
+    same = transformed_kernel(x[:, None], x[None, :], spec)
+    mirror = transformed_kernel(x[:, None], -x[None, :], spec)
+    even, odd = same + mirror, same - mirror
+    return 0.5 * (even + even.T), 0.5 * (odd + odd.T)
 
 
-def eigen_spectrum(matrix, spec=None):
-    """Spectrum of the integral operator from a discretized kernel matrix.
+def eigen_spectrum(blocks, spec=None):
+    """Spectrum of the integral operator from the blocks of a discretized kernel.
 
-    The node count N is the matrix order.  Solves the symmetric dense
-    problem for (2/N) K~, keeps the positive eigenvalues (tiny or negative
-    ones are discretization noise and are counted in ``n_dropped``) and
-    returns their reciprocals ascending.
+    ``blocks`` is a tuple of symmetric matrices whose eigenvalues together
+    are those of the N x N kernel matrix: the even and odd blocks of
+    :func:`discretize`, or ``(matrix,)`` for a plain symmetric matrix.  The
+    node count N is the sum of the block orders.  Solves each block's
+    symmetric dense problem for (2/N) times the block, keeps the positive
+    eigenvalues (tiny or negative ones are discretization noise and are
+    counted in ``n_dropped``) and returns their reciprocals ascending.  The
+    blocks' eigenvalues are merged before anything is kept or dropped, so a
+    Cauchy-case pair, one eigenvalue from each block, stays a pair.
     """
-    nu = eigh(2.0 / matrix.shape[0] * matrix, eigvals_only=True)
+    n = sum(blk.shape[0] for blk in blocks)
+    nu = np.concatenate([eigh(2.0 / n * blk, eigvals_only=True) for blk in blocks])
     if not np.all(np.isfinite(nu)):
         raise NumericsError("eigensolve returned non-finite values")
     numax = float(np.max(nu))

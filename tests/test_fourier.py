@@ -1,4 +1,5 @@
-"""The near-grid sums of ``_fourier._grid_sums`` against the complex-exp route they replaced."""
+"""The near-grid sums of ``_fourier._grid_sums`` against the complex-exp route they replaced,
+and its value-only route against its gradient route."""
 
 import numpy as np
 import pytest
@@ -46,3 +47,21 @@ def test_real_cos_sin_sums_are_bit_identical(alpha, monkeypatch):
         top = [int(np.argmax(ay))]
         for g, e in zip(_grid_sums(ay[top], alpha, terms, T), want):
             assert np.array_equal(g, e[top])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_value_route_sum_is_the_gradient_route_sum(alpha, monkeypatch):
+    rng = np.random.default_rng(100 + int(10 * alpha))
+    ay = np.concatenate(([0.0], rng.uniform(0.0, 60.0, 199)))
+    terms = ((1.0, alpha), (2.5, 1.0))
+    T = envelope_cutoff(terms)
+    want = _grid_sums(ay, alpha, terms, T)[0]
+    # blocks of a few rows each, so rows meet block edges
+    monkeypatch.setattr(_fourier, "_BLOCK_CELLS", 3 * panel_grid(T, float(np.max(ay)))[0].size)
+    g0, g1, ga = _grid_sums(ay, alpha, terms, T, grad=False)
+    assert g1 is None and ga is None
+    assert np.array_equal(g0, want)
+    monkeypatch.undo()
+    # a batch of one point, on the same grid, sums as in the full batch
+    top = [int(np.argmax(ay))]
+    assert np.array_equal(_grid_sums(ay[top], alpha, terms, T, grad=False)[0], want[top])

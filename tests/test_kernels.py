@@ -9,6 +9,7 @@ from scipy import integrate
 from stablegof._fourier import envelope_cutoff
 from stablegof.estimators import WeightSpec, eise_matrices, fisher_info, fisher_location_scale
 from stablegof.kernels import (
+    KERNEL_KINDS,
     _N_GRID,
     _S_MAX,
     _inner_values,
@@ -21,6 +22,7 @@ from stablegof.kernels import (
     transform_point,
     transformed_kernel,
 )
+from stablegof.spectral import midpoint_grid
 from stablegof.stable_core import StableParams
 
 ACCEPT_GRID = [(a, k) for a in (1.0, 1.5, 1.8) for k in (1.0, 2.5, 5.0, 10.0)]
@@ -275,6 +277,17 @@ def test_transformed_kernel_basics():
     assert np.allclose(transformed_kernel(0.0, v, spec), 0.0, atol=1e-14)
     with pytest.raises(ValueError):
         transformed_kernel(1.2, 0.0, spec)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_transformed_kernel_even_under_joint_reflection(kind):
+    # the even/odd split of the Nystrom problem rests on this being exact
+    weight = WeightSpec("exp_power", 1.0, 1.5) if kind.startswith("eise") else None
+    xi = midpoint_grid(800)
+    u, v = xi[:, None], xi[None, :]
+    for alpha, kappa in ((0.8, 1.0), (1.0, 2.5), (1.7, 10.0)):
+        spec = make_kernel(kind, alpha, kappa, weight)
+        assert np.array_equal(transformed_kernel(-u, -v, spec), transformed_kernel(u, v, spec))
 
 
 def test_transformed_kernel_endpoints():

@@ -1,4 +1,4 @@
-"""Nystrom eigenvalues: oracles, convergence, serialization."""
+"""Nystrom eigenvalues: oracles, the even/odd split, convergence, serialization."""
 
 import math
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from stablegof.estimators import WeightSpec
+from stablegof.inversion import _pair_structure, default_inversion_config, quantile_dk
 from stablegof.kernels import make_kernel, transformed_kernel
 from stablegof.spectral import (
     Spectrum,
@@ -25,6 +27,17 @@ def fredholm_det(lam, spectrum, m=None):
     return float(np.prod(1.0 - lam / lams))
 
 
+def discretize_full(spec, n):
+    """Full N x N kernel matrix K(xi_i, xi_j) on the midpoint grid (exactly symmetric).
+
+    Reference copy of ``discretize`` before the even/odd split; its one
+    eigensolve of order N is the oracle for the two of order N/2.
+    """
+    xi = midpoint_grid(n)
+    mat = transformed_kernel(xi[:, None], xi[None, :], spec)
+    return 0.5 * (mat + mat.T)
+
+
 @pytest.fixture(scope="module")
 def spec_a1k1():
     return make_kernel("mle_h1", 1.0, 1.0)
@@ -40,6 +53,15 @@ def test_grid_is_midpoint_rule():
     np.testing.assert_allclose(xi, [-0.75, -0.25, 0.25, 0.75])
 
 
+@pytest.mark.parametrize("n", [16, 17, 400, 800])
+def test_grid_is_mirrored_exactly(n):
+    xi = midpoint_grid(n)
+    np.testing.assert_allclose(xi, -1.0 + (2.0 * np.arange(1, n + 1) - 1.0) / n, rtol=0, atol=1e-15)
+    assert np.array_equal(xi[::-1], -xi)
+    if n % 2 == 0:
+        assert np.array_equal(xi[n // 2 :], (2.0 * np.arange(1, n // 2 + 1) - 1.0) / n)
+
+
 def test_discretize_validates_n(spec_a1k1):
     with pytest.raises(ValueError):
         discretize(spec_a1k1, 15)
@@ -48,17 +70,23 @@ def test_discretize_validates_n(spec_a1k1):
 
 
 def test_matrix_exactly_symmetric(spec_a1k1):
-    mat = discretize(spec_a1k1, 64)
-    assert np.max(np.abs(mat - mat.T)) == 0.0
+    blocks = discretize(spec_a1k1, 64)
+    assert len(blocks) == 2
+    for blk in blocks:
+        assert blk.shape == (32, 32)
+        assert np.max(np.abs(blk - blk.T)) == 0.0
 
 
 def test_central_nodes_near_zero(spec_a1k1):
     # no node sits exactly at u = 0, but the two central ones are within
-    # 1/N of it and the kernel vanishes on the axes
+    # 1/N of it and the kernel vanishes on the axes; the first rows of the
+    # blocks hold K(x_1, x_j) +- K(x_1, -x_j), so half their sum and half
+    # their difference are the central node's row at every node
     n = 64
-    mat = discretize(spec_a1k1, n)
-    mid = n // 2
-    assert np.max(np.abs(mat[mid - 1 : mid + 1, :])) < 5.0 / n
+    even, odd = discretize(spec_a1k1, n)
+    same, mirror = 0.5 * (even[0] + odd[0]), 0.5 * (even[0] - odd[0])
+    assert np.max(np.abs(same)) < 5.0 / n
+    assert np.max(np.abs(mirror)) < 5.0 / n
 
 
 def test_rank_one_kernel_oracle():
@@ -66,17 +94,56 @@ def test_rank_one_kernel_oracle():
     n = 400
     xi = midpoint_grid(n)
     g = 1.0 - xi**2
-    sp = eigen_spectrum(np.outer(g, g))
+    sp = eigen_spectrum((np.outer(g, g),))
     assert len(sp.lambdas) == 1
     assert abs(sp.lambdas[0] - 15.0 / 16.0) < 1e-6
+    assert sp.n_nodes == n
 
 
 def test_trace_against_diagonal_quadrature():
     spec = make_kernel("mle_h1", 1.5, 2.5)
     n = 200
-    mat = discretize(spec, n)
+    even, odd = discretize(spec, n)
+    trace = np.trace(even) + np.trace(odd)
+    assert abs(trace - np.trace(discretize_full(spec, n))) <= 1e-13 * abs(trace)
     diag, _ = integrate.quad(lambda u: float(transformed_kernel(u, u, spec)), -1, 1, limit=300)
-    assert abs(np.trace(mat) * 2.0 / n - diag) < 0.01 * abs(diag)
+    assert abs(trace * 2.0 / n - diag) < 0.01 * abs(diag)
+
+
+# the table_h1 benchmark's 24 cells, H2 cells through the Cauchy case and EISE cells
+SPLIT_CELLS = (
+    [("mle_h1", a, k) for a in (0.8, 1.0, 1.2, 1.5, 1.8, 1.9) for k in (1.0, 2.5, 5.0, 10.0)]
+    + [("mle_h2", a, k) for a in (1.0, 1.5) for k in (1.0, 2.5, 5.0, 10.0)]
+    + [(kind, a, 2.5) for kind in ("eise_h1", "eise_fixed") for a in (1.2, 1.7)]
+)
+
+
+@pytest.mark.parametrize("kind,alpha,kappa", SPLIT_CELLS)
+def test_split_matches_full_matrix(kind, alpha, kappa):
+    weight = WeightSpec("exp_power", 1.0, 1.5) if kind.startswith("eise") else None
+    spec = make_kernel(kind, alpha, kappa, weight)
+    n = 800
+    full = eigen_spectrum((discretize_full(spec, n),), spec)
+    split = build_spectrum(spec, n)
+    assert split.n_dropped == full.n_dropped
+    assert split.n_nodes == full.n_nodes == n
+    nu_full, nu_split = 1.0 / full.lambdas, 1.0 / split.lambdas
+    assert np.max(np.abs(nu_split - nu_full)) <= 1e-14 * np.max(nu_full)
+    cfg_full, cfg_split = default_inversion_config(full), default_inversion_config(split)
+    assert _pair_structure(cfg_split) == _pair_structure(cfg_full)
+    q_full, q_split = quantile_dk(0.05, cfg_full), quantile_dk(0.05, cfg_split)
+    assert abs(q_split - q_full) <= 1e-12 * q_full
+
+
+def test_cauchy_pairs_are_one_even_and_one_odd_eigenfunction():
+    # with alpha = 1 fixed the spectrum is paired; each pair's two
+    # eigenvalues come from different blocks, and within a block the
+    # leading eigenvalues are simple
+    even, odd = discretize(make_kernel("mle_h2", 1.0, 2.5), 800)
+    top_even = np.linalg.eigvalsh(even)[-10:]
+    top_odd = np.linalg.eigvalsh(odd)[-10:]
+    np.testing.assert_allclose(top_even, top_odd, rtol=1e-6)
+    assert np.min(np.diff(top_even) / top_even[:-1]) > 1e-3
 
 
 def test_eigenvalues_stable_under_refinement(spec_a1k1, spectrum_a1k1):
