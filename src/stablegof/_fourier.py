@@ -18,11 +18,13 @@ three.  The stable density's grid branch (``stable_core.pdf_batch``) is the
 same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2
 (alpha = 2 included).
 
-The non-oscillatory integrals after an EISE fit, the H matrix of
-``estimators.eise_matrices`` and the inner integrals of the EISE kernel
-(``kernels._EiseInnerCache``), use :func:`_graded_rule` instead: one
-Gauss-Legendre rule on many intervals at once, graded toward both ends
-where their integrands have cusps.
+The non-oscillatory integrals after an EISE fit, the A/H matrices and B
+constants of ``estimators.eise_matrices`` and the inner integrals of the
+EISE kernel (``estimators._inner_values``), use :func:`_graded_rule`
+instead: one Gauss-Legendre rule on many intervals at once, graded toward
+both ends where their integrands have cusps.  :func:`envelope_moment`, one
+adaptive quadrature per call, remains for the constant part of the EISE
+objective.
 """
 
 import math

@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical failure.
 Stochastic commands take --seed; expensive spectra are cached on disk under
 $STABLEGOF_CACHE (default ~/.cache/stablegof) keyed by kernel kind, alpha,
-kappa, node count and package version, so reruns are bit-identical.  Every
+kappa, node count and a digest of the sources that compute a spectrum, so
+reruns are bit-identical and a code change never reads an old entry.  Every
 output file starts with a comment manifest recording the resolved
 parameters, the seed and the cache entries used.
 """
 
 import argparse
 import configparser
+import functools
+import hashlib
 import math
 import os
 import sys
@@ -17,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _fourier, estimators, kernels, spectral, stable_core
 from .errors import DataError, NonConvergenceError, NumericsError
 from .estimators import WeightSpec, eise_fit, eise_matrices, fisher_info, mle_fit
 from .ecf_test import test_statistic
@@ -75,17 +78,29 @@ def cache_dir():
     )
 
 
+@functools.cache
+def _code_digest():
+    """First 16 hex digits of the sha256 of the modules that compute a spectrum."""
+    h = hashlib.sha256()
+    for mod in (_fourier, stable_core, estimators, kernels, spectral):
+        with open(mod.__file__, "rb") as fh:
+            h.update(mod.__name__.encode() + b"\0" + fh.read())
+    return h.hexdigest()[:16]
+
+
 def cached_spectrum(kind, alpha, kappa, n):
     """Load a spectrum from the cache, building and saving it when absent.
 
-    The file name holds alpha and kappa at full precision (repr) and the
-    package version, so distinct parameters or code versions never share an
-    entry; a new entry is written to a temporary file and renamed into
+    The file name holds alpha and kappa at full precision (repr) and a
+    digest of the sources of ``_fourier``, ``stable_core``, ``estimators``,
+    ``kernels`` and ``spectral``, so distinct parameters never share an entry
+    and an edit to any of those modules never reads an entry of the old
+    code; a new entry is written to a temporary file and renamed into
     place, so a reader never sees a half-written spectrum.
     """
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
-    name = f"{kind}_a{float(alpha)!r}_k{float(kappa)!r}_N{n}_v{__version__}.npz"
+    name = f"{kind}_a{float(alpha)!r}_k{float(kappa)!r}_N{n}_{_code_digest()}.npz"
     path = os.path.join(directory, name)
     if os.path.exists(path):
         return Spectrum.load(path), name
@@ -314,6 +329,8 @@ def _parse_alternative(text):
     if text is None or text.strip() in ("", "none", "null"):
         return None
     parts = text.replace("(", " ").replace(")", " ").split()
+    if len(parts) != 2:
+        raise ValueError(f"alternative must be a kind and one parameter, got {text!r}")
     kind = parts[0]
     if kind == "student_t":
         par = math.inf if parts[1] in ("inf", "infty") else float(parts[1])

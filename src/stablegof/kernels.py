@@ -17,9 +17,7 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._fourier import _GRADED_NODES, _RULE_CELLS, _graded_rule, envelope_cutoff
-from .errors import QuadratureError
-from .estimators import EiseMatrices, eise_matrices, fisher_info, fisher_location_scale
+from .estimators import EiseMatrices, _inner_values, eise_matrices, fisher_info, fisher_location_scale
 from .stable_core import cf, cf_grad
 
 __all__ = [
@@ -87,53 +85,18 @@ _S_MAX = 65.0
 _N_GRID = 2048
 
 
-def _inner_values(alpha, weight, s):
-    """(M1, M2, M3) of :class:`_EiseInnerCache` at each s >= 0, shape (s.size, 3).
-
-    One graded Gauss-Legendre rule on [-U, 0], [0, min(s, U)] and
-    [min(s, U), U], split at the cusps u = 0 and u = s, with U the cutoff of
-    exp(-|u|^alpha) w(u); evaluated over row blocks of at most
-    ``_RULE_CELLS`` nodes.  Raises QuadratureError on a non-finite value.
-    """
-    (wc, wp), = weight.terms()
-    U = envelope_cutoff(((1.0, alpha),) + weight.terms())
-    c = np.minimum(s, U)
-    ends = np.stack([np.full_like(s, -U), np.zeros_like(s), c, np.full_like(s, U)], axis=-1)
-    out = np.empty((s.size, 3))
-    rows = max(1, _RULE_CELLS // (3 * _GRADED_NODES))
-    for lo in range(0, s.size, rows):
-        blk = slice(lo, lo + rows)
-        u, w = _graded_rule(ends[blk, :-1], ends[blk, 1:])
-        u, w = u.reshape(u.shape[0], -1), w.reshape(w.shape[0], -1)
-        au = np.abs(u)
-        lg = np.log(np.where(au > 0, au, 1.0))
-        ua = au**alpha
-        w *= np.exp(-np.abs(s[blk, None] - u) ** alpha - ua - wc * au**wp)
-        out[blk, 0] = np.sum(w * u, axis=1)
-        w *= ua
-        out[blk, 1] = np.sum(w, axis=1)
-        out[blk, 2] = np.sum(w * lg, axis=1)
-    if not np.all(np.isfinite(out)):
-        raise QuadratureError(f"EISE inner integrals not finite at alpha={alpha}, {weight}")
-    return out
-
-
 class _EiseInnerCache:
-    """Cubic-spline cache of the three EISE inner integrals.
+    """Cubic-spline cache of the three EISE inner integrals M1, M2, M3.
 
-    M1(s) = int exp(-|s-u|^a - |u|^a) u         w(u) du   (odd)
-    M2(s) = int exp(-|s-u|^a - |u|^a) |u|^a      w(u) du   (even)
-    M3(s) = int exp(-|s-u|^a - |u|^a) |u|^a ln|u| w(u) du  (even)
-
-    Each kernel evaluation needs all three at both arguments; computing
-    them on a fixed grid once keeps the Nystrom assembly O(N^2) cheap.  The
-    ``_N_GRID`` node values on [0, ``_S_MAX``] come from :func:`_inner_values`
-    and match mpmath to 1e-15 absolute for alpha and the weight exponent
-    down to 0.3.  Between the nodes the values are cubic-spline interpolants,
-    whose error dominates: with the weight exp(-|t|^1.5), at the nodes of an
-    N = 800 discretization (|s| <= log N, about 6.7) M2 is off by up to
-    1.8e-7 absolute at alpha = 1.33 and 5.2e-8 at 1.76, which moves the 5%
-    critical value by 1.7e-7 and 1.0e-7 relative.
+    Each kernel evaluation needs all three at both arguments; computing them
+    on a fixed grid once keeps the Nystrom assembly O(N^2) cheap.  The
+    ``_N_GRID`` node values on [0, ``_S_MAX``] come from
+    :func:`~stablegof.estimators._inner_values`, which defines M1-M3 and
+    states their accuracy.  Between the nodes the values are cubic-spline
+    interpolants, whose error dominates: with the weight exp(-|t|^1.5), at
+    the nodes of an N = 800 discretization (|s| <= log N, about 6.7) M2 is
+    off by up to 1.8e-7 absolute at alpha = 1.33 and 5.2e-8 at 1.76, which
+    moves the 5% critical value by 1.7e-7 and 1.0e-7 relative.
     """
 
     def __init__(self, alpha, weight):

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("need at least 100 replications")
         if self.n < 20:
             raise ValueError("need sample size at least 20")
+        if not (0 < self.alpha <= 2):
+            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.hypothesis not in ("H1", "H2"):
             raise ValueError("hypothesis must be 'H1' or 'H2'")
         if self.estimator not in ("mle", "eise"):

@@ -123,14 +123,18 @@ def eigen_spectrum(blocks, spec=None):
     are those of the N x N kernel matrix: the even and odd blocks of
     :func:`discretize`, or ``(matrix,)`` for a plain symmetric matrix.  The
     node count N is the sum of the block orders.  Solves each block's
-    symmetric dense problem for (2/N) times the block, keeps the positive
+    symmetric dense problem for (2/N) times the block with LAPACK's
+    divide-and-conquer driver (``evd``): the default ``evr`` took ~1.7 s on
+    a rank-one matrix of order 400, ``evd`` ~20 ms, and on the order-400
+    blocks of the tabulated kernels the two agree to 1.5e-15 nu_max at
+    equal speed.  Keeps the positive
     eigenvalues (tiny or negative ones are discretization noise and are
     counted in ``n_dropped``) and returns their reciprocals ascending.  The
     blocks' eigenvalues are merged before anything is kept or dropped, so a
     Cauchy-case pair, one eigenvalue from each block, stays a pair.
     """
     n = sum(blk.shape[0] for blk in blocks)
-    nu = np.concatenate([eigh(2.0 / n * blk, eigvals_only=True) for blk in blocks])
+    nu = np.concatenate([eigh(2.0 / n * blk, eigvals_only=True, driver="evd") for blk in blocks])
     if not np.all(np.isfinite(nu)):
         raise NumericsError("eigensolve returned non-finite values")
     numax = float(np.max(nu))

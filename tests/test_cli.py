@@ -154,6 +154,25 @@ def test_spectrum_cache_keeps_alpha_at_full_precision(cache):
     assert sorted(os.listdir(cache / "cache")) == sorted([name1, name2])
 
 
+def test_spectrum_cache_is_keyed_by_the_code_digest(cache, monkeypatch):
+    built = []
+    real_build = cli.build_spectrum
+
+    def counting_build(spec, n):
+        built.append(spec.alpha)
+        return real_build(spec, n)
+
+    monkeypatch.setattr(cli, "build_spectrum", counting_build)
+    names = []
+    for digest in ("0123456789abcdef", "fedcba9876543210", "0123456789abcdef"):
+        monkeypatch.setattr(cli, "_code_digest", lambda d=digest: d)
+        names.append(cached_spectrum("mle_h2", 1.5, 2.5, 20)[1])
+    # the second digest builds its own entry; the first digest's is read back
+    assert len(built) == 2
+    assert names[0] != names[1] and names[0] == names[2]
+    assert sorted(os.listdir(cache / "cache")) == sorted(names[:2])
+
+
 def test_test_without_tables_is_input_error(cache, cauchy_file, tmp_path, capsys):
     assert main(["test", str(cauchy_file), "--kappa", "2.5"]) == 2
     err = capsys.readouterr().err
@@ -244,3 +263,23 @@ def test_simulate_bad_config(cache, tmp_path):
     level = tmp_path / "level.ini"
     level.write_text("[exp]\nn = 20\nalpha = 1.5\nkappas = 2.5\nreplications = 100\nxis = 1.5\n")
     assert main(["simulate", str(level), "-o", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["alpha = 2.5\n", "alpha = 1.5\nalternative = normal\n", "alpha = 1.5\nalternative = normal x\n"],
+    ids=["alpha_above_2", "alternative_without_parameter", "non_numeric_parameter"],
+)
+def test_simulate_bad_section_exits_2_before_any_replication(cache, tmp_path, monkeypatch, capsys, section):
+    def no_run(*args):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(cli, "simulate_critical", no_run)
+    monkeypatch.setattr(cli, "power_study", no_run)
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(
+        "[exp]\nn = 20\nkappas = 2.5\nreplications = 100\n" + section
+        + "critical_2.5_0.1 = 0.1\ncritical_2.5_0.05 = 0.2\n"
+    )
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
+    assert "bad experiment section [exp]" in capsys.readouterr().err

@@ -3,16 +3,22 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from stablegof import _fourier, estimators, stable_core
-from stablegof._fourier import envelope_cutoff
+from stablegof._fourier import (
+    _GRADED_NODES,
+    _RULE_CELLS,
+    _graded_rule,
+    envelope_cutoff,
+    envelope_moment,
+)
 from stablegof.errors import DataError, NonConvergenceError, QuadratureError
 from stablegof.estimators import (
     WeightSpec,
-    _eise_h_quadrant,
     _logf_lookup,
     _pair_sums,
     _w0_and_deriv,
@@ -30,12 +36,52 @@ from stablegof.stable_core import StableParams, _crossover, pdf, pdf_batch, rand
 EULER_GAMMA = np.euler_gamma
 
 
+def tensor_h_quadrant(alpha, weight):
+    """The four distinct H integrals over the quadrant s, t >= 0, by one tensor rule.
+
+    Reference copy of the H computation that ``eise_matrices`` used before
+    the Fubini reduction to the inner integrals.  The outer graded rule runs
+    over t in [0, T]; for each t node the inner one runs over s in [0, t]
+    and [t, T], so the |s - t|^alpha cusp and the s^alpha, t^alpha cusps at
+    the axes all sit at panel ends.  Summed over blocks of t nodes of at
+    most ``_RULE_CELLS`` (s, t) pairs.  Matches nested adaptive quadrature
+    to 5e-14 relative.
+    """
+    T = envelope_cutoff(((1.0, alpha),) + weight.terms())
+    (wc, wp), = weight.terms()
+    t_all, wt_all = _graded_rule(0.0, T)
+    hv = np.zeros(4)
+    rows = max(1, _RULE_CELLS // (2 * _GRADED_NODES))
+    for lo in range(0, t_all.size, rows):
+        t, wt = t_all[lo : lo + rows], wt_all[lo : lo + rows]
+        s, ws = _graded_rule(
+            np.stack([np.zeros_like(t), t], -1), np.stack([t, np.full_like(t, T)], -1)
+        )
+        s, ws = s.reshape(t.size, -1), ws.reshape(t.size, -1) * wt[:, None]
+        t = t[:, None]
+        sa, ta = s**alpha, t**alpha
+        ws *= np.exp(-sa - ta - wc * (s**wp + t**wp))
+        dm = np.exp(-np.abs(s - t) ** alpha)
+        dp = np.exp(-((s + t) ** alpha))
+        hv[0] += np.sum(ws * 0.5 * (dm - dp) * s * t)
+        ws *= (0.5 * (dm + dp) - np.exp(-sa - ta)) * sa * ta
+        ls, lt = np.log(s), np.log(t)
+        hv[1:] += np.sum(ws), np.sum(ws * 0.5 * (ls + lt)), np.sum(ws * ls * lt)
+    return hv
+
+
+def h_entries(em):
+    """(H00, H11, H12, H22) of an EiseMatrices, divided by alpha^2 and alpha as
+    in the quadrant integrals."""
+    a, H = em.alpha, em.H
+    return np.array([H[0, 0], H[1, 1] / a**2, H[1, 2] / a, H[2, 2]])
+
+
 def adaptive_h_quadrant(alpha, weight):
     """The four H quadrant integrals by nested adaptive quadrature.
 
-    Reference copy of the H computation that ``eise_matrices`` used before
-    the tensor Gauss-Legendre rule: quad_vec over s split at s = t inside
-    quad_vec over t.  Its own error is up to ~1e-10 relative.
+    quad_vec over s split at s = t inside quad_vec over t.  Its own error
+    is up to ~1e-10 relative.
     """
     T = envelope_cutoff(((1.0, alpha),) + weight.terms())
     wc, wp = weight.terms()[0]
@@ -449,9 +495,50 @@ def test_mle_objective_is_total_loglik():
     ],
 )
 def test_h_matches_adaptive_quadrature(alpha, weight):
-    got = _eise_h_quadrant(alpha, weight)
-    want = adaptive_h_quadrant(alpha, weight)
+    got = h_entries(eise_matrices(alpha, weight))
+    want = 4.0 * adaptive_h_quadrant(alpha, weight)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.33, 1.5, 1.76, 2.0])
+@pytest.mark.parametrize(
+    "weight",
+    [WeightSpec("exp_abs", 1.0), WeightSpec("exp_power", 1.0, 1.5), WeightSpec("exp_power", 2.0, 0.7)],
+    ids=["exp_abs", "power1.5", "power0.7"],
+)
+def test_eise_matrices_match_moments_and_tensor_rule(alpha, weight):
+    em = eise_matrices(alpha, weight)
+    terms2 = ((2.0, alpha),) + weight.terms()
+
+    def moment(power, logpow=0):
+        return envelope_moment(terms2, power=power, logpow=logpow)
+
+    a11, m0, m1, m2 = moment(2.0), moment(2 * alpha), moment(2 * alpha, 1), moment(2 * alpha, 2)
+    want_a = np.array([[a11, 0, 0], [0, alpha**2 * m0, alpha * m1], [0, alpha * m1, m2]])
+    np.testing.assert_allclose(em.A, want_a, rtol=1e-12, atol=0)
+    assert em.Bsigma == pytest.approx(alpha * moment(alpha), rel=1e-12, abs=0)
+    assert em.Balpha == pytest.approx(moment(alpha, 1), rel=1e-12, abs=0)
+    hv = 4.0 * tensor_h_quadrant(alpha, weight)
+    np.testing.assert_allclose(h_entries(em), hv, rtol=1e-12, atol=0)
+    assert em.H[0, 1] == em.H[0, 2] == em.A[0, 1] == em.A[0, 2] == 0.0
+    want_h = np.array([[hv[0], 0, 0], [0, alpha**2 * hv[1], alpha * hv[2]], [0, alpha * hv[2], hv[3]]])
+    ainv = np.linalg.inv(want_a)
+    want_j = ainv @ want_h @ ainv.T
+    assert np.max(np.abs(em.J - want_j)) <= 1e-11 * np.max(np.abs(want_j))
+
+
+def test_eise_a_matches_mpmath_where_the_adaptive_moment_errs():
+    # at this alpha and weight the adaptive A22 moment (epsrel 1e-11) is off
+    # by 6.7e-11 relative; the graded rule is within 1e-14
+    alpha, weight = 7.0 / 6.0, WeightSpec("exp_power", 2.0, 0.7)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+
+        def f(t):
+            return t ** (2 * a) * mpmath.log(t) ** 2 * mpmath.exp(-2 * t**a - 2 * t**0.7)
+
+        want = float(2 * mpmath.quad(f, [0, 1e-8, 1e-4, 0.01, 0.1, 1, 10, 100, mpmath.inf]))
+    assert eise_matrices(alpha, weight).A[2, 2] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_pair_sums_memory_bounded():

@@ -7,12 +7,17 @@ import pytest
 from scipy import integrate
 
 from stablegof._fourier import envelope_cutoff
-from stablegof.estimators import WeightSpec, eise_matrices, fisher_info, fisher_location_scale
+from stablegof.estimators import (
+    WeightSpec,
+    _inner_values,
+    eise_matrices,
+    fisher_info,
+    fisher_location_scale,
+)
 from stablegof.kernels import (
     KERNEL_KINDS,
     _N_GRID,
     _S_MAX,
-    _inner_values,
     _safe_log_abs,
     gamma_eise,
     gamma_efficient,

@@ -79,6 +79,9 @@ def test_config_validation():
         ExperimentConfig(n=50, alpha=1.5, kappas=(1.0,), hypothesis="H3")
     with pytest.raises(ValueError):
         ExperimentConfig(n=50, alpha=1.5, kappas=(1.0,), xis=(0.10, 1.5))
+    for alpha in (0.0, 2.5, math.nan):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            ExperimentConfig(n=50, alpha=alpha, kappas=(1.0,))
 
 
 def test_draw_alternative_kinds():
