@@ -45,4 +45,5 @@ from .montecarlo import (
     simulate_critical,
     power_study,
     h1_decision,
+    worker_pool,
 )

@@ -6,7 +6,10 @@ $STABLEGOF_CACHE (default ~/.cache/stablegof) keyed by kernel kind, alpha,
 kappa, node count and a digest of the sources that compute a spectrum, so
 reruns are bit-identical and a code change never reads an old entry.  Every
 output file starts with a comment manifest recording the resolved
-parameters, the seed and the cache entries used.
+parameters, the seed and the cache entries used.  ``simulate`` runs every
+section of its config on one pool of spawned worker processes
+(``montecarlo.worker_pool``), so the workers start once per command, and
+no worker outlives the command, whether it succeeds or fails.
 """
 
 import argparse
@@ -32,6 +35,7 @@ from .montecarlo import (
     h1_decision,
     power_study,
     simulate_critical,
+    worker_pool,
 )
 from .spectral import Spectrum, build_spectrum
 
@@ -357,6 +361,36 @@ def _experiment_from_section(sec):
     )
 
 
+def _section_rows(name, sec, seed):
+    """Run one experiment section; its output rows."""
+    try:
+        config = _experiment_from_section(sec)
+    except (ValueError, TypeError, configparser.Error) as exc:
+        raise DataError(f"bad experiment section [{name}]: {exc}")
+    if seed is not None:
+        config = ExperimentConfig(**{**config.__dict__, "seed": seed})
+    if config.alternative is None:
+        res = simulate_critical(config)
+        return [
+            (name, "critical", config.n, config.alpha, k, xi, q, se, res.n_failures)
+            for (k, xi), (q, se) in sorted(res.quantiles.items())
+        ]
+    crit = {}
+    for k in config.kappas:
+        for xi in config.xis:
+            key = f"critical_{k:g}_{xi:g}"
+            if key not in sec:
+                raise DataError(
+                    f"[{name}] needs {key} (threshold for kappa={k:g}, xi={xi:g})"
+                )
+            crit[(k, xi)] = sec.getfloat(key)
+    res = power_study(config, crit)
+    return [
+        (name, "power", config.n, config.alpha, k, xi, p, se, res.n_failures)
+        for (k, xi), (p, se) in sorted(res.rates.items())
+    ]
+
+
 def cmd_simulate(args):
     parser = configparser.ConfigParser()
     try:
@@ -369,37 +403,10 @@ def cmd_simulate(args):
     if not parser.sections():
         raise DataError("config defines no experiment sections")
     out_rows = []
-    for name in parser.sections():
-        sec = parser[name]
-        try:
-            config = _experiment_from_section(sec)
-        except (ValueError, TypeError, configparser.Error) as exc:
-            raise DataError(f"bad experiment section [{name}]: {exc}")
-        if args.seed is not None:
-            config = ExperimentConfig(
-                **{**config.__dict__, "seed": args.seed}
-            )
-        if config.alternative is None:
-            res = simulate_critical(config)
-            for (k, xi), (q, se) in sorted(res.quantiles.items()):
-                out_rows.append(
-                    (name, "critical", config.n, config.alpha, k, xi, q, se, res.n_failures)
-                )
-        else:
-            crit = {}
-            for k in config.kappas:
-                for xi in config.xis:
-                    key = f"critical_{k:g}_{xi:g}"
-                    if key not in sec:
-                        raise DataError(
-                            f"[{name}] needs {key} (threshold for kappa={k:g}, xi={xi:g})"
-                        )
-                    crit[(k, xi)] = sec.getfloat(key)
-            res = power_study(config, crit)
-            for (k, xi), (p, se) in sorted(res.rates.items()):
-                out_rows.append(
-                    (name, "power", config.n, config.alpha, k, xi, p, se, res.n_failures)
-                )
+    # one pool for every section: later sections reuse the started workers
+    with worker_pool():
+        for name in parser.sections():
+            out_rows += _section_rows(name, parser[name], args.seed)
     params = {"config": os.path.abspath(args.config), "seed": args.seed if args.seed is not None else "per-section"}
     with open(args.output, "w", encoding="utf-8") as fh:
         for ln in _manifest_lines("simulate", params):

@@ -7,15 +7,22 @@ budget; beyond that the experiment aborts.
 
 The replications run in a pool of spawned worker processes, one per CPU
 available to the caller, each started with BLAS at one thread (a threaded
-BLAS only spins on the small products of one fit).  Because each worker
-imports the caller's main module, a script that runs an experiment must do
-so under ``if __name__ == "__main__":``; otherwise the pool breaks and the
+BLAS only spins on the small products of one fit).  Each worker imports
+numpy, scipy and this package before its first replication, about a second
+of start-up.  The pool lives as long as the outermost :func:`worker_pool`
+block around the experiments: several experiments run inside one block
+share its workers, and an experiment run outside any block makes its own
+pool and shuts it down before it returns, so no worker outlives the call.
+``worker_pool`` keeps the open pool in module state and is not for
+concurrent use from several threads.  Because each worker imports the
+caller's main module, a script that runs an experiment must do so under
+``if __name__ == "__main__":``; otherwise the pool breaks and the
 experiment raises ``RuntimeError``.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 import math
@@ -37,6 +44,7 @@ __all__ = [
     "simulate_critical",
     "power_study",
     "h1_decision",
+    "worker_pool",
 ]
 
 
@@ -187,33 +195,57 @@ def _single_threaded_blas():
                 os.environ[name] = value
 
 
+_pool = None  # the executor of the outermost open worker_pool() block
+
+
+@contextmanager
+def worker_pool():
+    """A spawn-context process pool, one worker per available CPU.
+
+    The outermost block creates the pool and, on exit, cancels any queued
+    work and waits for its workers to end; a block opened inside it yields
+    the same pool, so the experiments of one block share its workers and pay
+    their start-up once.  The pool starts a worker only when work is
+    submitted.  Every experiment runs inside such a block: one called
+    outside any gets a pool of its own, gone when it returns.  The open
+    pool is held in module state, so two threads must not use this at once.
+    """
+    global _pool
+    if _pool is not None:
+        yield _pool
+        return
+    _pool = ProcessPoolExecutor(
+        max_workers=_available_cpus(), mp_context=multiprocessing.get_context("spawn")
+    )
+    try:
+        yield _pool
+    finally:
+        pool, _pool = _pool, None
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _replicate(config):
     """Fit and test every replication, redrawing on fit failure (1% budget).
 
-    The replications run in contiguous chunks, about four per worker, in a
-    pool of spawned processes (one per available CPU) whose BLAS runs on
-    one thread.  Their outcomes are folded in replication order, so the
-    rows, the failure count and any abort are those of one serial loop.
-    Returns one row of statistics per replication (one per kappa) and the
-    number of failures.
+    The replications run in contiguous chunks, about four per available
+    CPU, on the workers of :func:`worker_pool`, whose BLAS runs on one
+    thread.  Their outcomes are folded in replication order, so the rows,
+    the failure count and any abort are those of one serial loop; an abort
+    cancels the chunks still queued.  Returns one row of statistics per
+    replication (one per kappa) and the number of failures.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    cpus = _available_cpus()
-    size = -(-len(children) // (4 * cpus))
-    pool = ProcessPoolExecutor(
-        max_workers=min(cpus, -(-len(children) // size)),
-        mp_context=multiprocessing.get_context("spawn"),
-    )
-    try:
-        # map submits every chunk at once, and the pool starts its workers
-        # during those submits
-        with _single_threaded_blas():
-            outcomes = pool.map(partial(_attempts, config), children, chunksize=size)
-        return _fold(outcomes, config)
-    except BrokenProcessPool as exc:
-        raise RuntimeError(_UNGUARDED_MAIN) from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    size = -(-len(children) // (4 * _available_cpus()))
+    with worker_pool() as pool:
+        try:
+            # map submits every chunk at once, and the pool starts the
+            # workers it still lacks during those submits
+            with _single_threaded_blas():
+                outcomes = pool.map(partial(_attempts, config), children, chunksize=size)
+            with closing(outcomes):
+                return _fold(outcomes, config)
+        except BrokenProcessPool as exc:
+            raise RuntimeError(_UNGUARDED_MAIN) from exc
 
 
 def _order_quantile(sorted_stats, xi):
@@ -231,8 +263,10 @@ def simulate_critical(config):
     """Simulated upper percentage points of the statistic under the null.
 
     The replications run in one spawned worker process per available CPU,
-    each with single-threaded BLAS; a script that calls this must do so
-    under ``if __name__ == "__main__":`` (see the module docstring).
+    each with single-threaded BLAS, from the pool of the enclosing
+    :func:`worker_pool` block, or from a pool of their own that is shut
+    down before this returns.  A script that calls this must do so under
+    ``if __name__ == "__main__":`` (see the module docstring).
     """
     if config.alternative is not None:
         raise ValueError("critical-value simulation runs under the null (no alternative)")
@@ -252,8 +286,9 @@ def power_study(config, critical_values):
 
     ``critical_values`` maps (kappa, xi) to the threshold used, asymptotic
     or simulated.  The replications run as in :func:`simulate_critical`:
-    one spawned worker per available CPU, single-threaded BLAS, and the
-    caller's script guarded by ``if __name__ == "__main__":``.
+    one spawned worker per available CPU, single-threaded BLAS, the pool of
+    the enclosing :func:`worker_pool` block or else one of their own, and
+    the caller's script guarded by ``if __name__ == "__main__":``.
     """
     if config.alternative is None:
         raise ValueError("power study needs an alternative")

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 from stablegof import cli
+from stablegof import montecarlo as mc
 from stablegof.cli import cached_spectrum, load_table, main, read_column
 from stablegof.estimators import WeightSpec, eise_matrices, fisher_info
 from stablegof.stable_core import rand_stable
@@ -283,3 +285,57 @@ def test_simulate_bad_section_exits_2_before_any_replication(cache, tmp_path, mo
     )
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
     assert "bad experiment section [exp]" in capsys.readouterr().err
+
+
+TWO_SECTIONS = {
+    "first": "n = 20\nalpha = 1.5\nkappas = 2.5\nhypothesis = H2\nreplications = 100\nseed = 3\n",
+    "second": "n = 20\nalpha = 1.2\nkappas = 1, 2.5\nhypothesis = H2\nreplications = 100\nseed = 4\n",
+}
+
+
+def data_rows(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+@pytest.fixture()
+def recorded_experiments(monkeypatch):
+    """Each simulate_critical the CLI runs: the pool open around it and its statistics."""
+    runs = []
+
+    def recording(config):
+        res = mc.simulate_critical(config)
+        runs.append((mc._pool, res.statistics))
+        return res
+
+    monkeypatch.setattr(cli, "simulate_critical", recording)
+    return runs
+
+
+def test_simulate_runs_its_sections_on_one_pool(cache, tmp_path, recorded_experiments):
+    both = tmp_path / "both.ini"
+    both.write_text("".join(f"[{name}]\n{body}\n" for name, body in TWO_SECTIONS.items()))
+    assert main(["simulate", str(both), "-o", str(tmp_path / "both.csv")]) == 0
+    assert multiprocessing.active_children() == []
+    (pool_a, stats_a), (pool_b, stats_b) = recorded_experiments
+    assert pool_a is not None and pool_b is pool_a
+    alone = []
+    for name, body in TWO_SECTIONS.items():
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[{name}]\n{body}")
+        assert main(["simulate", str(cfg), "-o", str(tmp_path / f"{name}.csv")]) == 0
+        alone += data_rows(tmp_path / f"{name}.csv")[1:]
+    assert data_rows(tmp_path / "both.csv")[1:] == alone
+    for together, apart in zip((stats_a, stats_b), (r[1] for r in recorded_experiments[2:])):
+        assert together.keys() == apart.keys()
+        assert all(np.array_equal(together[k], apart[k]) for k in together)
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_bad_second_section_exits_2_and_leaves_no_worker(cache, tmp_path, capsys, recorded_experiments):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(f"[first]\n{TWO_SECTIONS['first']}\n[bad]\nn = 50\n")
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
+    assert "bad experiment section [bad]" in capsys.readouterr().err
+    assert len(recorded_experiments) == 1
+    assert multiprocessing.active_children() == []
+    assert mc._pool is None

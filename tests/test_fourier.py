@@ -1,11 +1,24 @@
 """The near-grid sums of ``_fourier._grid_sums`` against the complex-exp route they replaced,
-and its value-only route against its gradient route."""
+its value-only route against its gradient route, and the scalar integrands of the far
+points and moments against their ``sum``-over-a-generator forms."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from stablegof import _fourier
-from stablegof._fourier import _LOG_EPS, _grid_sums, envelope_cutoff, panel_grid
+from stablegof._fourier import (
+    _LOG_EPS,
+    _far_quad,
+    _grid_sums,
+    cos_transforms,
+    envelope_cutoff,
+    envelope_moment,
+    panel_grid,
+)
+from stablegof.estimators import WeightSpec
 from stablegof.stable_core import _crossover
 
 
@@ -65,3 +78,72 @@ def test_value_route_sum_is_the_gradient_route_sum(alpha, monkeypatch):
     # a batch of one point, on the same grid, sums as in the full batch
     top = [int(np.argmax(ay))]
     assert np.array_equal(_grid_sums(ay[top], alpha, terms, T, grad=False)[0], want[top])
+
+
+def generator_phi(terms):
+    """Reference copy of the scalar phi(t) = sum c*t^p before the plain loop."""
+    return lambda t: sum(c * t**p for c, p in terms)
+
+
+def generator_cutoff(terms):
+    """Reference copy of ``envelope_cutoff`` with the generator phi."""
+    phi = generator_phi(terms)
+    hi = 1.0
+    while phi(hi) < _LOG_EPS:
+        hi *= 2.0
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) < _LOG_EPS:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def generator_far_transforms(v, alpha, terms):
+    """Reference copy of ``cos_transforms``' far-point quadratures with the generator phi."""
+    T = generator_cutoff(terms)
+    phi = generator_phi(terms)
+
+    def env_s(t):
+        return math.exp(-phi(t))
+
+    return (
+        2.0 * _far_quad(env_s, "cos", v, T),
+        2.0 * _far_quad(lambda t: t * env_s(t), "sin", v, T),
+        2.0 * _far_quad(lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0, "cos", v, T),
+    )
+
+
+def generator_moment(terms, power, logpow):
+    """Reference copy of ``envelope_moment`` with the generator phi."""
+    phi = generator_phi(terms)
+
+    def g(t):
+        if t <= 0:
+            return 0.0
+        return t**power * math.log(t) ** logpow * math.exp(-phi(t))
+
+    val, _ = integrate.quad(g, 0.0, generator_cutoff(terms), limit=400, epsabs=1e-14, epsrel=1e-11)
+    return 2.0 * val
+
+
+WEIGHTS = [WeightSpec("exp_abs", 1.0), WeightSpec("exp_abs", 10.0), WeightSpec("exp_power", 2.0, 0.7)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 7.0 / 6.0, 1.5, 2.0])
+@pytest.mark.parametrize("weight", WEIGHTS, ids=["exp_abs1", "exp_abs10", "power0.7"])
+def test_far_transforms_and_moments_match_the_generator_integrands(alpha, weight):
+    terms = ((1.0, alpha),) + weight.terms()
+    assert envelope_cutoff(terms) == generator_cutoff(terms)
+    y = np.array([60.5, 97.0, 250.0, 3000.0])
+    c0, s1, ca = cos_transforms(y, alpha, terms)
+    value_c0, _, _ = cos_transforms(y, alpha, terms, grad=False)
+    for i, v in enumerate(y):
+        want = generator_far_transforms(v, alpha, terms)
+        assert (c0[i], s1[i], ca[i]) == want
+        assert value_c0[i] == want[0]
+    terms2 = ((2.0, alpha),) + weight.terms()
+    for power, logpow in ((0.0, 0), (alpha, 0), (alpha, 1), (2.0, 0), (2 * alpha, 2)):
+        assert envelope_moment(terms2, power, logpow) == generator_moment(terms2, power, logpow)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from functools import partial
 
 import numpy as np
@@ -318,3 +319,75 @@ def test_unguarded_script_fails_with_the_main_guard_message(tmp_path):
     assert "RuntimeError" in proc.stderr
     assert 'if __name__ == "__main__":' in proc.stderr
     assert "children left: 0" in proc.stdout
+
+
+def test_experiments_in_one_block_share_the_workers(monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.setenv(name, "4")
+    monkeypatch.setattr(mc, "_attempts", report_worker)
+    with mc.worker_pool() as pool:
+        assert multiprocessing.active_children() == []  # workers start with the first experiment
+        first, _ = mc._replicate(POOL_CONFIG)
+        workers = {p.pid for p in multiprocessing.active_children()}
+        with mc.worker_pool() as inner:
+            assert inner is pool
+        second, _ = mc._replicate(POOL_CONFIG)
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+    assert {r[0] for r in first} <= workers and {r[0] for r in second} <= workers
+    assert {tuple(r[1:]) for r in first + second} == {("1", "1", "1")}
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failed_experiment_leaves_the_pool_to_the_next(oracle_statistics):
+    cfg = ExperimentConfig(
+        n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=1,
+        alternative=("weibull", 1.0),
+    )
+    with mc.worker_pool():
+        with pytest.raises(ValueError, match="unknown alternative 'weibull'"):
+            power_study(cfg, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
+        res = simulate_critical(POOL_CONFIG)
+    assert np.array_equal(res.statistics[2.5], oracle_statistics)
+    assert multiprocessing.active_children() == []
+
+
+def fail_after_first_chunk(run_dir, chunk, config, child):
+    """Stands in for ``_attempts``: the first chunk fails at once; each later
+    replication records that it ran, then waits for the release file."""
+    if child.spawn_key[0] >= chunk:
+        open(os.path.join(run_dir, f"ran-{child.spawn_key[0]}"), "w").close()
+        release = os.path.join(run_dir, "release")
+        for _ in range(600):
+            if os.path.exists(release):
+                break
+            time.sleep(0.05)
+    return None, mc._MAX_DRAWS
+
+
+def test_an_abort_cancels_the_queued_chunks(monkeypatch, tmp_path):
+    cpus = len(os.sched_getaffinity(0))
+    chunk = -(-POOL_CONFIG.replications // (4 * cpus))
+    # the workers hold one later chunk each and the call queue one more than
+    # there are workers; only the chunks behind those can be cancelled
+    if -(-POOL_CONFIG.replications // chunk) <= 2 * cpus + 2:
+        pytest.skip(f"the workers and the call queue hold every chunk on {cpus} CPU(s)")
+    monkeypatch.setattr(mc, "_attempts", partial(fail_after_first_chunk, str(tmp_path), chunk))
+    with mc.worker_pool():
+        try:
+            # the error is held, as a caller that logs it would, so its
+            # traceback keeps the aborted map alive: the abort itself must
+            # cancel the chunks still queued
+            with pytest.raises(NumericsError) as aborted:
+                mc._replicate(POOL_CONFIG)
+        finally:
+            # the workers wait inside later chunks and the call queue is
+            # full, so the chunks behind them were still pending at the abort
+            (tmp_path / "release").touch()
+        monkeypatch.setattr(mc, "_attempts", report_worker)
+        rows, failures = mc._replicate(POOL_CONFIG)
+    assert "fit failure rate exceeded" in str(aborted.value)
+    ran = len(list(tmp_path.glob("ran-*")))
+    assert 0 < ran <= (2 * cpus + 1) * chunk
+    assert ran < POOL_CONFIG.replications - chunk
+    assert failures == 0 and len(rows) == POOL_CONFIG.replications
+    assert multiprocessing.active_children() == []
