@@ -24,7 +24,8 @@ EISE kernel (``estimators._inner_values``), use :func:`_graded_rule`
 instead: one Gauss-Legendre rule on many intervals at once, graded toward
 both ends where their integrands have cusps.  :func:`envelope_moment`, one
 adaptive quadrature per call, remains for the constant part of the EISE
-objective.
+objective.  :func:`_gl_panels` is the one panel map of every fixed rule,
+``estimators._fisher_rule``'s included.
 """
 
 import math
@@ -52,7 +53,7 @@ _RULE_CELLS = 2**17
 
 
 def _phi(t, terms):
-    """phi(t) = sum c*t^p over ``terms`` at a scalar t.
+    """phi(t) = sum c*t^p over ``terms`` at a scalar or array t.
 
     A plain loop: QUADPACK calls the integrands built on this once per node,
     and a generator for ``sum`` would cost more than the arithmetic.
@@ -80,6 +81,13 @@ def envelope_cutoff(terms):
     return hi
 
 
+def _gl_panels(edges):
+    """Gauss-Legendre nodes/weights, 10 per panel, on consecutive ``edges``."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
 def panel_grid(T, xmax):
     """Gauss-Legendre nodes/weights on [0, T], 10 per panel.
 
@@ -104,12 +112,7 @@ def panel_grid(T, xmax):
     piece = np.repeat(np.arange(nsub.size), nsub)
     i = np.arange(piece.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
     lo = i * (delta / nsub)[piece] + edges[piece]
-    hi = np.concatenate([lo[1:], [T]])
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return t, w
+    return _gl_panels(np.append(lo, T))
 
 
 def _graded_rule(a, b):
@@ -127,11 +130,11 @@ def _graded_rule(a, b):
     levels = _GRADE_LEVELS
     edges = np.concatenate(([0.0], 2.0 ** -np.arange(levels + 1.0, 1.0, -1.0)))
     fmid = np.linspace(0.25, 0.75, _MID_PANELS + 1)
-    lo = np.concatenate((edges[:-1], fmid[:-1], edges[:-1]))
-    hi = np.concatenate((edges[1:], fmid[1:], edges[1:]))
-    off = (0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _GL_NODES).ravel()
-    fw = (0.5 * (hi - lo)[:, None] * _GL_WEIGHTS).ravel()
-    from_b = np.repeat(np.arange(lo.size) >= levels + _MID_PANELS, _GL_NODES.size)
+    # [0, 1/4] graded and [1/4, 3/4] uniform, measured from a; [0, 1/4] again from b
+    off_a, fw_a = _gl_panels(np.concatenate((edges, fmid[1:])))
+    off_b, fw_b = _gl_panels(edges)
+    off, fw = np.concatenate((off_a, off_b)), np.concatenate((fw_a, fw_b))
+    from_b = np.arange(off.size) >= off_a.size
     a, b = a[..., None], b[..., None]
     length = b - a
     u = np.where(from_b, b - length * off, a + length * off)
@@ -158,10 +161,7 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
     two are None.
     """
     t, w = panel_grid(T, float(np.max(ay)))
-    phi = np.zeros_like(t)
-    for c, p in terms:
-        phi += c * t**p
-    env = np.exp(-phi)
+    env = np.exp(-_phi(t, terms))
     w0 = w * env
     g0, g1, ga = np.empty_like(ay), None, None
     if grad:

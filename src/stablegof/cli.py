@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical failure.
 Stochastic commands take --seed; expensive spectra are cached on disk under
 $STABLEGOF_CACHE (default ~/.cache/stablegof) keyed by kernel kind, alpha,
-kappa, node count and a digest of the sources that compute a spectrum, so
-reruns are bit-identical and a code change never reads an old entry.  Every
+kappa, node count and a digest of the package's sources, so reruns are
+bit-identical and a code change never reads an old entry.  Every
 output file starts with a comment manifest recording the resolved
 parameters, the seed and the cache entries used.  ``simulate`` runs every
 section of its config on one pool of spawned worker processes
@@ -23,11 +23,11 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, _fourier, estimators, kernels, spectral, stable_core
+from . import __version__
 from .errors import DataError, NonConvergenceError, NumericsError
 from .estimators import WeightSpec, eise_fit, eise_matrices, fisher_info, mle_fit
 from .ecf_test import test_statistic
-from .inversion import InversionConfig, cdf_dk_with_bound, default_inversion_config, quantile_dk
+from .inversion import cdf_dk_with_bound, default_inversion_config, quantile_dk
 from .kernels import make_kernel
 from .montecarlo import (
     CriticalValueTable,
@@ -84,11 +84,13 @@ def cache_dir():
 
 @functools.cache
 def _code_digest():
-    """First 16 hex digits of the sha256 of the modules that compute a spectrum."""
+    """First 16 hex digits of the sha256 of every ``*.py`` in the package, by file name."""
     h = hashlib.sha256()
-    for mod in (_fourier, stable_core, estimators, kernels, spectral):
-        with open(mod.__file__, "rb") as fh:
-            h.update(mod.__name__.encode() + b"\0" + fh.read())
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
     return h.hexdigest()[:16]
 
 
@@ -96,11 +98,10 @@ def cached_spectrum(kind, alpha, kappa, n):
     """Load a spectrum from the cache, building and saving it when absent.
 
     The file name holds alpha and kappa at full precision (repr) and a
-    digest of the sources of ``_fourier``, ``stable_core``, ``estimators``,
-    ``kernels`` and ``spectral``, so distinct parameters never share an entry
-    and an edit to any of those modules never reads an entry of the old
-    code; a new entry is written to a temporary file and renamed into
-    place, so a reader never sees a half-written spectrum.
+    digest of the package's sources, so distinct parameters never share an
+    entry and an edit to any module never reads an entry of the old code; a
+    new entry is written to a temporary file and renamed into place, so a
+    reader never sees a half-written spectrum.
     """
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
@@ -295,8 +296,6 @@ def cmd_table(args):
                 sp, name = cached_spectrum(kind, alpha, kappa, args.nodes)
                 spectra.append(name)
                 cfg = default_inversion_config(sp)
-                if args.terms or args.products:
-                    cfg = InversionConfig(sp, args.terms or cfg.l, args.products or cfg.m)
                 for xi in (0.10, 0.05):
                     q = quantile_dk(xi, cfg)
                     _, bound = cdf_dk_with_bound(q, cfg)
@@ -308,8 +307,6 @@ def cmd_table(args):
         "kappas": args.kappas,
         "hypothesis": args.hypothesis,
         "nodes": args.nodes,
-        "terms": args.terms or "default",
-        "products": args.products or "default",
         "partial": bool(failed),
     }
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -457,8 +454,6 @@ def build_parser():
     q.add_argument("--kappas", required=True, help="comma list, e.g. 1.0,2.5,5.0,10.0")
     q.add_argument("--hypothesis", choices=("H1", "H2"), default="H1")
     q.add_argument("--nodes", type=int, default=800)
-    q.add_argument("--terms", type=int, default=None, help="series terms l")
-    q.add_argument("--products", type=int, default=None, help="product terms m")
     q.add_argument("-o", "--output", required=True)
     q.set_defaults(func=cmd_table)
 

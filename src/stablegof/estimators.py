@@ -26,17 +26,17 @@ from scipy.interpolate import CubicSpline
 
 from ._fourier import (
     _BLOCK_CELLS,
-    _GL_NODES,
-    _GL_WEIGHTS,
     _GRADED_NODES,
     _RULE_CELLS,
+    _gl_panels,
     _graded_rule,
+    _phi,
     cos_transforms,
     envelope_cutoff,
     envelope_moment,
 )
 from .errors import DataError, NonConvergenceError, QuadratureError
-from .stable_core import StableParams, pdf_batch, _crossover, _tail_series
+from .stable_core import StableParams, pdf_batch, _crossover, _safe_log_abs, _tail_series
 
 __all__ = [
     "FisherInfo",
@@ -83,22 +83,20 @@ class FisherInfo:
 
     def inverse_entries(self):
         """(I^11, I^22, I^23, I^33) of the inverse matrix."""
-        det = self.I22 * self.I33 - self.I23**2
-        if det <= 0 or self.I11 <= 0:
-            raise ValueError("Fisher matrix not positive definite")
-        return 1.0 / self.I11, self.I33 / det, -self.I23 / det, self.I22 / det
+        return _inverse_entries(self.matrix())
+
+
+def _inverse_entries(m):
+    """(M^11, M^22, M^23, M^33) of the inverse of a positive-definite block-diagonal 3x3 ``m``."""
+    det = m[1, 1] * m[2, 2] - m[1, 2] ** 2
+    if det <= 0 or m[0, 0] <= 0:
+        raise ValueError("block-diagonal matrix not positive definite")
+    return 1.0 / m[0, 0], m[2, 2] / det, -m[1, 2] / det, m[1, 1] / det
 
 
 # dyadic levels of the Fisher rule: toward x = 0 on [0, xc], toward v = 0 on the tail map
 _FISHER_NEAR_LEVELS = 14
 _FISHER_TAIL_LEVELS = 40
-
-
-def _gl_panels(edges):
-    """Gauss-Legendre nodes/weights, 10 per panel, on consecutive ``edges``."""
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def _fisher_rule(alpha, xc, halve):
@@ -213,14 +211,10 @@ class WeightSpec:
 
     def terms(self):
         """Exponent terms (c, p) so that w(t) = exp(-sum c t^p) on t >= 0."""
-        if self.kind == "exp_abs":
-            return ((self.kappa_or_nu, 1.0),)
-        return ((self.kappa_or_nu, self.bar_alpha),)
+        return ((self.kappa_or_nu, 1.0 if self.kind == "exp_abs" else self.bar_alpha),)
 
     def values(self, t):
-        t = np.abs(np.asarray(t, dtype=float))
-        c, p = self.terms()[0]
-        return np.exp(-c * t**p)
+        return np.exp(-_phi(np.abs(np.asarray(t, dtype=float)), self.terms()))
 
 
 @dataclass(frozen=True)
@@ -237,13 +231,7 @@ class EiseMatrices:
 
     def a_inverse_entries(self):
         """(A^11, A^22, A^23, A^33) of the inverse of A."""
-        det = self.A[1, 1] * self.A[2, 2] - self.A[1, 2] ** 2
-        return (
-            1.0 / self.A[0, 0],
-            self.A[2, 2] / det,
-            -self.A[1, 2] / det,
-            self.A[1, 1] / det,
-        )
+        return _inverse_entries(self.A)
 
 
 def _inner_values(alpha, weight, s):
@@ -260,7 +248,6 @@ def _inner_values(alpha, weight, s):
     the weight exponent down to 0.3.  Raises QuadratureError on a non-finite
     value.
     """
-    (wc, wp), = weight.terms()
     U = envelope_cutoff(((1.0, alpha),) + weight.terms())
     c = np.minimum(s, U)
     ends = np.stack([np.full_like(s, -U), np.zeros_like(s), c, np.full_like(s, U)], axis=-1)
@@ -271,9 +258,9 @@ def _inner_values(alpha, weight, s):
         u, w = _graded_rule(ends[blk, :-1], ends[blk, 1:])
         u, w = u.reshape(u.shape[0], -1), w.reshape(w.shape[0], -1)
         au = np.abs(u)
-        lg = np.log(np.where(au > 0, au, 1.0))
+        lg = _safe_log_abs(au)
         ua = au**alpha
-        w *= np.exp(-np.abs(s[blk, None] - u) ** alpha - ua - wc * au**wp)
+        w *= np.exp(-np.abs(s[blk, None] - u) ** alpha - ua - _phi(au, weight.terms()))
         out[blk, 0] = np.sum(w * u, axis=1)
         w *= ua
         out[blk, 1] = np.sum(w, axis=1)
@@ -459,23 +446,19 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
     if fix_alpha is not None and not (0 < fix_alpha <= 2):
         raise ValueError(f"fix_alpha must be in (0, 2], got {fix_alpha}")
     mu0, s0, a0 = _grid_init(x, fix_alpha=fix_alpha)
-    if fix_alpha is None:
-        x0 = np.array([mu0, s0, min(max(a0, _ALPHA_MIN), _ALPHA_MAX)])
-        bounds = [(None, None), (_SIGMA_MIN, None), (_ALPHA_MIN, _ALPHA_MAX)]
+    free = fix_alpha is None
+    alpha = None if free else float(fix_alpha)
+    x0, bounds = [mu0, s0], [(None, None), (_SIGMA_MIN, None)]
+    if free:
+        x0.append(min(max(a0, _ALPHA_MIN), _ALPHA_MAX))
+        bounds.append((_ALPHA_MIN, _ALPHA_MAX))
 
-        def fun(theta):
-            return objective(*theta)
-    else:
-        alpha = float(fix_alpha)
-        x0 = np.array([mu0, s0])
-        bounds = [(None, None), (_SIGMA_MIN, None)]
+    def fun(theta):
+        val, g = objective(theta[0], theta[1], theta[2] if free else alpha)
+        return val, g[: theta.size]
 
-        def fun(theta):
-            val, g = objective(theta[0], theta[1], alpha)
-            return val, g[:2]
-
-    res = optimize.minimize(fun, x0=x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
-    a_hat = float(res.x[2]) if fix_alpha is None else alpha
+    res = optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
+    a_hat = float(res.x[2]) if free else alpha
     # a scale pinned at its floor is a degenerate fit (a likelihood spike on
     # tied points), however the optimizer ended
     floored = float(res.x[1]) <= _SIGMA_MIN
@@ -486,7 +469,7 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
         n_iter=int(res.nit),
         objective=report(float(res.fun)),
         message=str(res.message),
-        boundary_alpha=fix_alpha is None and a_hat >= _ALPHA_MAX - 1e-8,
+        boundary_alpha=free and a_hat >= _ALPHA_MAX - 1e-8,
         estimator=estimator,
     )
     if not ok:

@@ -48,8 +48,8 @@ _BOUND_SHARE = 0.1
 class _SeriesTable:
     """x-free part of the alternating series for one configuration.
 
-    ``structure`` is "simple", "paired" or "mixed" (see :func:`_pair_structure`);
-    the node arrays are filled for "simple" spectra only.  Rows are series
+    ``structure`` is "simple" or "paired" (see :func:`_series_table`); the
+    node arrays are filled for "simple" spectra only.  Rows are series
     terms k = 1..l, columns the Gauss-Legendre nodes.
     """
 
@@ -61,6 +61,10 @@ class _SeriesTable:
 def _series_table(spectrum, l, m):
     """Classify the leading eigenvalue pairs and tabulate the first l terms.
 
+    A leading spectrum neither simple nor fully "paired" (the Cauchy-case
+    kernels carry every eigenvalue twice, and the limit law is then a finite
+    sum of exponentials) raises SeriesDivergenceError.
+
     Term k integrates over y in [lambda_{2k-1}/2, lambda_{2k}/2]; the two
     determinant factors vanishing there are cancelled analytically, leaving
     sqrt(lambda_{2k-1} lambda_{2k})/2 over the deflated product.
@@ -71,7 +75,9 @@ def _series_table(spectrum, l, m):
     if np.all(gaps < 1e-8):
         return _SeriesTable("paired")
     if not np.all(gaps > 1e-6):
-        return _SeriesTable("mixed")
+        raise SeriesDivergenceError(
+            "spectrum mixes simple and multiple eigenvalues; inversion undefined"
+        )
     lm = lam[:m]
     a, b = 0.5 * lo, 0.5 * hi
     y = 0.5 * (b - a)[:, None] * np.cos(np.pi * _GL_Z) + 0.5 * (a + b)[:, None]
@@ -90,7 +96,8 @@ class InversionConfig:
     Construction tabulates the x-free part of every series term (see the
     module docstring), so build one config per spectrum and reuse it.  The
     terms come from a fixed Gauss-Legendre rule that the tests hold to
-    1e-12 relative against adaptive quadrature.
+    1e-12 relative against adaptive quadrature.  A mixed spectrum raises
+    SeriesDivergenceError.
     """
 
     spectrum: Spectrum
@@ -118,21 +125,6 @@ def default_inversion_config(spectrum):
     m = min(m, n_avail)
     l = min(l, (n_avail - 1) // 2, m - 1)
     return InversionConfig(spectrum=spectrum, l=l, m=m)
-
-
-def _pair_structure(config):
-    """Classify the leading spectrum: "simple" or fully "paired" eigenvalues.
-
-    The Cauchy-case kernels carry every eigenvalue with multiplicity two;
-    there the branch-cut intervals of the contour integral collapse and the
-    limit law is a finite sum of exponentials instead.  Anything between
-    the two clean structures is not supported.
-    """
-    if config._table.structure == "mixed":
-        raise SeriesDivergenceError(
-            "spectrum mixes simple and multiple eigenvalues; inversion undefined"
-        )
-    return config._table.structure
 
 
 def _paired_rates(config):
@@ -189,7 +181,7 @@ def cdf_dk_with_bound(x, config):
     """
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
-    if _pair_structure(config) == "paired":
+    if config._table.structure == "paired":
         terms = _hypoexp_sf_terms(x, _paired_rates(config))
         bound = float(len(terms) * np.finfo(float).eps * np.sum(np.abs(terms)))
     else:

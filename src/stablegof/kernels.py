@@ -2,13 +2,14 @@
 
 Each kernel Gamma(s, t) is the covariance of the limiting Gaussian process
 of the empirical-characteristic-function distance.  There is one formula
-per estimator (:func:`gamma_mle`, :func:`gamma_eise`); which parameters
-were estimated only changes its coefficients.  A fixed alpha (the H2 and
-``eise_fixed`` kinds) removes alpha from the estimated parameters, which
-zeroes the alpha row and column of I^-1 (MLE), or of A^-1 and J (EISE).
-``transformed_kernel`` folds in the exponential test weight and maps the
-plane onto [-1, 1]^2 through s = -sgn(u) log(1 - |u|), which is the form
-the eigenvalue solver consumes.
+per estimator (:func:`gamma_mle`, :func:`gamma_eise`), both around the form
+grad phi(s)' C grad phi(t) with C = I^-1 or J (:func:`_gradient_form`);
+which parameters were estimated only changes the coefficients.  A fixed
+alpha (the H2 and ``eise_fixed`` kinds) removes alpha from the estimated
+parameters, which zeroes the alpha row and column of I^-1 (MLE), or of A^-1
+and J (EISE).  ``transformed_kernel`` folds in the exponential test weight
+and maps the plane onto [-1, 1]^2 through s = -sgn(u) log(1 - |u|), which
+is the form the eigenvalue solver consumes.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .estimators import EiseMatrices, _inner_values, eise_matrices, fisher_info, fisher_location_scale
-from .stable_core import cf, cf_grad
+from .stable_core import _safe_log_abs, cf, cf_grad
 
 __all__ = [
     "KERNEL_KINDS",
@@ -34,8 +35,26 @@ __all__ = [
 KERNEL_KINDS = ("mle_h1", "mle_h2", "eise_h1", "eise_fixed")
 
 
-def _safe_log_abs(a):
-    return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), 0.0)
+def _gradient_form(s, t, alpha, c):
+    """(s, t, |s|^alpha, |t|^alpha, log|s|, log|t|, form) as arrays, log 0 read as 0.
+
+    form * phi(s) phi(t) = grad phi(s)' C conj(grad phi(t)) at the standard
+    case, for the block-diagonal C with entries ``c`` = (C11, C22, C23, C33).
+    """
+    c11, c22, c23, c33 = c
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a_s, a_t = np.abs(s), np.abs(t)
+    sa, ta = a_s**alpha, a_t**alpha
+    ls, lt = _safe_log_abs(a_s), _safe_log_abs(a_t)
+    ast = sa * ta
+    form = (
+        c11 * s * t
+        + c22 * alpha**2 * ast
+        + c23 * alpha * ast * (ls + lt)
+        + c33 * ast * ls * lt
+    )
+    return s, t, sa, ta, ls, lt, form
 
 
 def gamma_mle(s, t, alpha, inv_entries):
@@ -45,21 +64,9 @@ def gamma_mle(s, t, alpha, inv_entries):
     matrix; with alpha fixed, I^23 = I^33 = 0.  Vanishes on the axes: every
     correction term carries s and t.
     """
-    i11, i22, i23, i33 = inv_entries
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a_s, a_t = np.abs(s), np.abs(t)
-    sa, ta = a_s**alpha, a_t**alpha
+    s, t, sa, ta, _, _, form = _gradient_form(s, t, alpha, inv_entries)
     e_pp = np.exp(-(sa + ta))
-    ls, lt = _safe_log_abs(a_s), _safe_log_abs(a_t)
-    ast = sa * ta
-    bracket = (
-        i11 * s * t
-        + i22 * ast * alpha**2
-        + i23 * ast * alpha * (ls + lt)
-        + i33 * ast * ls * lt
-    )
-    return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
+    return np.exp(-np.abs(t - s) ** alpha) - e_pp - form * e_pp
 
 
 def gamma_efficient(s, t, params, fisher_inverse):
@@ -100,8 +107,6 @@ class _EiseInnerCache:
     """
 
     def __init__(self, alpha, weight):
-        self.alpha = alpha
-        self.weight = weight
         grid = np.linspace(0.0, _S_MAX, _N_GRID)
         vals = _inner_values(alpha, weight, grid)
         self._spl = [CubicSpline(grid, vals[:, i]) for i in range(3)]
@@ -161,20 +166,9 @@ def gamma_eise(s, t, spec):
     a = spec.alpha
     a11, a22, a23, a33 = spec.inv_entries
     J = spec.J
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a_s, a_t = np.abs(s), np.abs(t)
-    sa, ta = a_s**a, a_t**a
-    ls, lt = _safe_log_abs(a_s), _safe_log_abs(a_t)
+    s, t, sa, ta, ls, lt, jbr = _gradient_form(s, t, a, (J[0, 0], J[1, 1], J[1, 2], J[2, 2]))
     e_s, e_t = np.exp(-sa), np.exp(-ta)
     e_pp = e_s * e_t
-    ast = sa * ta
-    jbr = (
-        J[0, 0] * s * t
-        + J[1, 1] * a**2 * ast
-        + J[1, 2] * a * ast * (ls + lt)
-        + J[2, 2] * ast * ls * lt
-    )
     bbr = (em.Bsigma * a22 + em.Balpha * a23) * a * (ta + sa) + (
         em.Bsigma * a23 + em.Balpha * a33
     ) * (ta * lt + sa * ls)

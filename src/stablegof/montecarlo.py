@@ -338,14 +338,6 @@ class CriticalValueTable:
             raise KeyError(f"kappa={kappa}, xi={xi} lacks alpha={missing}")
         return self.alphas, curve
 
-    def to_rows(self):
-        rows = []
-        for ia, a in enumerate(self.alphas):
-            for ik, k in enumerate(self.kappas):
-                for ix, xi in enumerate(self.xis):
-                    rows.append((a, k, xi, self.values[ia, ik, ix], self.bounds[ia, ik, ix]))
-        return rows
-
     @classmethod
     def from_rows(cls, rows, hypothesis="H1"):
         rows = list(rows)

@@ -76,6 +76,11 @@ def cf(t, params):
     return np.exp(1j * params.mu * t - np.abs(params.sigma * t) ** params.alpha)
 
 
+def _safe_log_abs(a):
+    """log(a) where a > 0 and 0 elsewhere, elementwise and without a warning; a is an |x|."""
+    return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), 0.0)
+
+
 def cf_grad(t, params):
     """Gradient of the characteristic function in (mu, sigma, alpha).
 
@@ -85,9 +90,7 @@ def cf_grad(t, params):
     t = np.asarray(t, dtype=float)
     mu, sigma, alpha = params.mu, params.sigma, params.alpha
     at = np.abs(sigma * t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ata = at**alpha
-        lat = np.where(at > 0, np.log(np.where(at > 0, at, 1.0)), 0.0)
+    ata, lat = at**alpha, _safe_log_abs(at)
     base = np.exp(1j * mu * t - ata)
     d_mu = 1j * t * base
     d_sigma = -base * ata * alpha / sigma

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -116,7 +117,9 @@ def test_h2_table_accepts_the_normal_endpoint(cache, tmp_path):
     argv = ["table", "--hypothesis", "H2", "--alphas", "2.0", "--kappas", "2.5",
             "--nodes", "16", "-o", str(out)]
     assert main(argv) == 0
-    assert len(load_table(out).to_rows()) == 2
+    table = load_table(out)
+    assert table.values.shape == table.bounds.shape == (1, 1, 2)
+    assert np.all(np.isfinite(table.values))
 
 
 def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, capsys):
@@ -132,8 +135,8 @@ def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, ca
 
     table = load_table(out1)
     assert set(np.round(table.alphas, 3)) == {0.9, 1.0, 1.1}
-    rows = table.to_rows()
-    assert len(rows) == 6
+    assert table.values.shape == table.bounds.shape == (3, 1, 2)
+    assert np.all(np.isfinite(table.values))
     # table round-trips through its own text format
     again = load_table(out1)
     np.testing.assert_allclose(again.values, table.values)
@@ -173,6 +176,21 @@ def test_spectrum_cache_is_keyed_by_the_code_digest(cache, monkeypatch):
     assert len(built) == 2
     assert names[0] != names[1] and names[0] == names[2]
     assert sorted(os.listdir(cache / "cache")) == sorted(names[:2])
+
+
+def test_code_digest_covers_every_module(tmp_path, monkeypatch):
+    # errors.py is imported by spectral; a byte changed in it must change the key
+    copy = tmp_path / "stablegof"
+    shutil.copytree(os.path.dirname(cli.__file__), copy, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cli, "__file__", str(copy / "cli.py"))
+    digest = cli._code_digest.__wrapped__
+    before = digest()
+    assert before == cli._code_digest()
+    errors = copy / "errors.py"
+    src = bytearray(errors.read_bytes())
+    src[0] ^= 1
+    errors.write_bytes(bytes(src))
+    assert digest() != before
 
 
 def test_test_without_tables_is_input_error(cache, cauchy_file, tmp_path, capsys):

@@ -10,6 +10,8 @@ from scipy import integrate
 
 from stablegof import _fourier, estimators, stable_core
 from stablegof._fourier import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _GRADED_NODES,
     _RULE_CELLS,
     _graded_rule,
@@ -18,7 +20,9 @@ from stablegof._fourier import (
 )
 from stablegof.errors import DataError, NonConvergenceError, QuadratureError
 from stablegof.estimators import (
+    EiseMatrices,
     WeightSpec,
+    _fisher_rule,
     _logf_lookup,
     _pair_sums,
     _w0_and_deriv,
@@ -209,6 +213,49 @@ def test_fisher_matrix_positive_definite():
         m = fisher_info(alpha).matrix()
         assert np.all(np.linalg.eigvalsh(m) > 0)
         assert m[0, 1] == m[0, 2] == 0.0
+
+
+def old_gl_panels(edges):
+    """Reference copy of the panel map ``estimators`` kept before it used ``_fourier``'s."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.999])
+@pytest.mark.parametrize("halve", [False, True])
+def test_fisher_rule_is_bit_identical_to_its_own_panel_map(alpha, halve, monkeypatch):
+    xc = _crossover(alpha)
+    got = _fisher_rule(alpha, xc, halve)
+    monkeypatch.setattr(estimators, "_gl_panels", old_gl_panels)
+    want = _fisher_rule(alpha, xc, halve)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_inverse_entries_are_bit_identical_to_the_closed_forms():
+    fi = fisher_info(1.5)
+    det = fi.I22 * fi.I33 - fi.I23**2
+    want = (1.0 / fi.I11, fi.I33 / det, -fi.I23 / det, fi.I22 / det)
+    assert np.array_equal(fi.inverse_entries(), want)
+    em = eise_matrices(1.3, WeightSpec("exp_power", 1.0, 1.5))
+    A = em.A
+    det = A[1, 1] * A[2, 2] - A[1, 2] ** 2
+    want = (1.0 / A[0, 0], A[2, 2] / det, -A[1, 2] / det, A[1, 1] / det)
+    assert np.array_equal(em.a_inverse_entries(), want)
+
+
+def test_a_inverse_refuses_an_indefinite_matrix():
+    em = eise_matrices(1.3, WeightSpec("exp_power", 1.0, 1.5))
+    bad = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="not positive definite"):
+        EiseMatrices(bad, em.H, em.J, em.Bsigma, em.Balpha, em.alpha, em.weight).a_inverse_entries()
+
+
+def test_weight_values_are_bit_identical_to_the_one_term_formula():
+    t = np.concatenate((-np.geomspace(1e-9, 80.0, 97), [0.0], np.geomspace(1e-9, 80.0, 97)))
+    for w in (WeightSpec("exp_abs", 2.5), WeightSpec("exp_power", 1.0, 1.5), WeightSpec("exp_power", 2.0, 0.7)):
+        (c, p), = w.terms()
+        assert np.array_equal(w.values(t), np.exp(-c * np.abs(t) ** p))
 
 
 def cauchy_al(x):

@@ -10,9 +10,15 @@ from scipy import integrate
 
 from stablegof import _fourier
 from stablegof._fourier import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _GRADE_LEVELS,
     _LOG_EPS,
+    _MID_PANELS,
     _far_quad,
+    _graded_rule,
     _grid_sums,
+    _phi,
     cos_transforms,
     envelope_cutoff,
     envelope_moment,
@@ -22,6 +28,83 @@ from stablegof.estimators import WeightSpec
 from stablegof.stable_core import _crossover
 
 
+def loop_phi(t, terms):
+    """Reference copy of the exponent loop ``_grid_sums`` had before it called ``_phi``."""
+    phi = np.zeros_like(t)
+    for c, p in terms:
+        phi += c * t**p
+    return phi
+
+
+def old_panel_grid(T, xmax):
+    """Reference copy of ``panel_grid`` with its own panel map, before ``_gl_panels``."""
+    edges = [0.0]
+    t0 = min(1.0, T) * 2.0 ** -14
+    while t0 < T:
+        edges.append(t0)
+        t0 *= 2.0
+    edges.append(T)
+    edges = np.unique(np.asarray(edges))
+    h_osc = math.pi / max(xmax, 1e-9)
+    delta = np.diff(edges)
+    nsub = np.maximum(np.ceil(delta / h_osc), 1.0).astype(np.intp)
+    piece = np.repeat(np.arange(nsub.size), nsub)
+    i = np.arange(piece.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    lo = i * (delta / nsub)[piece] + edges[piece]
+    hi = np.concatenate([lo[1:], [T]])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return t, w
+
+
+def old_graded_rule(a, b):
+    """Reference copy of ``_graded_rule`` with its own [0, 1] template, before ``_gl_panels``."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    levels = _GRADE_LEVELS
+    edges = np.concatenate(([0.0], 2.0 ** -np.arange(levels + 1.0, 1.0, -1.0)))
+    fmid = np.linspace(0.25, 0.75, _MID_PANELS + 1)
+    lo = np.concatenate((edges[:-1], fmid[:-1], edges[:-1]))
+    hi = np.concatenate((edges[1:], fmid[1:], edges[1:]))
+    off = (0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _GL_NODES).ravel()
+    fw = (0.5 * (hi - lo)[:, None] * _GL_WEIGHTS).ravel()
+    from_b = np.repeat(np.arange(lo.size) >= levels + _MID_PANELS, _GL_NODES.size)
+    a, b = a[..., None], b[..., None]
+    length = b - a
+    u = np.where(from_b, b - length * off, a + length * off)
+    return u, length * fw
+
+
+# (T, xmax) of panel_grid: the density's cutoffs 41.5^(1/alpha), transform
+# cutoffs, a T below the first dyadic edge, and xmax from 0 to past ysplit
+PANEL_CASES = [
+    (T, xmax)
+    for T in (_LOG_EPS ** (1 / 0.5), _LOG_EPS ** (1 / 1.5), _LOG_EPS**0.5, 4.15, 0.3, 1.0)
+    for xmax in (0.0, 0.05, 1.0, 7.3, 60.0)
+]
+
+
+@pytest.mark.parametrize("T,xmax", PANEL_CASES)
+def test_panel_grid_is_bit_identical_to_its_own_panel_map(T, xmax):
+    got, want = panel_grid(T, xmax), old_panel_grid(T, xmax)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_graded_rule_is_bit_identical_to_its_own_template():
+    a = np.array([[-41.5, 0.0, 0.2], [3.0, -1e-3, 7.0]])
+    b = np.array([[0.0, 1e-3, 7.0], [3.0, 0.0, 41.5]])  # one degenerate interval
+    for lo, hi in ((a, b), (0.0, 6.4), (-2.0, np.array([0.5, 9.0]))):
+        got, want = _graded_rule(lo, hi), old_graded_rule(lo, hi)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_phi_is_bit_identical_to_the_loop():
+    t = np.concatenate(([0.0], np.geomspace(1e-12, 60.0, 301)))
+    for terms in (((1.0, 1.5),), ((1.0, 0.7), (2.5, 1.0)), ((2.0, 1.2), (1.0, 1.5), (10.0, 1.0))):
+        assert np.array_equal(_phi(t, terms), loop_phi(t, terms))
+
+
 def complex_exp_grid_sums(ay, alpha, terms, T):
     """Reference copy of the gradient route of ``_grid_sums`` before real cos/sin.
 
@@ -29,10 +112,7 @@ def complex_exp_grid_sums(ay, alpha, terms, T):
     takes the three products on its real and imaginary parts.
     """
     t, w = panel_grid(T, float(np.max(ay)))
-    phi = np.zeros_like(t)
-    for c, p in terms:
-        phi += c * t**p
-    env = np.exp(-phi)
+    env = np.exp(-loop_phi(t, terms))
     w0 = w * env
     lt = np.log(np.maximum(t, 1e-300))
     w1, wa = w * t * env, w * t**alpha * lt * env

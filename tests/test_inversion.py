@@ -11,7 +11,6 @@ from stablegof.inversion import (
     InversionConfig,
     _check_alternating,
     _hypoexp_sf_terms,
-    _pair_structure,
     _paired_rates,
     _series_terms,
     cdf_dk,
@@ -37,7 +36,7 @@ def pdf_dk(x, config):
     """
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
-    if _pair_structure(config) == "paired":
+    if config._table.structure == "paired":
         r = _paired_rates(config)
         return float(np.sum(r * _hypoexp_sf_terms(x, r)))
     terms = pdf_series_terms(x, config)
@@ -161,6 +160,14 @@ def test_config_validation(simple_cfg):
         InversionConfig(spectrum=sp, l=6, m=10)  # 2l > available
     with pytest.raises(ValueError):
         InversionConfig(spectrum=sp, l=3, m=11)  # m > available
+
+
+def test_mixed_spectrum_is_refused_at_construction():
+    # the first pair is doubled, the later pairs simple: neither the
+    # alternating series nor the exponential sum applies
+    lam = np.array([2.0, 2.0, 5.0, 9.0, 14.0, 20.0, 27.0, 35.0, 44.0, 54.0])
+    with pytest.raises(SeriesDivergenceError, match="mixes simple and multiple"):
+        InversionConfig(spectrum=synthetic_spectrum(lam), l=4, m=10)
 
 
 def test_defaults_follow_weight_size():

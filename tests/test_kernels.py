@@ -92,6 +92,25 @@ def gamma_eise_fixed(s, t, spec):
     return np.exp(-np.abs(t - s) ** a) - e_pp + bracket * e_pp + cross
 
 
+def old_gamma_mle(s, t, alpha, inv_entries):
+    """Reference copy of ``gamma_mle`` with its own operation order, before ``_gradient_form``."""
+    i11, i22, i23, i33 = inv_entries
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a_s, a_t = np.abs(s), np.abs(t)
+    sa, ta = a_s**alpha, a_t**alpha
+    e_pp = np.exp(-(sa + ta))
+    ls, lt = _safe_log_abs(a_s), _safe_log_abs(a_t)
+    ast = sa * ta
+    bracket = (
+        i11 * s * t
+        + i22 * ast * alpha**2
+        + i23 * ast * alpha * (ls + lt)
+        + i33 * ast * ls * lt
+    )
+    return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
+
+
 def adaptive_inner(alpha, weight, s):
     """(M1, M2, M3) at one s >= 0 by adaptive quadrature.
 
@@ -134,6 +153,18 @@ def test_gamma_mle_vanishes_on_axes():
     t = np.linspace(-8, 8, 33)
     assert np.allclose(gamma_mle(0.0, t, 1.5, inv), 0.0, atol=1e-14)
     assert np.allclose(gamma_mle(t, 0.0, 1.5, inv), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind,alpha", [("mle_h1", a) for a in (0.5, 0.8, 1.0, 1.5, 1.9)]
+                         + [("mle_h2", a) for a in (0.8, 1.5, 2.0)])
+def test_gamma_mle_matches_its_old_operation_order(kind, alpha):
+    # the form now takes the EISE kernel's order, which moves the last bits;
+    # Gamma cancels to near zero in places, so the scale is max |Gamma|
+    g = np.concatenate((-np.geomspace(1e-6, 40.0, 60)[::-1], [0.0], np.geomspace(1e-6, 40.0, 60)))
+    s, t = np.meshgrid(g, g)
+    inv = make_kernel(kind, alpha, 1.0).inv_entries
+    want = old_gamma_mle(s, t, alpha, inv)
+    assert np.max(np.abs(gamma_mle(s, t, alpha, inv) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_gamma_mle_symmetric():

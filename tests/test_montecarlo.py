@@ -171,10 +171,15 @@ def test_decision_refuses_a_column_with_a_hole():
 
 
 def test_table_roundtrip_through_rows():
-    table = small_table()
-    again = CriticalValueTable.from_rows(table.to_rows())
-    np.testing.assert_allclose(again.values, table.values)
-    np.testing.assert_allclose(again.alphas, table.alphas)
+    # rows in any order land in the (alpha, kappa, xi) grid
+    table = CriticalValueTable.from_rows(
+        [(a, 10.0, 0.10, v, 1e-5) for a, v in reversed(KAPPA10_COLUMN)]
+    )
+    np.testing.assert_array_equal(table.alphas, [a for a, _ in KAPPA10_COLUMN])
+    np.testing.assert_array_equal(table.kappas, [10.0])
+    np.testing.assert_array_equal(table.xis, [0.10])
+    np.testing.assert_array_equal(table.values[:, 0, 0], [v for _, v in KAPPA10_COLUMN])
+    np.testing.assert_array_equal(table.bounds, np.full((len(KAPPA10_COLUMN), 1, 1), 1e-5))
 
 
 @pytest.mark.slow
