@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DataError, NonConvergenceError, NumericsError
+from .errors import DataError, NumericsError
 from .estimators import WeightSpec, eise_fit, eise_matrices, fisher_info, mle_fit
 from .ecf_test import test_statistic
 from .inversion import cdf_dk_with_bound, default_inversion_config, quantile_dk
@@ -161,7 +161,8 @@ def cmd_estimate(args):
     print(f"alpha_hat    {p.alpha:.6g}" + ("  (boundary)" if fit.boundary_alpha else ""))
     se = None
     if args.fix_alpha is None and fit.estimator == "mle" and p.alpha < 2.0:
-        se = np.sqrt(np.diag(np.linalg.inv(fisher_info(p.alpha).matrix())) / n)
+        i11, i22, _, i33 = fisher_info(p.alpha).inverse_entries()
+        se = np.sqrt(np.array([i11, i22, i33]) / n)
     elif args.fix_alpha is None and fit.estimator == "eise":
         # the standard errors belong to the weight the fit used
         se = np.sqrt(np.diag(eise_matrices(p.alpha, weight).J) / n)
@@ -479,7 +480,7 @@ def main(argv=None):
     except DataError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (NumericsError, NonConvergenceError) as exc:
+    except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as exc:

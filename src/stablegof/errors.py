@@ -13,7 +13,7 @@ class SeriesDivergenceError(NumericsError):
     """An alternating series showed non-decreasing terms (divergence symptom)."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(NumericsError):
     """Optimizer stopped without meeting its convergence criterion.
 
     Carries the best iterate found so far in ``best`` so callers can

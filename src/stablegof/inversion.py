@@ -13,9 +13,13 @@ After the cosine substitution every series term is a smooth integral over
 z in [0, 1] whose only x-dependence is the factor e^{-x y}.  Each
 :class:`InversionConfig` therefore tabulates, once, the nodes y_kj of a
 fixed 64-point Gauss-Legendre rule on every term's interval together with
-the CDF's log-weights log(const_k w_j / y_kj) - 1/2 sum_i log|1 - 2 y_kj / lambda_i|;
-a CDF evaluation is then one vectorized sum over an l x 64 array instead
-of l adaptive quadratures.  The node count is fixed: on the
+the CDF's log-weights log(const_k w_j / y_kj) - 1/2 sum_i log|1 - 2 y_kj / lambda_i|,
+and every CDF evaluation is the one exponential sum
+1 - F(x) = sum_k (-1)^(k-1) sum_j exp(L_kj - x Y_kj) over an l x 64 array
+instead of l adaptive quadratures.  When every eigenvalue is double (the
+Cauchy-case kernels) the limit law is itself a finite sum of exponentials,
+tabulated as one column of rates and log-coefficients; the same sum
+evaluates it, and only the error bound differs.  The node count is fixed: on the
 24-cell H1 critical-value table, 24 nodes miss the series bounds (the
 last, smallest terms, down to 1e-302) of five cells by more than 1e-8
 relative, while 32 and 64 nodes reproduce every critical value and bound;
@@ -24,7 +28,6 @@ better than 1e-12 relative (tested).
 """
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 from scipy import optimize
@@ -38,7 +41,7 @@ _GL_NODES = 64
 _GL_Z, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 _GL_Z, _GL_W = 0.5 * (_GL_Z + 1.0), 0.5 * _GL_W  # mapped to [0, 1]
 
-# F is returned only when its alternating-series bound is at most this share
+# F is returned only when its error bound is at most this share
 # of min(F, 1 - F), so that it keeps a correct leading digit; deeper in the
 # left tail the truncated series says nothing about F and the CDF raises.
 _BOUND_SHARE = 0.1
@@ -46,39 +49,51 @@ _BOUND_SHARE = 0.1
 
 @dataclass(frozen=True)
 class _SeriesTable:
-    """x-free part of the alternating series for one configuration.
+    """x-free part of 1 - F(x) = sum_k (-1)^(k-1) sum_j exp(L_kj - x Y_kj).
 
-    ``structure`` is "simple" or "paired" (see :func:`_series_table`); the
-    node arrays are filled for "simple" spectra only.  Rows are series
-    terms k = 1..l, columns the Gauss-Legendre nodes.
+    ``y`` holds Y and ``log_w_cdf`` holds L; ``structure`` is "simple" or
+    "paired" (see :func:`_series_table`).  Simple: row k is the k-th
+    alternating-series term, the columns its Gauss-Legendre nodes.  Paired:
+    row k is the k-th exponential of a finite sum, in one column.
     """
 
     structure: str
-    y: np.ndarray | None = None
-    log_w_cdf: np.ndarray | None = None  # log(const_k w_j / y_kj) - 1/2 log-product
+    y: np.ndarray
+    log_w_cdf: np.ndarray
 
 
 def _series_table(spectrum, l, m):
-    """Classify the leading eigenvalue pairs and tabulate the first l terms.
+    """Classify the leading eigenvalue pairs and tabulate the series.
 
-    A leading spectrum neither simple nor fully "paired" (the Cauchy-case
-    kernels carry every eigenvalue twice, and the limit law is then a finite
-    sum of exponentials) raises SeriesDivergenceError.
+    A leading spectrum neither simple nor fully "paired" raises
+    SeriesDivergenceError.
 
-    Term k integrates over y in [lambda_{2k-1}/2, lambda_{2k}/2]; the two
-    determinant factors vanishing there are cancelled analytically, leaving
-    sqrt(lambda_{2k-1} lambda_{2k})/2 over the deflated product.
+    Simple, first l terms: term k integrates over y in
+    [lambda_{2k-1}/2, lambda_{2k}/2]; the two determinant factors vanishing
+    there are cancelled analytically, leaving sqrt(lambda_{2k-1} lambda_{2k})/2
+    over the deflated product.
+
+    Paired (the Cauchy-case kernels carry every eigenvalue twice): the limit
+    law is a sum of exponentials with rates r_j = sqrt(lambda_{2j-1} lambda_{2j})/2
+    over the first m eigenvalues, so 1 - F(x) = sum_j c_j e^{-r_j x} with
+    c_j = prod_{i != j} r_i / (r_i - r_j) of sign (-1)^(j-1); L_j = log|c_j|.
     """
     lam = spectrum.lambdas
     lo, hi = lam[0 : 2 * l : 2], lam[1 : 2 * l : 2]
     gaps = (hi - lo) / hi
+    lm = lam[:m]
     if np.all(gaps < 1e-8):
-        return _SeriesTable("paired")
+        r = 0.5 * np.sqrt(lm[0 : m - 1 : 2] * lm[1:m:2])
+        logr = np.log(r)
+        log_c = [
+            np.sum(np.delete(logr, j)) - np.sum(np.log(np.abs(np.delete(r - r[j], j))))
+            for j in range(len(r))
+        ]
+        return _SeriesTable("paired", r[:, None], np.array(log_c)[:, None])
     if not np.all(gaps > 1e-6):
         raise SeriesDivergenceError(
             "spectrum mixes simple and multiple eigenvalues; inversion undefined"
         )
-    lm = lam[:m]
     a, b = 0.5 * lo, 0.5 * hi
     y = 0.5 * (b - a)[:, None] * np.cos(np.pi * _GL_Z) + 0.5 * (a + b)[:, None]
     log_prod = np.empty_like(y)
@@ -93,11 +108,11 @@ def _series_table(spectrum, l, m):
 class InversionConfig:
     """Truncation of the series (l terms) and of the determinant (m products).
 
-    Construction tabulates the x-free part of every series term (see the
-    module docstring), so build one config per spectrum and reuse it.  The
-    terms come from a fixed Gauss-Legendre rule that the tests hold to
-    1e-12 relative against adaptive quadrature.  A mixed spectrum raises
-    SeriesDivergenceError.
+    Construction tabulates the x-free part of the CDF's exponential sum (see
+    the module docstring), so build one config per spectrum and reuse it.
+    A simple spectrum's terms come from a fixed Gauss-Legendre rule that the
+    tests hold to 1e-12 relative against adaptive quadrature.  A mixed
+    spectrum raises SeriesDivergenceError.
     """
 
     spectrum: Spectrum
@@ -127,35 +142,8 @@ def default_inversion_config(spectrum):
     return InversionConfig(spectrum=spectrum, l=l, m=m)
 
 
-def _paired_rates(config):
-    """Collapse double eigenvalues into exponential rates lambda_j/2."""
-    lam = config.spectrum.lambdas[: config.m]
-    k = len(lam) - len(lam) % 2
-    pairs = np.sqrt(lam[0:k:2] * lam[1:k:2])
-    return 0.5 * pairs
-
-
-def _hypoexp_sf_terms(x, rates):
-    """Signed terms of P(sum_j Exp(rate_j) > x) = sum_j c_j e^{-r_j x}.
-
-    c_j = prod_{i != j} r_i / (r_i - r_j), evaluated in log magnitude with
-    the sign (-1)^(j-1) of the sorted-rate products.
-    """
-    r = np.asarray(rates)
-    logr = np.log(r)
-    terms = []
-    for j in range(len(r)):
-        diff = r - r[j]
-        diff = np.delete(diff, j)
-        logc = float(np.sum(np.delete(logr, j)) - np.sum(np.log(np.abs(diff))))
-        sign = -1.0 if j % 2 else 1.0
-        expo = logc - r[j] * x
-        terms.append(sign * math.exp(expo) if expo > -745.0 else 0.0)
-    return np.asarray(terms)
-
-
 def _series_terms(x, config):
-    """Magnitudes of the first l alternating-series terms of the CDF at argument x."""
+    """Magnitudes of the terms of 1 - F at argument x: series terms or exponentials."""
     t = config._table
     return np.exp(t.log_w_cdf - x * t.y).sum(axis=1)
 
@@ -173,23 +161,22 @@ def _check_alternating(terms):
 def cdf_dk_with_bound(x, config):
     """CDF of the limit statistic plus an error bound.
 
-    For a simple spectrum the bound is that of the alternating series; for a
-    paired one it is the rounding bound m * eps * sum |c_j e^{-r_j x}| of the
-    signed exponential sum S = 1 - F.  Either way raises
-    SeriesDivergenceError where the bound is not small against
+    1 - F is the signed sum S of the tabulated terms (see :class:`_SeriesTable`).
+    For a simple spectrum the bound is that of the alternating series, half
+    the last term; for a paired one it is the rounding bound
+    n * eps * sum |c_j e^{-r_j x}| of the n = m // 2 exponentials.  Either way
+    raises SeriesDivergenceError where the bound is not small against
     min(F, 1 - F), which happens deep in the left tail.
     """
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
-    if config._table.structure == "paired":
-        terms = _hypoexp_sf_terms(x, _paired_rates(config))
-        bound = float(len(terms) * np.finfo(float).eps * np.sum(np.abs(terms)))
-    else:
-        terms = _series_terms(x, config)
+    terms = _series_terms(x, config)
+    if config._table.structure == "simple":
         _check_alternating(terms)
-        terms = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0) * terms
-        bound = 0.5 * float(np.abs(terms[-1])) if len(terms) else 0.0
-    sf = float(np.sum(terms))  # 1 - F without the cancellation
+        bound = 0.5 * float(terms[-1]) if len(terms) else 0.0
+    else:
+        bound = float(len(terms) * np.finfo(float).eps * np.sum(terms))
+    sf = float(np.sum(np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0) * terms))
     value = 1.0 - sf
     if bound > _BOUND_SHARE * min(value, sf):
         raise SeriesDivergenceError(

@@ -31,7 +31,7 @@ import os
 
 import numpy as np
 
-from .errors import DataError, NonConvergenceError, NumericsError
+from .errors import DataError, NumericsError
 from .estimators import WeightSpec, eise_fit, mle_fit
 from .ecf_test import test_statistic
 from .stable_core import rand_stable
@@ -144,7 +144,7 @@ def _attempts(config, child):
         try:
             p = _fit(x, config).params
             return [test_statistic(x, p, k, config.hypothesis).statistic for k in config.kappas], attempt
-        except (NonConvergenceError, NumericsError, DataError):
+        except (NumericsError, DataError):
             pass
     return None, _MAX_DRAWS
 

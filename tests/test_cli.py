@@ -151,6 +151,29 @@ def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, ca
     assert float(fields["statistic"]) > 0
 
 
+def test_paired_h2_cell_table_and_test(cache, cauchy_file, tmp_path, capsys):
+    # at alpha = 1 the mle_h2 spectrum is paired: the exponential-sum route
+    out = tmp_path / "h2.csv"
+    argv = ["table", "--hypothesis", "H2", "--alphas", "1.0", "--kappas", "2.5",
+            "--nodes", "800", "-o", str(out)]
+    assert main(argv) == 0
+    table = load_table(out)
+    got = dict(zip(np.round(table.xis, 2), table.values[0, 0]))
+    # references of tests/test_inversion.py::test_paired_h2_cauchy_quantiles
+    assert got[0.10] == pytest.approx(0.2856105048, rel=1e-9, abs=0.0)
+    assert got[0.05] == pytest.approx(0.3349875548, rel=1e-9, abs=0.0)
+
+    capsys.readouterr()
+    code = main([
+        "test", str(cauchy_file), "--hypothesis", "H2", "--alpha0", "1.0", "--kappa", "2.5",
+        "--tables", str(out), "--machine",
+    ])
+    assert code == 0
+    fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
+    assert fields["critical_10"] == "0.285611"
+    assert fields["critical_5"] == "0.334988"
+
+
 def test_spectrum_cache_keeps_alpha_at_full_precision(cache):
     _, name1 = cached_spectrum("mle_h2", 1.2345678, 2.5, 20)
     _, name2 = cached_spectrum("mle_h2", 1.2345679, 2.5, 20)

@@ -18,7 +18,7 @@ from stablegof._fourier import (
     envelope_cutoff,
     envelope_moment,
 )
-from stablegof.errors import DataError, NonConvergenceError, QuadratureError
+from stablegof.errors import DataError, NonConvergenceError, NumericsError, QuadratureError
 from stablegof.estimators import (
     EiseMatrices,
     WeightSpec,
@@ -351,6 +351,9 @@ def test_mle_nonconvergence_carries_best_iterate():
         mle_fit(x, maxiter=1)
     assert exc.value.best is not None
     assert exc.value.best.params.sigma > 0
+    # one root for numerical failures: the CLI's exit code 3 and the Monte
+    # Carlo redraw catch NumericsError alone
+    assert isinstance(exc.value, NumericsError) and isinstance(exc.value, RuntimeError)
 
 
 def test_mle_with_sigma_at_its_floor_is_not_converged():

@@ -10,8 +10,6 @@ from stablegof.errors import SeriesDivergenceError
 from stablegof.inversion import (
     InversionConfig,
     _check_alternating,
-    _hypoexp_sf_terms,
-    _paired_rates,
     _series_terms,
     cdf_dk,
     cdf_dk_with_bound,
@@ -36,13 +34,43 @@ def pdf_dk(x, config):
     """
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
-    if config._table.structure == "paired":
-        r = _paired_rates(config)
-        return float(np.sum(r * _hypoexp_sf_terms(x, r)))
     terms = pdf_series_terms(x, config)
-    _check_alternating(terms)
+    if config._table.structure == "simple":
+        _check_alternating(terms)
     signs = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0)
     return float(np.sum(signs * terms))
+
+
+def paired_rates(config):
+    """Collapse double eigenvalues into exponential rates lambda_j/2.
+
+    Reference copy of the rates the CDF computed at every call before the
+    paired table held them.
+    """
+    lam = config.spectrum.lambdas[: config.m]
+    k = len(lam) - len(lam) % 2
+    pairs = np.sqrt(lam[0:k:2] * lam[1:k:2])
+    return 0.5 * pairs
+
+
+def hypoexp_sf_terms(x, rates):
+    """Signed terms of P(sum_j Exp(rate_j) > x) = sum_j c_j e^{-r_j x}.
+
+    c_j = prod_{i != j} r_i / (r_i - r_j), evaluated in log magnitude with
+    the sign (-1)^(j-1) of the sorted-rate products.  Reference copy of the
+    per-call evaluation that the paired table replaced.
+    """
+    r = np.asarray(rates)
+    logr = np.log(r)
+    terms = []
+    for j in range(len(r)):
+        diff = r - r[j]
+        diff = np.delete(diff, j)
+        logc = float(np.sum(np.delete(logr, j)) - np.sum(np.log(np.abs(diff))))
+        sign = -1.0 if j % 2 else 1.0
+        expo = logc - r[j] * x
+        terms.append(sign * math.exp(expo) if expo > -745.0 else 0.0)
+    return np.asarray(terms)
 
 
 def imhof_cdf(x, lam):
@@ -259,3 +287,40 @@ def test_paired_h2_cauchy_quantiles():
         assert abs(q / ref - 1.0) < 1e-10
         val, bound = cdf_dk_with_bound(q, cfg)
         assert np.finfo(float).eps * (1.0 - val) <= bound <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [None, 1.0, 10.0])
+def test_paired_table_reproduces_the_exponential_sum(kappa):
+    # None: the synthetic doubled spectrum; else mle_h2 at alpha = 1, N = 800
+    if kappa is None:
+        lam = np.repeat(np.array([2.0, 6.5, 12.0, 19.0, 28.0, 40.0]), 2)
+        cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12)
+        exact_xs = [0.8, 1.5, 2.5, 4.0]
+    else:
+        cfg = default_inversion_config(build_spectrum(make_kernel("mle_h2", 1.0, kappa), 800))
+        exact_xs = [quantile_dk(xi, cfg) for xi in (0.10, 0.05)]
+    r = paired_rates(cfg)
+    assert cfg._table.structure == "paired"
+    assert np.array_equal(cfg._table.y[:, 0], r)
+    eps = np.finfo(float).eps
+
+    def oracle(x):
+        terms = hypoexp_sf_terms(x, r)
+        return terms, 1.0 - float(np.sum(terms)), float(len(terms) * eps * np.sum(np.abs(terms)))
+
+    for x in exact_xs:
+        _, want_val, want_bound = oracle(x)
+        got_val, got_bound = cdf_dk_with_bound(x, cfg)
+        assert got_val.hex() == want_val.hex() and got_bound.hex() == want_bound.hex()
+    # np.exp and math.exp round some arguments differently, so elsewhere the
+    # terms agree to one ulp and F to within its own rounding bound
+    mean = cfg.spectrum.trace_sum(cfg.m)
+    for x in mean * np.linspace(0.6, 5.0, 12):
+        terms, want_val, want_bound = oracle(x)
+        np.testing.assert_allclose(_series_terms(x, cfg), np.abs(terms), rtol=eps, atol=1e-300)
+        got_val, got_bound = cdf_dk_with_bound(x, cfg)
+        assert abs(got_val - want_val) <= got_bound
+        assert got_bound == pytest.approx(want_bound, rel=4 * eps)
+        pdf_terms = r * terms
+        want_pdf = float(np.sum(pdf_terms))
+        assert abs(pdf_dk(x, cfg) - want_pdf) <= len(r) * eps * np.sum(np.abs(pdf_terms))
