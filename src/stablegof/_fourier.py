@@ -14,9 +14,11 @@ beyond ``ysplit`` fall back to adaptive oscillatory quadrature so heavy-tail
 outliers cannot alias into the grid sum.  The value of D needs only the
 first transform: without ``grad``, :func:`cos_transforms` forms the grid sum
 from real cosines alone and makes one quadrature per far point instead of
-three.  The stable density's grid branch (``stable_core.pdf_batch``) is the
-same three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2
-(alpha = 2 included).
+three.  The stable density (``stable_core``) is the same three sums with
+phi(t) = t^alpha, scaled by 1/pi instead of 2: on the grid (alpha = 2
+included), or point by point through :func:`_qawo_sums`, the package's one
+QAWO, which also serves the far points.  Its two routes differ only in
+their QUADPACK settings and accepted error, ``_DENSITY_QAWO`` and ``_FAR_QAWO``.
 
 The non-oscillatory integrals after an EISE fit, the A/H matrices and B
 constants of ``estimators.eise_matrices`` and the inner integrals of the
@@ -50,6 +52,10 @@ _GRADED_NODES = _GL_NODES.size * (2 * _GRADE_LEVELS + _MID_PANELS)
 # blocks fragment the heap: with 2^19, a later EISE fit's arrays did not fit
 # in the freed blocks and peak RSS rose by 24 MB.
 _RULE_CELLS = 2**17
+# QUADPACK options and accepted error (abs, rel) of the density's QAWO route,
+# then of the far points', which take QUADPACK's default tolerances
+_DENSITY_QAWO = (dict(epsabs=1e-14, epsrel=1e-11, limit=600), (1e-17, 1e-9))
+_FAR_QAWO = (dict(limit=400), (1.49e-8, 0.0))
 
 
 def _phi(t, terms):
@@ -186,15 +192,44 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
     return g0, g1, ga
 
 
-def _far_quad(fn, weight, v, T):
-    """int_0^T fn(t) weight(v t) dt by QAWO; raises QuadratureError if it fails."""
-    out = integrate.quad(fn, 0, T, weight=weight, wvar=v, limit=400, full_output=1)
-    val, err = out[0], out[1]
-    # a message alone is tolerated while err meets QUADPACK's default epsabs
-    if not math.isfinite(val) or (len(out) > 3 and not err <= 1.49e-8):
-        msg = " ".join(out[3].split()) if len(out) > 3 else "non-finite value"
-        raise QuadratureError(f"far-point {weight} transform failed at y={v:g}: {msg}")
-    return val
+def _qawo_sums(ay, alpha, terms, T, route, grad=True):
+    """The sums of :func:`_grid_sums` at each |y| in ``ay``, one QAWO each under ``route``.
+
+    A result fails when it is not finite, or when QUADPACK warns and its
+    error is above max(abs, rel*|value|) of the route.  It is then retried
+    once as [0, s] + [s, T], s = min(1, T/2), and a second failure raises
+    QuadratureError: QAWO's roundoff test can trip on the whole interval
+    where the split runs clean (f_alpha at x = 0.0515, alpha = 0.32).
+    Without ``grad`` the other two sums are None.
+    """
+    kwargs, (abs_err, rel_err) = route
+
+    def qawo(fn, weight, v, edges=(0.0, T)):
+        outs = [
+            integrate.quad(fn, a, b, weight=weight, wvar=v, full_output=1, **kwargs)
+            for a, b in zip(edges, edges[1:])
+        ]
+        val, err = outs[0][:2]
+        for out in outs[1:]:
+            val, err = val + out[0], err + out[1]
+        msg = " ".join(" ".join(out[3].split()) for out in outs if len(out) > 3)
+        if math.isfinite(val) and (not msg or err <= max(abs_err, rel_err * abs(val))):
+            return val
+        if len(edges) > 2:
+            raise QuadratureError(f"QAWO {weight} transform failed at y={v:g}: {msg or 'non-finite'}")
+        return qawo(fn, weight, v, (0.0, min(1.0, T / 2.0), T))
+
+    def env(t):
+        return math.exp(-_phi(t, terms))
+
+    integrands = [(env, "cos")]
+    if grad:
+        integrands += [
+            (lambda t: t * env(t), "sin"),
+            (lambda t: t**alpha * math.log(t) * env(t) if t > 0 else 0.0, "cos"),
+        ]
+    sums = [np.array([qawo(fn, weight, v) for v in ay]) for fn, weight in integrands]
+    return (*sums, None, None)[:3]
 
 
 def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
@@ -210,9 +245,8 @@ def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
     (c0, None, None): the grid sum is formed from real cosines alone and
     each point beyond ``ysplit`` gets one quadrature instead of three, with
     the same c0 to the last bit.  Raises
-    :class:`~stablegof.errors.QuadratureError` if a far-point quadrature
-    returns a non-finite value or reports a failure with its error estimate
-    above the requested absolute tolerance.
+    :class:`~stablegof.errors.QuadratureError` where a far point's QAWO
+    fails on its retry too (see :func:`_qawo_sums`).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ay = np.abs(y)
@@ -221,24 +255,15 @@ def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
     s1 = np.empty_like(ay) if grad else None
     ca = np.empty_like(ay) if grad else None
     near = ay <= ysplit
-    if np.any(near):
-        g0, g1, ga = _grid_sums(ay[near], alpha, terms, T, grad)
-        c0[near] = 2.0 * g0
-        if grad:
-            s1[near], ca[near] = 2.0 * g1, 2.0 * ga
-    far = ~near
-    if np.any(far):
-        def env_s(t):
-            return math.exp(-_phi(t, terms))
-
-        for i in np.nonzero(far)[0]:
-            v = ay[i]
-            c0[i] = 2.0 * _far_quad(env_s, "cos", v, T)
+    for part, sums in (
+        (near, lambda v: _grid_sums(v, alpha, terms, T, grad)),
+        (~near, lambda v: _qawo_sums(v, alpha, terms, T, _FAR_QAWO, grad)),
+    ):
+        if np.any(part):
+            g0, g1, ga = sums(ay[part])
+            c0[part] = 2.0 * g0
             if grad:
-                s1[i] = 2.0 * _far_quad(lambda t: t * env_s(t), "sin", v, T)
-                ca[i] = 2.0 * _far_quad(
-                    lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0, "cos", v, T
-                )
+                s1[part], ca[part] = 2.0 * g1, 2.0 * ga
     if grad:
         # cos transforms even in y, the sine one odd
         s1 *= np.where(y < 0, -1.0, 1.0)

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -101,14 +102,19 @@ def cached_spectrum(kind, alpha, kappa, n):
     digest of the package's sources, so distinct parameters never share an
     entry and an edit to any module never reads an entry of the old code; a
     new entry is written to a temporary file and renamed into place, so a
-    reader never sees a half-written spectrum.
+    reader never sees a half-written spectrum.  An entry that cannot be read
+    (truncated, say, by a copy that did not finish) is a miss: the spectrum is
+    rebuilt and the new entry replaces it.
     """
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
     name = f"{kind}_a{float(alpha)!r}_k{float(kappa)!r}_N{n}_{_code_digest()}.npz"
     path = os.path.join(directory, name)
     if os.path.exists(path):
-        return Spectrum.load(path), name
+        try:
+            return Spectrum.load(path), name
+        except (OSError, EOFError, KeyError, ValueError, NotImplementedError, zipfile.BadZipFile):
+            pass
     sp = build_spectrum(make_kernel(kind, alpha, kappa), n)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
     os.close(fd)
@@ -210,6 +216,8 @@ def load_table(path):
 def cmd_test(args):
     if args.hypothesis == "H2" and args.alpha0 is None:
         raise UsageError("--alpha0 is required under H2")
+    if args.hypothesis == "H1" and args.method == "sup_range" and args.alpha_range is None:
+        raise UsageError("--method sup_range needs --alpha-range A B")
     if args.tables is None:
         raise DataError(
             "no critical-value table given; generate one with "

@@ -150,12 +150,13 @@ def _series_terms(x, config):
 
 def _check_alternating(terms):
     mags = np.abs(terms)
-    for k in range(1, len(mags)):
-        if mags[k] >= mags[k - 1] and mags[k] > 1e-13:
-            raise SeriesDivergenceError(
-                f"series terms stopped decreasing at k={k + 1} "
-                f"({mags[k - 1]:.3e} -> {mags[k]:.3e}); x too small for this truncation"
-            )
+    rising = (mags[1:] >= mags[:-1]) & (mags[1:] > 1e-13)
+    if rising.any():
+        k = int(rising.argmax()) + 1
+        raise SeriesDivergenceError(
+            f"series terms stopped decreasing at k={k + 1} "
+            f"({mags[k - 1]:.3e} -> {mags[k]:.3e}); x too small for this truncation"
+        )
 
 
 def cdf_dk_with_bound(x, config):

@@ -12,8 +12,11 @@ alpha-derivatives are computed by Fourier inversion
 
 for moderate |x| and by the algebraic tail expansion in powers of
 x^(-k*alpha-1) beyond a per-alpha crossover; at alpha = 2 the normal closed
-forms then replace f and f'.  The location/scale derivatives follow from the
-identities f_mu = -f' and f_sigma = -f - x f'.
+forms then replace f and f'.  ``pdf_batch`` takes the inversion integrals
+from ``_fourier``'s shared grid, ``pdf`` (and ``pdf_batch`` where that grid
+would be too large) from ``_fourier``'s one QAWO routine, point by point.
+The location/scale derivatives follow from the identities f_mu = -f' and
+f_sigma = -f - x f'.
 """
 
 from dataclasses import dataclass
@@ -21,11 +24,9 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, digamma
 
-from ._fourier import _LOG_EPS, _grid_sums
-from .errors import QuadratureError
+from ._fourier import _DENSITY_QAWO, _LOG_EPS, _grid_sums, _qawo_sums
 
 __all__ = [
     "StableParams",
@@ -290,60 +291,22 @@ def _near_grid(ax, alpha):
 
 
 def _near_quad(ax, alpha):
-    """Per-point adaptive quadrature, with the closed form at x = 0."""
-    vals = np.array([_pdf_quad(v, alpha) if v > 0 else _pdf0_triple(alpha) for v in ax])
-    return vals[:, 0], vals[:, 1], vals[:, 2]
+    """Per-point QAWO, with the closed forms at x = 0."""
+    ia = 1.0 / alpha
+    f0 = math.exp(gammaln(1.0 + ia)) / math.pi
+    f, fp, fa = (np.full(ax.shape, v) for v in (f0, 0.0, -f0 * digamma(1.0 + ia) / alpha**2))
+    pos = ax > 0
+    if np.any(pos):
+        T = _LOG_EPS ** (1.0 / alpha)
+        g0, g1, ga = _qawo_sums(ax[pos], alpha, ((1.0, alpha),), T, _DENSITY_QAWO)
+        f[pos], fp[pos], fa[pos] = g0 / math.pi, -g1 / math.pi, -ga / math.pi
+    return f, fp, fa
 
 
 def _gaussian_f_fp(x):
     """Closed-form f and f' of the alpha = 2 member, N(0, 2), at signed ``x``."""
     f = np.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi))
     return f, -0.5 * x * f
-
-
-def _pdf0_triple(alpha):
-    """(f, f', f_alpha) at x = 0: Gamma(1 + 1/alpha)/pi and its alpha-derivative."""
-    ia = 1.0 / alpha
-    f0 = math.exp(gammaln(1.0 + ia)) / math.pi
-    return f0, 0.0, -f0 * digamma(1.0 + ia) / alpha**2
-
-
-def _pdf_quad(x, alpha):
-    """Adaptive oscillatory quadrature (QAWO) for one standard-case point.
-
-    A QUADPACK message with an error estimate above 1e-9 relative is a
-    failure.  After one, the integral is retried as [0, 1] + [1, T]: QAWO's
-    roundoff test can trip on the whole half-line where the split runs
-    clean (f_alpha at x = 0.0515, alpha = 0.32).  Only a retry that fails the
-    same test raises.
-    """
-    T = _LOG_EPS ** (1.0 / alpha)
-    kwargs = dict(epsabs=1e-14, epsrel=1e-11, limit=600, full_output=1)
-
-    def quad(fn, weight, pieces):
-        outs = [integrate.quad(fn, a, b, weight=weight, wvar=x, **kwargs) for a, b in pieces]
-        val, abserr = outs[0][0], outs[0][1]
-        for out in outs[1:]:
-            val, abserr = val + out[0], abserr + out[1]
-        # a message present => warning/failure, tolerated while err is small
-        msg = " ".join(out[3] for out in outs if len(out) > 3)
-        return val, msg if msg and abserr > 1e-9 * max(abs(val), 1e-8) else ""
-
-    def run(fn, weight):
-        val, msg = quad(fn, weight, ((0.0, T),))
-        if msg:
-            val, msg = quad(fn, weight, ((0.0, 1.0), (1.0, T)))
-            if msg:
-                raise QuadratureError(f"density inversion failed at x={x}, alpha={alpha}: {msg}")
-        return val
-
-    f = run(lambda t: math.exp(-(t**alpha)), "cos") / math.pi
-    fp = -run(lambda t: t * math.exp(-(t**alpha)), "sin") / math.pi
-    fa = (
-        -run(lambda t: t**alpha * math.log(t) * math.exp(-(t**alpha)) if t > 0 else 0.0, "cos")
-        / math.pi
-    )
-    return f, fp, fa
 
 
 def pdf(x, alpha):

@@ -12,6 +12,7 @@ from stablegof import cli
 from stablegof import montecarlo as mc
 from stablegof.cli import cached_spectrum, load_table, main, read_column
 from stablegof.estimators import WeightSpec, eise_matrices, fisher_info
+from stablegof.spectral import Spectrum
 from stablegof.stable_core import rand_stable
 
 
@@ -201,6 +202,21 @@ def test_spectrum_cache_is_keyed_by_the_code_digest(cache, monkeypatch):
     assert sorted(os.listdir(cache / "cache")) == sorted(names[:2])
 
 
+def test_unreadable_cache_entry_is_rebuilt(cache, tmp_path, capsys):
+    # a truncated entry made `table` fail with a zipfile.BadZipFile traceback
+    args = ["table", "--hypothesis", "H2", "--alphas", "1.5", "--kappas", "2.5", "--nodes", "16", "-o"]
+    assert main(args + [str(tmp_path / "fresh.csv")]) == 0
+    (entry,) = os.listdir(cache / "cache")
+    path = cache / "cache" / entry
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])
+    assert main(args + [str(tmp_path / "again.csv")]) == 0
+    assert data_rows(tmp_path / "again.csv") == data_rows(tmp_path / "fresh.csv")
+    # the rebuilt entry replaced the truncated one through the temporary file
+    assert os.listdir(cache / "cache") == [entry]
+    assert Spectrum.load(path).lambdas.size > 0
+
+
 def test_code_digest_covers_every_module(tmp_path, monkeypatch):
     # errors.py is imported by spectral; a byte changed in it must change the key
     copy = tmp_path / "stablegof"
@@ -262,6 +278,19 @@ def test_test_refuses_table_of_other_hypothesis(cache, cauchy_file, tmp_path, ca
     ])
     assert code == 2
     assert "H1 critical values" in capsys.readouterr().err
+
+
+def test_sup_range_without_alpha_range_exits_1_before_the_fit(cache, cauchy_file, tmp_path, monkeypatch, capsys):
+    table = tmp_path / "h1.csv"
+    table.write_text(HAND_TABLE)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the sample was fitted")
+
+    monkeypatch.setattr(cli, "mle_fit", no_fit)
+    code = main(["test", str(cauchy_file), "--kappa", "2.5", "--tables", str(table), "--method", "sup_range"])
+    assert code == 1
+    assert "--alpha-range" in capsys.readouterr().err
 
 
 def test_malformed_table_row_is_input_error(cache, cauchy_file, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -180,10 +181,10 @@ def test_fisher_refuses_a_zero_density(monkeypatch, fresh_fisher_cache):
 
 
 def test_fisher_needs_no_per_point_quadrature(monkeypatch, fresh_fisher_cache):
-    def no_quad(x, alpha):
-        raise AssertionError("per-point density quadrature called")
+    def no_quad(*args):
+        raise AssertionError("per-point density QAWO called")
 
-    monkeypatch.setattr(stable_core, "_pdf_quad", no_quad)
+    monkeypatch.setattr(stable_core, "_qawo_sums", no_quad)
     fi = fisher_info(1.5)
     assert fi.I11 > 0 and fi.I22 > 0 and fi.I33 > 0
 
@@ -443,13 +444,14 @@ def test_q_value_route_matches_gradient_route(alpha, n):
 
 def test_q_value_route_makes_one_far_quadrature_per_far_point(monkeypatch):
     calls = []
-    far_quad = _fourier._far_quad
+    quad = integrate.quad
 
-    def counting(fn, weight, v, T):
-        calls.append(weight)
-        return far_quad(fn, weight, v, T)
+    def counting(*args, **kwargs):
+        if "weight" in kwargs:
+            calls.append(kwargs["weight"])
+        return quad(*args, **kwargs)
 
-    monkeypatch.setattr(_fourier, "_far_quad", counting)
+    monkeypatch.setattr(_fourier, "integrate", SimpleNamespace(quad=counting))
     x = heavy_sample(0.8, 200, 41)
     far = np.count_nonzero(np.abs(x) > 60.0)
     q_objective(x, StableParams(0.0, 1.0, 0.8), WeightSpec("exp_abs", 1.0))

@@ -1,8 +1,10 @@
 """The near-grid sums of ``_fourier._grid_sums`` against the complex-exp route they replaced,
-its value-only route against its gradient route, and the scalar integrands of the far
-points and moments against their ``sum``-over-a-generator forms."""
+its value-only route against its gradient route, the scalar integrands of the far
+points and moments against their ``sum``-over-a-generator forms, and the failure policy
+of the far points' QAWO: one retry on a split interval, then QuadratureError."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from stablegof._fourier import (
     _GRADE_LEVELS,
     _LOG_EPS,
     _MID_PANELS,
-    _far_quad,
     _graded_rule,
     _grid_sums,
     _phi,
@@ -24,6 +25,7 @@ from stablegof._fourier import (
     envelope_moment,
     panel_grid,
 )
+from stablegof.errors import QuadratureError
 from stablegof.estimators import WeightSpec
 from stablegof.stable_core import _crossover
 
@@ -189,10 +191,14 @@ def generator_far_transforms(v, alpha, terms):
     def env_s(t):
         return math.exp(-phi(t))
 
+    def far_quad(fn, weight):
+        # QAWO at QUADPACK's default tolerances, as the far points take it
+        return integrate.quad(fn, 0, T, weight=weight, wvar=v, limit=400)[0]
+
     return (
-        2.0 * _far_quad(env_s, "cos", v, T),
-        2.0 * _far_quad(lambda t: t * env_s(t), "sin", v, T),
-        2.0 * _far_quad(lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0, "cos", v, T),
+        2.0 * far_quad(env_s, "cos"),
+        2.0 * far_quad(lambda t: t * env_s(t), "sin"),
+        2.0 * far_quad(lambda t: t**alpha * math.log(t) * env_s(t) if t > 0 else 0.0, "cos"),
     )
 
 
@@ -227,3 +233,70 @@ def test_far_transforms_and_moments_match_the_generator_integrands(alpha, weight
     terms2 = ((2.0, alpha),) + weight.terms()
     for power, logpow in ((0.0, 0), (alpha, 0), (alpha, 1), (2.0, 0), (2 * alpha, 2)):
         assert envelope_moment(terms2, power, logpow) == generator_moment(terms2, power, logpow)
+
+
+def far_integrands(alpha, terms):
+    """(integrand, weight) of the three far-point transforms, as ``_qawo_sums`` builds them."""
+
+    def env(t):
+        return math.exp(-_phi(t, terms))
+
+    return [
+        (env, "cos"),
+        (lambda t: t * env(t), "sin"),
+        (lambda t: t**alpha * math.log(t) * env(t) if t > 0 else 0.0, "cos"),
+    ]
+
+
+def whole_interval_fake(T, value_shift, err, msg):
+    """``integrate.quad`` whose QAWO on [0, T] returns its value + ``value_shift``, ``err`` and ``msg``."""
+    quad = integrate.quad
+
+    def fake(fn, a, b, **kwargs):
+        out = quad(fn, a, b, **kwargs)
+        if (a, b) == (0.0, T):
+            return (out[0] + value_shift, err, out[2]) + ((msg,) if msg else ())
+        return out
+
+    return SimpleNamespace(quad=fake)
+
+
+ALPHA, TERMS = 0.8, ((1.0, 0.8), (1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "shift, err, msg, split",
+    [
+        (1.0, 1.0, "roundoff error is detected", True),
+        (math.nan, 0.0, None, True),
+        # a warning whose error meets QUADPACK's default epsabs is accepted
+        (1.0, 1e-9, "roundoff error is detected", False),
+    ],
+    ids=["warns", "non-finite", "warns-within-tolerance"],
+)
+def test_far_point_retries_a_failed_whole_interval_on_the_split(monkeypatch, shift, err, msg, split):
+    T = envelope_cutoff(TERMS)
+    s = min(1.0, T / 2.0)
+    y = np.array([75.0, -250.0])
+    monkeypatch.setattr(_fourier, "integrate", whole_interval_fake(T, shift, err, msg))
+    got = cos_transforms(y, ALPHA, TERMS)
+    monkeypatch.undo()
+    for i, v in enumerate(np.abs(y)):
+        for (fn, weight), row, sign in zip(far_integrands(ALPHA, TERMS), got, (1.0, np.sign(y[i]), 1.0)):
+            def q(a, b):
+                return integrate.quad(fn, a, b, weight=weight, wvar=v, limit=400)[0]
+
+            want = q(0.0, s) + q(s, T) if split else q(0.0, T) + shift
+            assert row[i] == sign * 2.0 * want
+
+
+def test_far_point_raises_when_the_split_fails_too(monkeypatch):
+    quad = integrate.quad
+
+    def always_warns(fn, a, b, **kwargs):
+        out = quad(fn, a, b, **kwargs)
+        return out[0], 1.0, out[2], "roundoff error is detected"
+
+    monkeypatch.setattr(_fourier, "integrate", SimpleNamespace(quad=always_warns))
+    with pytest.raises(QuadratureError, match="y=75: roundoff error is detected"):
+        cos_transforms(np.array([1.0, 75.0]), ALPHA, TERMS, grad=False)

@@ -128,6 +128,42 @@ def spectrum_h1_a1k1():
     return build_spectrum(make_kernel("mle_h1", 1.0, 1.0), 800)
 
 
+def loop_check_alternating(terms):
+    """Reference copy of ``_check_alternating``'s loop before it became one array expression."""
+    mags = np.abs(terms)
+    for k in range(1, len(mags)):
+        if mags[k] >= mags[k - 1] and mags[k] > 1e-13:
+            raise SeriesDivergenceError(
+                f"series terms stopped decreasing at k={k + 1} "
+                f"({mags[k - 1]:.3e} -> {mags[k]:.3e}); x too small for this truncation"
+            )
+
+
+def test_check_alternating_reports_the_loops_first_rising_term():
+    rng = np.random.default_rng(11)
+    cases = [
+        np.array([]),
+        np.array([0.3]),
+        np.array([0.5, 0.2, 0.1]),
+        np.array([0.5, 0.5, 0.1]),  # an equal term counts as rising
+        np.array([0.5, 0.2, 3e-14, 5e-14, 0.3, 0.4]),  # below 1e-13 it does not
+        np.array([-0.5, 0.2, -0.3, 0.1, 0.4]),
+        np.array([1.0, math.nan, 2.0, 3.0]),
+    ] + [rng.permutation(np.geomspace(1.0, 1e-16, 12))[:k] for k in range(2, 12)]
+    for terms in cases:
+        try:
+            loop_check_alternating(terms)
+            want = None
+        except SeriesDivergenceError as exc:
+            want = str(exc)
+        if want is None:
+            _check_alternating(terms)
+        else:
+            with pytest.raises(SeriesDivergenceError) as got:
+                _check_alternating(terms)
+            assert str(got.value) == want
+
+
 def test_cdf_matches_imhof_simple(simple_cfg):
     lam = simple_cfg.spectrum.lambdas
     for x in (0.5, 1.0, 2.0, 3.5):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln
 
+from stablegof import stable_core
 from stablegof._fourier import _LOG_EPS, panel_grid
 from stablegof.stable_core import (
     StableParams,
@@ -18,7 +19,7 @@ from stablegof.stable_core import (
     pdf_batch,
     rand_stable,
     _crossover,
-    _pdf_quad,
+    _near_quad,
     _tail_series,
 )
 
@@ -137,7 +138,7 @@ def test_density_normalization(alpha):
 @pytest.mark.parametrize("alpha", [0.8, 1.5])
 def test_inversion_and_series_agree(alpha):
     for x in (8.0, 11.0, 14.0, 20.0):
-        by_quad = _pdf_quad(x, alpha)[0]
+        by_quad = float(_near_quad(np.array([x]), alpha)[0][0])
         by_series = float(_tail_series(np.array([x]), alpha)[0][0])
         assert abs(by_quad - by_series) < 1e-6 * abs(by_series)
 
@@ -207,6 +208,30 @@ def test_pdf_batch_matches_scalar():
             assert abs(f[i] - d.f) < 1e-8 * max(abs(d.f), 1e-12)
             assert abs(fp[i] - d.fprime) < 1e-7 * max(abs(d.fprime), 1e-10)
             assert abs(fa[i] - d.falpha) < 1e-7 * max(abs(d.falpha), 1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.32])
+def test_pdf_batch_quadrature_fallback_equals_pdf_bit_for_bit(monkeypatch, alpha):
+    # below alpha ~ 0.335 the cutoff T = 41.5^(1/alpha) makes the shared grid
+    # too large (T * max(|x|, 1) > 6e4), so pdf_batch takes the per-point QAWO
+    # of pdf; both call the one routine with the same settings.  At 0.35 the
+    # crossover is 1 and T = 41,975, so every point there takes the grid.
+    sizes = []
+    qawo_sums = stable_core._qawo_sums
+
+    def recording(ax, *args):
+        sizes.append(ax.size)
+        return qawo_sums(ax, *args)
+
+    monkeypatch.setattr(stable_core, "_qawo_sums", recording)
+    xs = np.array([0.0, 0.051474888479710317, -0.3, 0.7, -1.0])
+    assert np.all(np.abs(xs) <= _crossover(alpha))
+    batch = pdf_batch(xs, alpha)
+    assert sizes == [4]
+    for i, x in enumerate(xs):
+        d = pdf(x, alpha)
+        want = [v.hex() for v in (d.f, d.fprime, d.falpha)]
+        assert [float(b[i]).hex() for b in batch] == want
 
 
 def gaussian_pdf3(x):
