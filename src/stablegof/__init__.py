@@ -27,8 +27,7 @@ from .ecf_test import TestOutcome, ecf, test_statistic
 from .kernels import (
     KernelSpec,
     make_kernel,
-    gamma_mle,
-    gamma_eise,
+    gamma,
     gamma_efficient,
     transformed_kernel,
 )

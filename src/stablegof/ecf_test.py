@@ -11,7 +11,7 @@ evaluated as exactly that, ``n * estimators.q_objective``: a pairwise
 Cauchy-weight sum, taken once per unordered pair, plus n cosine transforms
 of the standardized points.  It takes the objective's value-only route,
 which forms none of the gradient's transforms.
-``estimators.q_objective_direct`` is its direct-quadrature cross-check.
+The tests' ``q_objective_direct`` is its direct-quadrature cross-check.
 """
 
 from dataclasses import dataclass

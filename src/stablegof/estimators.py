@@ -21,7 +21,7 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.interpolate import CubicSpline
 
 from ._fourier import (
@@ -50,7 +50,6 @@ __all__ = [
     "eise_fit",
     "loglik",
     "q_objective",
-    "q_objective_direct",
 ]
 
 
@@ -421,16 +420,19 @@ class FitResult:
     estimator: str = "mle"
 
 
-def _accepted(res):
+def _accepted(res, bounds):
     """Whether an L-BFGS-B result counts as converged.
 
     A line search can abort at the floating-point floor of the objective
-    while the projected gradient is already at its achievable minimum (every
-    component within 1e-6); such exits are solutions, not failures.
+    while the projected gradient (a component at a bound of ``bounds`` that
+    points out of the box reads as 0) is already at its achievable minimum,
+    every component within 1e-6; such exits are solutions, not failures.
     """
     if res.success:
         return True
-    return bool(np.max(np.abs(res.jac)) <= 1e-6)
+    lo, hi = np.array(bounds, dtype=float).T  # None reads as nan: no bound
+    out = ((res.x <= lo) & (res.jac > 0)) | ((res.x >= hi) & (res.jac < 0))
+    return bool(np.max(np.abs(np.where(out, 0.0, res.jac))) <= 1e-6)
 
 
 def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
@@ -462,7 +464,7 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
     # a scale pinned at its floor is a degenerate fit (a likelihood spike on
     # tied points), however the optimizer ended
     floored = float(res.x[1]) <= _SIGMA_MIN
-    ok = _accepted(res) and not floored
+    ok = _accepted(res, bounds) and not floored
     result = FitResult(
         params=StableParams(float(res.x[0]), float(res.x[1]), a_hat),
         converged=ok,
@@ -620,31 +622,6 @@ def q_objective(data, params, weight, grad=False):
     w2a = -2.0 * envelope_moment(terms2, power=alpha, logpow=1)
     dq_alpha = 2.0 * ca.mean() + w2a
     return q, np.array([dq_mu, dq_sigma, dq_alpha])
-
-
-def q_objective_direct(data, params, weight):
-    """Q by direct adaptive quadrature of |Phi_n(t) - exp(-|t|^alpha)|^2 w(t).
-
-    Independent evaluation path used to validate :func:`q_objective` and,
-    with weight exp(-kappa|t|), the statistic D = n*Q.  Raises
-    :class:`~stablegof.errors.QuadratureError` if its error estimate
-    exceeds 1e-7 relative.
-    """
-    x = np.asarray(data, dtype=float).ravel()
-    y = (x - params.mu) / params.sigma
-    alpha = params.alpha
-    T = envelope_cutoff(weight.terms())
-
-    def integrand(t):
-        re = np.cos(t * y).mean()
-        im = np.sin(t * y).mean()
-        g = math.exp(-(t**alpha))
-        return ((re - g) ** 2 + im**2) * float(weight.values(t))
-
-    val, err = integrate.quad(integrand, 0.0, T, limit=3000, epsabs=1e-13, epsrel=1e-10)
-    if err > 1e-7 * max(abs(val), 1e-12):
-        raise QuadratureError(f"direct Q quadrature error {err}")
-    return 2.0 * val
 
 
 def eise_fit(data, weight, fix_alpha=None, maxiter=300):

@@ -132,7 +132,7 @@ class InversionConfig:
 
 
 def default_inversion_config(spectrum):
-    """Truncation defaults by weight size: m=500 (300 for kappa=10), l=25 (10 for kappa>=5)."""
+    """Truncation defaults: m=500 (300 for kappa>5), l=25 (10 for kappa>2.5), capped below."""
     kappa = spectrum.kappa
     n_avail = len(spectrum.lambdas)
     m = 500 if kappa <= 5.0 else 300

@@ -21,10 +21,18 @@ It maps [Jw; w] to [J(P + M)w; (P + M)w] and [-Jw; w] to
 [-J(P - M)w; (P - M)w], so its eigenvectors split into even ones, from the
 block E = P + M, and odd ones, from O = P - M, and its N eigenvalues are
 exactly those of E together with those of O.  Two solves of order N/2
-replace one of order N, on N^2/2 kernel evaluations instead of N^2.  In the
-Cauchy case (alpha = 1 with alpha fixed, ``mle_h2``) the eigenvalues come in
-pairs; each pair is one even and one odd eigenfunction with the same
-eigenvalue, one from each block.
+replace one of order N.  In the Cauchy case (alpha = 1 with alpha fixed,
+``mle_h2``) the eigenvalues come in pairs; each pair is one even and one
+odd eigenfunction with the same eigenvalue, one from each block.
+
+The kernel is C(s - t) - u_e(s)' B_e u_e(t) - u_o(s)' B_o u_o(t) (see
+:mod:`stablegof.kernels`), and at -s_j only the odd factors change sign, so
+
+    E = F [C(s_i - s_j) + C(s_i + s_j) - 2 U_e B_e U_e'] F,
+    O = F [C(s_i - s_j) - C(s_i + s_j) - 2 U_o B_o U_o'] F,
+
+with s = s(x), U the factors at s (one row per node) and
+F = diag((1 - x_i)^((kappa - 1)/2)).
 
 A saved spectrum is an uncompressed numpy archive (``np.savez``) with one
 array per stored field: ``lambdas`` (float64, ascending), ``kind`` (a
@@ -38,7 +46,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import NumericsError
-from .kernels import transformed_kernel
+from .kernels import transform_point
 
 __all__ = ["Spectrum", "midpoint_grid", "discretize", "eigen_spectrum", "build_spectrum"]
 
@@ -99,20 +107,26 @@ def midpoint_grid(n):
 def discretize(spec, n):
     """Even and odd Nystrom blocks (E, O) of the kernel on the N-node midpoint grid.
 
-    With x the N/2 positive nodes, E = K(x_i, x_j) + K(x_i, -x_j) and
-    O = K(x_i, x_j) - K(x_i, -x_j).  The eigenvalues of the full matrix
-    K(xi_i, xi_j) are exactly those of E and O together, because the kernel
-    is even under (u, v) -> (-u, -v) and the grid is mirrored about 0 (see
-    the module docstring): E carries the even eigenvectors, O the odd ones.
-    K(x_i, -x_j) is symmetric in (i, j) only up to rounding, so each block
-    is symmetrized exactly.  Raises ValueError unless N is even and >= 16.
+    E = K(x_i, x_j) + K(x_i, -x_j) and O = K(x_i, x_j) - K(x_i, -x_j) over
+    the N/2 positive nodes x, built from the kernel's factors (see the module
+    docstring): 2 (N/2)^2 evaluations of the stationary part plus products
+    of rank at most 5 (even) and 2 (odd), with no pairwise kernel call.  E
+    carries the even eigenvectors of the full matrix, O the odd ones.  The
+    stationary part is exactly symmetric in (i, j) but U B U' only up to
+    rounding, so each block is symmetrized exactly.  Raises ValueError
+    unless N is even and >= 16.
     """
     if n < 16 or n % 2:
         raise ValueError("node count must be even and at least 16")
     x = midpoint_grid(n)[n // 2 :]
-    same = transformed_kernel(x[:, None], x[None, :], spec)
-    mirror = transformed_kernel(x[:, None], -x[None, :], spec)
-    even, odd = same + mirror, same - mirror
+    s = transform_point(x)
+    f = (1.0 - x) ** (0.5 * (spec.kappa - 1.0))
+    ff = f[:, None] * f[None, :]
+    same = spec.stationary(s[:, None] - s[None, :])
+    mirror = spec.stationary(s[:, None] + s[None, :])
+    u_even, u_odd = spec.factors(s)
+    even = ff * (same + mirror - 2.0 * (u_even @ spec.b_even @ u_even.T))
+    odd = ff * (same - mirror - 2.0 * (u_odd @ spec.b_odd @ u_odd.T))
     return 0.5 * (even + even.T), 0.5 * (odd + odd.T)
 
 

@@ -90,3 +90,19 @@ def test_tracer_counts_the_pair_terms_distinct_differences(tracer):
     st = tr.totals("stable_core.pdf_batch")
     assert st.calls == 1
     assert st.counts["points"] == 50 * 49 // 2 + 1
+
+
+def test_tracer_sees_the_kernel_and_discretization_layers(tracer):
+    # the per-layer make_kernel and discretize metrics read 0 if the
+    # pipeline stops reaching them through their module attributes
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        spec = stablegof.kernels.make_kernel(
+            "eise_h1", 1.5, 2.5, stablegof.WeightSpec("exp_power", 1.0, 1.5)
+        )
+        stablegof.spectral.build_spectrum(spec, 64)
+    finally:
+        tr.uninstall()
+    assert tr.totals("kernels.make_kernel").calls == 1
+    assert tr.totals("spectral.discretize").calls == 1

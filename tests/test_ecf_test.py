@@ -9,8 +9,9 @@ import pytest
 from stablegof._fourier import cos_transforms
 from stablegof.errors import DataError, QuadratureError
 from stablegof.ecf_test import ecf, test_statistic
-from stablegof.estimators import WeightSpec, mle_fit, q_objective_direct
+from stablegof.estimators import WeightSpec, mle_fit
 from stablegof.stable_core import StableParams, rand_stable
+from test_estimators import q_objective_direct
 
 
 def test_ecf_values():

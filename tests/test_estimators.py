@@ -34,11 +34,36 @@ from stablegof.estimators import (
     loglik,
     mle_fit,
     q_objective,
-    q_objective_direct,
 )
 from stablegof.stable_core import StableParams, _crossover, pdf, pdf_batch, rand_stable
 
 EULER_GAMMA = np.euler_gamma
+
+
+def q_objective_direct(data, params, weight):
+    """Q by direct adaptive quadrature of |Phi_n(t) - exp(-|t|^alpha)|^2 w(t).
+
+    Independent evaluation path used to validate ``q_objective`` and, with
+    weight exp(-kappa|t|), the statistic D = n*Q.  Raises
+    :class:`~stablegof.errors.QuadratureError` if its error estimate
+    exceeds 1e-7 relative.  Moved here from ``stablegof.estimators``, where
+    no package path called it.
+    """
+    x = np.asarray(data, dtype=float).ravel()
+    y = (x - params.mu) / params.sigma
+    alpha = params.alpha
+    T = envelope_cutoff(weight.terms())
+
+    def integrand(t):
+        re = np.cos(t * y).mean()
+        im = np.sin(t * y).mean()
+        g = math.exp(-(t**alpha))
+        return ((re - g) ** 2 + im**2) * float(weight.values(t))
+
+    val, err = integrate.quad(integrand, 0.0, T, limit=3000, epsabs=1e-13, epsrel=1e-10)
+    if err > 1e-7 * max(abs(val), 1e-12):
+        raise QuadratureError(f"direct Q quadrature error {err}")
+    return 2.0 * val
 
 
 def tensor_h_quadrant(alpha, weight):
@@ -365,6 +390,24 @@ def test_mle_with_sigma_at_its_floor_is_not_converged():
         mle_fit(x)
     best = exc.value.best
     assert best.params.sigma == estimators._SIGMA_MIN and not best.converged
+
+
+def test_mle_stopped_on_the_alpha_bound_is_accepted():
+    # a Gaussian sample drives alpha to its bound 2, where the line search
+    # aborts (ABNORMAL) with jac = (-1.3e-8, -8.7e-9, -0.056): the alpha
+    # component points out of the box, so the projected gradient is ~1e-8
+    fit = mle_fit(np.random.default_rng(33).normal(size=200))
+    assert fit.converged and fit.boundary_alpha and fit.params.alpha == 2.0
+    bounds = [(None, None), (estimators._SIGMA_MIN, None), (0.3, 2.0)]
+    for x, jac, ok in (
+        ((0.0, 1.0, 2.0), (1e-8, 0.0, -0.05), True),  # outward at the upper bound
+        ((0.0, 1.0, 2.0), (1e-8, 0.0, 0.05), False),  # inward: not projected
+        ((0.0, 1.0, 0.3), (0.0, 0.0, 0.05), True),  # outward at the lower bound
+        ((0.0, 1.0, 1.5), (0.0, 0.0, -0.05), False),  # interior
+        ((0.0, estimators._SIGMA_MIN, 1.5), (0.0, 0.05, 0.0), True),
+    ):
+        res = SimpleNamespace(success=False, x=np.array(x), jac=np.array(jac))
+        assert estimators._accepted(res, bounds) is ok
 
 
 def test_mle_affine_equivariance():

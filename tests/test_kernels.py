@@ -1,5 +1,6 @@
 """Covariance kernels: closed-form consistency, PSD structure, transforms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,23 +19,20 @@ from stablegof.kernels import (
     KERNEL_KINDS,
     _N_GRID,
     _S_MAX,
-    _safe_log_abs,
-    gamma_eise,
+    gamma,
     gamma_efficient,
-    gamma_mle,
-    kernel_fn,
     make_kernel,
     transform_point,
     transformed_kernel,
 )
 from stablegof.spectral import midpoint_grid
-from stablegof.stable_core import StableParams
+from stablegof.stable_core import StableParams, _safe_log_abs
 
 ACCEPT_GRID = [(a, k) for a in (1.0, 1.5, 1.8) for k in (1.0, 2.5, 5.0, 10.0)]
 
 
 def gamma_cauchy(s, t):
-    """Closed-form Cauchy (alpha = 1) MLE/H1 kernel: the oracle for ``gamma_mle``.
+    """Closed-form Cauchy (alpha = 1) MLE/H1 kernel: the oracle for the ``mle_h1`` kernel.
 
     Moved here from ``stablegof.kernels``, where no package path called it.
     """
@@ -53,9 +51,10 @@ def gamma_cauchy(s, t):
     return out
 
 
-# Hand-written fixed-alpha kernels, kept as references: the mle_h2 and
-# eise_fixed kinds evaluate the H1 formulas with zero alpha entries and must
-# agree with them.
+# Hand-written kernels, kept as references: the mle_h2 and eise_fixed kinds
+# evaluate the H1 formulas with zero alpha entries and must agree with the
+# fixed-alpha ones, and every kind must agree with the per-estimator
+# formulas the package evaluated before the factor form.
 
 
 def gamma_mle_fixed(s, t, alpha, inv_entries):
@@ -69,10 +68,8 @@ def gamma_mle_fixed(s, t, alpha, inv_entries):
     return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
 
 
-def gamma_eise_fixed(s, t, spec):
+def gamma_eise_fixed(s, t, a, em, inner):
     """EISE kernel with alpha fixed: location/scale blocks only."""
-    em = spec.eise
-    a = spec.alpha
     a11inv = 1.0 / em.A[0, 0]
     a22inv = 1.0 / em.A[1, 1]
     j11 = em.H[0, 0] * a11inv**2
@@ -82,8 +79,8 @@ def gamma_eise_fixed(s, t, spec):
     sa, ta = np.abs(s) ** a, np.abs(t) ** a
     e_s, e_t = np.exp(-sa), np.exp(-ta)
     e_pp = e_s * e_t
-    m1s, m2s, _ = spec.inner(s)
-    m1t, m2t, _ = spec.inner(t)
+    m1s, m2s, _ = inner(s)
+    m1t, m2t, _ = inner(t)
     cross = (
         -a11inv * (t * e_t * m1s + s * e_s * m1t)
         - a22inv * a**2 * (ta * e_t * m2s + sa * e_s * m2t)
@@ -109,6 +106,75 @@ def old_gamma_mle(s, t, alpha, inv_entries):
         + i33 * ast * ls * lt
     )
     return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
+
+
+def old_gamma_eise(s, t, a, inv_entries, J, em, inner):
+    """Reference copy of the package's ``gamma_eise`` before the factor form.
+
+    Its ``_gradient_form`` helper is inlined in the same operation order.
+    ``inv_entries`` are (A^11, A^22, A^23, A^33), ``J`` = A^-1 H A^-1 and
+    ``em`` the :class:`EiseMatrices` (for the B constants), each with the
+    alpha entries zeroed for ``eise_fixed``; ``inner`` is the inner-integral
+    cache.
+    """
+    a11, a22, a23, a33 = inv_entries
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a_s, a_t = np.abs(s), np.abs(t)
+    sa, ta = a_s**a, a_t**a
+    ls, lt = _safe_log_abs(a_s), _safe_log_abs(a_t)
+    ast = sa * ta
+    jbr = (
+        J[0, 0] * s * t
+        + J[1, 1] * a**2 * ast
+        + J[1, 2] * a * ast * (ls + lt)
+        + J[2, 2] * ast * ls * lt
+    )
+    e_s, e_t = np.exp(-sa), np.exp(-ta)
+    e_pp = e_s * e_t
+    bbr = (em.Bsigma * a22 + em.Balpha * a23) * a * (ta + sa) + (
+        em.Bsigma * a23 + em.Balpha * a33
+    ) * (ta * lt + sa * ls)
+    m1s, m2s, m3s = inner(s)
+    m1t, m2t, m3t = inner(t)
+
+    def half(tt, ta_, lt_, e_t_, m1, m2, m3):
+        # cross terms with the roles (t-side CF gradient) x (s-side inner integral)
+        return (
+            -a11 * tt * e_t_ * m1
+            - a * (a22 * a + a23 * lt_) * ta_ * e_t_ * m2
+            - (a23 * a + a33 * lt_) * ta_ * e_t_ * m3
+        )
+
+    cross = half(t, ta, lt, e_t, m1s, m2s, m3s) + half(s, sa, ls, e_s, m1t, m2t, m3t)
+    return np.exp(-np.abs(t - s) ** a) - e_pp + (jbr + bbr) * e_pp + cross
+
+
+def old_coefficients(kind, alpha, weight=None):
+    """(inverse entries, J, EiseMatrices) as the package's ``make_kernel`` built them
+    before the factor form; J and the matrices are None for the MLE kinds."""
+    if kind == "mle_h1":
+        return fisher_info(alpha).inverse_entries(), None, None
+    if kind == "mle_h2":
+        i11, i22 = fisher_location_scale(alpha)
+        return (1.0 / i11, 1.0 / i22, 0.0, 0.0), None, None
+    em = eise_matrices(alpha, weight)
+    if kind == "eise_h1":
+        return em.a_inverse_entries(), em.J, em
+    inv = (1.0 / em.A[0, 0], 1.0 / em.A[1, 1], 0.0, 0.0)
+    return inv, np.diag([em.H[0, 0] * inv[0] ** 2, em.H[1, 1] * inv[1] ** 2, 0.0]), em
+
+
+def old_kernel(spec, weight=None):
+    """Gamma(s, t) of ``spec``'s kind by the formulas before the factor form.
+
+    The EISE kinds read the inner integrals from ``spec.inner``, the same
+    spline cache the package uses, so the two differ only by rounding.
+    """
+    inv, J, em = old_coefficients(spec.kind, spec.alpha, weight)
+    if em is None:
+        return lambda s, t: old_gamma_mle(s, t, spec.alpha, inv)
+    return lambda s, t: old_gamma_eise(s, t, spec.alpha, inv, J, em, spec.inner)
 
 
 def adaptive_inner(alpha, weight, s):
@@ -138,57 +204,74 @@ def adaptive_inner(alpha, weight, s):
     return np.array([m1, m2, m3])
 
 
+EISE_WEIGHT = WeightSpec("exp_power", 2.5, 1.5)
+EISE_FIXED_WEIGHT = WeightSpec("exp_abs", 1.0)
+
+
 @pytest.fixture(scope="module")
 def eise_spec():
-    return make_kernel("eise_h1", 1.5, kappa=2.5, weight=WeightSpec("exp_power", 2.5, 1.5))
+    return make_kernel("eise_h1", 1.5, kappa=2.5, weight=EISE_WEIGHT)
 
 
 @pytest.fixture(scope="module")
 def eise_fixed_spec():
-    return make_kernel("eise_fixed", 1.0, kappa=1.0, weight=WeightSpec("exp_abs", 1.0))
+    return make_kernel("eise_fixed", 1.0, kappa=1.0, weight=EISE_FIXED_WEIGHT)
 
 
 def test_gamma_mle_vanishes_on_axes():
-    inv = fisher_info(1.5).inverse_entries()
+    spec = make_kernel("mle_h1", 1.5)
     t = np.linspace(-8, 8, 33)
-    assert np.allclose(gamma_mle(0.0, t, 1.5, inv), 0.0, atol=1e-14)
-    assert np.allclose(gamma_mle(t, 0.0, 1.5, inv), 0.0, atol=1e-14)
+    assert np.allclose(gamma(0.0, t, spec), 0.0, atol=1e-14)
+    assert np.allclose(gamma(t, 0.0, spec), 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind,alpha", [("mle_h1", a) for a in (0.5, 0.8, 1.0, 1.5, 1.9)]
                          + [("mle_h2", a) for a in (0.8, 1.5, 2.0)])
 def test_gamma_mle_matches_its_old_operation_order(kind, alpha):
-    # the form now takes the EISE kernel's order, which moves the last bits;
-    # Gamma cancels to near zero in places, so the scale is max |Gamma|
+    # the factor form sums the terms in its own order, which moves the last
+    # bits; Gamma cancels to near zero in places, so the scale is max |Gamma|
     g = np.concatenate((-np.geomspace(1e-6, 40.0, 60)[::-1], [0.0], np.geomspace(1e-6, 40.0, 60)))
     s, t = np.meshgrid(g, g)
-    inv = make_kernel(kind, alpha, 1.0).inv_entries
-    want = old_gamma_mle(s, t, alpha, inv)
-    assert np.max(np.abs(gamma_mle(s, t, alpha, inv) - want)) <= 1e-15 * np.max(np.abs(want))
+    spec = make_kernel(kind, alpha, 1.0)
+    want = old_kernel(spec)(s, t)
+    assert np.max(np.abs(gamma(s, t, spec) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["eise_h1", "eise_fixed"])
+@pytest.mark.parametrize("alpha", [0.8, 1.2, 1.7, 2.0])
+def test_gamma_eise_matches_its_old_formula(kind, alpha):
+    # the EISE coefficients reach ~15 (A^11 at alpha = 1.7), so the two
+    # summation orders part by up to 1.9e-15 of max |Gamma|
+    g = np.concatenate((-np.geomspace(1e-6, 40.0, 60)[::-1], [0.0], np.geomspace(1e-6, 40.0, 60)))
+    s, t = np.meshgrid(g, g)
+    spec = make_kernel(kind, alpha, 2.5, EISE_WEIGHT)
+    want = old_kernel(spec, EISE_WEIGHT)(s, t)
+    assert np.max(np.abs(gamma(s, t, spec) - want)) <= 4e-15 * np.max(np.abs(want))
 
 
 def test_gamma_mle_symmetric():
-    inv = fisher_info(1.5).inverse_entries()
+    spec = make_kernel("mle_h1", 1.5)
     rng = np.random.default_rng(1)
     s, t = rng.uniform(-10, 10, 200), rng.uniform(-10, 10, 200)
-    np.testing.assert_allclose(
-        gamma_mle(s, t, 1.5, inv), gamma_mle(t, s, 1.5, inv), rtol=0, atol=1e-14
-    )
+    np.testing.assert_allclose(gamma(s, t, spec), gamma(t, s, spec), rtol=0, atol=1e-14)
 
 
 def test_cauchy_specialization():
-    inv = fisher_info(1.0).inverse_entries()
     rng = np.random.default_rng(2)
     s, t = rng.uniform(-15, 15, 500), rng.uniform(-15, 15, 500)
-    np.testing.assert_allclose(gamma_mle(s, t, 1.0, inv), gamma_cauchy(s, t), atol=1e-12)
+    got = gamma(s, t, make_kernel("mle_h1", 1.0))
+    np.testing.assert_allclose(got, gamma_cauchy(s, t), atol=1e-12)
 
 
 def test_fixed_alpha_kernel_drops_exponent_terms():
-    # zeroing the I23/I33 inverse entries in the H1 kernel gives the H2 kernel
+    # zeroing the I23/I33 inverse entries in the H1 kernel's B_e gives the H2 kernel
     inv = fisher_info(1.5).inverse_entries()
+    h1 = make_kernel("mle_h1", 1.5)
+    b_even = h1.b_even.copy()
+    b_even[1:, 2] = b_even[2, 1:] = 0.0
     rng = np.random.default_rng(3)
     s, t = rng.uniform(-6, 6, 100), rng.uniform(-6, 6, 100)
-    left = gamma_mle(s, t, 1.5, (inv[0], inv[1], 0.0, 0.0))
+    left = gamma(s, t, dataclasses.replace(h1, b_even=b_even))
     right = gamma_mle_fixed(s, t, 1.5, (inv[0], inv[1]))
     np.testing.assert_allclose(left, right, atol=1e-15)
     assert np.allclose(gamma_mle_fixed(0.0, t, 1.5, (inv[0], inv[1])), 0.0, atol=1e-15)
@@ -199,7 +282,7 @@ def test_mle_h2_is_h1_formula_with_zero_alpha_entries(alpha):
     i11, i22 = fisher_location_scale(alpha)
     rng = np.random.default_rng(9)
     s, t = rng.uniform(-15, 15, 400), rng.uniform(-15, 15, 400)
-    got = kernel_fn(make_kernel("mle_h2", alpha, 2.5))(s, t)
+    got = gamma(s, t, make_kernel("mle_h2", alpha, 2.5))
     ref = gamma_mle_fixed(s, t, alpha, (1.0 / i11, 1.0 / i22))
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
     # independent oracle: the general efficient kernel with alpha not estimated
@@ -211,8 +294,10 @@ def test_mle_h2_is_h1_formula_with_zero_alpha_entries(alpha):
 def test_eise_fixed_is_h1_formula_with_zero_alpha_entries(eise_fixed_spec):
     rng = np.random.default_rng(10)
     s, t = rng.uniform(-15, 15, 400), rng.uniform(-15, 15, 400)
-    got = kernel_fn(eise_fixed_spec)(s, t)
-    np.testing.assert_allclose(got, gamma_eise_fixed(s, t, eise_fixed_spec), rtol=0, atol=1e-14)
+    got = gamma(s, t, eise_fixed_spec)
+    em = eise_matrices(1.0, EISE_FIXED_WEIGHT)
+    want = gamma_eise_fixed(s, t, 1.0, em, eise_fixed_spec.inner)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_make_kernel_rejects_unknown_kinds():
@@ -241,8 +326,8 @@ def test_make_kernel_reuses_read_only_eise_matrices():
     em = eise_matrices(1.0, w)
     hits = eise_matrices.cache_info().hits
     spec = make_kernel("eise_fixed", 1.0, kappa=1.0, weight=w)
-    assert spec.eise is em
     assert eise_matrices.cache_info().hits == hits + 1
+    assert spec.b_odd[0, 1] == 1.0 / em.A[0, 0]
     for m in (em.A, em.H, em.J):
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
@@ -250,19 +335,16 @@ def test_make_kernel_reuses_read_only_eise_matrices():
 
 def test_gamma_mle_diagonal_bounded():
     for alpha in (1.0, 1.5, 1.8):
-        inv = fisher_info(alpha).inverse_entries()
         t = np.linspace(-30, 30, 301)
-        assert np.all(gamma_mle(t, t, alpha, inv) <= 1.0 + 1e-12)
+        assert np.all(gamma(t, t, make_kernel("mle_h1", alpha)) <= 1.0 + 1e-12)
 
 
 def test_gamma_eise_symmetry_and_trace(eise_spec):
     rng = np.random.default_rng(4)
     s, t = rng.uniform(-12, 12, 100), rng.uniform(-12, 12, 100)
-    np.testing.assert_allclose(
-        gamma_eise(s, t, eise_spec), gamma_eise(t, s, eise_spec), atol=1e-9
-    )
+    np.testing.assert_allclose(gamma(s, t, eise_spec), gamma(t, s, eise_spec), atol=1e-9)
     tr, _ = integrate.quad(
-        lambda u: float(gamma_eise(u, u, eise_spec)) * math.exp(-2.5 * abs(u)), -30, 30, limit=200
+        lambda u: float(gamma(u, u, eise_spec)) * math.exp(-2.5 * abs(u)), -30, 30, limit=200
     )
     assert 0.0 < tr < 10.0
 
@@ -271,7 +353,7 @@ def test_gamma_eise_positive_semidefinite(eise_spec, eise_fixed_spec):
     rng = np.random.default_rng(5)
     for spec in (eise_spec, eise_fixed_spec):
         nodes = rng.uniform(-8, 8, 60)
-        gram = kernel_fn(spec)(nodes[:, None], nodes[None, :])
+        gram = gamma(nodes[:, None], nodes[None, :], spec)
         gram = 0.5 * (gram + gram.T)
         w = np.linalg.eigvalsh(gram)
         assert w.min() >= -1e-8 * max(w.max(), 1.0)
@@ -294,13 +376,12 @@ def test_gamma_efficient_properties():
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_gamma_efficient_specializes_to_mle(alpha):
     fi_mat = np.linalg.inv(fisher_info(alpha).matrix())
-    inv = fisher_info(alpha).inverse_entries()
     p = StableParams(0.0, 1.0, alpha)
     rng = np.random.default_rng(7)
     s, t = rng.uniform(-10, 10, 300), rng.uniform(-10, 10, 300)
     eff = gamma_efficient(s, t, p, fi_mat)
     assert np.max(np.abs(eff.imag)) < 1e-12
-    np.testing.assert_allclose(eff.real, gamma_mle(s, t, alpha, inv), atol=1e-10)
+    np.testing.assert_allclose(eff.real, gamma(s, t, make_kernel("mle_h1", alpha)), atol=1e-10)
 
 
 def test_transformed_kernel_basics():
@@ -359,13 +440,10 @@ def test_gram_psd_on_acceptance_grid(alpha, kappa):
 def test_change_of_variables_identity():
     for kind, alpha, kappa in (("mle_h1", 1.5, 2.5), ("mle_h2", 1.0, 1.0)):
         spec = make_kernel(kind, alpha, kappa)
-        from stablegof.kernels import kernel_fn
-
-        g = kernel_fn(spec)
         lhs, _ = integrate.quad(
             lambda u: float(transformed_kernel(u, u, spec)), -1, 1, limit=400
         )
         rhs, _ = integrate.quad(
-            lambda t: float(g(t, t)) * math.exp(-kappa * abs(t)), -40, 40, limit=400
+            lambda t: float(gamma(t, t, spec)) * math.exp(-kappa * abs(t)), -40, 40, limit=400
         )
         assert abs(lhs - rhs) < 1e-6 * abs(rhs)

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from stablegof.estimators import WeightSpec
 from stablegof.inversion import default_inversion_config, quantile_dk
-from stablegof.kernels import make_kernel, transformed_kernel
+from stablegof.kernels import make_kernel, transform_point, transformed_kernel
 from stablegof.spectral import (
     Spectrum,
     build_spectrum,
@@ -16,6 +16,7 @@ from stablegof.spectral import (
     eigen_spectrum,
     midpoint_grid,
 )
+from test_kernels import old_kernel
 
 
 def fredholm_det(lam, spectrum, m=None):
@@ -27,14 +28,19 @@ def fredholm_det(lam, spectrum, m=None):
     return float(np.prod(1.0 - lam / lams))
 
 
-def discretize_full(spec, n):
+def discretize_full(spec, n, weight=None):
     """Full N x N kernel matrix K(xi_i, xi_j) on the midpoint grid (exactly symmetric).
 
-    Reference copy of ``discretize`` before the even/odd split; its one
+    Reference copy of ``discretize`` before the even/odd split and the
+    factor form: every entry is the kind's old pointwise formula
+    (``test_kernels.old_kernel``; the EISE kinds need their ``weight``)
+    times the weight factor as ``transformed_kernel`` formed it.  Its one
     eigensolve of order N is the oracle for the two of order N/2.
     """
     xi = midpoint_grid(n)
-    mat = transformed_kernel(xi[:, None], xi[None, :], spec)
+    s, a_xi = transform_point(xi), np.abs(xi)
+    fac = ((1.0 - a_xi[:, None]) * (1.0 - a_xi[None, :])) ** (0.5 * (spec.kappa - 1.0))
+    mat = old_kernel(spec, weight)(s[:, None], s[None, :]) * fac
     return 0.5 * (mat + mat.T)
 
 
@@ -123,7 +129,7 @@ def test_split_matches_full_matrix(kind, alpha, kappa):
     weight = WeightSpec("exp_power", 1.0, 1.5) if kind.startswith("eise") else None
     spec = make_kernel(kind, alpha, kappa, weight)
     n = 800
-    full = eigen_spectrum((discretize_full(spec, n),), spec)
+    full = eigen_spectrum((discretize_full(spec, n, weight),), spec)
     split = build_spectrum(spec, n)
     assert split.n_dropped == full.n_dropped
     assert split.n_nodes == full.n_nodes == n
