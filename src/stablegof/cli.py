@@ -31,6 +31,7 @@ from .ecf_test import test_statistic
 from .inversion import cdf_dk_with_bound, default_inversion_config, quantile_dk
 from .kernels import make_kernel
 from .montecarlo import (
+    TEST_LEVELS,
     CriticalValueTable,
     ExperimentConfig,
     h1_decision,
@@ -231,11 +232,11 @@ def cmd_test(args):
         )
     x = read_column(args.input)
     fit = mle_fit(x, fix_alpha=args.alpha0 if args.hypothesis == "H2" else None)
-    out = test_statistic(x, fit.params, args.kappa, args.hypothesis)
+    out = test_statistic(x, fit.params, args.kappa)
 
     lines = {
         "n": out.n,
-        "hypothesis": out.hypothesis,
+        "hypothesis": args.hypothesis,
         "kappa": out.kappa,
         "mu_hat": f"{fit.params.mu:.6g}",
         "sigma_hat": f"{fit.params.sigma:.6g}",
@@ -245,7 +246,7 @@ def cmd_test(args):
     alpha_ref = args.alpha0 if args.hypothesis == "H2" else fit.params.alpha
     rng = tuple(args.alpha_range) if args.alpha_range else None
     try:
-        for xi in (0.10, 0.05):
+        for xi in TEST_LEVELS:
             dec = h1_decision(
                 out.statistic,
                 table,
@@ -265,16 +266,17 @@ def cmd_test(args):
         for k, v in lines.items():
             print(f"{k}={v}")
     else:
-        print(f"weighted-L2 stable GOF test ({out.hypothesis}, kappa={out.kappa:g}, n={out.n})")
+        print(f"weighted-L2 stable GOF test ({args.hypothesis}, kappa={out.kappa:g}, n={out.n})")
         print(
             f"fit: mu={fit.params.mu:.6g} sigma={fit.params.sigma:.6g} "
             f"alpha={fit.params.alpha:.6g}"
         )
         print(f"statistic D = {out.statistic:.6g}")
-        for xi in (10, 5):
+        for xi in TEST_LEVELS:
+            pct = int(xi * 100)
             print(
-                f"{xi}% critical value {lines[f'critical_{xi}']} -> "
-                + ("REJECT" if lines[f"reject_{xi}"] else "accept")
+                f"{pct}% critical value {lines[f'critical_{pct}']} -> "
+                + ("REJECT" if lines[f"reject_{pct}"] else "accept")
             )
     return 0
 
@@ -305,7 +307,7 @@ def cmd_table(args):
                 sp, name = cached_spectrum(kind, alpha, kappa, args.nodes)
                 spectra.append(name)
                 cfg = default_inversion_config(sp)
-                for xi in (0.10, 0.05):
+                for xi in TEST_LEVELS:
                     q = quantile_dk(xi, cfg)
                     _, bound = cdf_dk_with_bound(q, cfg)
                     rows.append((alpha, kappa, xi, q, bound))
@@ -363,7 +365,7 @@ def _experiment_from_section(sec):
         replications=sec.getint("replications", 2000),
         seed=sec.getint("seed", 0),
         alternative=alt,
-        xis=tuple(float(v) for v in sec.get("xis", "0.10, 0.05").split(",")),
+        xis=tuple(float(v) for v in sec["xis"].split(",")) if "xis" in sec else TEST_LEVELS,
     )
 
 

@@ -32,7 +32,6 @@ class TestOutcome:
     statistic: float
     fitted: StableParams
     kappa: float
-    hypothesis: str
     n: int
 
 
@@ -45,9 +44,10 @@ def ecf(t, standardized):
     return np.exp(1j * np.multiply.outer(t, y)).mean(axis=-1)
 
 
-def test_statistic(data, fitted, kappa, hypothesis="H1"):
+def test_statistic(data, fitted, kappa):
     """Compute the test statistic from a sample and its equivariant fit.
 
+    D is the same quantity under both hypotheses; only the fit differs.
     Under H2 the caller passes a fit with alpha frozen at the hypothesized
     value, so ``fitted.alpha`` is the exponent used either way.  Raises
     :class:`~stablegof.errors.DataError` for an empty sample or one holding
@@ -62,8 +62,6 @@ def test_statistic(data, fitted, kappa, hypothesis="H1"):
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    if hypothesis not in ("H1", "H2"):
-        raise ValueError(f"hypothesis must be 'H1' or 'H2', got {hypothesis!r}")
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise DataError("empty sample")
@@ -71,7 +69,7 @@ def test_statistic(data, fitted, kappa, hypothesis="H1"):
         raise DataError("sample contains non-finite values")
     n = x.size
     d = n * q_objective(x, fitted, WeightSpec("exp_abs", kappa))
-    return TestOutcome(statistic=float(d), fitted=fitted, kappa=kappa, hypothesis=hypothesis, n=n)
+    return TestOutcome(statistic=float(d), fitted=fitted, kappa=kappa, n=n)
 
 
 # public names that start with "test": keep pytest from collecting them in

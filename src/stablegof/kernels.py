@@ -22,7 +22,8 @@ S(m) = [[a^2 m22, a m23], [a m23, m33]]:
 V holds the entries of the inverse of the estimator's matrix (the Fisher
 matrix I for MLE, A for EISE), J = A^-1 H A^-1 is indexed
 (mu, sigma, alpha) = (1, 2, 3), and p = Bs V22 + Ba V23, q = Bs V23 + Ba V33
-with the EISE B constants Bs, Ba.  A fixed alpha (``mle_h2``,
+with the EISE B constants Bs, Ba.  The EISE factors read M1-M3 from one
+cubic spline in |s| (see :class:`KernelSpec`).  A fixed alpha (``mle_h2``,
 ``eise_fixed``) zeroes V23, V33 and J's alpha row and column.  Even and odd
 factors never share a term, so under (s, t) -> (-s, -t) the odd factors'
 signs cancel in pairs and Gamma is even bit for bit;
@@ -70,45 +71,33 @@ def gamma_efficient(s, t, params, fisher_inverse):
     return cf(s - t, params) - cf(s, params) * np.conj(cf(t, params)) - quad_form
 
 
-# s-grid of the inner-integral splines; |s| beyond _S_MAX reads the last node
+# s-grid of the inner-integral spline; |s| beyond _S_MAX reads the last node
 _S_MAX = 65.0
 _N_GRID = 2048
 
 
-class _EiseInnerCache:
-    """Cubic-spline cache of the three EISE inner integrals M1, M2, M3.
-
-    The EISE factors read all three at every argument.  The ``_N_GRID``
-    node values on [0, ``_S_MAX``] come from
-    :func:`~stablegof.estimators._inner_values`, which defines M1-M3 and
-    states their accuracy.  Between the nodes the values are cubic-spline
-    interpolants, whose error dominates: with the weight exp(-|t|^1.5), at
-    the nodes of an N = 800 discretization (|s| <= log N, about 6.7) M2 is
-    off by up to 1.8e-7 absolute at alpha = 1.33 and 5.2e-8 at 1.76, which
-    moves the 5% critical value by 1.7e-7 and 1.0e-7 relative.
-    """
-
-    def __init__(self, alpha, weight):
-        grid = np.linspace(0.0, _S_MAX, _N_GRID)
-        vals = _inner_values(alpha, weight, grid)
-        self._spl = [CubicSpline(grid, vals[:, i]) for i in range(3)]
-
-    def __call__(self, s):
-        a_s = np.minimum(np.abs(s), _S_MAX)
-        sgn = np.where(s < 0, -1.0, 1.0)
-        return sgn * self._spl[0](a_s), self._spl[1](a_s), self._spl[2](a_s)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel kind with B_e (``b_even``), B_o (``b_odd``) and the EISE kinds' inner integrals."""
+    """A kernel kind with B_e (``b_even``), B_o (``b_odd``) and the EISE kinds' inner integrals.
+
+    ``inner`` is None for the MLE kinds.  For the EISE kinds it is one cubic
+    spline through (M1, M2, M3) at the ``_N_GRID`` nodes of [0, ``_S_MAX``],
+    one column per integral; :meth:`factors` reads it at min(|s|, ``_S_MAX``)
+    and gives M1 the sign of s.  The node values come from
+    :func:`~stablegof.estimators._inner_values`, which defines M1-M3 and
+    states their accuracy.  Between the nodes the spline's error dominates:
+    with the weight exp(-|t|^1.5), at the nodes of an N = 800
+    discretization (|s| <= log N, about 6.7) M2 is off by up to 1.8e-7
+    absolute at alpha = 1.33 and 5.2e-8 at 1.76, which moves the 5% critical
+    value by 1.7e-7 and 1.0e-7 relative.
+    """
 
     kind: str
     alpha: float
     kappa: float
     b_even: np.ndarray
     b_odd: np.ndarray
-    inner: _EiseInnerCache | None = None
+    inner: CubicSpline | None = None
 
     def stationary(self, d):
         """The stationary part C(d) = exp(-|d|^alpha)."""
@@ -123,14 +112,18 @@ class KernelSpec:
         ge = sa * e
         even, odd = [e, ge, ge * _safe_log_abs(a_s)], [s * e]
         if self.inner is not None:
-            m1, m2, m3 = self.inner(s)
-            even += [m2, m3]
-            odd.append(m1)
+            m = self.inner(np.minimum(a_s, _S_MAX))
+            even += [m[..., 1], m[..., 2]]
+            odd.append(np.where(s < 0, -1.0, 1.0) * m[..., 0])
         return np.stack(even, axis=-1), np.stack(odd, axis=-1)
 
 
 def make_kernel(kind, alpha, kappa=1.0, weight=None):
-    """Build a :class:`KernelSpec`, computing Fisher/EISE inputs as needed."""
+    """Build a :class:`KernelSpec`, computing Fisher/EISE inputs as needed.
+
+    The EISE kinds also tabulate the inner integrals M1-M3 under ``weight``
+    and fit the spline that :class:`KernelSpec` describes.
+    """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; choose from {KERNEL_KINDS}")
 
@@ -159,7 +152,9 @@ def make_kernel(kind, alpha, kappa=1.0, weight=None):
     b_even[0, 1:3] = b_even[1:3, 0] = -alpha * p, -q
     b_even[1:3, 3:] = b_even[3:, 1:3] = block(v22, v23, v33)
     b_odd = np.array([[-J[0, 0], v11], [v11, 0.0]])
-    return KernelSpec(kind, alpha, kappa, b_even, b_odd, _EiseInnerCache(alpha, weight))
+    grid = np.linspace(0.0, _S_MAX, _N_GRID)
+    inner = CubicSpline(grid, _inner_values(alpha, weight, grid))
+    return KernelSpec(kind, alpha, kappa, b_even, b_odd, inner)
 
 
 def _form(us, b, ut):

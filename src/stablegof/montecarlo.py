@@ -45,7 +45,12 @@ __all__ = [
     "power_study",
     "h1_decision",
     "worker_pool",
+    "TEST_LEVELS",
 ]
+
+# upper-tail levels xi at which ``table`` and ``test`` report critical
+# values, and the default levels of an experiment
+TEST_LEVELS = (0.10, 0.05)
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class ExperimentConfig:
     replications: int = 2000
     seed: int = 0
     alternative: tuple | None = None
-    xis: tuple = (0.10, 0.05)
+    xis: tuple = TEST_LEVELS
 
     def __post_init__(self):
         if self.replications < 100:
@@ -143,7 +148,7 @@ def _attempts(config, child):
         x = draw_alternative(config.alternative, config.n, config.alpha, rng)
         try:
             p = _fit(x, config).params
-            return [test_statistic(x, p, k, config.hypothesis).statistic for k in config.kappas], attempt
+            return [test_statistic(x, p, k).statistic for k in config.kappas], attempt
         except (NumericsError, DataError):
             pass
     return None, _MAX_DRAWS

@@ -165,6 +165,6 @@ def eigen_spectrum(blocks, spec=None):
     )
 
 
-def build_spectrum(spec, n=800):
+def build_spectrum(spec, n):
     """Discretize a kernel and extract its spectrum in one step."""
     return eigen_spectrum(discretize(spec, n), spec)

@@ -85,8 +85,9 @@ def _safe_log_abs(a):
 def cf_grad(t, params):
     """Gradient of the characteristic function in (mu, sigma, alpha).
 
-    At t = 0 all three components vanish by continuity (the alpha component
-    carries the factor |sigma t|^alpha log|sigma t| -> 0).
+    At t = 0 the formulas give 0 for all three components, their limits:
+    the alpha component carries |sigma t|^alpha log|sigma t|, and
+    ``_safe_log_abs`` reads the log there as 0.
     """
     t = np.asarray(t, dtype=float)
     mu, sigma, alpha = params.mu, params.sigma, params.alpha
@@ -96,11 +97,6 @@ def cf_grad(t, params):
     d_mu = 1j * t * base
     d_sigma = -base * ata * alpha / sigma
     d_alpha = -base * ata * lat
-    zero = at == 0
-    if np.any(zero):
-        d_mu = np.where(zero, 0.0 + 0.0j, d_mu)
-        d_sigma = np.where(zero, 0.0 + 0.0j, d_sigma)
-        d_alpha = np.where(zero, 0.0 + 0.0j, d_alpha)
     return d_mu, d_sigma, d_alpha
 
 

@@ -262,6 +262,31 @@ def test_quantile_roundtrip(simple_cfg):
         quantile_dk(0.7, simple_cfg)
 
 
+def first_lower_end(cfg):
+    """F at quantile_dk's first lower bracket end: E[D]/10, times 1.5 while the series diverges."""
+    lo = cfg.spectrum.trace_sum(cfg.m) / 10.0
+    for _ in range(60):
+        try:
+            return cdf_dk(lo, cfg)
+        except SeriesDivergenceError:
+            lo *= 1.5
+    raise AssertionError("no lower end evaluated")
+
+
+@pytest.mark.parametrize(
+    "cell", [("mle_h1", 0.8, 1.0), ("mle_h1", 1.9, 10.0), ("mle_h2", 1.0, 2.5), None]
+)
+def test_first_lower_bracket_end_is_below_the_median(cell):
+    # quantile_dk only ever moves its lower end up, so each level's target
+    # F = 1 - xi > 1/2 must lie above F there; None: a spectrum whose first
+    # eigenvalue dominates, near one chi-square(1) term, F = 0.2474
+    if cell is None:
+        sp = synthetic_spectrum(np.concatenate(([1.0], 1e4 * np.arange(1.0, 800.0))))
+    else:
+        sp = build_spectrum(make_kernel(*cell), 800)
+    assert first_lower_end(default_inversion_config(sp)) < 0.5
+
+
 def test_published_cdf_spot_values(spectrum_h1_a1k1):
     cfg = default_inversion_config(spectrum_h1_a1k1)
     assert abs(cdf_dk(0.988, cfg) - 0.90) < 2e-3

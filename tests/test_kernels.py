@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 from stablegof._fourier import envelope_cutoff
 from stablegof.estimators import (
@@ -68,6 +69,25 @@ def gamma_mle_fixed(s, t, alpha, inv_entries):
     return np.exp(-np.abs(t - s) ** alpha) - e_pp - bracket * e_pp
 
 
+class HeldEiseInnerCache:
+    """Reference copy of the package's former ``_EiseInnerCache``, three splines of M1-M3.
+
+    ``KernelSpec.inner`` is one spline through all three columns; its
+    factors must equal this copy's bit for bit.  Called on s, returns
+    (M1, M2, M3) with |s| clamped at ``_S_MAX`` and M1 odd.
+    """
+
+    def __init__(self, alpha, weight):
+        grid = np.linspace(0.0, _S_MAX, _N_GRID)
+        vals = _inner_values(alpha, weight, grid)
+        self._spl = [CubicSpline(grid, vals[:, i]) for i in range(3)]
+
+    def __call__(self, s):
+        a_s = np.minimum(np.abs(s), _S_MAX)
+        sgn = np.where(s < 0, -1.0, 1.0)
+        return sgn * self._spl[0](a_s), self._spl[1](a_s), self._spl[2](a_s)
+
+
 def gamma_eise_fixed(s, t, a, em, inner):
     """EISE kernel with alpha fixed: location/scale blocks only."""
     a11inv = 1.0 / em.A[0, 0]
@@ -114,8 +134,8 @@ def old_gamma_eise(s, t, a, inv_entries, J, em, inner):
     Its ``_gradient_form`` helper is inlined in the same operation order.
     ``inv_entries`` are (A^11, A^22, A^23, A^33), ``J`` = A^-1 H A^-1 and
     ``em`` the :class:`EiseMatrices` (for the B constants), each with the
-    alpha entries zeroed for ``eise_fixed``; ``inner`` is the inner-integral
-    cache.
+    alpha entries zeroed for ``eise_fixed``; ``inner`` is a
+    :class:`HeldEiseInnerCache`.
     """
     a11, a22, a23, a33 = inv_entries
     s = np.asarray(s, dtype=float)
@@ -168,13 +188,15 @@ def old_coefficients(kind, alpha, weight=None):
 def old_kernel(spec, weight=None):
     """Gamma(s, t) of ``spec``'s kind by the formulas before the factor form.
 
-    The EISE kinds read the inner integrals from ``spec.inner``, the same
-    spline cache the package uses, so the two differ only by rounding.
+    The EISE kinds read the inner integrals from :class:`HeldEiseInnerCache`,
+    whose values equal the package's spline bit for bit, so the two differ
+    only by rounding.
     """
     inv, J, em = old_coefficients(spec.kind, spec.alpha, weight)
     if em is None:
         return lambda s, t: old_gamma_mle(s, t, spec.alpha, inv)
-    return lambda s, t: old_gamma_eise(s, t, spec.alpha, inv, J, em, spec.inner)
+    inner = HeldEiseInnerCache(spec.alpha, weight)
+    return lambda s, t: old_gamma_eise(s, t, spec.alpha, inv, J, em, inner)
 
 
 def adaptive_inner(alpha, weight, s):
@@ -296,7 +318,7 @@ def test_eise_fixed_is_h1_formula_with_zero_alpha_entries(eise_fixed_spec):
     s, t = rng.uniform(-15, 15, 400), rng.uniform(-15, 15, 400)
     got = gamma(s, t, eise_fixed_spec)
     em = eise_matrices(1.0, EISE_FIXED_WEIGHT)
-    want = gamma_eise_fixed(s, t, 1.0, em, eise_fixed_spec.inner)
+    want = gamma_eise_fixed(s, t, 1.0, em, HeldEiseInnerCache(1.0, EISE_FIXED_WEIGHT))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
@@ -319,6 +341,20 @@ def test_inner_values_match_adaptive_quadrature(alpha, weight):
     got = _inner_values(alpha, weight, s)
     want = np.array([adaptive_inner(alpha, weight, si) for si in s])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.33, 1.7, 1.76])
+def test_one_spline_matches_three_bit_for_bit(alpha):
+    # the N = 800 midpoint nodes (both signs), and |s| at and past the clamp
+    weight = WeightSpec("exp_power", 1.0, 1.5)
+    spec = make_kernel("eise_h1", alpha, 2.5, weight)
+    held = HeldEiseInnerCache(alpha, weight)
+    far = np.array([_S_MAX, 65.5, 100.0, 1e6])
+    for s in (transform_point(midpoint_grid(800)), np.concatenate((-far, far)), np.float64(-0.3)):
+        even, odd = spec.factors(s)
+        m1, m2, m3 = held(s)
+        for got, want in ((odd[..., 1], m1), (even[..., 3], m2), (even[..., 4], m3)):
+            assert got.tobytes() == np.asarray(want).tobytes()
 
 
 def test_make_kernel_reuses_read_only_eise_matrices():

@@ -51,7 +51,7 @@ def serial_replicate(config):
             x = mc.draw_alternative(config.alternative, config.n, config.alpha, rng)
             try:
                 p = mc._fit(x, config).params
-                out.append([mc.test_statistic(x, p, k, config.hypothesis).statistic for k in config.kappas])
+                out.append([mc.test_statistic(x, p, k).statistic for k in config.kappas])
                 break
             except (NonConvergenceError, NumericsError, DataError):
                 failures += 1
