@@ -289,8 +289,8 @@ def cmd_test(args):
 def cmd_table(args):
     alphas = [float(a) for a in args.alphas.split(",")]
     kappas = [float(k) for k in args.kappas.split(",")]
-    if any(k < 1.0 for k in kappas):
-        raise UsageError("critical-value tables support kappa >= 1 only")
+    if not all(1.0 <= k < math.inf for k in kappas):
+        raise UsageError(f"critical-value tables support finite kappa >= 1 only, got {args.kappas}")
     if args.nodes < 16 or args.nodes % 2:
         raise UsageError(f"--nodes must be even and at least 16, got {args.nodes}")
     # H2 fixes alpha, so the normal endpoint has a kernel; H1 needs I(alpha) finite

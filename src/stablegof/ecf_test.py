@@ -50,6 +50,7 @@ def test_statistic(data, fitted, kappa):
     D is the same quantity under both hypotheses; only the fit differs.
     Under H2 the caller passes a fit with alpha frozen at the hypothesized
     value, so ``fitted.alpha`` is the exponent used either way.  Raises
+    ValueError unless ``kappa`` is finite and positive, and
     :class:`~stablegof.errors.DataError` for an empty sample or one holding
     NaN or infinite values.
 
@@ -58,17 +59,20 @@ def test_statistic(data, fitted, kappa):
     accuracy falls as D shrinks.  On the benchmark samples, summing in
     another order moved D by at most 2e-13 at n <= 200 and 1.1e-12 at
     n = 5000; relative to D that reached 5e-11 (D = 8e-4) and 5e-10
-    (D = 2e-3).
+    (D = 2e-3).  Above 750 near points the transforms come from a Chebyshev
+    table in y (see ``_fourier.cos_transforms``).  On the benchmark's
+    n = 5000 datasets, the table and the pair sums' blocks of 2^18 pairs
+    moved D by at most 3.9e-12 (5.6e-10 relative) from its value with
+    direct sums and blocks of 2^21.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    weight = WeightSpec("exp_abs", kappa)
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
         raise DataError("empty sample")
     if not np.all(np.isfinite(x)):
         raise DataError("sample contains non-finite values")
     n = x.size
-    d = n * q_objective(x, fitted, WeightSpec("exp_abs", kappa))
+    d = n * q_objective(x, fitted, weight)
     return TestOutcome(statistic=float(d), fitted=fitted, kappa=kappa, n=n)
 
 

@@ -202,8 +202,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("exp_abs", "exp_power"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not (self.kappa_or_nu > 0):
-            raise ValueError("weight constant must be positive")
+        if not (0 < self.kappa_or_nu < math.inf):
+            raise ValueError(f"weight constant must be finite and positive, got {self.kappa_or_nu}")
         if self.kind == "exp_power":
             if self.bar_alpha is None or not (0 < self.bar_alpha <= 2):
                 raise ValueError("exp_power weight needs bar_alpha in (0, 2]")
@@ -567,7 +567,7 @@ def _pair_sums(x, sigma, weight, grad):
     Both summands are even in d, so each row block [start, stop) of at most
     ``_BLOCK_CELLS`` pairs (as in ``_fourier._grid_sums``) is summed over its
     own square of columns [start, stop) once and over the columns [stop, n)
-    twice: about n^2/2 pairs, in bounded memory.  Up to n = 1448 one block
+    twice: about n^2/2 pairs, in bounded memory.  Up to n = 512 one block
     holds every row, the square is the whole matrix and nothing is doubled.
     The sums still run over every cell of the square, in row order: only
     the density evaluations inside :func:`_w0_and_deriv` are shared between

@@ -74,6 +74,23 @@ def test_tracer_counts_the_statistics_transforms(tracer):
     assert st.counts["far"] > 0
 
 
+def test_tracer_times_the_large_n_table_inside_cos_transforms(tracer):
+    # at n = 5000 the near points go through the Chebyshev table; it must stay
+    # inside the one cos_transforms call the bench times and counts
+    x = rand_stable(0.9, 5000, np.random.default_rng(7))
+    far = np.count_nonzero(np.abs(x) > 60.0)
+    assert far > 0
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        stablegof.ecf_test.test_statistic(x, StableParams(0.0, 1.0, 0.9), 1.0)
+    finally:
+        tr.uninstall()
+    st = tr.totals("_fourier.cos_transforms")
+    assert st.calls == 1
+    assert st.counts["points"] == x.size and st.counts["far"] == far
+
+
 def test_tracer_counts_the_pair_terms_distinct_differences(tracer):
     # the exp_power pair term evaluates the density once, at each distinct
     # |d|: n(n-1)/2 mirrored pairs and the zero of the diagonal

@@ -113,6 +113,18 @@ def test_table_checks_nodes_and_alphas_before_any_cell(
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappas", ["inf", "nan", "2.5,inf", "2.5,-inf", "0.5"])
+def test_table_checks_kappas_before_any_cell(cache, tmp_path, monkeypatch, capsys, kappas):
+    def no_cell(*args):
+        pytest.fail("a table cell was attempted")
+
+    monkeypatch.setattr(cli, "cached_spectrum", no_cell)
+    out = tmp_path / "t.csv"
+    assert main(["table", "--alphas", "1.5", "--kappas", kappas, "--nodes", "16", "-o", str(out)]) == 1
+    assert not out.exists()
+    assert "kappa >= 1" in capsys.readouterr().err
+
+
 def test_h2_table_accepts_the_normal_endpoint(cache, tmp_path):
     out = tmp_path / "t.csv"
     argv = ["table", "--hypothesis", "H2", "--alphas", "2.0", "--kappas", "2.5",
@@ -291,6 +303,16 @@ def test_sup_range_without_alpha_range_exits_1_before_the_fit(cache, cauchy_file
     code = main(["test", str(cauchy_file), "--kappa", "2.5", "--tables", str(table), "--method", "sup_range"])
     assert code == 1
     assert "--alpha-range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_test_refuses_a_non_finite_kappa(cache, cauchy_file, tmp_path, capsys, kappa):
+    table = tmp_path / "h1.csv"
+    table.write_text(HAND_TABLE)
+    assert main(["test", str(cauchy_file), "--kappa", kappa, "--tables", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert "finite and positive" in captured.err
+    assert "statistic" not in captured.out
 
 
 def test_malformed_table_row_is_input_error(cache, cauchy_file, tmp_path, capsys):

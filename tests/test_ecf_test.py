@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stablegof._fourier import cos_transforms
+from stablegof import _fourier
+from stablegof._fourier import _grid_sums, cos_transforms, envelope_cutoff
 from stablegof.errors import DataError, QuadratureError
 from stablegof.ecf_test import ecf, test_statistic
 from stablegof.estimators import WeightSpec, mle_fit
@@ -35,6 +36,18 @@ def test_ecf_empty_rejected():
 def test_statistic_requires_positive_kappa():
     with pytest.raises(ValueError):
         test_statistic([1.0, 2.0], StableParams(0, 1, 1.5), 0.0)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, math.inf, -math.inf, math.nan])
+def test_statistic_requires_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="finite and positive"):
+        test_statistic([1.0, 2.0], StableParams(0, 1, 1.5), kappa)
+
+
+def test_statistic_checks_kappa_before_the_data():
+    # a bad weight is reported as such, even with a sample that is bad too
+    with pytest.raises(ValueError, match="finite and positive"):
+        test_statistic([], StableParams(0, 1, 1.5), math.inf)
 
 
 def test_single_point_closed_form():
@@ -101,14 +114,39 @@ def test_far_point_quadrature_failure_raises():
         test_statistic(x, StableParams(0.0, 1.0, 1.0), 2.5)
 
 
+def direct_near_sums(ay, alpha, terms, T, ysplit, grad=True):
+    """``_fourier._near_sums`` without its table: every near point on the grid."""
+    return _grid_sums(ay, alpha, terms, T, grad)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 1.7])
+def test_statistic_from_the_table_matches_the_direct_sums(alpha, monkeypatch):
+    # D = n*Q moves by at most 4n times the table's error per sum; on these
+    # samples it moved by 6.7e-12 at most.  An absolute bound: D can be
+    # small enough that its relative change says nothing.
+    fit = StableParams(0.0, 1.0, alpha)
+    for seed in (1, 2, 3):
+        x = rand_stable(alpha, 5000, np.random.default_rng(seed))
+        got = [test_statistic(x, fit, k).statistic for k in (1.0, 10.0)]
+        monkeypatch.setattr(_fourier, "_near_sums", direct_near_sums)
+        want = [test_statistic(x, fit, k).statistic for k in (1.0, 10.0)]
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-11
+
+
 def test_grid_transforms_memory_bounded():
     # 4935 near points x 4570 grid nodes: the exponentials of all of them at
-    # once take ~700 MB; row blocks keep the peak near 100 MB
+    # once take ~700 MB; row blocks of 2^18 cells keep the peak near 4.5 MB,
+    # both for the table of cos_transforms and for the direct sums
     y = rand_stable(0.9, 5000, np.random.default_rng(11))
+    terms = ((1.0, 0.9), (1.0, 1.0))
+    ay = np.abs(y[np.abs(y) <= 60.0])
     tracemalloc.start()
     try:
-        cos_transforms(y, 0.9, ((1.0, 0.9), (1.0, 1.0)))
+        cos_transforms(y, 0.9, terms)
+        _grid_sums(ay, 0.9, terms, envelope_cutoff(terms))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150 * 2**20
+    assert peak < 16 * 2**20

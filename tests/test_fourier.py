@@ -1,7 +1,8 @@
 """The near-grid sums of ``_fourier._grid_sums`` against the complex-exp route they replaced,
-its value-only route against its gradient route, the scalar integrands of the far
-points and moments against their ``sum``-over-a-generator forms, and the failure policy
-of the far points' QAWO: one retry on a split interval, then QuadratureError."""
+its value-only route against its gradient route, the Chebyshev table of ``_near_sums``
+against the direct sums, the scalar integrands of the far points and moments against
+their ``sum``-over-a-generator forms, and the failure policy of the far points' QAWO:
+one retry on a split interval, then QuadratureError."""
 
 import math
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from stablegof._fourier import (
 )
 from stablegof.errors import QuadratureError
 from stablegof.estimators import WeightSpec
-from stablegof.stable_core import _crossover
+from stablegof.stable_core import _crossover, pdf_batch, rand_stable
 
 
 def loop_phi(t, terms):
@@ -300,3 +301,109 @@ def test_far_point_raises_when_the_split_fails_too(monkeypatch):
     monkeypatch.setattr(_fourier, "integrate", SimpleNamespace(quad=always_warns))
     with pytest.raises(QuadratureError, match="y=75: roundoff error is detected"):
         cos_transforms(np.array([1.0, 75.0]), ALPHA, TERMS, grad=False)
+
+
+def grid_sums_calls(monkeypatch):
+    """Record the batch size of every ``_grid_sums`` call."""
+    sizes, grid_sums = [], _fourier._grid_sums
+
+    def recording(ay, *args, **kwargs):
+        sizes.append(ay.size)
+        return grid_sums(ay, *args, **kwargs)
+
+    monkeypatch.setattr(_fourier, "_grid_sums", recording)
+    return sizes
+
+
+def table_nodes(ay):
+    """The Chebyshev nodes of ``_near_sums``' table for the points ``ay``, one row per panel."""
+    panels = max(1, math.ceil(float(np.max(ay)) / _fourier._TABLE_WIDTH))
+    centers = _fourier._TABLE_WIDTH * (np.arange(panels) + 0.5)
+    return centers[:, None] + 0.5 * _fourier._TABLE_WIDTH * _fourier._CHEB_X
+
+
+def near_points(alpha, seed, n=5000):
+    """|y| <= 60 of a standard stable sample of size n."""
+    ay = np.abs(rand_stable(alpha, n, np.random.default_rng(seed)))
+    return ay[ay <= 60.0]
+
+
+TABLE_WEIGHTS = [WeightSpec("exp_abs", 1.0), WeightSpec("exp_abs", 10.0), WeightSpec("exp_power", 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("alpha", [0.9, 1.7])
+@pytest.mark.parametrize("weight", TABLE_WEIGHTS, ids=["exp_abs1", "exp_abs10", "power1.5"])
+def test_table_sums_match_the_direct_sums(alpha, weight, monkeypatch):
+    # largest difference seen: 7.4e-15, where the direct sums' own rounding
+    # is of that order
+    terms = ((1.0, alpha),) + weight.terms()
+    T = envelope_cutoff(terms)
+    for seed in (1, 2, 3):
+        ay = near_points(alpha, seed)
+        want = _grid_sums(ay, alpha, terms, T)
+        sizes = grid_sums_calls(monkeypatch)
+        got = _fourier._near_sums(ay, alpha, terms, T, 60.0)
+        value = _fourier._near_sums(ay, alpha, terms, T, 60.0, grad=False)
+        monkeypatch.undo()
+        assert sizes == [table_nodes(ay).size] * 2
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14
+        assert np.array_equal(value[0], got[0]) and value[1:] == (None, None)
+
+
+@pytest.mark.parametrize("n, top", [(750, 60.0), (120, 1.0)])
+def test_batches_no_larger_than_the_largest_table_keep_the_direct_sums(n, top):
+    # 750 points are the nodes of the table for max|y| = ysplit = 60; a small
+    # batch keeps the direct sums even where its own table would be smaller
+    ay = np.random.default_rng(n).uniform(0.0, top, n)
+    terms = ((1.0, 1.3), (2.5, 1.0))
+    T = envelope_cutoff(terms)
+    for grad in (True, False):
+        got = _fourier._near_sums(ay, 1.3, terms, T, 60.0, grad)
+        want = _grid_sums(ay, 1.3, terms, T, grad)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or np.array_equal(g, w)
+
+
+def test_table_is_skipped_where_its_last_coefficients_are_too_large(monkeypatch):
+    # alpha = 0.5 with exp(-0.5|t|): c0 is analytic only for |Im y| < 0.5,
+    # and 25 nodes on a panel 2 wide miss it by about 3e-10
+    ay = np.random.default_rng(7).uniform(0.0, 10.0, 800)
+    terms = ((1.0, 0.5), (0.5, 1.0))
+    T = envelope_cutoff(terms)
+    sizes = grid_sums_calls(monkeypatch)
+    got = _fourier._near_sums(ay, 0.5, terms, T, 60.0)
+    monkeypatch.undo()
+    assert sizes == [table_nodes(ay).size, ay.size]
+    for g, w in zip(got, _grid_sums(ay, 0.5, terms, T)):
+        assert np.array_equal(g, w)
+
+
+def test_table_takes_a_nodes_value_and_serves_the_top_panels_upper_end():
+    rng = np.random.default_rng(8)
+    ay = rng.uniform(0.0, 59.5, 1000)
+    nodes = table_nodes(np.append(ay, 60.0))
+    ay[:3] = nodes[0, 4], nodes[17, 12], 60.0
+    terms = ((1.0, 1.1), (1.0, 1.0))
+    T = envelope_cutoff(terms)
+    got = _fourier._near_sums(ay, 1.1, terms, T, 60.0)
+    at_nodes = _grid_sums(nodes.ravel(), 1.1, terms, T)
+    direct = _grid_sums(ay, 1.1, terms, T)
+    for g, table, w in zip(got, at_nodes, direct):
+        table = table.reshape(nodes.shape)
+        assert g[0] == table[0, 4] and g[1] == table[17, 12]
+        assert np.all(np.isfinite(g)) and np.max(np.abs(g - w)) <= 1e-14
+
+
+def test_density_at_large_n_keeps_the_direct_grid():
+    alpha = 1.5
+    x = rand_stable(alpha, 5000, np.random.default_rng(9))
+    f, fp, fa = pdf_batch(x, alpha)
+    ax = np.abs(x)
+    small = ax <= _crossover(alpha)
+    assert np.count_nonzero(small) > 750
+    g0, g1, ga = _grid_sums(ax[small], alpha, ((1.0, alpha),), _LOG_EPS ** (1.0 / alpha))
+    assert np.array_equal(f[small], g0 / math.pi)
+    fp_want = -g1 / math.pi
+    assert np.array_equal(fp[small], np.where(x[small] < 0, -fp_want, fp_want))
+    assert np.array_equal(fa[small], -ga / math.pi)
