@@ -24,13 +24,7 @@ from .estimators import (
     q_objective,
 )
 from .ecf_test import TestOutcome, ecf, test_statistic
-from .kernels import (
-    KernelSpec,
-    make_kernel,
-    gamma,
-    gamma_efficient,
-    transformed_kernel,
-)
+from .kernels import KernelSpec, make_kernel, gamma, gamma_efficient
 from .spectral import Spectrum, discretize, eigen_spectrum, build_spectrum
 from .inversion import (
     InversionConfig,

@@ -262,6 +262,9 @@ def cmd_test(args):
         raise DataError(
             f"table lacks the needed cell ({exc}); regenerate with 'stablegof table'"
         )
+    except ValueError as exc:
+        # the checks above leave only an alpha outside the table's alpha grid
+        raise DataError(f"table does not cover this test: {exc}")
     if args.machine:
         for k, v in lines.items():
             print(f"{k}={v}")

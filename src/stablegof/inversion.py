@@ -122,17 +122,20 @@ class InversionConfig:
 
     def __post_init__(self):
         n_avail = len(self.spectrum.lambdas)
-        if not (self.l < self.m <= n_avail):
-            raise ValueError(f"need l < m <= {n_avail}, got l={self.l}, m={self.m}")
         # the 2l eigenvalues bounding the series intervals are factors of the
-        # m-term product that each term cancels
-        if 2 * self.l > self.m:
-            raise ValueError(f"need 2l <= m, got l={self.l}, m={self.m}")
+        # m-term product that each term cancels; l = 0 would leave no
+        # eigenvalue pair to tell a simple spectrum from a paired one
+        if not (1 <= self.l and 2 * self.l <= self.m <= n_avail):
+            raise ValueError(f"need 1 <= l and 2l <= m <= {n_avail}, got l={self.l}, m={self.m}")
         object.__setattr__(self, "_table", _series_table(self.spectrum, self.l, self.m))
 
 
 def default_inversion_config(spectrum):
-    """Truncation defaults: m=500 (300 for kappa>5), l=25 (10 for kappa>2.5), capped below."""
+    """Truncation defaults: m=500 (300 for kappa>5), l=25 (10 for kappa>2.5), capped below.
+
+    The caps leave l = 0 for a spectrum with fewer than 3 eigenvalues, which
+    :class:`InversionConfig` refuses with ValueError.
+    """
     kappa = spectrum.kappa
     n_avail = len(spectrum.lambdas)
     m = 500 if kappa <= 5.0 else 300

@@ -28,8 +28,7 @@ cubic spline in |s| (see :class:`KernelSpec`).  A fixed alpha (``mle_h2``,
 factors never share a term, so under (s, t) -> (-s, -t) the odd factors'
 signs cancel in pairs and Gamma is even bit for bit;
 :func:`~stablegof.spectral.discretize` builds its Nystrom blocks from the
-factors at the nodes.  ``transformed_kernel`` folds in the weight
-exp(-kappa|t|) and maps the plane onto [-1, 1]^2 by s = -sgn(u) log(1 - |u|).
+factors at the nodes.
 """
 
 from dataclasses import dataclass
@@ -47,7 +46,6 @@ __all__ = [
     "make_kernel",
     "gamma",
     "gamma_efficient",
-    "transformed_kernel",
 ]
 
 KERNEL_KINDS = ("mle_h1", "mle_h2", "eise_h1", "eise_fixed")
@@ -171,34 +169,4 @@ def gamma(s, t, spec):
     (even_s, odd_s), (even_t, odd_t) = spec.factors(s), spec.factors(t)
     c = spec.stationary(np.subtract(s, t, dtype=float))
     return c - _form(even_s, spec.b_even, even_t) - _form(odd_s, spec.b_odd, odd_t)
-
-
-def transform_point(u):
-    """Map u in [-1, 1] to the line: s = -sgn(u) log(1 - |u|)."""
-    u = np.asarray(u, dtype=float)
-    return -np.sign(u) * np.log1p(-np.abs(u))
-
-
-def transformed_kernel(u, v, spec):
-    """Weighted kernel on [-1, 1]^2 whose eigenvalues the solver approximates.
-
-    K(u, v) = Gamma(s(u), s(v)) * ((1-|u|)(1-|v|))^((kappa-1)/2), which is
-    the plane kernel with the weight e^{-kappa|t|} folded in and the
-    Jacobian of the log map absorbed.  For kappa > 1 the kernel vanishes
-    at |u| = 1; for kappa <= 1 the endpoints are evaluated just inside
-    (quadrature grids never place nodes at +-1).
-    """
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if np.any(np.abs(u) > 1) or np.any(np.abs(v) > 1):
-        raise ValueError("transformed kernel arguments must lie in [-1, 1]")
-    k = spec.kappa
-    at_edge = (np.abs(u) >= 1.0) | (np.abs(v) >= 1.0)
-    u = np.clip(u, -1.0 + 1e-12, 1.0 - 1e-12)
-    v = np.clip(v, -1.0 + 1e-12, 1.0 - 1e-12)
-    au, av = np.abs(u), np.abs(v)
-    fac = ((1.0 - au) * (1.0 - av)) ** (0.5 * (k - 1.0))
-    out = gamma(transform_point(u), transform_point(v), spec) * fac
-    if k > 1.0:
-        out = np.where(at_edge, 0.0, out)
-    return out
 

@@ -1,18 +1,26 @@
 """Nystrom discretization and eigenvalues of the weighted covariance kernels.
 
-The integral equation lambda int_{-1}^{1} K(s,t) f(t) dt = f(s) is
-discretized on the midpoint grid xi_i = -1 + (2i-1)/N.  The rule weight on
-the length-2 interval is 2/N, so the eigenvalues nu_j of (2/N) K~
+The null law of D needs the eigenvalues of the covariance kernel
+Gamma(s, t) of :mod:`stablegof.kernels` under the weight exp(-kappa|t|) on
+the line.  The map s(x) = -sgn(x) log(1 - |x|) takes [-1, 1] onto the
+line, and with its Jacobian absorbed the weighted operator is the kernel
+
+    K(x, y) = Gamma(s(x), s(y)) w(x) w(y),   w(x) = (1 - |x|)^((kappa - 1)/2),
+
+on [-1, 1]^2.  The integral equation lambda int_{-1}^{1} K(x,y) f(y) dy =
+f(x) is discretized on the midpoint grid xi_i = -1 + (2i-1)/N.  The rule
+weight on the length-2 interval is 2/N, so the eigenvalues nu_j of (2/N) K~
 approximate the operator eigenvalues 1/lambda_j; their reciprocals are the
 lambda_j the Fredholm determinant and the distribution series consume.
 Midpoint nodes never touch +-1, which keeps the kappa <= 1 kernels (only
 continuous in the open square) evaluable without special casing.
 
-The laws under test are symmetric, so every kernel is even under
-(s, t) -> (-s, -t): ``transformed_kernel(-u, -v)`` equals
-``transformed_kernel(u, v)`` bit for bit for every kind.  The grid is
-mirrored about 0 as well, so with x the N/2 positive nodes, P = K(x_i, x_j)
-and M = K(x_i, -x_j), and J the order reversal, the N x N matrix is
+The laws under test are symmetric, so Gamma is even under
+(s, t) -> (-s, -t): ``gamma(-s, -t, spec)`` equals ``gamma(s, t, spec)``
+bit for bit for every kind.  The weight factor w is even in x and s is odd,
+so K is even under (x, y) -> (-x, -y) as well.  The grid is mirrored about
+0, so with x the N/2 positive nodes, P = K(x_i, x_j) and M = K(x_i, -x_j),
+and J the order reversal, the N x N matrix is
 
     [[J P J, J M],
      [M J,   P  ]].
@@ -31,8 +39,8 @@ The kernel is C(s - t) - u_e(s)' B_e u_e(t) - u_o(s)' B_o u_o(t) (see
     E = F [C(s_i - s_j) + C(s_i + s_j) - 2 U_e B_e U_e'] F,
     O = F [C(s_i - s_j) - C(s_i + s_j) - 2 U_o B_o U_o'] F,
 
-with s = s(x), U the factors at s (one row per node) and
-F = diag((1 - x_i)^((kappa - 1)/2)).
+with s = s(x) = -log(1 - x), U the factors at s (one row per node) and
+F = diag(w(x_i)).
 
 A saved spectrum is an uncompressed numpy archive (``np.savez``) with one
 array per stored field: ``lambdas`` (float64, ascending), ``kind`` (a
@@ -46,7 +54,6 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import NumericsError
-from .kernels import transform_point
 
 __all__ = ["Spectrum", "midpoint_grid", "discretize", "eigen_spectrum", "build_spectrum"]
 
@@ -119,7 +126,7 @@ def discretize(spec, n):
     if n < 16 or n % 2:
         raise ValueError("node count must be even and at least 16")
     x = midpoint_grid(n)[n // 2 :]
-    s = transform_point(x)
+    s = -np.log1p(-x)
     f = (1.0 - x) ** (0.5 * (spec.kappa - 1.0))
     ff = f[:, None] * f[None, :]
     same = spec.stationary(s[:, None] - s[None, :])

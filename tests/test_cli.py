@@ -315,6 +315,24 @@ def test_test_refuses_a_non_finite_kappa(cache, cauchy_file, tmp_path, capsys, k
     assert "statistic" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ([], "outside tabulated range"),
+        (["--method", "sup_range", "--alpha-range", "0.9", "1.2"], "no tabulated alpha"),
+    ],
+    ids=["plugin", "sup_range"],
+)
+def test_alpha_outside_the_table_is_input_error(cache, cauchy_file, tmp_path, capsys, extra, message):
+    # the Cauchy sample's alpha-hat is near 1, below the table's alphas 1.5 and 1.8
+    table = tmp_path / "h1.csv"
+    table.write_text(HAND_TABLE.replace("\n1.0,", "\n1.5,").replace("\n2.0,", "\n1.8,"))
+    assert main(["test", str(cauchy_file), "--kappa", "2.5", "--tables", str(table), *extra]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "critical value" not in captured.out
+
+
 def test_malformed_table_row_is_input_error(cache, cauchy_file, tmp_path, capsys):
     table = tmp_path / "bad.csv"
     table.write_text("alpha,kappa,xi,critical_value,series_bound\n1.0,2.5,0.1,oops,1e-06\n")

@@ -224,6 +224,8 @@ def test_config_validation(simple_cfg):
         InversionConfig(spectrum=sp, l=6, m=10)  # 2l > available
     with pytest.raises(ValueError):
         InversionConfig(spectrum=sp, l=3, m=11)  # m > available
+    with pytest.raises(ValueError):
+        InversionConfig(spectrum=sp, l=0, m=10)  # no series term
 
 
 def test_mixed_spectrum_is_refused_at_construction():

@@ -1,4 +1,4 @@
-"""Covariance kernels: closed-form consistency, PSD structure, transforms."""
+"""Covariance kernels: closed-form consistency, PSD structure, parity."""
 
 import dataclasses
 import math
@@ -23,13 +23,17 @@ from stablegof.kernels import (
     gamma,
     gamma_efficient,
     make_kernel,
-    transform_point,
-    transformed_kernel,
 )
-from stablegof.spectral import midpoint_grid
+from stablegof.spectral import discretize, midpoint_grid
 from stablegof.stable_core import StableParams, _safe_log_abs
 
 ACCEPT_GRID = [(a, k) for a in (1.0, 1.5, 1.8) for k in (1.0, 2.5, 5.0, 10.0)]
+
+
+def nodes_on_the_line(n):
+    """The N midpoint nodes mapped to the line by s = -sgn(x) log(1 - |x|)."""
+    xi = midpoint_grid(n)
+    return -np.sign(xi) * np.log1p(-np.abs(xi))
 
 
 def gamma_cauchy(s, t):
@@ -350,7 +354,7 @@ def test_one_spline_matches_three_bit_for_bit(alpha):
     spec = make_kernel("eise_h1", alpha, 2.5, weight)
     held = HeldEiseInnerCache(alpha, weight)
     far = np.array([_S_MAX, 65.5, 100.0, 1e6])
-    for s in (transform_point(midpoint_grid(800)), np.concatenate((-far, far)), np.float64(-0.3)):
+    for s in (nodes_on_the_line(800), np.concatenate((-far, far)), np.float64(-0.3)):
         even, odd = spec.factors(s)
         m1, m2, m3 = held(s)
         for got, want in ((odd[..., 1], m1), (even[..., 3], m2), (even[..., 4], m3)):
@@ -420,66 +424,22 @@ def test_gamma_efficient_specializes_to_mle(alpha):
     np.testing.assert_allclose(eff.real, gamma(s, t, make_kernel("mle_h1", alpha)), atol=1e-10)
 
 
-def test_transformed_kernel_basics():
-    spec = make_kernel("mle_h1", 1.5, kappa=2.5)
-    rng = np.random.default_rng(8)
-    u, v = rng.uniform(-0.99, 0.99, 100), rng.uniform(-0.99, 0.99, 100)
-    np.testing.assert_allclose(
-        transformed_kernel(u, v, spec), transformed_kernel(v, u, spec), atol=1e-13
-    )
-    assert np.allclose(transformed_kernel(0.0, v, spec), 0.0, atol=1e-14)
-    with pytest.raises(ValueError):
-        transformed_kernel(1.2, 0.0, spec)
-
-
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_transformed_kernel_even_under_joint_reflection(kind):
     # the even/odd split of the Nystrom problem rests on this being exact
     weight = WeightSpec("exp_power", 1.0, 1.5) if kind.startswith("eise") else None
-    xi = midpoint_grid(800)
-    u, v = xi[:, None], xi[None, :]
+    # at the nodes of an N = 800 discretization
+    nodes = nodes_on_the_line(800)
+    s, t = nodes[:, None], nodes[None, :]
     for alpha, kappa in ((0.8, 1.0), (1.0, 2.5), (1.7, 10.0)):
         spec = make_kernel(kind, alpha, kappa, weight)
-        assert np.array_equal(transformed_kernel(-u, -v, spec), transformed_kernel(u, v, spec))
-
-
-def test_transformed_kernel_endpoints():
-    smooth = make_kernel("mle_h2", 1.5, kappa=2.5)
-    assert transformed_kernel(1.0, 1.0, smooth) == 0.0
-    near = transformed_kernel(0.999999, 0.999999, smooth)
-    assert abs(near) < 1e-3  # continuous decay into the corner
-    rough = make_kernel("mle_h2", 1.5, kappa=1.0)
-    corner = transformed_kernel(0.999999, 0.999999, rough)
-    assert abs(corner) > 0.01  # kappa = 1 keeps the corner discontinuity
-
-
-def test_transform_map():
-    u = np.array([-0.5, 0.0, 0.5])
-    s = transform_point(u)
-    assert s[1] == 0.0
-    assert np.isclose(s[2], -math.log(0.5))
-    assert np.isclose(s[0], -s[2])
+        assert np.array_equal(gamma(-s, -t, spec), gamma(s, t, spec))
 
 
 @pytest.mark.parametrize("alpha,kappa", ACCEPT_GRID)
 def test_gram_psd_on_acceptance_grid(alpha, kappa):
-    rng = np.random.default_rng(int(alpha * 100 + kappa))
-    u = rng.uniform(-0.999, 0.999, 60)
+    # the eigenvalues of both Nystrom blocks, together those of the N = 200 matrix
     for kind in ("mle_h1", "mle_h2"):
-        spec = make_kernel(kind, alpha, kappa)
-        gram = transformed_kernel(u[:, None], u[None, :], spec)
-        gram = 0.5 * (gram + gram.T)
-        w = np.linalg.eigvalsh(gram)
+        blocks = discretize(make_kernel(kind, alpha, kappa), 200)
+        w = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
         assert w.min() >= -1e-7 * w.max()
-
-
-def test_change_of_variables_identity():
-    for kind, alpha, kappa in (("mle_h1", 1.5, 2.5), ("mle_h2", 1.0, 1.0)):
-        spec = make_kernel(kind, alpha, kappa)
-        lhs, _ = integrate.quad(
-            lambda u: float(transformed_kernel(u, u, spec)), -1, 1, limit=400
-        )
-        rhs, _ = integrate.quad(
-            lambda t: float(gamma(t, t, spec)) * math.exp(-kappa * abs(t)), -40, 40, limit=400
-        )
-        assert abs(lhs - rhs) < 1e-6 * abs(rhs)

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from stablegof.estimators import WeightSpec
 from stablegof.inversion import default_inversion_config, quantile_dk
-from stablegof.kernels import make_kernel, transform_point, transformed_kernel
+from stablegof.kernels import gamma, make_kernel
 from stablegof.spectral import (
     Spectrum,
     build_spectrum,
@@ -33,15 +33,28 @@ def discretize_full(spec, n, weight=None):
 
     Reference copy of ``discretize`` before the even/odd split and the
     factor form: every entry is the kind's old pointwise formula
-    (``test_kernels.old_kernel``; the EISE kinds need their ``weight``)
-    times the weight factor as ``transformed_kernel`` formed it.  Its one
-    eigensolve of order N is the oracle for the two of order N/2.
+    (``test_kernels.old_kernel``; the EISE kinds need their ``weight``) at
+    s = -sgn(xi) log(1 - |xi|) times the weight factor
+    ((1 - |xi_i|)(1 - |xi_j|))^((kappa - 1)/2).  Its one eigensolve of order
+    N is the oracle for the two of order N/2.
     """
     xi = midpoint_grid(n)
-    s, a_xi = transform_point(xi), np.abs(xi)
+    a_xi = np.abs(xi)
+    s = -np.sign(xi) * np.log1p(-a_xi)
     fac = ((1.0 - a_xi[:, None]) * (1.0 - a_xi[None, :])) ** (0.5 * (spec.kappa - 1.0))
     mat = old_kernel(spec, weight)(s[:, None], s[None, :]) * fac
     return 0.5 * (mat + mat.T)
+
+
+def weighted_trace(spec):
+    """Operator trace int Gamma(t, t) exp(-kappa|t|) dt over the line, which is E[D].
+
+    Gamma(t, t) is even in t, so the integral is twice the half line's.
+    """
+    half, _ = integrate.quad(
+        lambda t: float(gamma(t, t, spec)) * math.exp(-spec.kappa * t), 0.0, math.inf, limit=300
+    )
+    return 2.0 * half
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +125,7 @@ def test_trace_against_diagonal_quadrature():
     even, odd = discretize(spec, n)
     trace = np.trace(even) + np.trace(odd)
     assert abs(trace - np.trace(discretize_full(spec, n))) <= 1e-13 * abs(trace)
-    diag, _ = integrate.quad(lambda u: float(transformed_kernel(u, u, spec)), -1, 1, limit=300)
+    diag = weighted_trace(spec)
     assert abs(trace * 2.0 / n - diag) < 0.01 * abs(diag)
 
 
@@ -178,9 +191,7 @@ def test_fredholm_determinant(spectrum_a1k1):
 
 
 def test_trace_sum_matches_operator_trace(spectrum_a1k1, spec_a1k1):
-    diag, _ = integrate.quad(
-        lambda u: float(transformed_kernel(u, u, spec_a1k1)), -1, 1, limit=300
-    )
+    diag = weighted_trace(spec_a1k1)
     assert abs(spectrum_a1k1.trace_sum() - diag) < 0.01 * diag
 
 

@@ -253,7 +253,7 @@ def gaussian_pdf3(x):
         wt = w * np.where(t > 0, t**2 * np.log(np.maximum(t, 1e-300)), 0.0) * np.exp(-(t**2))
         fa[small] = -(np.cos(np.outer(ax[small], t)) @ wt) / math.pi
     if np.any(~small):
-        _, _, fa_big, _ = _tail_series(ax[~small], 2.0)
+        _, _, fa_big = _tail_series(ax[~small], 2.0)
         fa[~small] = fa_big
     return f, fp, fa
 

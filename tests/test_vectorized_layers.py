@@ -29,7 +29,11 @@ from stablegof.stable_core import (
 
 
 def loop_tail_series(x, alpha):
-    """Reference copy of ``_tail_series`` summing one term k at a time."""
+    """Reference copy of ``_tail_series`` summing one term k at a time.
+
+    Also returns the worst relative truncation estimate: the first omitted
+    term over |f|, or the last added one where k reached ``_TAIL_KMAX``.
+    """
     x = np.asarray(x, dtype=float)
     lx = np.log(x)
     f = np.zeros_like(x)
@@ -144,10 +148,10 @@ TAIL_ALPHAS = (0.3, 0.5, 0.8, 0.99, 1.0, 1.2, 1.5, 1.8, 1.999, 2.0)
 
 def assert_tail_equal(x, alpha):
     got, want = _tail_series(x, alpha), loop_tail_series(x, alpha)
-    for g, w in zip(got[:3], want[:3]):
+    assert len(got) == 3
+    for g, w in zip(got, want[:3]):
         assert g.shape == w.shape
         assert np.array_equal(g, w, equal_nan=True)
-    assert got[3] == want[3]
 
 
 @pytest.mark.parametrize("alpha", TAIL_ALPHAS)
@@ -171,7 +175,7 @@ def test_tail_series_equals_the_term_loop(alpha):
 def test_tail_series_points_in_many_chunks_and_blocks():
     # more points than one chunk holds, and at alpha = 1 points just above
     # x = 1 whose terms x^-(k+1) neither grow nor fall below the floor by
-    # k = _TAIL_KMAX, so they take the last branch of the truncation estimate
+    # k = _TAIL_KMAX, so they are still summing when the term cap ends it
     rng = np.random.default_rng(8)
     slow = np.linspace(1.01, 1.1, 50)
     assert loop_tail_series(slow, 1.0)[3] > 1e-10
@@ -184,6 +188,14 @@ def test_tail_series_points_in_many_chunks_and_blocks():
 def test_crossover_equals_the_trial_loop():
     for alpha in np.round(np.arange(0.3, 2.0005, 0.001), 3):
         assert _crossover.__wrapped__(float(alpha)) == loop_crossover.__wrapped__(float(alpha))
+
+
+def test_tail_series_truncation_above_the_crossover():
+    # the accuracy _tail_series states: the largest estimate on this grid is
+    # 2.9e-13, at alpha = 1.829; alpha = 2, where the f-series vanishes, is out
+    for alpha in np.linspace(0.3, 1.999, 1700):
+        x = np.logspace(math.log10(_crossover(float(alpha))), 300, 141)
+        assert loop_tail_series(x, float(alpha))[3] <= 5e-13
 
 
 def test_panel_grid_equals_the_linspace_loop():
@@ -230,7 +242,7 @@ def test_fits_unchanged_with_the_loop_layers(monkeypatch):
     shipped = fits()
     assert shipped[2].params.alpha == 2.0
     for mod in (stable_core, estimators):
-        monkeypatch.setattr(mod, "_tail_series", loop_tail_series)
+        monkeypatch.setattr(mod, "_tail_series", lambda x, alpha: loop_tail_series(x, alpha)[:3])
         monkeypatch.setattr(mod, "_crossover", loop_crossover)
     monkeypatch.setattr(_fourier, "panel_grid", loop_panel_grid)
     monkeypatch.setattr(estimators, "_logf_lookup", lambda alphas, ax: (loop_logf_lookup(a, ax) for a in alphas))
