@@ -10,7 +10,11 @@ class QuadratureError(NumericsError):
 
 
 class SeriesDivergenceError(NumericsError):
-    """An alternating series showed non-decreasing terms (divergence symptom)."""
+    """The alternating series says nothing about F at this argument.
+
+    Raised when its terms stop decreasing, or when its error bound is not
+    small against min(F, 1 - F); both are symptoms of the deep left tail.
+    """
 
 
 class NonConvergenceError(NumericsError):

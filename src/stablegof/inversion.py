@@ -16,15 +16,20 @@ fixed 64-point Gauss-Legendre rule on every term's interval together with
 the CDF's log-weights log(const_k w_j / y_kj) - 1/2 sum_i log|1 - 2 y_kj / lambda_i|,
 and every CDF evaluation is the one exponential sum
 1 - F(x) = sum_k (-1)^(k-1) sum_j exp(L_kj - x Y_kj) over an l x 64 array
-instead of l adaptive quadratures.  When every eigenvalue is double (the
-Cauchy-case kernels) the limit law is itself a finite sum of exponentials,
-tabulated as one column of rates and log-coefficients; the same sum
-evaluates it, and only the error bound differs.  The node count is fixed: on the
+instead of l adaptive quadratures.  The node count is fixed: on the
 24-cell H1 critical-value table, 24 nodes miss the series bounds (the
 last, smallest terms, down to 1e-302) of five cells by more than 1e-8
 relative, while 32 and 64 nodes reproduce every critical value and bound;
 with 64 every term agrees with adaptive quadrature at epsrel=1e-13 to
 better than 1e-12 relative (tested).
+
+A doubled or near-doubled eigenvalue needs no special case.  A doubled
+one's interval [lambda/2, lambda/2] has zero width, so all 64 nodes sit at
+r_k = lambda/2 and, the weights summing to one, the term is exactly
+|c_k| e^{-r_k x} with |c_k| = prod_{i != k} r_i / |r_i - r_k| over the
+other pairs.  When every eigenvalue is double (the Cauchy-case kernels) the
+series is therefore the law's own finite sum of exponentials; a
+near-doubled pair is a narrow interval like any other.
 """
 
 from dataclasses import dataclass, field
@@ -51,49 +56,26 @@ _BOUND_SHARE = 0.1
 class _SeriesTable:
     """x-free part of 1 - F(x) = sum_k (-1)^(k-1) sum_j exp(L_kj - x Y_kj).
 
-    ``y`` holds Y and ``log_w_cdf`` holds L; ``structure`` is "simple" or
-    "paired" (see :func:`_series_table`).  Simple: row k is the k-th
-    alternating-series term, the columns its Gauss-Legendre nodes.  Paired:
-    row k is the k-th exponential of a finite sum, in one column.
+    ``y`` holds Y and ``log_w_cdf`` holds L, both l x 64: row k is the k-th
+    alternating-series term, the columns its Gauss-Legendre nodes.
     """
 
-    structure: str
     y: np.ndarray
     log_w_cdf: np.ndarray
 
 
 def _series_table(spectrum, l, m):
-    """Classify the leading eigenvalue pairs and tabulate the series.
+    """Tabulate the first l series terms over the first m eigenvalues.
 
-    A leading spectrum neither simple nor fully "paired" raises
-    SeriesDivergenceError.
-
-    Simple, first l terms: term k integrates over y in
-    [lambda_{2k-1}/2, lambda_{2k}/2]; the two determinant factors vanishing
-    there are cancelled analytically, leaving sqrt(lambda_{2k-1} lambda_{2k})/2
-    over the deflated product.
-
-    Paired (the Cauchy-case kernels carry every eigenvalue twice): the limit
-    law is a sum of exponentials with rates r_j = sqrt(lambda_{2j-1} lambda_{2j})/2
-    over the first m eigenvalues, so 1 - F(x) = sum_j c_j e^{-r_j x} with
-    c_j = prod_{i != j} r_i / (r_i - r_j) of sign (-1)^(j-1); L_j = log|c_j|.
+    Term k integrates over y in [lambda_{2k-1}/2, lambda_{2k}/2]; the two
+    determinant factors vanishing there are cancelled analytically, leaving
+    sqrt(lambda_{2k-1} lambda_{2k})/2 over the deflated product.  The same
+    construction serves simple, doubled and near-doubled pairs (see the
+    module docstring).
     """
     lam = spectrum.lambdas
     lo, hi = lam[0 : 2 * l : 2], lam[1 : 2 * l : 2]
-    gaps = (hi - lo) / hi
     lm = lam[:m]
-    if np.all(gaps < 1e-8):
-        r = 0.5 * np.sqrt(lm[0 : m - 1 : 2] * lm[1:m:2])
-        logr = np.log(r)
-        log_c = [
-            np.sum(np.delete(logr, j)) - np.sum(np.log(np.abs(np.delete(r - r[j], j))))
-            for j in range(len(r))
-        ]
-        return _SeriesTable("paired", r[:, None], np.array(log_c)[:, None])
-    if not np.all(gaps > 1e-6):
-        raise SeriesDivergenceError(
-            "spectrum mixes simple and multiple eigenvalues; inversion undefined"
-        )
     a, b = 0.5 * lo, 0.5 * hi
     y = 0.5 * (b - a)[:, None] * np.cos(np.pi * _GL_Z) + 0.5 * (a + b)[:, None]
     log_prod = np.empty_like(y)
@@ -101,7 +83,7 @@ def _series_table(spectrum, l, m):
         rest = np.delete(lm, (2 * k, 2 * k + 1))
         log_prod[k] = np.sum(np.log(np.abs(1.0 - 2.0 * y[k, :, None] / rest)), axis=1)
     log_w = np.log(0.5 * np.sqrt(lo * hi))[:, None] + np.log(_GL_W) - 0.5 * log_prod
-    return _SeriesTable("simple", y, log_w - np.log(y))
+    return _SeriesTable(y, log_w - np.log(y))
 
 
 @dataclass(frozen=True)
@@ -110,9 +92,8 @@ class InversionConfig:
 
     Construction tabulates the x-free part of the CDF's exponential sum (see
     the module docstring), so build one config per spectrum and reuse it.
-    A simple spectrum's terms come from a fixed Gauss-Legendre rule that the
-    tests hold to 1e-12 relative against adaptive quadrature.  A mixed
-    spectrum raises SeriesDivergenceError.
+    The terms come from a fixed Gauss-Legendre rule that the tests hold to
+    1e-12 relative against adaptive quadrature, for every spectrum.
     """
 
     spectrum: Spectrum
@@ -123,8 +104,8 @@ class InversionConfig:
     def __post_init__(self):
         n_avail = len(self.spectrum.lambdas)
         # the 2l eigenvalues bounding the series intervals are factors of the
-        # m-term product that each term cancels; l = 0 would leave no
-        # eigenvalue pair to tell a simple spectrum from a paired one
+        # m-term product that each term cancels; l = 0 would be an empty
+        # series, F = 1 everywhere
         if not (1 <= self.l and 2 * self.l <= self.m <= n_avail):
             raise ValueError(f"need 1 <= l and 2l <= m <= {n_avail}, got l={self.l}, m={self.m}")
         object.__setattr__(self, "_table", _series_table(self.spectrum, self.l, self.m))
@@ -141,12 +122,12 @@ def default_inversion_config(spectrum):
     m = 500 if kappa <= 5.0 else 300
     l = 25 if kappa <= 2.5 else 10
     m = min(m, n_avail)
-    l = min(l, (n_avail - 1) // 2, m - 1)
+    l = min(l, (n_avail - 1) // 2)
     return InversionConfig(spectrum=spectrum, l=l, m=m)
 
 
 def _series_terms(x, config):
-    """Magnitudes of the terms of 1 - F at argument x: series terms or exponentials."""
+    """Magnitudes of the l series terms of 1 - F at argument x."""
     t = config._table
     return np.exp(t.log_w_cdf - x * t.y).sum(axis=1)
 
@@ -165,21 +146,17 @@ def _check_alternating(terms):
 def cdf_dk_with_bound(x, config):
     """CDF of the limit statistic plus an error bound.
 
-    1 - F is the signed sum S of the tabulated terms (see :class:`_SeriesTable`).
-    For a simple spectrum the bound is that of the alternating series, half
-    the last term; for a paired one it is the rounding bound
-    n * eps * sum |c_j e^{-r_j x}| of the n = m // 2 exponentials.  Either way
-    raises SeriesDivergenceError where the bound is not small against
-    min(F, 1 - F), which happens deep in the left tail.
+    1 - F is the alternating sum of the tabulated terms (see
+    :class:`_SeriesTable`), and the bound is the alternating series', half
+    the last term.  Raises SeriesDivergenceError where the terms stop
+    decreasing or the bound is not small against min(F, 1 - F), both of
+    which happen deep in the left tail.
     """
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
     terms = _series_terms(x, config)
-    if config._table.structure == "simple":
-        _check_alternating(terms)
-        bound = 0.5 * float(terms[-1]) if len(terms) else 0.0
-    else:
-        bound = float(len(terms) * np.finfo(float).eps * np.sum(terms))
+    _check_alternating(terms)
+    bound = 0.5 * float(terms[-1])
     sf = float(np.sum(np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0) * terms))
     value = 1.0 - sf
     if bound > _BOUND_SHARE * min(value, sf):

@@ -12,8 +12,10 @@ from stablegof import cli
 from stablegof import montecarlo as mc
 from stablegof.cli import cached_spectrum, load_table, main, read_column
 from stablegof.estimators import WeightSpec, eise_matrices, fisher_info
+from stablegof.inversion import default_inversion_config
 from stablegof.spectral import Spectrum
 from stablegof.stable_core import rand_stable
+from test_inversion import imhof_cdf
 
 
 @pytest.fixture()
@@ -165,7 +167,8 @@ def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, ca
 
 
 def test_paired_h2_cell_table_and_test(cache, cauchy_file, tmp_path, capsys):
-    # at alpha = 1 the mle_h2 spectrum is paired: the exponential-sum route
+    # at alpha = 1 the mle_h2 spectrum is doubled: each series term is one
+    # exponential of the law's finite sum
     out = tmp_path / "h2.csv"
     argv = ["table", "--hypothesis", "H2", "--alphas", "1.0", "--kappas", "2.5",
             "--nodes", "800", "-o", str(out)]
@@ -185,6 +188,27 @@ def test_paired_h2_cell_table_and_test(cache, cauchy_file, tmp_path, capsys):
     fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
     assert fields["critical_10"] == "0.285611"
     assert fields["critical_5"] == "0.334988"
+
+
+def test_h2_table_near_the_cauchy_point(cache, tmp_path, capsys):
+    # within 1e-4 of alpha = 1 the leading eigenvalues come in pairs with
+    # gaps of 5.5e-7 to 1.7e-5; the series inverts them like any spectrum
+    out = tmp_path / "h2.csv"
+    alphas = (0.9999, 1.0, 1.0001)
+    argv = ["table", "--hypothesis", "H2", "--alphas", ",".join(map(str, alphas)),
+            "--kappas", "2.5", "--nodes", "800", "-o", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == f"wrote 6 rows to {out}"
+    table = load_table(out)
+    assert table.values.shape == (3, 1, 2) and not np.isnan(table.values).any()
+    for ia, alpha in enumerate(alphas):
+        sp, _ = cached_spectrum("mle_h2", alpha, 2.5, 800)
+        lam = sp.lambdas[: default_inversion_config(sp).m]
+        for ix, xi in enumerate(table.xis):
+            q = table.values[ia, 0, ix]
+            assert abs(imhof_cdf(q, lam) - (1.0 - xi)) <= 1e-8
+    # q moves by 1.4e-4 relative over the 1e-4 step in alpha
+    assert np.allclose(table.values[[0, 2]], table.values[1], rtol=5e-4, atol=0.0)
 
 
 def test_spectrum_cache_keeps_alpha_at_full_precision(cache):

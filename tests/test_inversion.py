@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -35,8 +36,7 @@ def pdf_dk(x, config):
     if x <= 0:
         raise ValueError(f"the statistic is positive; got x={x}")
     terms = pdf_series_terms(x, config)
-    if config._table.structure == "simple":
-        _check_alternating(terms)
+    _check_alternating(terms)
     signs = np.where(np.arange(1, len(terms) + 1) % 2 == 1, 1.0, -1.0)
     return float(np.sum(signs * terms))
 
@@ -44,8 +44,8 @@ def pdf_dk(x, config):
 def paired_rates(config):
     """Collapse double eigenvalues into exponential rates lambda_j/2.
 
-    Reference copy of the rates the CDF computed at every call before the
-    paired table held them.
+    A doubled spectrum's law is a finite sum of exponentials with these
+    rates; the series reproduces it (see the ``inversion`` docstring).
     """
     lam = config.spectrum.lambdas[: config.m]
     k = len(lam) - len(lam) % 2
@@ -57,8 +57,9 @@ def hypoexp_sf_terms(x, rates):
     """Signed terms of P(sum_j Exp(rate_j) > x) = sum_j c_j e^{-r_j x}.
 
     c_j = prod_{i != j} r_i / (r_i - r_j), evaluated in log magnitude with
-    the sign (-1)^(j-1) of the sorted-rate products.  Reference copy of the
-    per-call evaluation that the paired table replaced.
+    the sign (-1)^(j-1) of the sorted-rate products.  Float reference for
+    a doubled spectrum; its rounding reaches 1e-12 in F at N = 800 (see
+    :func:`exact_hypoexp_cdf` for the exact one).
     """
     r = np.asarray(rates)
     logr = np.log(r)
@@ -71,6 +72,17 @@ def hypoexp_sf_terms(x, rates):
         expo = logc - r[j] * x
         terms.append(sign * math.exp(expo) if expo > -745.0 else 0.0)
     return np.asarray(terms)
+
+
+def exact_hypoexp_cdf(xs, rates, dps=40):
+    """1 - sum_j c_j e^{-r_j x} at each x, summed in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        r = [mpmath.mpf(float(v)) for v in rates]
+        c = [mpmath.fprod(ri / (ri - rj) for i, ri in enumerate(r) if i != j)
+             for j, rj in enumerate(r)]
+        return [float(1 - mpmath.fsum(cj * mpmath.exp(-rj * mpmath.mpf(float(x)))
+                                      for cj, rj in zip(c, r)))
+                for x in xs]
 
 
 def imhof_cdf(x, lam):
@@ -173,7 +185,8 @@ def test_cdf_matches_imhof_simple(simple_cfg):
 def test_cdf_matches_imhof_paired():
     base = np.array([2.0, 6.5, 12.0, 19.0, 28.0, 40.0])
     lam = np.repeat(base, 2)
-    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12)
+    # l = m/2: every pair is a term; with fewer the sum stops short
+    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=6, m=12)
     for x in (0.8, 1.5, 2.5, 4.0):
         assert abs(cdf_dk(x, cfg) - imhof_cdf(x, lam)) < 1e-8
 
@@ -228,12 +241,13 @@ def test_config_validation(simple_cfg):
         InversionConfig(spectrum=sp, l=0, m=10)  # no series term
 
 
-def test_mixed_spectrum_is_refused_at_construction():
-    # the first pair is doubled, the later pairs simple: neither the
-    # alternating series nor the exponential sum applies
+def test_mixed_spectrum_matches_imhof():
+    # the first pair is doubled, the later pairs simple: its zero-width
+    # interval is one exponential, the others integrals, in one series
     lam = np.array([2.0, 2.0, 5.0, 9.0, 14.0, 20.0, 27.0, 35.0, 44.0, 54.0])
-    with pytest.raises(SeriesDivergenceError, match="mixes simple and multiple"):
-        InversionConfig(spectrum=synthetic_spectrum(lam), l=4, m=10)
+    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=5, m=10)
+    for x in (0.8, 1.5, 2.5, 4.0):
+        assert abs(cdf_dk(x, cfg) - imhof_cdf(x, lam)) < 1e-8
 
 
 def test_defaults_follow_weight_size():
@@ -331,59 +345,59 @@ def test_alternating_bound_brackets_limit(simple_cfg):
 
 def test_paired_cdf_bound_and_left_tail():
     lam = np.repeat(np.array([2.0, 6.5, 12.0, 19.0, 28.0, 40.0]), 2)
-    cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12)
-    # 1 - sum c_j e^{-r_j x} cancels to rounding noise here (F = -2.2e-15)
+    sp = synthetic_spectrum(lam)
+    full = InversionConfig(spectrum=sp, l=6, m=12)
+    short = InversionConfig(spectrum=sp, l=3, m=12)
+    # the terms grow here, 2.196 -> 2.291 from k = 1 to k = 2
     with pytest.raises(SeriesDivergenceError):
-        cdf_dk_with_bound(1e-4, cfg)
+        cdf_dk_with_bound(1e-4, full)
     for x in (0.8, 1.5, 2.5, 4.0):
-        val, bound = cdf_dk_with_bound(x, cfg)
-        # a rounding bound of S = 1 - F is at least the rounding of S itself
-        assert np.finfo(float).eps * (1.0 - val) <= bound <= 1e-12
+        # l = m/2 holds every exponential of the sum; three terms fewer
+        # miss it by less than their own bound
+        val3, bound3 = cdf_dk_with_bound(x, short)
+        assert abs(val3 - cdf_dk(x, full)) <= bound3
 
 
 def test_paired_h2_cauchy_quantiles():
     # mle_h2 spectra at alpha = 1 carry every eigenvalue twice; references are
-    # the critical values computed before the paired branch checked its bound
+    # the critical values of the exponential sum they were once routed to
     cfg = default_inversion_config(build_spectrum(make_kernel("mle_h2", 1.0, 2.5), 800))
     for xi, ref in ((0.10, 0.28561050481335243), (0.05, 0.33498755484008136)):
         q = quantile_dk(xi, cfg)
         assert abs(q / ref - 1.0) < 1e-10
-        val, bound = cdf_dk_with_bound(q, cfg)
-        assert np.finfo(float).eps * (1.0 - val) <= bound <= 1e-12
+        assert cdf_dk_with_bound(q, cfg)[1] <= 1e-12
+
+
+def test_cauchy_h2_cdf_matches_the_exact_exponential_sum():
+    # the doubled mle_h2 spectrum at alpha = 1: the float exponential sum
+    # misses the exact one by up to 9.7e-13 here, the series by <= 8.4e-16
+    cfg = default_inversion_config(build_spectrum(make_kernel("mle_h2", 1.0, 1.0), 800))
+    xs = cfg.spectrum.trace_sum(cfg.m) * np.array([0.6, 1.0])
+    for x, want in zip(xs, exact_hypoexp_cdf(xs, paired_rates(cfg))):
+        assert abs(cdf_dk(x, cfg) - want) <= 1e-14
 
 
 @pytest.mark.parametrize("kappa", [None, 1.0, 10.0])
 def test_paired_table_reproduces_the_exponential_sum(kappa):
-    # None: the synthetic doubled spectrum; else mle_h2 at alpha = 1, N = 800
+    # None: the synthetic doubled spectrum, with l = m/2 so that every
+    # exponential is a term; else mle_h2 at alpha = 1, N = 800
     if kappa is None:
         lam = np.repeat(np.array([2.0, 6.5, 12.0, 19.0, 28.0, 40.0]), 2)
-        cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=3, m=12)
-        exact_xs = [0.8, 1.5, 2.5, 4.0]
+        cfg = InversionConfig(spectrum=synthetic_spectrum(lam), l=6, m=12)
     else:
         cfg = default_inversion_config(build_spectrum(make_kernel("mle_h2", 1.0, kappa), 800))
-        exact_xs = [quantile_dk(xi, cfg) for xi in (0.10, 0.05)]
     r = paired_rates(cfg)
-    assert cfg._table.structure == "paired"
-    assert np.array_equal(cfg._table.y[:, 0], r)
-    eps = np.finfo(float).eps
-
-    def oracle(x):
-        terms = hypoexp_sf_terms(x, r)
-        return terms, 1.0 - float(np.sum(terms)), float(len(terms) * eps * np.sum(np.abs(terms)))
-
-    for x in exact_xs:
-        _, want_val, want_bound = oracle(x)
-        got_val, got_bound = cdf_dk_with_bound(x, cfg)
-        assert got_val.hex() == want_val.hex() and got_bound.hex() == want_bound.hex()
-    # np.exp and math.exp round some arguments differently, so elsewhere the
-    # terms agree to one ulp and F to within its own rounding bound
+    # the float sum's own rounding sets these tolerances: at kappa = 1 it is
+    # 9.7e-13 off in F (the series 8.4e-16, see the test above), and its
+    # terms and density sit 6.3e-13 and 2.8e-13 relative from the series'
     mean = cfg.spectrum.trace_sum(cfg.m)
-    for x in mean * np.linspace(0.6, 5.0, 12):
-        terms, want_val, want_bound = oracle(x)
-        np.testing.assert_allclose(_series_terms(x, cfg), np.abs(terms), rtol=eps, atol=1e-300)
-        got_val, got_bound = cdf_dk_with_bound(x, cfg)
-        assert abs(got_val - want_val) <= got_bound
-        assert got_bound == pytest.approx(want_bound, rel=4 * eps)
-        pdf_terms = r * terms
-        want_pdf = float(np.sum(pdf_terms))
-        assert abs(pdf_dk(x, cfg) - want_pdf) <= len(r) * eps * np.sum(np.abs(pdf_terms))
+    xs = [quantile_dk(xi, cfg) for xi in (0.10, 0.05)] + list(mean * np.linspace(0.6, 5.0, 12))
+    for x in xs:
+        terms = hypoexp_sf_terms(x, r)
+        np.testing.assert_allclose(
+            _series_terms(x, cfg), np.abs(terms[: cfg.l]), rtol=2e-12, atol=1e-300
+        )
+        assert abs(cdf_dk(x, cfg) - (1.0 - float(np.sum(terms)))) <= 2e-12
+        pdf_terms = pdf_series_terms(x, cfg)
+        got_pdf = float(np.sum(pdf_terms[0::2]) - np.sum(pdf_terms[1::2]))
+        assert abs(got_pdf - float(np.sum(r * terms))) <= 1e-12 * np.sum(np.abs(r * terms))

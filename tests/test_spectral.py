@@ -149,7 +149,6 @@ def test_split_matches_full_matrix(kind, alpha, kappa):
     nu_full, nu_split = 1.0 / full.lambdas, 1.0 / split.lambdas
     assert np.max(np.abs(nu_split - nu_full)) <= 1e-14 * np.max(nu_full)
     cfg_full, cfg_split = default_inversion_config(full), default_inversion_config(split)
-    assert cfg_split._table.structure == cfg_full._table.structure
     q_full, q_split = quantile_dk(0.05, cfg_full), quantile_dk(0.05, cfg_split)
     assert abs(q_split - q_full) <= 1e-12 * q_full
 
