@@ -12,7 +12,9 @@ panelized Gauss-Legendre grid of :func:`panel_grid` and the three sums of
 of its batch only through the grid, which max |y| sets.  A large batch
 (more than 750 near points) is summed instead at the nodes of a piecewise
 Chebyshev table in y and interpolated (:func:`_near_sums`), since the
-transforms are analytic in a strip around the real y axis.  The few points
+transforms are analytic in a strip around the real y axis.  One panel
+helper, :func:`_cheb_table`, checks and interpolates that table and the
+x-table of the large-n pair sums (``estimators._pair_table``).  The few points
 beyond ``ysplit`` fall back to adaptive oscillatory quadrature so heavy-tail
 outliers cannot alias into the grid sum.  The value of D needs only the
 first transform: without ``grad``, :func:`cos_transforms` forms the grid sum
@@ -47,12 +49,17 @@ _LOG_EPS = 41.5
 # complex cos + i sin values are 4 MB, which stay in cache between np.cos,
 # np.sin and the sums; 2^21 (32 MB) ran the n = 5000 pair sums 1.8x slower
 _BLOCK_CELLS = 2**18
-# table of the near transforms in cos_transforms: panels _TABLE_WIDTH wide in
-# |y|, each with the m = _TABLE_NODES first-kind Chebyshev nodes cos(theta_k),
+# batches of at most _DIRECT_MAX points keep their direct sums to the last
+# bit, both in _near_sums and in estimators._pair_sums: 750 are the nodes of
+# the largest y-table, the one for the default ysplit of 60
+_DIRECT_MAX = 750
+# Chebyshev tables of _near_sums (panels _TABLE_WIDTH wide in |y|) and of
+# estimators._pair_table (panels kappa*sigma wide in x), through _cheb_table:
+# each panel has the m = _TABLE_NODES first-kind Chebyshev nodes cos(theta_k),
 # theta_k = (2k+1) pi/(2m), their barycentric weights (-1)^k sin(theta_k), and
 # the rows k = m-2, m-1 of the map from node values to Chebyshev coefficients,
-# (2/m) cos(k theta_j).  A table is used only when those two coefficients of
-# its first sum are within _TABLE_TAIL on every panel.
+# (2/m) cos(k theta_j).  A panel passes when those two coefficients of its
+# first sum are within _TABLE_TAIL (times its largest value, in the x-table).
 _TABLE_WIDTH = 2.0
 _TABLE_NODES = 25
 _TABLE_TAIL = 1e-14
@@ -212,48 +219,65 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
     return g0, g1, ga
 
 
-def _near_sums(ay, alpha, terms, T, ysplit, grad=True):
-    """The sums of :func:`_grid_sums` at each |y| in ``ay`` (all <= ``ysplit``),
-    from a Chebyshev table in y when one pays and is accurate, else directly.
+def _cheb_table(tables, nodes, points, panel, tol):
+    """The barycentric formula at ``points`` of sums tabulated on Chebyshev panels.
 
-    The table covers [0, W*P], P = max(1, ceil(max|y|/W)), with P panels
-    W = ``_TABLE_WIDTH`` wide of ``_TABLE_NODES`` Chebyshev nodes each, all
-    summed in one :func:`_grid_sums` call.  It is built only when the points
-    outnumber the nodes of the largest table, the one for max|y| = ysplit
-    (750 nodes at the default 60), so every smaller batch keeps its direct
-    sums to the last bit.  It is used only when the last two Chebyshev
-    coefficients of its first sum are within ``_TABLE_TAIL`` on every
-    panel.  That fails where the envelope decays slower than about exp(-t):
-    c0 is then analytic only in a strip |Im y| < kappa narrower than a
-    panel, or in none (alpha < 1 with no exp(-kappa|t|) term).  Without the
-    check the table missed c0 by 3.5e-10 at alpha = 0.5 with exp(-0.5|t|)
-    and by 1.4e-5 at alpha = 0.3 with exp(-|t|^0.5).
-    A point takes the barycentric formula on its own panel (the top end,
-    W*P, on the top panel), and exactly a node's value where it lands on
-    that node.  Both choices depend only on ``ay`` and the first sum, which
-    is the same with or without ``grad``, so the value and gradient routes
-    choose alike.
+    ``nodes`` holds each panel's ``_TABLE_NODES`` first-kind Chebyshev
+    nodes, one row per panel, in the frame of ``points``, and ``tables`` the
+    sums at them in the same shape (None for a sum not formed).  A panel
+    passes when the last two Chebyshev coefficients of its first sum are
+    within ``tol`` (one number, or one per panel).  Point j lies on panel
+    ``panel[j]``.  Returns the panels' pass mask and, for the points on
+    passing panels only, every table's barycentric formula, which is exactly
+    a node's value where a point lands on that node.
     """
-    if ay.size <= _TABLE_NODES * np.ceil(ysplit / _TABLE_WIDTH):
-        return _grid_sums(ay, alpha, terms, T, grad)
-    panels = max(1, math.ceil(float(np.max(ay)) / _TABLE_WIDTH))
-    centers = _TABLE_WIDTH * (np.arange(panels) + 0.5)
-    nodes = centers[:, None] + 0.5 * _TABLE_WIDTH * _CHEB_X
-    tables = _grid_sums(nodes.ravel(), alpha, terms, T, grad)
-    if np.max(np.abs(tables[0].reshape(panels, -1) @ _CHEB_TAIL.T)) > _TABLE_TAIL:
-        return _grid_sums(ay, alpha, terms, T, grad)
-    panel = np.minimum((ay // _TABLE_WIDTH).astype(np.intp), panels - 1)
-    diff = ay[:, None] - nodes[panel]
+    ok = np.max(np.abs(tables[0] @ _CHEB_TAIL.T), axis=1) <= tol
+    on = ok[panel]
+    panel = panel[on]
+    diff = points[on][:, None] - nodes[panel]
     hit = diff == 0.0
     with np.errstate(divide="ignore"):
         c = _CHEB_W / diff
     on_node = hit.any(axis=1)
     c[on_node] = hit[on_node]
     den = c.sum(axis=1)
-    return tuple(
-        None if g is None else np.einsum("ij,ij->i", c, g.reshape(panels, -1)[panel]) / den
-        for g in tables
+    return ok, tuple(
+        None if g is None else np.einsum("ij,ij->i", c, g[panel]) / den for g in tables
     )
+
+
+def _near_sums(ay, alpha, terms, T, grad=True):
+    """The sums of :func:`_grid_sums` at each |y| in ``ay``, from a Chebyshev
+    table in y when one pays and is accurate, else directly.
+
+    The table covers [0, W*P], P = max(1, ceil(max|y|/W)), with P panels
+    W = ``_TABLE_WIDTH`` wide of ``_TABLE_NODES`` Chebyshev nodes each, all
+    summed in one :func:`_grid_sums` call and interpolated by
+    :func:`_cheb_table`.  It is built only for more than ``_DIRECT_MAX``
+    points, the nodes of the largest table (max|y| = 60, the default
+    ``ysplit``), so every smaller batch keeps its direct sums to the last
+    bit.  It is used only when the last two Chebyshev coefficients of its
+    first sum are within ``_TABLE_TAIL`` on every panel.  That fails where
+    the envelope decays slower than about exp(-t): c0 is then analytic only
+    in a strip |Im y| < kappa narrower than a panel, or in none (alpha < 1
+    with no exp(-kappa|t|) term).  Without the check the table missed c0 by
+    3.5e-10 at alpha = 0.5 with exp(-0.5|t|) and by 1.4e-5 at alpha = 0.3
+    with exp(-|t|^0.5).
+    A point takes the barycentric formula on its own panel (the top end,
+    W*P, on the top panel).  Both choices depend only on ``ay`` and the
+    first sum, which is the same with or without ``grad``, so the value and
+    gradient routes choose alike.
+    """
+    if ay.size <= _DIRECT_MAX:
+        return _grid_sums(ay, alpha, terms, T, grad)
+    panels = max(1, math.ceil(float(np.max(ay)) / _TABLE_WIDTH))
+    centers = _TABLE_WIDTH * (np.arange(panels) + 0.5)
+    nodes = centers[:, None] + 0.5 * _TABLE_WIDTH * _CHEB_X
+    tables = _grid_sums(nodes.ravel(), alpha, terms, T, grad)
+    tables = tuple(None if g is None else g.reshape(nodes.shape) for g in tables)
+    panel = np.minimum((ay // _TABLE_WIDTH).astype(np.intp), panels - 1)
+    ok, sums = _cheb_table(tables, nodes, ay, panel, _TABLE_TAIL)
+    return sums if ok.all() else _grid_sums(ay, alpha, terms, T, grad)
 
 
 def _qawo_sums(ay, alpha, terms, T, route, grad=True):
@@ -330,7 +354,7 @@ def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
     ca = np.empty_like(ay) if grad else None
     near = ay <= ysplit
     for part, sums in (
-        (near, lambda v: _near_sums(v, alpha, terms, T, ysplit, grad)),
+        (near, lambda v: _near_sums(v, alpha, terms, T, grad)),
         (~near, lambda v: _qawo_sums(v, alpha, terms, T, _FAR_QAWO, grad)),
     ):
         if np.any(part):

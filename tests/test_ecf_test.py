@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stablegof import _fourier
+from stablegof import _fourier, estimators
 from stablegof._fourier import _grid_sums, cos_transforms, envelope_cutoff
 from stablegof.errors import DataError, QuadratureError
 from stablegof.ecf_test import ecf, test_statistic
@@ -114,7 +114,7 @@ def test_far_point_quadrature_failure_raises():
         test_statistic(x, StableParams(0.0, 1.0, 1.0), 2.5)
 
 
-def direct_near_sums(ay, alpha, terms, T, ysplit, grad=True):
+def direct_near_sums(ay, alpha, terms, T, grad=True):
     """``_fourier._near_sums`` without its table: every near point on the grid."""
     return _grid_sums(ay, alpha, terms, T, grad)
 
@@ -133,6 +133,19 @@ def test_statistic_from_the_table_matches_the_direct_sums(alpha, monkeypatch):
         monkeypatch.undo()
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-11
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.2, 1.7, 1.95])
+def test_statistic_from_the_pair_table_matches_the_direct_pair_sums(alpha, monkeypatch):
+    # D = n*Q moves by the pair sum's change over n; on these samples it
+    # moved by 1.7e-12 at most
+    fit = StableParams(0.0, 1.0, alpha)
+    x = rand_stable(alpha, 5000, np.random.default_rng(int(100 * alpha)))
+    got = [test_statistic(x, fit, k).statistic for k in (1.0, 2.5, 10.0)]
+    monkeypatch.setattr(estimators, "_pair_table", lambda *args: None)
+    want = [test_statistic(x, fit, k).statistic for k in (1.0, 2.5, 10.0)]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-11
 
 
 def test_grid_transforms_memory_bounded():

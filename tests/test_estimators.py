@@ -672,17 +672,22 @@ def test_q_objective_w2_moments_match_mpmath(monkeypatch, alpha, weight):
 
 def test_pair_sums_memory_bounded():
     # 5000 x 5000 differences: rows of 1024 at a time peaked at 156 MB (273
-    # MB with the gradient); blocks of 2^18 pairs peak at 6 MB (10 MB)
+    # MB with the gradient); blocks of 2^18 pairs peak at 6 MB (10 MB), in
+    # the symmetric direct sum and in the table's rows alike
     x = rand_stable(0.9, 5000, np.random.default_rng(11))
     w = WeightSpec("exp_abs", 1.0)
-    for grad, limit in ((False, 16), (True, 24)):
-        tracemalloc.start()
-        try:
-            _pair_sums(x, 1.0, w, grad)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit * 2**20
+    # the first sample takes the table; the pay rule refuses the second
+    for sample in (x, 1000.0 * x):
+        for grad, limit in ((False, 16), (True, 24)):
+            tracemalloc.start()
+            try:
+                _pair_sums(sample, 1.0, w, grad)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * 2**20
+    assert estimators._pair_table(x, 1.0, 1.0, False) is not None
+    assert estimators._pair_table(1000.0 * x, 1.0, 1.0, False) is None
 
 
 def one_call_w0_and_deriv(d, weight, grad):
@@ -786,10 +791,122 @@ def test_pair_sums_over_blocks_match_full_matrix(monkeypatch):
             want = full_matrix_pair_sums(x, 1.3, weight, grad)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
-    check(rand_stable(0.9, 5000, np.random.default_rng(12)), WeightSpec("exp_abs", 1.0))
+    x = rand_stable(0.9, 5000, np.random.default_rng(12))
+    # the table, then the symmetric direct sum where the pay rule refuses
+    # the table: about 2 points per panel of 1.3
+    assert estimators._pair_table(1000.0 * x, 1.3, 1.0, False) is None
+    for sample in (x, 1000.0 * x):
+        check(sample, WeightSpec("exp_abs", 1.0))
     # the exp_power pair sum at n = 5000 takes minutes (pdf_batch on 25M
     # differences); smaller blocks give n = 200 ten row blocks instead
     monkeypatch.setattr(estimators, "_BLOCK_CELLS", 2**12)
     x = rand_stable(1.5, 200, np.random.default_rng(13))
     for weight in (WeightSpec("exp_abs", 5.0), WeightSpec("exp_power", 1.0, 1.5)):
         check(x, weight)
+
+
+def pair_table_calls(monkeypatch):
+    """Record what every ``_pair_table`` call returns."""
+    results, pair_table = [], estimators._pair_table
+
+    def recording(*args):
+        results.append(pair_table(*args))
+        return results[-1]
+
+    monkeypatch.setattr(estimators, "_pair_table", recording)
+    return results
+
+
+def assert_pair_sums_close(x, sigma, weight, rtol):
+    """Both routes of ``_pair_sums`` against the full matrix; s0 the same bits in both."""
+    value, _ = _pair_sums(x, sigma, weight, False)
+    got = _pair_sums(x, sigma, weight, True)
+    assert value == got[0]
+    want = full_matrix_pair_sums(x, sigma, weight, True)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.2, 1.7, 1.95])
+def test_pair_table_matches_the_full_matrix(alpha, monkeypatch):
+    # largest relative errors seen: 8.3e-16 in s0, 5.3e-16 in s1
+    x = 2.0 + 3.0 * rand_stable(alpha, 5000, np.random.default_rng(int(100 * alpha)))
+    results = pair_table_calls(monkeypatch)
+    for kappa in (1.0, 2.5, 10.0):
+        assert_pair_sums_close(x, 2.9, WeightSpec("exp_abs", kappa), 2e-15)
+    assert len(results) == 6 and None not in results
+
+
+def test_pair_sums_of_at_most_750_points_keep_the_direct_sums(monkeypatch):
+    x = rand_stable(1.5, 751, np.random.default_rng(14))
+    w = WeightSpec("exp_abs", 1.0)
+    results = pair_table_calls(monkeypatch)
+    got = [_pair_sums(x[:750], 1.0, w, grad) for grad in (False, True)]
+    assert results == []
+    _pair_sums(x, 1.0, w, False)
+    assert results[0] is not None
+    monkeypatch.setattr(estimators, "_pair_table", lambda *args: None)
+    assert got == [_pair_sums(x[:750], 1.0, w, grad) for grad in (False, True)]
+
+
+def cauchy_rows_calls(monkeypatch):
+    """Record the points z of every ``_cauchy_rows`` call."""
+    calls, cauchy_rows = [], estimators._cauchy_rows
+
+    def recording(z, *args, **kwargs):
+        calls.append(z)
+        return cauchy_rows(z, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_cauchy_rows", recording)
+    return calls
+
+
+def test_pair_table_sums_huge_points_directly(monkeypatch):
+    # |x|/(kappa sigma) far beyond the int64 range: no panel, a direct row,
+    # and W0 = 0 where the squared differences overflow
+    x = rand_stable(1.2, 5000, np.random.default_rng(15))
+    x[:2] = 1e300, -1e300
+    calls = cauchy_rows_calls(monkeypatch)
+    assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 1.0), 2e-15)
+    assert all(np.count_nonzero(np.abs(z) == 1e300) == 2 for z in calls[1::2])
+
+
+def test_pair_table_with_tied_points():
+    x = np.round(rand_stable(1.2, 5000, np.random.default_rng(16)), 1)
+    assert_pair_sums_close(x, 1.1, WeightSpec("exp_abs", 1.0), 2e-15)
+
+
+def test_pair_table_takes_a_nodes_value(monkeypatch):
+    # h = kappa sigma = 1: the panel [0, 1] has center 0.5 and nodes
+    # 0.5 + 0.5 cos(theta_k); put a point on the first node the local
+    # frame holds exactly
+    offsets = 0.5 * _fourier._CHEB_X
+    k = next(i for i, o in enumerate(offsets) if (0.5 + o) - 0.5 == o)
+    x = rand_stable(1.5, 5000, np.random.default_rng(17))
+    x[0] = 0.5 + offsets[k]
+    seen, cheb_table = [], estimators._cheb_table
+
+    def recording(tables, nodes, points, panel, tol):
+        ok, sums = cheb_table(tables, nodes, points, panel, tol)
+        on = ok[panel]
+        hit = points[on] == offsets[k]
+        seen.append((tables[0][panel[on][hit], k], sums[0][hit]))
+        return ok, sums
+
+    monkeypatch.setattr(estimators, "_cheb_table", recording)
+    assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 1.0), 2e-15)
+    assert all(t.size == 1 and np.array_equal(t, v) for t, v in seen)
+
+
+def test_pair_table_does_not_pay_on_sparse_panels(monkeypatch):
+    x = 10.0 * np.arange(5000.0)
+    results = pair_table_calls(monkeypatch)
+    assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 1.0), 1e-14)
+    assert results == [None, None]
+
+
+def test_pair_table_refused_on_every_panel_sums_every_point_directly(monkeypatch):
+    monkeypatch.setattr(estimators, "_TABLE_TAIL", 0.0)
+    x = rand_stable(0.9, 5000, np.random.default_rng(18))
+    calls = cauchy_rows_calls(monkeypatch)
+    assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 2.5), 1e-14)
+    assert [z.size for z in calls[1::2]] == [5000, 5000]

@@ -342,8 +342,8 @@ def test_table_sums_match_the_direct_sums(alpha, weight, monkeypatch):
         ay = near_points(alpha, seed)
         want = _grid_sums(ay, alpha, terms, T)
         sizes = grid_sums_calls(monkeypatch)
-        got = _fourier._near_sums(ay, alpha, terms, T, 60.0)
-        value = _fourier._near_sums(ay, alpha, terms, T, 60.0, grad=False)
+        got = _fourier._near_sums(ay, alpha, terms, T)
+        value = _fourier._near_sums(ay, alpha, terms, T, grad=False)
         monkeypatch.undo()
         assert sizes == [table_nodes(ay).size] * 2
         for g, w in zip(got, want):
@@ -359,7 +359,7 @@ def test_batches_no_larger_than_the_largest_table_keep_the_direct_sums(n, top):
     terms = ((1.0, 1.3), (2.5, 1.0))
     T = envelope_cutoff(terms)
     for grad in (True, False):
-        got = _fourier._near_sums(ay, 1.3, terms, T, 60.0, grad)
+        got = _fourier._near_sums(ay, 1.3, terms, T, grad)
         want = _grid_sums(ay, 1.3, terms, T, grad)
         for g, w in zip(got, want):
             assert (g is None and w is None) or np.array_equal(g, w)
@@ -372,7 +372,7 @@ def test_table_is_skipped_where_its_last_coefficients_are_too_large(monkeypatch)
     terms = ((1.0, 0.5), (0.5, 1.0))
     T = envelope_cutoff(terms)
     sizes = grid_sums_calls(monkeypatch)
-    got = _fourier._near_sums(ay, 0.5, terms, T, 60.0)
+    got = _fourier._near_sums(ay, 0.5, terms, T)
     monkeypatch.undo()
     assert sizes == [table_nodes(ay).size, ay.size]
     for g, w in zip(got, _grid_sums(ay, 0.5, terms, T)):
@@ -386,7 +386,7 @@ def test_table_takes_a_nodes_value_and_serves_the_top_panels_upper_end():
     ay[:3] = nodes[0, 4], nodes[17, 12], 60.0
     terms = ((1.0, 1.1), (1.0, 1.0))
     T = envelope_cutoff(terms)
-    got = _fourier._near_sums(ay, 1.1, terms, T, 60.0)
+    got = _fourier._near_sums(ay, 1.1, terms, T)
     at_nodes = _grid_sums(nodes.ravel(), 1.1, terms, T)
     direct = _grid_sums(ay, 1.1, terms, T)
     for g, table, w in zip(got, at_nodes, direct):
