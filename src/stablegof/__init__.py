@@ -34,9 +34,7 @@ from .inversion import (
 )
 from .montecarlo import (
     ExperimentConfig,
-    CriticalValueTable,
     simulate_critical,
     power_study,
-    h1_decision,
     worker_pool,
 )

@@ -6,7 +6,10 @@ $STABLEGOF_CACHE (default ~/.cache/stablegof) keyed by kernel kind, alpha,
 kappa, node count and a digest of the package's sources, so reruns are
 bit-identical and a code change never reads an old entry.  Every
 output file starts with a comment manifest recording the resolved
-parameters, the seed and the cache entries used.  ``simulate`` runs every
+parameters, the seed and the cache entries used.  ``test`` computes its
+critical values from the spectra it needs, as ``table`` does for a grid,
+and reads no table file: the cell at alpha_hat (or at alpha0 under H2), or
+a search over alpha for the sup methods.  ``simulate`` runs every
 section of its config on one pool of spawned worker processes
 (``montecarlo.worker_pool``), so the workers start once per command, and
 no worker outlives the command, whether it succeeds or fails.
@@ -23,22 +26,15 @@ import tempfile
 import zipfile
 
 import numpy as np
+from scipy import optimize
 
 from . import __version__
-from .errors import DataError, NumericsError
+from .errors import DataError, NumericsError, SeriesDivergenceError
 from .estimators import WeightSpec, eise_fit, eise_matrices, fisher_info, mle_fit
 from .ecf_test import test_statistic
-from .inversion import cdf_dk_with_bound, default_inversion_config, quantile_dk
+from .inversion import cdf_dk, cdf_dk_with_bound, default_inversion_config, quantile_dk
 from .kernels import make_kernel
-from .montecarlo import (
-    TEST_LEVELS,
-    CriticalValueTable,
-    ExperimentConfig,
-    h1_decision,
-    power_study,
-    simulate_critical,
-    worker_pool,
-)
+from .montecarlo import TEST_LEVELS, ExperimentConfig, power_study, simulate_critical, worker_pool
 from .spectral import Spectrum, build_spectrum
 
 USAGE_ERROR, INPUT_ERROR, NUMERICAL_ERROR = 1, 2, 3
@@ -189,50 +185,95 @@ def cmd_estimate(args):
 # ----------------------------------------------------------------------
 
 
-def load_table(path):
-    rows = []
-    hypothesis = "H1"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if ln.startswith("#"):
-                    if "hypothesis=" in ln:
-                        hypothesis = ln.split("hypothesis=")[1].strip()
-                    continue
-                if not ln or ln.startswith("alpha"):
-                    continue
-                try:
-                    a, k, xi, v, b = (float(tok) for tok in ln.split(","))
-                except ValueError:
-                    raise DataError(f"malformed table row in {path}: {ln!r}")
-                rows.append((a, k, xi, v, b))
-    except OSError as exc:
-        raise DataError(f"cannot read table {path}: {exc}")
-    if not rows:
-        raise DataError(f"no table rows in {path}")
-    return CriticalValueTable.from_rows(rows, hypothesis=hypothesis)
+# the node count of every cell `test` builds, and `table`'s default
+_NODES = 800
+# the exponent range of `test --method sup_all`: the span of the paper's table grid
+_SUP_ALL_RANGE = (0.8, 1.9)
+
+
+def _check_kappas(kappas, text):
+    if not all(1.0 <= k < math.inf for k in kappas):
+        raise UsageError(f"critical values are computed for finite kappa >= 1 only, got {text}")
+
+
+def _sup(q, lo, hi):
+    """The maximum of q over [lo, hi].
+
+    q is not monotone in alpha, so it is first taken on an even grid that
+    holds both ends, with steps of at most 0.05; a bounded Brent search then
+    refines the largest grid value over the grid steps on either side of it,
+    to 1e-3 in alpha.  The result is never below any grid value.
+    """
+    grid = np.linspace(lo, hi, math.ceil((hi - lo) / 0.05) + 1)
+    vals = [q(a) for a in grid]
+    i = int(np.argmax(vals))
+    bracket = (grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
+    res = optimize.minimize_scalar(lambda a: -q(a), bounds=bracket, method="bounded",
+                                   options={"xatol": 1e-3})
+    return max(vals[i], -res.fun)
+
+
+def critical_values(hypothesis, method, alpha, kappa, alpha_range=None):
+    """Asymptotic critical values of `test` at each level of ``TEST_LEVELS``.
+
+    Under H2 they are the quantiles of the ``mle_h2`` cell at the fixed
+    exponent ``alpha``; under H1 with ``plugin``, of the ``mle_h1`` cell at
+    the estimate ``alpha``.  ``sup_range`` takes, at each level, the
+    maximum of the ``mle_h1`` quantile over ``alpha_range`` (see
+    :func:`_sup`), and ``sup_all`` the same over ``_SUP_ALL_RANGE``.  Every
+    cell has ``_NODES`` nodes and comes through :func:`cached_spectrum`.
+    Returns a dict from level to threshold, and the inversion config of the
+    one cell behind them, or None for the sup methods.
+    """
+    @functools.cache
+    def cell(kind, a):
+        return default_inversion_config(cached_spectrum(kind, a, kappa, _NODES)[0])
+
+    if hypothesis == "H2" or method == "plugin":
+        cfg = cell("mle_h2" if hypothesis == "H2" else "mle_h1", alpha)
+        return {xi: quantile_dk(xi, cfg) for xi in TEST_LEVELS}, cfg
+    lo, hi = _SUP_ALL_RANGE if method == "sup_all" else alpha_range
+    return {xi: _sup(lambda a: quantile_dk(xi, cell("mle_h1", a)), lo, hi) for xi in TEST_LEVELS}, None
+
+
+def _p_value(d, cfg):
+    """1 - F(d) on the cell, as text.
+
+    Where the series cannot evaluate F (deep in the left tail, F < 0.07 on
+    the probed cells), a lower bound: '>' 1 - F at the first point
+    max(d, E[D]/100) * 1.1^k where it can.
+    """
+    x = max(d, cfg.spectrum.trace_sum(cfg.m) / 100)
+    while True:
+        try:
+            p = 1.0 - cdf_dk(x, cfg)
+        except SeriesDivergenceError:
+            x *= 1.1
+            continue
+        return f"{p:.6g}" if x == d else f">{p:.6g}"
 
 
 def cmd_test(args):
+    _check_kappas([args.kappa], args.kappa)
     if args.hypothesis == "H2" and args.alpha0 is None:
         raise UsageError("--alpha0 is required under H2")
+    if args.alpha0 is not None and not (0 < args.alpha0 <= 2):
+        raise UsageError(f"--alpha0 must lie in (0, 2], got {args.alpha0}")
+    if args.alpha_range is not None and not (0 < args.alpha_range[0] < args.alpha_range[1] < 2):
+        raise UsageError(f"--alpha-range A B needs 0 < A < B < 2, got {args.alpha_range}")
     if args.hypothesis == "H1" and args.method == "sup_range" and args.alpha_range is None:
         raise UsageError("--method sup_range needs --alpha-range A B")
-    if args.tables is None:
-        raise DataError(
-            "no critical-value table given; generate one with "
-            "'stablegof table' and pass it via --tables"
-        )
-    table = load_table(args.tables)
-    if table.hypothesis != args.hypothesis:
-        raise DataError(
-            f"{args.tables} holds {table.hypothesis} critical values, not "
-            f"{args.hypothesis}; build one with 'stablegof table --hypothesis {args.hypothesis}'"
-        )
     x = read_column(args.input)
     fit = mle_fit(x, fix_alpha=args.alpha0 if args.hypothesis == "H2" else None)
+    if args.hypothesis == "H1" and args.method == "plugin" and fit.boundary_alpha:
+        raise DataError(
+            "alpha_hat is at the normal boundary 2, where H1 has no plug-in null law; "
+            "test normality with --hypothesis H2 --alpha0 2, or use --method sup_all or sup_range"
+        )
     out = test_statistic(x, fit.params, args.kappa)
+    thresholds, cfg = critical_values(
+        args.hypothesis, args.method, fit.params.alpha, args.kappa, args.alpha_range
+    )
 
     lines = {
         "n": out.n,
@@ -243,28 +284,11 @@ def cmd_test(args):
         "alpha_hat": f"{fit.params.alpha:.6g}",
         "statistic": f"{out.statistic:.6g}",
     }
-    alpha_ref = args.alpha0 if args.hypothesis == "H2" else fit.params.alpha
-    rng = tuple(args.alpha_range) if args.alpha_range else None
-    try:
-        for xi in TEST_LEVELS:
-            dec = h1_decision(
-                out.statistic,
-                table,
-                args.kappa,
-                xi,
-                method=args.method if args.hypothesis == "H1" else "plugin",
-                alpha_hat=alpha_ref,
-                alpha_range=rng,
-            )
-            lines[f"critical_{int(xi * 100)}"] = f"{dec.threshold:.6g}"
-            lines[f"reject_{int(xi * 100)}"] = dec.reject
-    except KeyError as exc:
-        raise DataError(
-            f"table lacks the needed cell ({exc}); regenerate with 'stablegof table'"
-        )
-    except ValueError as exc:
-        # the checks above leave only an alpha outside the table's alpha grid
-        raise DataError(f"table does not cover this test: {exc}")
+    if cfg is not None:
+        lines["p_value"] = _p_value(out.statistic, cfg)
+    for xi, thr in thresholds.items():
+        lines[f"critical_{int(xi * 100)}"] = f"{thr:.6g}"
+        lines[f"reject_{int(xi * 100)}"] = bool(out.statistic >= thr)
     if args.machine:
         for k, v in lines.items():
             print(f"{k}={v}")
@@ -275,6 +299,8 @@ def cmd_test(args):
             f"alpha={fit.params.alpha:.6g}"
         )
         print(f"statistic D = {out.statistic:.6g}")
+        if cfg is not None:
+            print(f"p-value {lines['p_value']}")
         for xi in TEST_LEVELS:
             pct = int(xi * 100)
             print(
@@ -292,8 +318,7 @@ def cmd_test(args):
 def cmd_table(args):
     alphas = [float(a) for a in args.alphas.split(",")]
     kappas = [float(k) for k in args.kappas.split(",")]
-    if not all(1.0 <= k < math.inf for k in kappas):
-        raise UsageError(f"critical-value tables support finite kappa >= 1 only, got {args.kappas}")
+    _check_kappas(kappas, args.kappas)
     if args.nodes < 16 or args.nodes % 2:
         raise UsageError(f"--nodes must be even and at least 16, got {args.nodes}")
     # H2 fixes alpha, so the normal endpoint has a kernel; H1 needs I(alpha) finite
@@ -452,14 +477,18 @@ def build_parser():
     q.add_argument("--bar-alpha", type=float, default=None)
     q.set_defaults(func=cmd_estimate)
 
-    q = sub.add_parser("test", help="run the goodness-of-fit test on a data file")
+    q = sub.add_parser("test", help="run the goodness-of-fit test on a data file",
+                       description=f"Critical values come from {_NODES}-node spectra; no table is read.")
     q.add_argument("input")
-    q.add_argument("--kappa", type=float, required=True)
+    q.add_argument("--kappa", type=float, required=True, help="weight exp(-kappa|t|), kappa >= 1")
     q.add_argument("--hypothesis", choices=("H1", "H2"), default="H1")
-    q.add_argument("--alpha0", type=float, default=None)
-    q.add_argument("--tables", default=None, help="critical-value table from 'stablegof table'")
-    q.add_argument("--method", choices=("plugin", "sup_all", "sup_range"), default="plugin")
-    q.add_argument("--alpha-range", type=float, nargs=2, default=None)
+    q.add_argument("--alpha0", type=float, default=None, help="the exponent fixed by H2, in (0, 2]")
+    q.add_argument("--method", choices=("plugin", "sup_all", "sup_range"), default="plugin",
+                   help="H1: the critical value at alpha_hat with a p-value (plugin; H2 does this at "
+                   "alpha0), or its maximum over --alpha-range (sup_range) or [%g, %g] (sup_all)"
+                   % _SUP_ALL_RANGE)
+    q.add_argument("--alpha-range", type=float, nargs=2, default=None, metavar=("A", "B"),
+                   help="sup_range's range, 0 < A < B < 2")
     q.add_argument("--machine", action="store_true", help="key=value output")
     q.set_defaults(func=cmd_test)
 
@@ -467,7 +496,7 @@ def build_parser():
     q.add_argument("--alphas", required=True, help="comma list, e.g. 1.0,1.5,1.8")
     q.add_argument("--kappas", required=True, help="comma list, e.g. 1.0,2.5,5.0,10.0")
     q.add_argument("--hypothesis", choices=("H1", "H2"), default="H1")
-    q.add_argument("--nodes", type=int, default=800)
+    q.add_argument("--nodes", type=int, default=_NODES)
     q.add_argument("-o", "--output", required=True)
     q.set_defaults(func=cmd_table)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .estimators import WeightSpec, q_objective
+from .estimators import WeightSpec, _check_spread, q_objective
 from .stable_core import StableParams
 
 __all__ = ["TestOutcome", "ecf", "test_statistic"]
@@ -52,8 +52,9 @@ def test_statistic(data, fitted, kappa):
     Under H2 the caller passes a fit with alpha frozen at the hypothesized
     value, so ``fitted.alpha`` is the exponent used either way.  Raises
     ValueError unless ``kappa`` is finite and positive, and
-    :class:`~stablegof.errors.DataError` for an empty sample or one holding
-    NaN or infinite values.
+    :class:`~stablegof.errors.DataError` for an empty sample, one holding
+    NaN or infinite values, or one whose differences over ``fitted.sigma``
+    overflow.
 
     Q is a small difference of O(1) terms, so D = n*Q carries an absolute
     rounding error of order n*1e-15 whatever its size, and its relative
@@ -77,6 +78,7 @@ def test_statistic(data, fitted, kappa):
         raise DataError("empty sample")
     if not np.all(np.isfinite(x)):
         raise DataError("sample contains non-finite values")
+    _check_spread(x, fitted.sigma)
     n = x.size
     d = n * q_objective(x, fitted, weight)
     return TestOutcome(statistic=float(d), fitted=fitted, kappa=kappa, n=n)

@@ -492,14 +492,22 @@ def loglik(data, params):
     return float(np.mean(np.log(np.maximum(f, 1e-300)))) - math.log(params.sigma)
 
 
+def _check_spread(x, sigma):
+    """Refuse a sample whose differences (x_j - x_k)/sigma overflow, without overflowing."""
+    if np.max(x) / 2 - np.min(x) / 2 > np.finfo(float).max / 2 * min(sigma, 1.0):
+        raise DataError(f"sample spread too wide: differences over scale {sigma:g} overflow")
+
+
 def _check_sample(data, min_n=5):
     x = np.asarray(data, dtype=float).ravel()
     if x.size < min_n:
         raise DataError(f"need at least {min_n} observations, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise DataError("sample contains non-finite values")
-    if np.ptp(x) == 0:
+    if np.max(x) == np.min(x):
         raise DataError("degenerate sample: all observations identical")
+    # the fits standardize by a scale of at least _SIGMA_MIN
+    _check_spread(x, _SIGMA_MIN)
     return x
 
 

@@ -3,7 +3,8 @@
 Replications are driven by spawned child streams of one seed, so results
 are reproducible and order-independent.  Individual fit failures are
 tolerated (the replication is redrawn from its own stream) up to a 1%
-budget; beyond that the experiment aborts.
+budget; beyond that the experiment aborts.  The asymptotic critical values
+are quantiles of the limit law (``inversion.quantile_dk``), not kept here.
 
 The replications run in a pool of spawned worker processes, one per CPU
 available to the caller, each started with BLAS at one thread (a threaded
@@ -40,10 +41,8 @@ __all__ = [
     "ExperimentConfig",
     "SimulatedCritical",
     "PowerResult",
-    "CriticalValueTable",
     "simulate_critical",
     "power_study",
-    "h1_decision",
     "worker_pool",
     "TEST_LEVELS",
 ]
@@ -311,89 +310,3 @@ def power_study(config, critical_values):
             p = float(np.mean(arr[:, i] > critical_values[(k, xi)]))
             rates[(k, xi)] = (p, math.sqrt(p * (1.0 - p) / r))
     return PowerResult(config=config, rates=rates, n_failures=failures)
-
-
-# ----------------------------------------------------------------------
-# asymptotic critical-value tables and the composite-hypothesis decision
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalValueTable:
-    """Critical values on an (alpha, kappa, xi) grid with series bounds."""
-
-    alphas: np.ndarray
-    kappas: np.ndarray
-    xis: np.ndarray
-    values: np.ndarray  # shape (len(alphas), len(kappas), len(xis))
-    bounds: np.ndarray
-    hypothesis: str = "H1"
-
-    def column(self, kappa, xi):
-        ik = int(np.argmin(np.abs(self.kappas - kappa)))
-        ix = int(np.argmin(np.abs(self.xis - xi)))
-        if not (
-            math.isclose(self.kappas[ik], kappa, rel_tol=1e-9)
-            and math.isclose(self.xis[ix], xi, rel_tol=1e-9)
-        ):
-            raise KeyError(f"kappa={kappa}, xi={xi} not tabulated")
-        curve = self.values[:, ik, ix]
-        if np.any(np.isnan(curve)):
-            missing = ", ".join(f"{a:g}" for a in self.alphas[np.isnan(curve)])
-            raise KeyError(f"kappa={kappa}, xi={xi} lacks alpha={missing}")
-        return self.alphas, curve
-
-    @classmethod
-    def from_rows(cls, rows, hypothesis="H1"):
-        rows = list(rows)
-        alphas = np.array(sorted({r[0] for r in rows}))
-        kappas = np.array(sorted({r[1] for r in rows}))
-        xis = np.array(sorted({r[2] for r in rows}, reverse=True))
-        values = np.full((len(alphas), len(kappas), len(xis)), np.nan)
-        bounds = np.full_like(values, np.nan)
-        for a, k, xi, v, b in rows:
-            ia = int(np.searchsorted(alphas, a))
-            ik = int(np.searchsorted(kappas, k))
-            ix = int(np.argmin(np.abs(xis - xi)))
-            values[ia, ik, ix] = v
-            bounds[ia, ik, ix] = b
-        return cls(alphas=alphas, kappas=kappas, xis=xis, values=values, bounds=bounds, hypothesis=hypothesis)
-
-
-@dataclass(frozen=True)
-class Decision:
-    reject: bool
-    threshold: float
-    method: str
-
-
-def h1_decision(d_obs, table, kappa, xi, method="plugin", alpha_hat=None, alpha_range=None):
-    """Accept/reject the composite stable hypothesis from tabulated points.
-
-    Three procedures: compare against the supremum of the critical curve
-    over all tabulated alpha ("sup_all"), over a fixed range
-    ("sup_range"), or against the curve interpolated at the estimated
-    exponent ("plugin").
-    """
-    alphas, curve = table.column(kappa, xi)
-    if method == "sup_all":
-        thr = float(np.max(curve))
-    elif method == "sup_range":
-        if alpha_range is None:
-            raise ValueError("sup_range needs alpha_range=(a, b)")
-        a, b = alpha_range
-        mask = (alphas >= a - 1e-12) & (alphas <= b + 1e-12)
-        if not np.any(mask):
-            raise ValueError(f"no tabulated alpha inside [{a}, {b}]")
-        thr = float(np.max(curve[mask]))
-    elif method == "plugin":
-        if alpha_hat is None:
-            raise ValueError("plugin method needs alpha_hat")
-        if not (alphas[0] - 1e-12 <= alpha_hat <= alphas[-1] + 1e-12):
-            raise ValueError(
-                f"alpha_hat={alpha_hat} outside tabulated range [{alphas[0]}, {alphas[-1]}]"
-            )
-        thr = float(np.interp(alpha_hat, alphas, curve))
-    else:
-        raise ValueError(f"unknown decision method {method!r}")
-    return Decision(reject=bool(d_obs >= thr), threshold=thr, method=method)

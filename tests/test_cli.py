@@ -10,10 +10,13 @@ import pytest
 
 from stablegof import cli
 from stablegof import montecarlo as mc
-from stablegof.cli import cached_spectrum, load_table, main, read_column
-from stablegof.estimators import WeightSpec, eise_matrices, fisher_info
-from stablegof.inversion import default_inversion_config
-from stablegof.spectral import Spectrum
+from stablegof.cli import cached_spectrum, critical_values, main, read_column
+from stablegof.ecf_test import test_statistic
+from stablegof.estimators import WeightSpec, eise_matrices, fisher_info, mle_fit
+from stablegof.inversion import cdf_dk, cdf_dk_with_bound, default_inversion_config, quantile_dk
+from stablegof.kernels import make_kernel
+from stablegof.montecarlo import TEST_LEVELS
+from stablegof.spectral import Spectrum, build_spectrum
 from stablegof.stable_core import rand_stable
 from test_inversion import imhof_cdf
 
@@ -132,9 +135,9 @@ def test_h2_table_accepts_the_normal_endpoint(cache, tmp_path):
     argv = ["table", "--hypothesis", "H2", "--alphas", "2.0", "--kappas", "2.5",
             "--nodes", "16", "-o", str(out)]
     assert main(argv) == 0
-    table = load_table(out)
-    assert table.values.shape == table.bounds.shape == (1, 1, 2)
-    assert np.all(np.isfinite(table.values))
+    rows = table_rows(out)
+    assert len(rows) == 2
+    assert np.all(np.isfinite(rows))
 
 
 def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, capsys):
@@ -148,18 +151,13 @@ def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, ca
     assert main(args + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
-    table = load_table(out1)
-    assert set(np.round(table.alphas, 3)) == {0.9, 1.0, 1.1}
-    assert table.values.shape == table.bounds.shape == (3, 1, 2)
-    assert np.all(np.isfinite(table.values))
-    # table round-trips through its own text format
-    again = load_table(out1)
-    np.testing.assert_allclose(again.values, table.values)
+    rows = table_rows(out1)
+    assert set(np.round(rows[:, 0], 3)) == {0.9, 1.0, 1.1}
+    assert rows.shape == (6, 5)
+    assert np.all(np.isfinite(rows))
 
     capsys.readouterr()
-    code = main([
-        "test", str(cauchy_file), "--kappa", "2.5", "--tables", str(out1), "--machine",
-    ])
+    code = main(["test", str(cauchy_file), "--kappa", "2.5", "--machine"])
     assert code == 0
     fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
     assert fields["reject_10"] == "False"  # Cauchy data fit the stable family
@@ -173,8 +171,7 @@ def test_paired_h2_cell_table_and_test(cache, cauchy_file, tmp_path, capsys):
     argv = ["table", "--hypothesis", "H2", "--alphas", "1.0", "--kappas", "2.5",
             "--nodes", "800", "-o", str(out)]
     assert main(argv) == 0
-    table = load_table(out)
-    got = dict(zip(np.round(table.xis, 2), table.values[0, 0]))
+    got = {round(xi, 2): v for _, _, xi, v, _ in table_rows(out)}
     # references of tests/test_inversion.py::test_paired_h2_cauchy_quantiles
     assert got[0.10] == pytest.approx(0.2856105048, rel=1e-9, abs=0.0)
     assert got[0.05] == pytest.approx(0.3349875548, rel=1e-9, abs=0.0)
@@ -182,7 +179,7 @@ def test_paired_h2_cell_table_and_test(cache, cauchy_file, tmp_path, capsys):
     capsys.readouterr()
     code = main([
         "test", str(cauchy_file), "--hypothesis", "H2", "--alpha0", "1.0", "--kappa", "2.5",
-        "--tables", str(out), "--machine",
+        "--machine",
     ])
     assert code == 0
     fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
@@ -199,16 +196,15 @@ def test_h2_table_near_the_cauchy_point(cache, tmp_path, capsys):
             "--kappas", "2.5", "--nodes", "800", "-o", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().out.strip() == f"wrote 6 rows to {out}"
-    table = load_table(out)
-    assert table.values.shape == (3, 1, 2) and not np.isnan(table.values).any()
+    values = table_rows(out)[:, 3].reshape(3, 2)
+    assert not np.isnan(values).any()
     for ia, alpha in enumerate(alphas):
         sp, _ = cached_spectrum("mle_h2", alpha, 2.5, 800)
         lam = sp.lambdas[: default_inversion_config(sp).m]
-        for ix, xi in enumerate(table.xis):
-            q = table.values[ia, 0, ix]
-            assert abs(imhof_cdf(q, lam) - (1.0 - xi)) <= 1e-8
+        for ix, xi in enumerate(TEST_LEVELS):
+            assert abs(imhof_cdf(values[ia, ix], lam) - (1.0 - xi)) <= 1e-8
     # q moves by 1.4e-4 relative over the 1e-4 step in alpha
-    assert np.allclose(table.values[[0, 2]], table.values[1], rtol=5e-4, atol=0.0)
+    assert np.allclose(values[[0, 2]], values[1], rtol=5e-4, atol=0.0)
 
 
 def test_spectrum_cache_keeps_alpha_at_full_precision(cache):
@@ -268,101 +264,117 @@ def test_code_digest_covers_every_module(tmp_path, monkeypatch):
     assert digest() != before
 
 
-def test_test_without_tables_is_input_error(cache, cauchy_file, tmp_path, capsys):
-    assert main(["test", str(cauchy_file), "--kappa", "2.5"]) == 2
-    err = capsys.readouterr().err
-    assert "stablegof table" in err
-    # the missing table is reported before the sample is read
-    assert main(["test", str(tmp_path / "missing.txt"), "--kappa", "2.5"]) == 2
-    assert "stablegof table" in capsys.readouterr().err
-
-
 def test_test_has_no_estimator_option(cauchy_file, capsys):
-    # the tables hold MLE critical values only, so test fits by MLE
+    # the cells are MLE kernels, so test fits by MLE
     assert main(["test", str(cauchy_file), "--kappa", "2.5", "--estimator", "eise"]) == 1
     assert "unrecognized arguments: --estimator" in capsys.readouterr().err
 
 
-def test_test_missing_cell_mentions_table_command(cache, cauchy_file, tmp_path, capsys):
-    out = tmp_path / "t.csv"
-    args = ["table", "--alphas", "0.9,1.0,1.1", "--kappas", "2.5", "--nodes", "200", "-o", str(out)]
-    assert main(args) == 0
-    code = main(["test", str(cauchy_file), "--kappa", "5.0", "--tables", str(out)])
-    assert code == 2
-
-
-HAND_TABLE = (
-    "# stablegof run manifest\n"
-    "# hypothesis=H1\n"
-    "# hypothesis=H1\n"
-    "alpha,kappa,xi,critical_value,series_bound\n"
-    "1.0,2.5,0.1,0.05,1e-06\n"
-    "1.0,2.5,0.05,0.07,1e-06\n"
-    "2.0,2.5,0.1,0.01,1e-06\n"
-    "2.0,2.5,0.05,0.02,1e-06\n"
-)
-
-
-def test_test_refuses_table_of_other_hypothesis(cache, cauchy_file, tmp_path, capsys):
-    table = tmp_path / "h1.csv"
-    table.write_text(HAND_TABLE)
-    # a table with the manifest line and the older second line still parses
-    assert load_table(table).hypothesis == "H1"
-    code = main([
-        "test", str(cauchy_file), "--kappa", "2.5", "--hypothesis", "H2",
-        "--alpha0", "1.5", "--tables", str(table),
-    ])
-    assert code == 2
-    assert "H1 critical values" in capsys.readouterr().err
-
-
-def test_sup_range_without_alpha_range_exits_1_before_the_fit(cache, cauchy_file, tmp_path, monkeypatch, capsys):
-    table = tmp_path / "h1.csv"
-    table.write_text(HAND_TABLE)
-
+def test_sup_range_without_alpha_range_exits_1_before_the_fit(cache, cauchy_file, monkeypatch, capsys):
     def no_fit(*args, **kwargs):
         raise AssertionError("the sample was fitted")
 
     monkeypatch.setattr(cli, "mle_fit", no_fit)
-    code = main(["test", str(cauchy_file), "--kappa", "2.5", "--tables", str(table), "--method", "sup_range"])
+    code = main(["test", str(cauchy_file), "--kappa", "2.5", "--method", "sup_range"])
     assert code == 1
     assert "--alpha-range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kappa", ["inf", "nan"])
-def test_test_refuses_a_non_finite_kappa(cache, cauchy_file, tmp_path, capsys, kappa):
-    table = tmp_path / "h1.csv"
-    table.write_text(HAND_TABLE)
-    assert main(["test", str(cauchy_file), "--kappa", kappa, "--tables", str(table)]) == 1
+def test_test_refuses_a_non_finite_kappa(cache, cauchy_file, capsys, kappa):
+    assert main(["test", str(cauchy_file), "--kappa", kappa]) == 1
     captured = capsys.readouterr()
-    assert "finite and positive" in captured.err
+    assert "finite kappa >= 1" in captured.err
     assert "statistic" not in captured.out
 
 
 @pytest.mark.parametrize(
-    "extra,message",
+    "extra",
     [
-        ([], "outside tabulated range"),
-        (["--method", "sup_range", "--alpha-range", "0.9", "1.2"], "no tabulated alpha"),
+        ["--kappa", "0.5"],
+        ["--kappa", "-inf"],
+        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "0"],
+        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "2.5"],
+        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "nan"],
+        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "1.8", "1.3"],
+        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "0", "1.5"],
+        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "1.5", "2"],
+        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "nan", "1.5"],
     ],
-    ids=["plugin", "sup_range"],
 )
-def test_alpha_outside_the_table_is_input_error(cache, cauchy_file, tmp_path, capsys, extra, message):
-    # the Cauchy sample's alpha-hat is near 1, below the table's alphas 1.5 and 1.8
-    table = tmp_path / "h1.csv"
-    table.write_text(HAND_TABLE.replace("\n1.0,", "\n1.5,").replace("\n2.0,", "\n1.8,"))
-    assert main(["test", str(cauchy_file), "--kappa", "2.5", "--tables", str(table), *extra]) == 2
-    captured = capsys.readouterr()
-    assert message in captured.err
-    assert "critical value" not in captured.out
+def test_test_checks_its_inputs_before_the_sample(cache, tmp_path, monkeypatch, capsys, extra):
+    # without a table to bound them, a bad kappa, alpha0 or range would reach the kernel
+    def unreachable(*args, **kwargs):
+        pytest.fail("test went past its input checks")
+
+    for name in ("read_column", "mle_fit", "cached_spectrum"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert main(["test", str(tmp_path / "unread.txt"), *extra]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
-def test_malformed_table_row_is_input_error(cache, cauchy_file, tmp_path, capsys):
-    table = tmp_path / "bad.csv"
-    table.write_text("alpha,kappa,xi,critical_value,series_bound\n1.0,2.5,0.1,oops,1e-06\n")
-    assert main(["test", str(cauchy_file), "--kappa", "2.5", "--tables", str(table)]) == 2
+def test_plugin_threshold_and_p_value_come_from_the_alpha_hat_cell(cache, cauchy_file, monkeypatch, capsys):
+    calls = []
+
+    def recording(*args):
+        calls.append((args, critical_values(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "critical_values", recording)
+    assert main(["test", str(cauchy_file), "--kappa", "2.5", "--machine"]) == 0
+    fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
+    ((args, (thresholds, cfg)),) = calls
+    x = read_column(cauchy_file)
+    params = mle_fit(x).params
+    assert args[:4] == ("H1", "plugin", params.alpha, 2.5)
+    want = default_inversion_config(build_spectrum(make_kernel("mle_h1", params.alpha, 2.5), 800))
+    for xi in TEST_LEVELS:
+        assert thresholds[xi] == quantile_dk(xi, want)
+        # the threshold inverts the cell's CDF within quantile_dk's tolerance
+        assert abs(cdf_dk_with_bound(thresholds[xi], cfg)[0] - (1.0 - xi)) < 1e-5
+        assert fields[f"critical_{int(xi * 100)}"] == f"{thresholds[xi]:.6g}"
+    d = test_statistic(x, params, 2.5).statistic
+    assert fields["p_value"] == f"{1.0 - cdf_dk(d, want):.6g}"
+
+
+def test_sup_range_is_at_least_every_cell_of_its_range(cache):
+    # at kappa = 2.5, q(alpha) is not monotone on [1.3, 1.8]: it falls to a
+    # minimum near alpha = 1.72 and rises again
+    thresholds, cfg = critical_values("H1", "sup_range", None, 2.5, (1.3, 1.8))
+    assert cfg is None
+    grid = np.round(np.arange(1.3, 1.8 + 1e-9, 0.01), 2)
+    cells = [default_inversion_config(cached_spectrum("mle_h1", a, 2.5, 800)[0]) for a in grid]
+    for xi in TEST_LEVELS:
+        q = [quantile_dk(xi, c) for c in cells]
+        assert np.argmin(q) not in (0, grid.size - 1)
+        assert thresholds[xi] >= max(q)
+
+
+def test_sup_finds_a_peak_between_its_grid_points():
+    # the real curves peak inside a range only at small alpha (kappa = 1,
+    # alpha near 0.36), where a cell takes seconds; this peak lies between
+    # the grid points 0.4 and 0.45
+    def q(a):
+        return math.exp(-(((a - 0.4237) / 0.02) ** 2))
+
+    got = cli._sup(q, 0.3, 0.6)
+    assert got >= max(q(a) for a in np.arange(0.3, 0.6, 0.001))
+    assert got <= 1.0
+
+
+def test_plugin_at_the_normal_boundary_is_input_error(cache, tmp_path, monkeypatch, capsys):
+    # this normal sample's MLE ends at alpha = 2, where fisher_info has no inverse
+    path = tmp_path / "normal.txt"
+    np.savetxt(path, np.random.default_rng(3).normal(size=1000))
+    assert mle_fit(read_column(path)).boundary_alpha
+
+    def no_cell(*args):
+        pytest.fail("a cell was built at the boundary")
+
+    monkeypatch.setattr(cli, "cached_spectrum", no_cell)
+    assert main(["test", str(path), "--kappa", "2.5"]) == 2
     err = capsys.readouterr().err
-    assert str(table) in err and "oops" in err
+    assert "no plug-in null law" in err and "--hypothesis H2 --alpha0 2" in err
 
 
 def test_simulate_determinism_and_power_rows(cache, tmp_path):
@@ -429,6 +441,11 @@ TWO_SECTIONS = {
 
 def data_rows(path):
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+def table_rows(path):
+    """The rows of a `table` file below its header, as floats."""
+    return np.array([[float(v) for v in ln.split(",")] for ln in data_rows(path)[1:]])
 
 
 @pytest.fixture()

@@ -19,6 +19,7 @@ from stablegof._fourier import (
     envelope_cutoff,
     envelope_moment,
 )
+from stablegof.ecf_test import test_statistic
 from stablegof.errors import DataError, NonConvergenceError, NumericsError, QuadratureError
 from stablegof.estimators import (
     EiseMatrices,
@@ -371,6 +372,18 @@ def test_mle_rejects_bad_samples():
         mle_fit(np.array([1.0, 2.0]))
     with pytest.raises(DataError):
         mle_fit(np.ones(50))
+
+
+def test_a_sample_whose_differences_overflow_is_refused():
+    # x_j - x_k overflows to inf here; the check itself subtracts no two points
+    x = np.r_[1e308, -1e308, np.linspace(-1, 1, 48)]
+    for call in (
+        lambda: mle_fit(x),
+        lambda: eise_fit(x, WeightSpec("exp_abs", 1.0)),
+        lambda: test_statistic(x, StableParams(0.0, 1.0, 1.5), 2.5),
+    ):
+        with pytest.raises(DataError, match="overflow"):
+            call()
 
 
 def test_mle_nonconvergence_carries_best_iterate():

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: reproducibility, tabulated decisions, size."""
+"""Monte Carlo harness: reproducibility, the worker pool, size."""
 
 import math
 import multiprocessing
@@ -16,24 +16,7 @@ from stablegof import StableParams
 from stablegof import montecarlo as mc
 from stablegof.errors import DataError, NonConvergenceError, NumericsError
 from stablegof.estimators import FitResult
-from stablegof.montecarlo import (
-    CriticalValueTable,
-    Decision,
-    ExperimentConfig,
-    draw_alternative,
-    h1_decision,
-    power_study,
-    simulate_critical,
-)
-
-# published upper-10% asymptotic points for kappa = 10 across the alpha grid
-KAPPA10_COLUMN = [
-    (0.5, 0.083189), (0.6, 0.070175), (0.7, 0.058531), (0.8, 0.048287),
-    (0.9, 0.039422), (1.0, 0.031846), (1.1, 0.025434), (1.2, 0.020042),
-    (1.3, 0.015530), (1.4, 0.011770), (1.5, 0.008650), (1.6, 0.006077),
-    (1.7, 0.003974), (1.8, 0.002283), (1.9, 0.000973),
-]
-
+from stablegof.montecarlo import ExperimentConfig, draw_alternative, power_study, simulate_critical
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -62,11 +45,6 @@ def serial_replicate(config):
         else:
             raise NumericsError("replication failed repeatedly; aborting")
     return out, failures
-
-
-def small_table():
-    rows = [(a, 10.0, 0.10, v, 1e-5) for a, v in KAPPA10_COLUMN]
-    return CriticalValueTable.from_rows(rows)
 
 
 def test_config_validation():
@@ -123,63 +101,6 @@ def test_power_study_needs_thresholds():
     )
     with pytest.raises(ValueError):
         power_study(cfg, {})
-
-
-def test_h1_decision_methods():
-    table = small_table()
-    # column is decreasing in alpha, so the supremum sits at alpha = 0.5
-    dec = h1_decision(0.05, table, 10.0, 0.10, method="sup_all")
-    assert dec.threshold == pytest.approx(0.083189)
-    assert not dec.reject
-    dec = h1_decision(0.09, table, 10.0, 0.10, method="sup_all")
-    assert dec.reject
-    # below the whole curve: accepted by every procedure
-    for method, kw in (
-        ("sup_all", {}),
-        ("sup_range", {"alpha_range": (1.0, 1.5)}),
-        ("plugin", {"alpha_hat": 1.2}),
-    ):
-        assert not h1_decision(0.0005, table, 10.0, 0.10, method=method, **kw).reject
-    # plugin at a tabulated knot returns the table value exactly
-    dec = h1_decision(0.02, table, 10.0, 0.10, method="plugin", alpha_hat=1.3)
-    assert dec.threshold == pytest.approx(0.015530)
-    with pytest.raises(ValueError):
-        h1_decision(0.02, table, 10.0, 0.10, method="plugin", alpha_hat=2.3)
-    with pytest.raises(ValueError):
-        h1_decision(0.02, table, 10.0, 0.10, method="sup_range")
-    with pytest.raises(KeyError):
-        h1_decision(0.02, table, 3.3, 0.10, method="sup_all")
-
-
-def test_decision_refuses_a_column_with_a_hole():
-    # a partial table: the kappa = 2.5 column lacks alpha = 1.5
-    rows = [
-        (a, k, 0.10, v, 1e-5)
-        for a, v in KAPPA10_COLUMN
-        for k in (2.5, 10.0)
-        if (a, k) != (1.5, 2.5)
-    ]
-    table = CriticalValueTable.from_rows(rows)
-    for method, kw in (
-        ("plugin", {"alpha_hat": 1.3}),
-        ("sup_all", {}),
-        ("sup_range", {"alpha_range": (1.0, 1.8)}),
-    ):
-        with pytest.raises(KeyError, match="alpha=1.5"):
-            h1_decision(0.02, table, 2.5, 0.10, method=method, **kw)
-        assert h1_decision(0.02, table, 10.0, 0.10, method=method, **kw).threshold > 0
-
-
-def test_table_roundtrip_through_rows():
-    # rows in any order land in the (alpha, kappa, xi) grid
-    table = CriticalValueTable.from_rows(
-        [(a, 10.0, 0.10, v, 1e-5) for a, v in reversed(KAPPA10_COLUMN)]
-    )
-    np.testing.assert_array_equal(table.alphas, [a for a, _ in KAPPA10_COLUMN])
-    np.testing.assert_array_equal(table.kappas, [10.0])
-    np.testing.assert_array_equal(table.xis, [0.10])
-    np.testing.assert_array_equal(table.values[:, 0, 0], [v for _, v in KAPPA10_COLUMN])
-    np.testing.assert_array_equal(table.bounds, np.full((len(KAPPA10_COLUMN), 1, 1), 1e-5))
 
 
 @pytest.mark.slow
