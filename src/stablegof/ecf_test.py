@@ -9,9 +9,10 @@ L2 with weight exp(-kappa|t|), and scale by n:
 D is n times the EISE criterion Q with the weight exp(-kappa|t|), and is
 evaluated as exactly that, ``n * estimators.q_objective``: a pairwise
 Cauchy-weight sum plus n cosine transforms of the standardized points.
-Up to 750 points the pair sum is taken once per unordered pair; above,
-from a Chebyshev table in x where it pays.  It takes the objective's
-value-only route, which forms none of the gradient's transforms.
+The pair sum is one full row per point, except that above 750 points the
+points of a dense panel come from a Chebyshev table in x.  It takes the
+objective's value-only route, which forms none of the gradient's
+transforms.
 The tests' ``q_objective_direct`` is its direct-quadrature cross-check.
 """
 
@@ -62,15 +63,10 @@ def test_statistic(data, fitted, kappa):
     another order moved D by at most 2e-13 at n <= 200 and 1.1e-12 at
     n = 5000; relative to D that reached 5e-11 (D = 8e-4) and 5e-10
     (D = 2e-3).  Above 750 near points the transforms come from a Chebyshev
-    table in y (see ``_fourier.cos_transforms``).  On the benchmark's
-    n = 5000 datasets, the table and the pair sums' blocks of 2^18 pairs
-    moved D by at most 3.9e-12 (5.6e-10 relative) from its value with
-    direct sums and blocks of 2^21.  Above 750 points the pair sum comes
-    from a Chebyshev table in x (see ``estimators._pair_table``).  On the
-    same datasets at seeds 2006 and 602346 it moved D by at most 6.1e-12
-    (9.3e-11 relative) from the symmetric direct pair sum, mostly that
-    sum's own rounding: against the full-matrix sum the table was within
-    6.8e-16 relative, the symmetric sum within 1.3e-15.
+    table in y (see ``_fourier.cos_transforms``), and above 750 points the
+    pair sum from a Chebyshev table in x (see ``estimators._pair_table``);
+    against the full-matrix pair sum that table was within 6.8e-16
+    relative on the benchmark's n = 5000 datasets.
     """
     weight = WeightSpec("exp_abs", kappa)
     x = np.asarray(data, dtype=float).ravel()

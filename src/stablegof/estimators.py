@@ -547,21 +547,17 @@ def mle_fit(data, fix_alpha=None, maxiter=300):
 
 
 def _w0_and_deriv(d, weight, grad):
-    """W0(d) = int cos(td) w(t) dt over the real line and, with ``grad``, dW0/dd (else None).
+    """W0(d) = int cos(td) w(t) dt over the real line for an ``exp_power``
+    weight and, with ``grad``, dW0/dd (else None).
 
-    For ``exp_power``, W0(d) = 2 pi c f(c d; bar_alpha) with c = nu^(-1/bar_alpha).
-    The density is evaluated once per distinct |c d|, in one ``pdf_batch``
+    W0(d) = 2 pi c f(c d; bar_alpha) with c = nu^(-1/bar_alpha).  The
+    density is evaluated once per distinct |c d|, in one ``pdf_batch``
     call, and scattered back with the sign of f' restored: d_kj = -d_jk and
     the diagonal is zero, so a square of pair differences holds about half
     as many distinct values as cells.  ``pdf_batch`` computes each point
     from its |x| alone (its grid depends only on max |x|, which is kept),
     so the result is bit-identical to one call over every cell.
     """
-    if weight.kind == "exp_abs":
-        k = weight.kappa_or_nu
-        with np.errstate(over="ignore"):  # d*d = inf only where W0 and W0' are 0
-            den = k * k + d * d
-        return 2.0 * k / den, -4.0 * k * d / den**2 if grad else None
     nu, ba = weight.kappa_or_nu, weight.bar_alpha
     c = nu ** (-1.0 / ba)
     cd = c * d
@@ -619,80 +615,81 @@ def _cauchy_rows(z, x, sigma, kappa, grad, shift=None):
 
 
 def _pair_table(x, sigma, kappa, grad):
-    """The ``exp_abs`` pair sums of :func:`_pair_sums` from a Chebyshev table
-    in x, or None where the table would not pay.
+    """The ``exp_abs`` pair sums of :func:`_pair_sums`, from full rows of
+    :func:`_cauchy_rows` and, above ``_DIRECT_MAX`` points, a Chebyshev
+    table in x.
 
     F0(z) = sum_k W0((z - x_k)/sigma) has its poles at x_k +- i kappa sigma,
     so on a panel h = kappa sigma wide its Chebyshev coefficients fall like
     (2 + sqrt 5)^-k: 25 nodes reach rounding.  So does F1(z) =
     sum_k W0'(d) d, with double poles at the same places.  The panels are
-    [p h, (p + 1) h], p = floor(x/h); one holding more than
-    ``_TABLE_NODES`` points gets a table, whose node rows come from
-    :func:`_cauchy_rows`, and its points take the barycentric formula of
-    ``_fourier._cheb_table``.  The rest are summed directly, one full row
-    each: points in sparser panels, on panels whose F0 fails the tail check
-    (the last two coefficients within ``_TABLE_TAIL`` of its largest
-    value), and beyond |x| = 2^52 h, where panels no longer have distinct
-    centers.  The check reads F0 alone, so the value and gradient routes
-    choose alike.  Nodes and points are measured from their panel's center
-    c: a node row is d = ((c - x_k) + o)/sigma for the node offset o, so a
-    sample far from 0 loses no digits.  Returns None unless the rows, 25
-    per table plus one per direct point, are fewer than the n/2 of the
-    symmetric direct sum.
+    [p h, (p + 1) h], p = floor(x/h); above ``_DIRECT_MAX`` points, one
+    holding more than ``_TABLE_NODES`` points gets a table, whose node rows
+    come from :func:`_cauchy_rows`, and its points take the barycentric
+    formula of ``_fourier._cheb_table``.  Every other point is summed
+    directly, one full row each, in a single :func:`_cauchy_rows` call:
+    points in sparser panels, on panels whose F0 fails the tail check (the
+    last two coefficients within ``_TABLE_TAIL`` of its largest value), and
+    beyond |x| = 2^52 h, where panels no longer have distinct centers.  A
+    table's 25 rows cost less than the more than 25 rows it replaces.  The
+    check reads F0 alone, so the value and gradient routes choose alike and
+    give the same s0.  Nodes and points are measured from their panel's
+    center c: a node row is d = ((c - x_k) + o)/sigma for the node offset
+    o, so a sample far from 0 loses no digits.  On n = 5000 stable samples
+    (alpha 0.5 to 1.95, kappa 1 to 10) the sums were within 8.3e-16 (s0)
+    and 5.3e-16 (s1) relative of the full-matrix sums.
     """
     n = x.size
-    h = float(kappa) * float(sigma)
-    inside = np.flatnonzero(np.abs(x) < 2.0**52 * h)
-    panels, which, counts = np.unique(
-        np.floor(x[inside] / h), return_inverse=True, return_counts=True
-    )
-    dense = counts > _TABLE_NODES
-    tabled = dense[which]
-    if _TABLE_NODES * np.count_nonzero(dense) + n - np.count_nonzero(tabled) >= n / 2:
-        return None
-    centers = h * (panels[dense] + 0.5)
-    offsets = 0.5 * h * _CHEB_X
-    at_nodes = _cauchy_rows(
-        np.repeat(centers, _TABLE_NODES), x, sigma, kappa, grad,
-        shift=np.tile(offsets, centers.size),
-    )
-    tables = tuple(None if f is None else f.reshape(centers.size, -1) for f in at_nodes)
-    points = inside[tabled]
-    panel = (np.cumsum(dense) - 1)[which[tabled]]
-    ok, sums = _cheb_table(
-        tables, np.broadcast_to(offsets, tables[0].shape), x[points] - centers[panel], panel,
-        _TABLE_TAIL * np.max(tables[0], axis=1),
-    )
     direct = np.ones(n, dtype=bool)
-    direct[points[ok[panel]]] = False
+    s0 = s1 = 0.0
+    dense = np.zeros(0, dtype=bool)
+    if n > _DIRECT_MAX:
+        h = float(kappa) * float(sigma)
+        inside = np.flatnonzero(np.abs(x) < 2.0**52 * h)
+        panels, which, counts = np.unique(
+            np.floor(x[inside] / h), return_inverse=True, return_counts=True
+        )
+        dense = counts > _TABLE_NODES
+    if np.any(dense):
+        tabled = dense[which]
+        centers = h * (panels[dense] + 0.5)
+        offsets = 0.5 * h * _CHEB_X
+        at_nodes = _cauchy_rows(
+            np.repeat(centers, _TABLE_NODES), x, sigma, kappa, grad,
+            shift=np.tile(offsets, centers.size),
+        )
+        tables = tuple(None if f is None else f.reshape(centers.size, -1) for f in at_nodes)
+        points = inside[tabled]
+        panel = (np.cumsum(dense) - 1)[which[tabled]]
+        ok, sums = _cheb_table(
+            tables, np.broadcast_to(offsets, tables[0].shape), x[points] - centers[panel], panel,
+            _TABLE_TAIL * np.max(tables[0], axis=1),
+        )
+        direct[points[ok[panel]]] = False
+        s0 = float(np.sum(sums[0]))
+        s1 = float(np.sum(sums[1])) if grad else 0.0
     rows = _cauchy_rows(x[direct], x, sigma, kappa, grad)
-    s0 = float(np.sum(sums[0])) + float(np.sum(rows[0]))
-    return s0, float(np.sum(sums[1])) + float(np.sum(rows[1])) if grad else 0.0
+    return s0 + float(np.sum(rows[0])), s1 + float(np.sum(rows[1])) if grad else 0.0
 
 
 def _pair_sums(x, sigma, weight, grad):
     """sum_jk W0(d_jk) and, with ``grad``, sum_jk W0'(d_jk) d_jk, d_jk = (x_j - x_k)/sigma.
 
-    With the ``exp_abs`` weight and more than ``_DIRECT_MAX`` points, both
-    come from the Chebyshev table in x of :func:`_pair_table` where it pays:
-    on n = 5000 stable samples (alpha 0.5 to 1.95, kappa 1 to 10) they were
-    within 8.3e-16 (s0) and 5.3e-16 (s1) relative of the full-matrix sums,
-    where the symmetric sum below can miss them by 1.3e-15.  Otherwise both
-    summands are even in d, so each row block [start, stop) of at most
-    ``_BLOCK_CELLS`` pairs (as in ``_fourier._grid_sums``) is summed over
-    its own square of columns [start, stop) once and over the columns
-    [stop, n) twice: about n^2/2 pairs, in bounded memory.  Up to n = 512
-    one block holds every row, the square is the whole matrix and nothing
-    is doubled.  The sums still run over every cell of the square, in row
-    order: only the density evaluations inside :func:`_w0_and_deriv` are
-    shared between mirrored cells, so the sums are those of the full square
-    to the last bit.
+    With the ``exp_abs`` weight both come from :func:`_pair_table`.  With
+    an ``exp_power`` weight both summands are even in d, so each row block
+    [start, stop) of at most ``_BLOCK_CELLS`` pairs (as in
+    ``_fourier._grid_sums``) is summed over its own square of columns
+    [start, stop) once and over the columns [stop, n) twice: about n^2/2
+    density evaluations, in bounded memory.  Up to n = 512 one block holds
+    every row, the square is the whole matrix and nothing is doubled.  The
+    sums still run over every cell of the square, in row order: only the
+    density evaluations inside :func:`_w0_and_deriv` are shared between
+    mirrored cells, so the sums are those of the full square to the last
+    bit.
     """
+    if weight.kind == "exp_abs":
+        return _pair_table(x, sigma, weight.kappa_or_nu, grad)
     n = x.size
-    if weight.kind == "exp_abs" and n > _DIRECT_MAX:
-        sums = _pair_table(x, sigma, weight.kappa_or_nu, grad)
-        if sums is not None:
-            return sums
     s0 = s1 = 0.0
     block = max(1, _BLOCK_CELLS // n)
     for start in range(0, n, block):
@@ -718,9 +715,9 @@ def q_objective(data, params, weight, grad=False):
     W0, W1, W2 the weighted cosine integrals; all three are evaluated
     against the characteristic-function envelope, so heavy outliers are
     exact rather than aliased.  The pair sum over W0 comes from
-    :func:`_pair_sums`: with the weight exp(-kappa|t|) and more than 750
-    points, from a Chebyshev table in x where it pays, within about 1e-15
-    relative of the direct sum.  With ``grad=True`` also returns dQ/dtheta;
+    :func:`_pair_sums`: with the weight exp(-kappa|t|), from full rows and,
+    above 750 points, a Chebyshev table in x, within about 1e-15 relative
+    of the full-matrix sum.  With ``grad=True`` also returns dQ/dtheta;
     without it only the value's transform W1 is formed (see
     ``_fourier.cos_transforms``), and Q is the one returned with ``grad`` to
     the last bit.  With the weight exp(-kappa|t|), n*Q is the test

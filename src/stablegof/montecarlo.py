@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ValueError("hypothesis must be 'H1' or 'H2'")
         if self.estimator not in ("mle", "eise"):
             raise ValueError("estimator must be 'mle' or 'eise'")
-        if not all(k > 0 for k in self.kappas):
-            raise ValueError("kappas must be positive")
+        if not all(0 < k < math.inf for k in self.kappas):
+            raise ValueError("kappas must be finite and positive")
         if not all(0 < xi < 1 for xi in self.xis):
             raise ValueError("xis must lie in (0, 1)")
 

@@ -433,6 +433,18 @@ def test_simulate_bad_section_exits_2_before_any_replication(cache, tmp_path, mo
     assert "bad experiment section [exp]" in capsys.readouterr().err
 
 
+def test_simulate_infinite_kappa_exits_2_before_any_replication(cache, tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(cli, "simulate_critical", no_run)
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text("[exp]\nn = 20\nalpha = 1.5\nkappas = 2.5, inf\nreplications = 100\n")
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
+    assert "kappas must be finite and positive" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
 TWO_SECTIONS = {
     "first": "n = 20\nalpha = 1.5\nkappas = 2.5\nhypothesis = H2\nreplications = 100\nseed = 3\n",
     "second": "n = 20\nalpha = 1.2\nkappas = 1, 2.5\nhypothesis = H2\nreplications = 100\nseed = 4\n",

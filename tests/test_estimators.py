@@ -686,10 +686,11 @@ def test_q_objective_w2_moments_match_mpmath(monkeypatch, alpha, weight):
 def test_pair_sums_memory_bounded():
     # 5000 x 5000 differences: rows of 1024 at a time peaked at 156 MB (273
     # MB with the gradient); blocks of 2^18 pairs peak at 6 MB (10 MB), in
-    # the symmetric direct sum and in the table's rows alike
+    # the table's node rows and in the direct rows alike
     x = rand_stable(0.9, 5000, np.random.default_rng(11))
     w = WeightSpec("exp_abs", 1.0)
-    # the first sample takes the table; the pay rule refuses the second
+    # the first sample takes the table; the second has no panel of more
+    # than 25 points, so every point is a direct row
     for sample in (x, 1000.0 * x):
         for grad, limit in ((False, 16), (True, 24)):
             tracemalloc.start()
@@ -699,16 +700,15 @@ def test_pair_sums_memory_bounded():
             finally:
                 tracemalloc.stop()
             assert peak < limit * 2**20
-    assert estimators._pair_table(x, 1.0, 1.0, False) is not None
-    assert estimators._pair_table(1000.0 * x, 1.0, 1.0, False) is None
 
 
 def one_call_w0_and_deriv(d, weight, grad):
-    """Reference copy of ``_w0_and_deriv`` before the dedupe of |d|.
+    """Reference W0 and W0' of every weight, cell by cell.
 
-    The exp_power branch runs ``pdf_batch`` once over every cell of ``d``,
-    mirrored and repeated differences included, and forms W0' even without
-    ``grad``.
+    The exp_abs branch is the closed form 2 kappa/(kappa^2 + d^2).  The
+    exp_power branch is ``_w0_and_deriv`` before the dedupe of |d|: it runs
+    ``pdf_batch`` once over every cell of ``d``, mirrored and repeated
+    differences included, and forms W0' even without ``grad``.
     """
     if weight.kind == "exp_abs":
         k = weight.kappa_or_nu
@@ -766,7 +766,7 @@ def test_w0_from_distinct_differences_over_blocks(monkeypatch):
 
 
 def full_matrix_pair_sums(x, sigma, weight, grad):
-    """Reference copy of ``_pair_sums`` before the symmetric block sum.
+    """Reference pair sums: ``_pair_sums`` before the symmetric block sum.
 
     Sums W0 (and W0' d) over every (j, k) pair, row block by row block, with
     no use of the symmetry d_kj = -d_jk, and one density call per cell.
@@ -792,7 +792,11 @@ def full_matrix_pair_sums(x, sigma, weight, grad):
     ],
 )
 def test_pair_sums_in_one_block_match_full_matrix_exactly(n, weight):
+    # exp_abs sums full rows, each in its own order: close, not exact
     x = 2.0 + 3.0 * rand_stable(1.2, n, np.random.default_rng(n))
+    if weight.kind == "exp_abs":
+        assert_pair_sums_close(x, 3.1, weight, 2e-15)
+        return
     for grad in (False, True):
         assert _pair_sums(x, 3.1, weight, grad) == full_matrix_pair_sums(x, 3.1, weight, grad)
 
@@ -805,9 +809,7 @@ def test_pair_sums_over_blocks_match_full_matrix(monkeypatch):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     x = rand_stable(0.9, 5000, np.random.default_rng(12))
-    # the table, then the symmetric direct sum where the pay rule refuses
-    # the table: about 2 points per panel of 1.3
-    assert estimators._pair_table(1000.0 * x, 1.3, 1.0, False) is None
+    # the table, then direct rows only: no panel 1.3 wide holds 26 points
     for sample in (x, 1000.0 * x):
         check(sample, WeightSpec("exp_abs", 1.0))
     # the exp_power pair sum at n = 5000 takes minutes (pdf_batch on 25M
@@ -816,18 +818,6 @@ def test_pair_sums_over_blocks_match_full_matrix(monkeypatch):
     x = rand_stable(1.5, 200, np.random.default_rng(13))
     for weight in (WeightSpec("exp_abs", 5.0), WeightSpec("exp_power", 1.0, 1.5)):
         check(x, weight)
-
-
-def pair_table_calls(monkeypatch):
-    """Record what every ``_pair_table`` call returns."""
-    results, pair_table = [], estimators._pair_table
-
-    def recording(*args):
-        results.append(pair_table(*args))
-        return results[-1]
-
-    monkeypatch.setattr(estimators, "_pair_table", recording)
-    return results
 
 
 def assert_pair_sums_close(x, sigma, weight, rtol):
@@ -843,22 +833,37 @@ def assert_pair_sums_close(x, sigma, weight, rtol):
 def test_pair_table_matches_the_full_matrix(alpha, monkeypatch):
     # largest relative errors seen: 8.3e-16 in s0, 5.3e-16 in s1
     x = 2.0 + 3.0 * rand_stable(alpha, 5000, np.random.default_rng(int(100 * alpha)))
-    results = pair_table_calls(monkeypatch)
+    calls = cauchy_rows_calls(monkeypatch)
     for kappa in (1.0, 2.5, 10.0):
         assert_pair_sums_close(x, 2.9, WeightSpec("exp_abs", kappa), 2e-15)
-    assert len(results) == 6 and None not in results
+    # node rows, then direct rows, in each of the six sums
+    assert len(calls) == 12 and all(z.size % 25 == 0 for z in calls[::2])
 
 
 def test_pair_sums_of_at_most_750_points_keep_the_direct_sums(monkeypatch):
     x = rand_stable(1.5, 751, np.random.default_rng(14))
     w = WeightSpec("exp_abs", 1.0)
-    results = pair_table_calls(monkeypatch)
-    got = [_pair_sums(x[:750], 1.0, w, grad) for grad in (False, True)]
-    assert results == []
+    cauchy_rows = estimators._cauchy_rows
+    calls = cauchy_rows_calls(monkeypatch)
+    for grad in (False, True):
+        rows = cauchy_rows(x[:750], x[:750], 1.0, 1.0, grad)
+        want = (float(np.sum(rows[0])), float(np.sum(rows[1])) if grad else 0.0)
+        assert _pair_sums(x[:750], 1.0, w, grad) == want
+    assert [z.size for z in calls] == [750, 750]
+    # one point more builds a table: its node rows come first
     _pair_sums(x, 1.0, w, False)
-    assert results[0] is not None
-    monkeypatch.setattr(estimators, "_pair_table", lambda *args: None)
-    assert got == [_pair_sums(x[:750], 1.0, w, grad) for grad in (False, True)]
+    assert len(calls) == 4 and calls[2].size % 25 == 0
+
+
+@pytest.mark.parametrize("n", [30, 100, 750])
+def test_pair_sums_of_few_points_build_no_table(n, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(estimators, "_cheb_table", no_table)
+    x = 2.0 + 3.0 * rand_stable(1.2, n, np.random.default_rng(n))
+    for kappa in (1.0, 2.5, 10.0):
+        assert_pair_sums_close(x, 0.7, WeightSpec("exp_abs", kappa), 2e-15)
 
 
 def cauchy_rows_calls(monkeypatch):
@@ -911,10 +916,11 @@ def test_pair_table_takes_a_nodes_value(monkeypatch):
 
 
 def test_pair_table_does_not_pay_on_sparse_panels(monkeypatch):
+    # one point per panel: no table, and every point a direct row
     x = 10.0 * np.arange(5000.0)
-    results = pair_table_calls(monkeypatch)
+    calls = cauchy_rows_calls(monkeypatch)
     assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 1.0), 1e-14)
-    assert results == [None, None]
+    assert [z.size for z in calls] == [5000, 5000]
 
 
 def test_pair_table_refused_on_every_panel_sums_every_point_directly(monkeypatch):

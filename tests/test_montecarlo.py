@@ -54,6 +54,9 @@ def test_config_validation():
         ExperimentConfig(n=50, alpha=1.5, kappas=(1.0,), replications=10)
     with pytest.raises(ValueError):
         ExperimentConfig(n=50, alpha=1.5, kappas=(-1.0,))
+    for kappa in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="kappas must be finite and positive"):
+            ExperimentConfig(n=50, alpha=1.5, kappas=(2.5, kappa))
     with pytest.raises(ValueError):
         ExperimentConfig(n=50, alpha=1.5, kappas=(1.0,), hypothesis="H3")
     with pytest.raises(ValueError):
