@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .stable_core import StableParams, DensityEval, cf, cf_grad, pdf, pdf_batch, rand_stable
 from .estimators import (
-    FisherInfo,
     EiseMatrices,
     WeightSpec,
     FitResult,

@@ -17,6 +17,7 @@ no worker outlives the command, whether it succeeds or fails.
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import hashlib
 import math
@@ -30,7 +31,7 @@ from scipy import optimize
 
 from . import __version__
 from .errors import DataError, NumericsError, SeriesDivergenceError
-from .estimators import WeightSpec, eise_fit, eise_matrices, fisher_info, mle_fit
+from .estimators import WeightSpec, _restricted_inverse, eise_fit, eise_matrices, fisher_info, mle_fit
 from .ecf_test import test_statistic
 from .inversion import cdf_dk, cdf_dk_with_bound, default_inversion_config, quantile_dk
 from .kernels import make_kernel
@@ -164,8 +165,7 @@ def cmd_estimate(args):
     print(f"alpha_hat    {p.alpha:.6g}" + ("  (boundary)" if fit.boundary_alpha else ""))
     se = None
     if args.fix_alpha is None and fit.estimator == "mle" and p.alpha < 2.0:
-        i11, i22, _, i33 = fisher_info(p.alpha).inverse_entries()
-        se = np.sqrt(np.array([i11, i22, i33]) / n)
+        se = np.sqrt(np.diag(_restricted_inverse(fisher_info(p.alpha), 3)) / n)
     elif args.fix_alpha is None and fit.estimator == "eise":
         # the standard errors belong to the weight the fit used
         se = np.sqrt(np.diag(eise_matrices(p.alpha, weight).J) / n)
@@ -404,7 +404,7 @@ def _section_rows(name, sec, seed):
     except (ValueError, TypeError, configparser.Error) as exc:
         raise DataError(f"bad experiment section [{name}]: {exc}")
     if seed is not None:
-        config = ExperimentConfig(**{**config.__dict__, "seed": seed})
+        config = dataclasses.replace(config, seed=seed)
     if config.alternative is None:
         res = simulate_critical(config)
         return [

@@ -13,7 +13,10 @@ into the covariance kernels: the Fisher information matrix (one fixed
 composite Gauss-Legendre rule over the half line, split at the tail-series
 crossover, with every node's density from one ``pdf_batch`` call and the
 rule at half the panel width as its error check) and the A/H/J matrices
-plus the B constants of the EISE influence functions.
+plus the B constants of the EISE influence functions.  Both I and A are
+block diagonal over (mu, sigma, alpha), and one restricted inverse serves
+every covariance: all three parameters free, or alpha fixed, where the
+inverse covers (mu, sigma) only and its alpha row and column are zero.
 """
 
 from dataclasses import dataclass
@@ -44,7 +47,6 @@ from .errors import DataError, NonConvergenceError, QuadratureError
 from .stable_core import StableParams, pdf_batch, _crossover, _safe_log_abs, _tail_series
 
 __all__ = [
-    "FisherInfo",
     "EiseMatrices",
     "WeightSpec",
     "FitResult",
@@ -63,39 +65,24 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FisherInfo:
-    """Fisher information entries of (mu, sigma, alpha) at the standard case.
+def _restricted_inverse(m, free):
+    """Inverse of block-diagonal ``m``'s leading ``free`` x ``free`` block, zero-padded to 3 x 3.
 
-    The matrix is block diagonal: I12 = I13 = 0 by symmetry of the density.
+    ``m`` is diag(m11, [[m22, m23], [m23, m33]]) over (mu, sigma, alpha).
+    ``free`` = 3 inverts all of it by the 2 x 2 block's closed form;
+    ``free`` = 2 inverts diag(m11, m22), alpha fixed, and reads only that
+    block.  Raises ValueError when the block is not positive definite.
     """
-
-    I11: float
-    I22: float
-    I23: float
-    I33: float
-    alpha: float
-
-    def matrix(self):
-        return np.array(
-            [
-                [self.I11, 0.0, 0.0],
-                [0.0, self.I22, self.I23],
-                [0.0, self.I23, self.I33],
-            ]
-        )
-
-    def inverse_entries(self):
-        """(I^11, I^22, I^23, I^33) of the inverse matrix."""
-        return _inverse_entries(self.matrix())
-
-
-def _inverse_entries(m):
-    """(M^11, M^22, M^23, M^33) of the inverse of a positive-definite block-diagonal 3x3 ``m``."""
-    det = m[1, 1] * m[2, 2] - m[1, 2] ** 2
+    if free == 3:
+        det, adj = m[1, 1] * m[2, 2] - m[1, 2] ** 2, [[m[2, 2], -m[1, 2]], [-m[1, 2], m[1, 1]]]
+    else:
+        det, adj = m[1, 1], [[1.0]]
     if det <= 0 or m[0, 0] <= 0:
         raise ValueError("block-diagonal matrix not positive definite")
-    return 1.0 / m[0, 0], m[2, 2] / det, -m[1, 2] / det, m[1, 1] / det
+    v = np.zeros((3, 3))
+    v[0, 0] = 1.0 / m[0, 0]
+    v[1:free, 1:free] = np.divide(adj, det)
+    return v
 
 
 # dyadic levels of the Fisher rule: toward x = 0 on [0, xc], toward v = 0 on the tail map
@@ -124,17 +111,19 @@ def _fisher_rule(alpha, xc, halve):
 
 @lru_cache(maxsize=128)
 def fisher_info(alpha):
-    """Fisher information of the standard symmetric stable law.
+    """Fisher information of the standard symmetric stable law, a read-only 3 x 3 array.
 
-    Entries are E[h_i h_j] with the score functions expressed through the
-    density derivatives, integrated over the half line (the integrands are
-    even) by one fixed composite Gauss-Legendre rule whose nodes all go
-    through a single :func:`~stablegof.stable_core.pdf_batch` call.  The
-    rule splits at the tail-series crossover xc: on [0, xc] its panels are
-    graded dyadically toward 0 (down to xc 2^-14) and at most 1 wide; on
-    [xc, inf) it integrates over v with x = xc v^(-1/alpha), where the
-    integrand is bounded with a log^2 v end at v = 0, on panels graded
-    dyadically down to 2^-40.
+    Rows and columns are (mu, sigma, alpha); the matrix is block diagonal
+    (I12 = I13 = 0 by symmetry of the density).  Entries are E[h_i h_j]
+    with the score functions expressed through the density derivatives,
+    integrated over the half line (the integrands are even) by one fixed
+    composite Gauss-Legendre rule whose nodes all go through a single
+    :func:`~stablegof.stable_core.pdf_batch` call.  The rule splits at the
+    tail-series crossover xc: on [0, xc] its panels are graded dyadically
+    toward 0 (down to xc 2^-14) and at most 1 wide; on [xc, inf) it
+    integrates over v with x = xc v^(-1/alpha), where the integrand is
+    bounded with a log^2 v end at v = 0, on panels graded dyadically down
+    to 2^-40.
 
     The same rule at half the panel width is the error check: the finer
     result is returned, and :class:`~stablegof.errors.QuadratureError` is
@@ -171,7 +160,9 @@ def fisher_info(alpha):
         raise QuadratureError(
             f"fisher_info: half-width error estimate {err:.3g} too large at alpha={alpha}"
         )
-    return FisherInfo(I11=vals[0], I22=vals[1], I23=vals[2], I33=vals[3], alpha=alpha)
+    info = np.array([[vals[0], 0.0, 0.0], [0.0, vals[1], vals[2]], [0.0, vals[2], vals[3]]])
+    info.setflags(write=False)
+    return info
 
 
 def fisher_location_scale(alpha):
@@ -183,8 +174,8 @@ def fisher_location_scale(alpha):
     """
     if alpha == 2.0:
         return 0.5, 2.0
-    fi = fisher_info(alpha)
-    return fi.I11, fi.I22
+    info = fisher_info(alpha)
+    return info[0, 0], info[1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +223,6 @@ class EiseMatrices:
     Balpha: float
     alpha: float
     weight: WeightSpec
-
-    def a_inverse_entries(self):
-        """(A^11, A^22, A^23, A^33) of the inverse of A."""
-        return _inverse_entries(self.A)
 
 
 def _inner_values(alpha, weight, s):
@@ -310,8 +297,8 @@ def eise_matrices(alpha, weight):
     h00, h11, h22 = np.sum(g * s * m[:, 0]), alpha**2 * np.sum(gsa * c2), np.sum(gsa * ls * c3)
     h12 = 0.5 * alpha * (np.sum(gsa * ls * c2) + np.sum(gsa * c3))
     H = np.array([[h00, 0, 0], [0, h11, h12], [0, h12, h22]])
-    ainv = np.linalg.inv(A)
-    J = ainv @ H @ ainv.T
+    ainv = _restricted_inverse(A, 3)
+    J = ainv @ H @ ainv
     for mat in (A, H, J):
         mat.setflags(write=False)
     return EiseMatrices(A=A, H=H, J=J, Bsigma=alpha * b0, Balpha=b1, alpha=alpha, weight=weight)

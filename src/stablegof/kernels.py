@@ -19,16 +19,17 @@ S(m) = [[a^2 m22, a m23], [a m23, m33]]:
     EISE  B_e = [[1, -r', 0], [-r, -S(J), S(V)], [0, S(V), 0]], r = (a p, q)',
           B_o = [[-J11, V11], [V11, 0]]
 
-V holds the entries of the inverse of the estimator's matrix (the Fisher
-matrix I for MLE, A for EISE), J = A^-1 H A^-1 is indexed
-(mu, sigma, alpha) = (1, 2, 3), and p = Bs V22 + Ba V23, q = Bs V23 + Ba V33
-with the EISE B constants Bs, Ba.  The EISE factors read M1-M3 from one
-cubic spline in |s| (see :class:`KernelSpec`).  A fixed alpha (``mle_h2``,
-``eise_fixed``) zeroes V23, V33 and J's alpha row and column.  Even and odd
-factors never share a term, so under (s, t) -> (-s, -t) the odd factors'
-signs cancel in pairs and Gamma is even bit for bit;
-:func:`~stablegof.spectral.discretize` builds its Nystrom blocks from the
-factors at the nodes.
+V is the inverse of the estimator's matrix (the Fisher matrix I for MLE,
+A for EISE) over the free parameters, zero-padded to 3 x 3 and indexed
+(mu, sigma, alpha) = (1, 2, 3): all three for the H1 kinds, (mu, sigma)
+for the fixed-alpha kinds ``mle_h2`` and ``eise_fixed``, where V23 and V33
+are zero.  J = V H V, so a fixed alpha also zeroes J's alpha row and
+column, and p = Bs V22 + Ba V23, q = Bs V23 + Ba V33 with the EISE B
+constants Bs, Ba.  The EISE factors read M1-M3 from one cubic spline in
+|s| (see :class:`KernelSpec`).  Even and odd factors never share a term,
+so under (s, t) -> (-s, -t) the odd factors' signs cancel in pairs and
+Gamma is even bit for bit; :func:`~stablegof.spectral.discretize` builds
+its Nystrom blocks from the factors at the nodes.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import block_diag
 
-from .estimators import _inner_values, eise_matrices, fisher_info, fisher_location_scale
+from .estimators import (_inner_values, _restricted_inverse, eise_matrices, fisher_info,
+                         fisher_location_scale)
 from .stable_core import _safe_log_abs, cf, cf_grad
 
 __all__ = [
@@ -125,31 +127,25 @@ def make_kernel(kind, alpha, kappa=1.0, weight=None):
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; choose from {KERNEL_KINDS}")
 
-    def block(m22, m23, m33):
+    def block(m):
         # S(m) of the module docstring: the sigma gradient carries a factor alpha
-        return np.array([[alpha**2 * m22, alpha * m23], [alpha * m23, m33]])
+        return m[1:, 1:] * np.array([[alpha**2, alpha], [alpha, 1.0]])
 
-    if kind == "mle_h1":
-        v11, v22, v23, v33 = fisher_info(alpha).inverse_entries()
-    elif kind == "mle_h2":
-        i11, i22 = fisher_location_scale(alpha)
-        v11, v22, v23, v33 = 1.0 / i11, 1.0 / i22, 0.0, 0.0
+    free = 3 if kind.endswith("h1") else 2
     if kind.startswith("mle"):
-        b_even = block_diag(1.0, block(v22, v23, v33))
-        return KernelSpec(kind, alpha, kappa, b_even, np.array([[v11]]))
+        info = fisher_info(alpha) if free == 3 else np.diag(fisher_location_scale(alpha))
+        V = _restricted_inverse(info, free)
+        return KernelSpec(kind, alpha, kappa, block_diag(1.0, block(V)), V[:1, :1])
     if weight is None:
         raise ValueError(f"{kind} kernel needs a WeightSpec")
     em = eise_matrices(alpha, weight)
-    if kind == "eise_h1":
-        (v11, v22, v23, v33), J = em.a_inverse_entries(), em.J
-    else:
-        v11, v22, v23, v33 = 1.0 / em.A[0, 0], 1.0 / em.A[1, 1], 0.0, 0.0
-        J = np.diag([em.H[0, 0] * v11**2, em.H[1, 1] * v22**2, 0.0])
-    p, q = em.Bsigma * v22 + em.Balpha * v23, em.Bsigma * v23 + em.Balpha * v33
-    b_even = block_diag(1.0, -block(J[1, 1], J[1, 2], J[2, 2]), np.zeros((2, 2)))
+    V = _restricted_inverse(em.A, free)
+    J = V @ em.H @ V
+    p, q = em.Bsigma * V[1, 1] + em.Balpha * V[1, 2], em.Bsigma * V[1, 2] + em.Balpha * V[2, 2]
+    b_even = block_diag(1.0, -block(J), np.zeros((2, 2)))
     b_even[0, 1:3] = b_even[1:3, 0] = -alpha * p, -q
-    b_even[1:3, 3:] = b_even[3:, 1:3] = block(v22, v23, v33)
-    b_odd = np.array([[-J[0, 0], v11], [v11, 0.0]])
+    b_even[1:3, 3:] = b_even[3:, 1:3] = block(V)
+    b_odd = np.array([[-J[0, 0], V[0, 0]], [V[0, 0], 0.0]])
     grid = np.linspace(0.0, _S_MAX, _N_GRID)
     inner = CubicSpline(grid, _inner_values(alpha, weight, grid))
     return KernelSpec(kind, alpha, kappa, b_even, b_odd, inner)

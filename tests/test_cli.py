@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import shutil
 
 import numpy as np
@@ -12,6 +13,7 @@ from stablegof import cli
 from stablegof import montecarlo as mc
 from stablegof.cli import cached_spectrum, critical_values, main, read_column
 from stablegof.ecf_test import test_statistic
+from stablegof.errors import NumericsError, SeriesDivergenceError
 from stablegof.estimators import WeightSpec, eise_matrices, fisher_info, mle_fit
 from stablegof.inversion import cdf_dk, cdf_dk_with_bound, default_inversion_config, quantile_dk
 from stablegof.kernels import make_kernel
@@ -53,7 +55,7 @@ def test_estimate_reports_information_se(cache, cauchy_file, capsys):
     alpha_hat = float(fields["alpha_hat"].split()[0])
     assert abs(alpha_hat - 1.0) < 0.15
     # reported alpha SE tracks the information bound at the fitted exponent
-    inv = np.linalg.inv(fisher_info(alpha_hat).matrix())
+    inv = np.linalg.inv(fisher_info(alpha_hat))
     want = math.sqrt(inv[2, 2] / 200)
     assert abs(float(fields["se(alpha_hat)"]) - want) < 1e-6
 
@@ -61,17 +63,22 @@ def test_estimate_reports_information_se(cache, cauchy_file, capsys):
 def test_estimate_eise_se_uses_the_fit_weight(cache, tmp_path, capsys):
     path = tmp_path / "x.txt"
     np.savetxt(path, rand_stable(1.0, 60, np.random.default_rng(8)))
-    assert main(["estimate", str(path), "--estimator", "eise"]) == 0
-    fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
-    alpha_hat = float(fields["alpha_hat"].split()[0])
-    # without --bar-alpha the fit weight is exp_power(nu, 1.5), not exp_power(nu, alpha_hat)
-    j = eise_matrices(alpha_hat, WeightSpec("exp_power", 1.0, 1.5)).J
-    assert float(fields["se(alpha_hat)"]) == pytest.approx(math.sqrt(j[2, 2] / 60), rel=1e-5)
+    cases = [
+        # without --bar-alpha the fit weight is exp_power(nu, 1.5), not exp_power(nu, alpha_hat)
+        ([], WeightSpec("exp_power", 1.0, 1.5)),
+        (["--weight-kind", "exp_abs"], WeightSpec("exp_abs", 1.0)),
+    ]
+    for extra, weight in cases:
+        assert main(["estimate", str(path), "--estimator", "eise", *extra]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+        alpha_hat = float(fields["alpha_hat"].split()[0])
+        j = eise_matrices(alpha_hat, weight).J
+        assert float(fields["se(alpha_hat)"]) == pytest.approx(math.sqrt(j[2, 2] / 60), rel=1e-5)
 
-    assert main(["estimate", str(path), "--estimator", "eise", "--fix-alpha", "1.0"]) == 0
-    out = capsys.readouterr().out
-    assert "no asymptotic covariance reported" in out
-    assert "se(alpha_hat)" not in out
+        assert main(["estimate", str(path), "--estimator", "eise", "--fix-alpha", "1.0", *extra]) == 0
+        out = capsys.readouterr().out
+        assert "no asymptotic covariance reported" in out
+        assert "se(alpha_hat)" not in out
 
 
 def test_estimate_input_failures(cache, tmp_path, capsys):
@@ -138,6 +145,29 @@ def test_h2_table_accepts_the_normal_endpoint(cache, tmp_path):
     rows = table_rows(out)
     assert len(rows) == 2
     assert np.all(np.isfinite(rows))
+
+
+def test_table_keeps_the_cells_that_did_not_fail(cache, tmp_path, monkeypatch, capsys):
+    real = cli.cached_spectrum
+
+    def second_cell_fails(kind, alpha, kappa, n):
+        if alpha == 1.5:
+            raise NumericsError("eigensolve did not converge")
+        return real(kind, alpha, kappa, n)
+
+    monkeypatch.setattr(cli, "cached_spectrum", second_cell_fails)
+    out = tmp_path / "t.csv"
+    argv = ["table", "--alphas", "1.0,1.5", "--kappas", "2.5", "--nodes", "64", "-o", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "cell (alpha=1.5, kappa=2.5) failed: eigensolve did not converge" in captured.err
+    assert "(PARTIAL)" in captured.out
+    assert "# partial=True" in out.read_text().splitlines()
+    rows = table_rows(out)
+    assert rows.shape == (len(TEST_LEVELS), 5)
+    assert np.all(rows[:, :2] == [1.0, 2.5])
+    cfg = default_inversion_config(real("mle_h1", 1.0, 2.5, 64)[0])
+    assert np.allclose(rows[:, 3], [quantile_dk(xi, cfg) for xi in TEST_LEVELS], rtol=1e-9, atol=0)
 
 
 def test_table_test_cycle_and_cache_determinism(cache, cauchy_file, tmp_path, capsys):
@@ -337,6 +367,50 @@ def test_plugin_threshold_and_p_value_come_from_the_alpha_hat_cell(cache, cauchy
     assert fields["p_value"] == f"{1.0 - cdf_dk(d, want):.6g}"
 
 
+def test_p_value_below_the_series_range_is_a_lower_bound():
+    # the series cannot evaluate F this deep in the left tail, so the p-value
+    # is 1 - F at the first point d * 1.1^k where it can, marked '>'
+    cfg = default_inversion_config(build_spectrum(make_kernel("mle_h1", 0.8, 1.0), 200))
+    mean = cfg.spectrum.trace_sum(cfg.m)
+    d = 0.05 * mean
+    x = d
+    while True:
+        try:
+            f = cdf_dk(x, cfg)
+            break
+        except SeriesDivergenceError:
+            x *= 1.1
+    assert x > d
+    text = cli._p_value(d, cfg)
+    assert text == f">{1.0 - f:.6g}" == ">0.941058"
+    # a valid lower bound: the walk stops below 0.6 E[D], so 1 - F there is smaller
+    assert float(text[1:]) >= 1.0 - cdf_dk(0.6 * mean, cfg)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--kappa", "2.5"], ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "2"]],
+    ids=["H1_plugin", "H2_normal"],
+)
+def test_test_prints_the_machine_fields_for_people(cache, cauchy_file, capsys, argv):
+    assert main(["test", str(cauchy_file), *argv, "--machine"]) == 0
+    fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
+    assert main(["test", str(cauchy_file), *argv]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith(f"weighted-L2 stable GOF test ({fields['hypothesis']}, kappa=2.5, ")
+    assert lines[1] == (f"fit: mu={fields['mu_hat']} sigma={fields['sigma_hat']} "
+                        f"alpha={fields['alpha_hat']}")
+    assert lines[2] == f"statistic D = {fields['statistic']}"
+    assert lines[3] == f"p-value {fields['p_value']}"
+    for line, xi in zip(lines[4:], TEST_LEVELS, strict=True):
+        pct = int(xi * 100)
+        decision = "REJECT" if fields[f"reject_{pct}"] == "True" else "accept"
+        assert line == f"{pct}% critical value {fields[f'critical_{pct}']} -> {decision}"
+    # Cauchy data fit the stable family and are far from normal
+    want = "False" if "H2" not in argv else "True"
+    assert all(fields[f"reject_{int(xi * 100)}"] == want for xi in TEST_LEVELS)
+
+
 def test_sup_range_is_at_least_every_cell_of_its_range(cache):
     # at kappa = 2.5, q(alpha) is not monotone on [1.3, 1.8]: it falls to a
     # minimum near alpha = 1.72 and rises again
@@ -492,6 +566,24 @@ def test_simulate_runs_its_sections_on_one_pool(cache, tmp_path, recorded_experi
         assert together.keys() == apart.keys()
         assert all(np.array_equal(together[k], apart[k]) for k in together)
     assert multiprocessing.active_children() == []
+
+
+def test_simulate_seed_overrides_every_section_seed(cache, tmp_path):
+    both = tmp_path / "both.ini"
+    both.write_text("".join(f"[{name}]\n{body}\n" for name, body in TWO_SECTIONS.items()))
+    assert main(["simulate", str(both), "--seed", "11", "-o", str(tmp_path / "override.csv")]) == 0
+    written = tmp_path / "written.ini"
+    bodies = {name: re.sub(r"seed = \d+", "seed = 11", body) for name, body in TWO_SECTIONS.items()}
+    written.write_text("".join(f"[{name}]\n{body}\n" for name, body in bodies.items()))
+    assert written.read_text().count("seed = 11") == 2
+    assert main(["simulate", str(written), "-o", str(tmp_path / "written.csv")]) == 0
+    override = (tmp_path / "override.csv").read_text().splitlines()
+    assert "# seed=11" in override
+    rows = data_rows(tmp_path / "override.csv")
+    assert rows == data_rows(tmp_path / "written.csv")
+    assert {row.split(",")[0] for row in rows[1:]} == set(TWO_SECTIONS)
+    assert main(["simulate", str(both), "-o", str(tmp_path / "own.csv")]) == 0
+    assert data_rows(tmp_path / "own.csv") != rows
 
 
 def test_simulate_bad_second_section_exits_2_and_leaves_no_worker(cache, tmp_path, capsys, recorded_experiments):

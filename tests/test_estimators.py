@@ -22,9 +22,9 @@ from stablegof._fourier import (
 from stablegof.ecf_test import test_statistic
 from stablegof.errors import DataError, NonConvergenceError, NumericsError, QuadratureError
 from stablegof.estimators import (
-    EiseMatrices,
     WeightSpec,
     _fisher_rule,
+    _restricted_inverse,
     _logf_lookup,
     _pair_sums,
     _w0_and_deriv,
@@ -151,10 +151,10 @@ def closed_form_cauchy_info():
 def test_fisher_cauchy_closed_forms():
     fi = fisher_info(1.0)
     i11, i22, i23, i33 = closed_form_cauchy_info()
-    assert abs(fi.I11 - i11) < 1e-12
-    assert abs(fi.I22 - i22) < 1e-12
-    assert abs(fi.I23 - i23) < 1e-12
-    assert abs(fi.I33 - i33) < 1e-12
+    assert abs(fi[0, 0] - i11) < 1e-12
+    assert abs(fi[1, 1] - i22) < 1e-12
+    assert abs(fi[1, 2] - i23) < 1e-12
+    assert abs(fi[2, 2] - i33) < 1e-12
 
 
 def adaptive_fisher_info(alpha):
@@ -181,7 +181,7 @@ def adaptive_fisher_info(alpha):
 @pytest.mark.parametrize("alpha, rtol", [(0.5, 5e-9), (0.8, 5e-11), (1.5, 5e-11), (1.9, 5e-11)])
 def test_fisher_matches_adaptive_quadrature_over_pdf(alpha, rtol):
     fi = fisher_info(alpha)
-    got = np.array([fi.I11, fi.I22, fi.I23, fi.I33])
+    got = np.array([fi[0, 0], fi[1, 1], fi[1, 2], fi[2, 2]])
     want = adaptive_fisher_info(alpha)
     assert np.all(np.abs(got - want) <= rtol * np.abs(want))
 
@@ -212,17 +212,17 @@ def test_fisher_needs_no_per_point_quadrature(monkeypatch, fresh_fisher_cache):
 
     monkeypatch.setattr(stable_core, "_qawo_sums", no_quad)
     fi = fisher_info(1.5)
-    assert fi.I11 > 0 and fi.I22 > 0 and fi.I33 > 0
+    assert fi[0, 0] > 0 and fi[1, 1] > 0 and fi[2, 2] > 0
 
 
 def test_fisher_continuity_near_cauchy():
     i11, i22, i23, i33 = closed_form_cauchy_info()
     for alpha in (0.999, 1.001):
         fi = fisher_info(alpha)
-        assert abs(fi.I11 / i11 - 1) < 0.01
-        assert abs(fi.I22 / i22 - 1) < 0.01
-        assert abs(fi.I23 / i23 - 1) < 0.01
-        assert abs(fi.I33 / i33 - 1) < 0.01
+        assert abs(fi[0, 0] / i11 - 1) < 0.01
+        assert abs(fi[1, 1] / i22 - 1) < 0.01
+        assert abs(fi[1, 2] / i23 - 1) < 0.01
+        assert abs(fi[2, 2] / i33 - 1) < 0.01
 
 
 def test_fisher_rejects_gaussian_endpoint():
@@ -237,9 +237,10 @@ def test_fisher_location_scale_gaussian():
 
 def test_fisher_matrix_positive_definite():
     for alpha in (0.8, 1.5, 1.8):
-        m = fisher_info(alpha).matrix()
+        m = fisher_info(alpha)
         assert np.all(np.linalg.eigvalsh(m) > 0)
         assert m[0, 1] == m[0, 2] == 0.0
+        assert np.array_equal(m, m.T) and not m.flags.writeable
 
 
 def old_gl_panels(edges):
@@ -259,23 +260,39 @@ def test_fisher_rule_is_bit_identical_to_its_own_panel_map(alpha, halve, monkeyp
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def restricted_inverse_closed_form(m, free):
+    """The inverse entries, zero-padded, in the closed forms ``make_kernel`` spelled out per kind."""
+    if free == 2:
+        return np.array([[1.0 / m[0, 0], 0, 0], [0, 1.0 / m[1, 1], 0], [0, 0, 0]])
+    det = m[1, 1] * m[2, 2] - m[1, 2] ** 2
+    v23 = -m[1, 2] / det
+    return np.array([[1.0 / m[0, 0], 0, 0], [0, m[2, 2] / det, v23], [0, v23, m[1, 1] / det]])
+
+
 def test_inverse_entries_are_bit_identical_to_the_closed_forms():
-    fi = fisher_info(1.5)
-    det = fi.I22 * fi.I33 - fi.I23**2
-    want = (1.0 / fi.I11, fi.I33 / det, -fi.I23 / det, fi.I22 / det)
-    assert np.array_equal(fi.inverse_entries(), want)
-    em = eise_matrices(1.3, WeightSpec("exp_power", 1.0, 1.5))
-    A = em.A
-    det = A[1, 1] * A[2, 2] - A[1, 2] ** 2
-    want = (1.0 / A[0, 0], A[2, 2] / det, -A[1, 2] / det, A[1, 1] / det)
-    assert np.array_equal(em.a_inverse_entries(), want)
+    for m in (fisher_info(1.5), eise_matrices(1.3, WeightSpec("exp_power", 1.0, 1.5)).A):
+        for free in (2, 3):
+            v = _restricted_inverse(m, free)
+            assert np.array_equal(v, restricted_inverse_closed_form(m, free))
+            assert np.array_equal(v, v.T)
+            # the inverse of the free block: V M is the identity on the free rows and columns
+            np.testing.assert_allclose((v @ m)[:free, :free], np.eye(free), atol=1e-13)
+    # with alpha fixed a (mu, sigma) matrix is enough, as make_kernel passes for mle_h2
+    assert np.array_equal(_restricted_inverse(np.diag([0.5, 2.0]), 2), np.diag([2.0, 0.5, 0.0]))
 
 
 def test_a_inverse_refuses_an_indefinite_matrix():
-    em = eise_matrices(1.3, WeightSpec("exp_power", 1.0, 1.5))
-    bad = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError, match="not positive definite"):
-        EiseMatrices(bad, em.H, em.J, em.Bsigma, em.Balpha, em.alpha, em.weight).a_inverse_entries()
+    cases = [
+        (np.diag([1.0, 1.0, -1.0]), 3),
+        (np.array([[1.0, 0, 0], [0, 1.0, 2.0], [0, 2.0, 1.0]]), 3),
+        (np.diag([1.0, -1.0, 1.0]), 2),
+        (np.diag([0.0, 1.0, 1.0]), 2),
+    ]
+    for bad, free in cases:
+        with pytest.raises(ValueError, match="not positive definite"):
+            _restricted_inverse(bad, free)
+    # with alpha fixed, alpha's row and column are not read
+    assert np.array_equal(_restricted_inverse(np.diag([1.0, 4.0, -1.0]), 2), np.diag([1.0, 0.25, 0.0]))
 
 
 def test_weight_values_are_bit_identical_to_the_one_term_formula():

@@ -174,17 +174,28 @@ def old_gamma_eise(s, t, a, inv_entries, J, em, inner):
     return np.exp(-np.abs(t - s) ** a) - e_pp + (jbr + bbr) * e_pp + cross
 
 
+def closed_form_inverse_entries(m):
+    """(M^11, M^22, M^23, M^33) of a positive-definite block-diagonal 3x3 ``m``, in closed form."""
+    det = m[1, 1] * m[2, 2] - m[1, 2] ** 2
+    return 1.0 / m[0, 0], m[2, 2] / det, -m[1, 2] / det, m[1, 1] / det
+
+
 def old_coefficients(kind, alpha, weight=None):
     """(inverse entries, J, EiseMatrices) as the package's ``make_kernel`` built them
-    before the factor form; J and the matrices are None for the MLE kinds."""
+    before the factor form; J and the matrices are None for the MLE kinds.
+
+    Each kind's formula is spelled out here on its own, the fixed-alpha
+    ones included, and J = A^-1 H A^-1 comes from a general matrix inverse.
+    """
     if kind == "mle_h1":
-        return fisher_info(alpha).inverse_entries(), None, None
+        return closed_form_inverse_entries(fisher_info(alpha)), None, None
     if kind == "mle_h2":
         i11, i22 = fisher_location_scale(alpha)
         return (1.0 / i11, 1.0 / i22, 0.0, 0.0), None, None
     em = eise_matrices(alpha, weight)
     if kind == "eise_h1":
-        return em.a_inverse_entries(), em.J, em
+        ainv = np.linalg.inv(em.A)
+        return closed_form_inverse_entries(em.A), ainv @ em.H @ ainv.T, em
     inv = (1.0 / em.A[0, 0], 1.0 / em.A[1, 1], 0.0, 0.0)
     return inv, np.diag([em.H[0, 0] * inv[0] ** 2, em.H[1, 1] * inv[1] ** 2, 0.0]), em
 
@@ -291,7 +302,7 @@ def test_cauchy_specialization():
 
 def test_fixed_alpha_kernel_drops_exponent_terms():
     # zeroing the I23/I33 inverse entries in the H1 kernel's B_e gives the H2 kernel
-    inv = fisher_info(1.5).inverse_entries()
+    inv = closed_form_inverse_entries(fisher_info(1.5))
     h1 = make_kernel("mle_h1", 1.5)
     b_even = h1.b_even.copy()
     b_even[1:, 2] = b_even[2, 1:] = 0.0
@@ -400,7 +411,7 @@ def test_gamma_eise_positive_semidefinite(eise_spec, eise_fixed_spec):
 
 
 def test_gamma_efficient_properties():
-    fi = np.linalg.inv(fisher_info(1.5).matrix())
+    fi = np.linalg.inv(fisher_info(1.5))
     p = StableParams(0.0, 1.0, 1.5)
     rng = np.random.default_rng(6)
     s, t = rng.uniform(-5, 5, 50), rng.uniform(-5, 5, 50)
@@ -415,7 +426,7 @@ def test_gamma_efficient_properties():
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_gamma_efficient_specializes_to_mle(alpha):
-    fi_mat = np.linalg.inv(fisher_info(alpha).matrix())
+    fi_mat = np.linalg.inv(fisher_info(alpha))
     p = StableParams(0.0, 1.0, alpha)
     rng = np.random.default_rng(7)
     s, t = rng.uniform(-10, 10, 300), rng.uniform(-10, 10, 300)
