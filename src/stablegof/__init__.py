@@ -9,21 +9,19 @@ by eigenvalue analysis of the limiting covariance kernels.
 
 __version__ = "0.1.0"
 
-from .stable_core import StableParams, DensityEval, cf, cf_grad, pdf, pdf_batch, rand_stable
+from .stable_core import StableParams, cf, pdf, pdf_batch, rand_stable
 from .estimators import (
     EiseMatrices,
     WeightSpec,
     FitResult,
     fisher_info,
-    fisher_location_scale,
     eise_matrices,
     mle_fit,
     eise_fit,
-    loglik,
     q_objective,
 )
-from .ecf_test import TestOutcome, ecf, test_statistic
-from .kernels import KernelSpec, make_kernel, gamma, gamma_efficient
+from .ecf_test import TestOutcome, test_statistic
+from .kernels import KernelSpec, make_kernel, gamma
 from .spectral import Spectrum, discretize, eigen_spectrum, build_spectrum
 from .inversion import (
     InversionConfig,

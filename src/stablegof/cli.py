@@ -6,7 +6,10 @@ $STABLEGOF_CACHE (default ~/.cache/stablegof) keyed by kernel kind, alpha,
 kappa, node count and a digest of the package's sources, so reruns are
 bit-identical and a code change never reads an old entry.  Every
 output file starts with a comment manifest recording the resolved
-parameters, the seed and the cache entries used.  ``test`` computes its
+parameters, the seed and the cache entries used.  ``estimate`` prints
+asymptotic standard errors from the fitted estimator's covariance: of mu,
+sigma and alpha when alpha is free, of mu and sigma under --fix-alpha, and
+none when alpha_hat is at its bound 2.  ``test`` computes its
 critical values from the spectra it needs, as ``table`` does for a grid,
 and reads no table file: the cell at alpha_hat (or at alpha0 under H2), or
 a search over alpha for the sup methods.  ``simulate`` runs every
@@ -31,7 +34,7 @@ from scipy import optimize
 
 from . import __version__
 from .errors import DataError, NumericsError, SeriesDivergenceError
-from .estimators import WeightSpec, _restricted_inverse, eise_fit, eise_matrices, fisher_info, mle_fit
+from .estimators import WeightSpec, _covariance, eise_fit, mle_fit
 from .ecf_test import test_statistic
 from .inversion import cdf_dk, cdf_dk_with_bound, default_inversion_config, quantile_dk
 from .kernels import make_kernel
@@ -147,6 +150,7 @@ def _manifest_lines(subcommand, params, spectra=()):
 
 def cmd_estimate(args):
     x = read_column(args.input)
+    weight = None
     if args.estimator == "mle":
         fit = mle_fit(x, fix_alpha=args.fix_alpha)
     else:
@@ -163,18 +167,17 @@ def cmd_estimate(args):
     print(f"mu_hat       {p.mu:.6g}")
     print(f"sigma_hat    {p.sigma:.6g}")
     print(f"alpha_hat    {p.alpha:.6g}" + ("  (boundary)" if fit.boundary_alpha else ""))
-    se = None
-    if args.fix_alpha is None and fit.estimator == "mle" and p.alpha < 2.0:
-        se = np.sqrt(np.diag(_restricted_inverse(fisher_info(p.alpha), 3)) / n)
-    elif args.fix_alpha is None and fit.estimator == "eise":
-        # the standard errors belong to the weight the fit used
-        se = np.sqrt(np.diag(eise_matrices(p.alpha, weight).J) / n)
-    if se is None:
-        print("se            boundary or fixed alpha: no asymptotic covariance reported")
+    if fit.boundary_alpha:
+        print("se            alpha at its bound 2: no asymptotic covariance reported")
     else:
+        # the standard errors belong to the weight the fit used
+        free = 3 if args.fix_alpha is None else 2
+        _, J, _ = _covariance(p.alpha, free, weight)
+        se = np.sqrt(np.diag(J) / n)
         print(f"se(mu_hat)    {p.sigma * se[0]:.6g}")
         print(f"se(sigma_hat) {p.sigma * se[1]:.6g}")
-        print(f"se(alpha_hat) {se[2]:.6g}")
+        if free == 3:
+            print(f"se(alpha_hat) {se[2]:.6g}")
     print(f"converged    {fit.converged} after {fit.n_iter} iterations")
     print(f"objective    {fit.objective:.8g}")
     return 0
@@ -468,7 +471,9 @@ def build_parser():
     p = _Parser(prog="stablegof", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("estimate", help="fit (mu, sigma, alpha) to a data file")
+    q = sub.add_parser("estimate", help="fit (mu, sigma, alpha) to a data file",
+                       description="Standard errors: of mu, sigma and alpha when alpha is free, of mu "
+                       "and sigma under --fix-alpha, none when alpha_hat is at its bound 2.")
     q.add_argument("input")
     q.add_argument("--estimator", choices=("mle", "eise"), default="mle")
     q.add_argument("--fix-alpha", type=float, default=None)

@@ -24,7 +24,7 @@ from .errors import DataError
 from .estimators import WeightSpec, _check_spread, q_objective
 from .stable_core import StableParams
 
-__all__ = ["TestOutcome", "ecf", "test_statistic"]
+__all__ = ["TestOutcome", "test_statistic"]
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,6 @@ class TestOutcome:
     fitted: StableParams
     kappa: float
     n: int
-
-
-def ecf(t, standardized):
-    """Empirical characteristic function (1/n) sum_j exp(i t y_j)."""
-    y = np.asarray(standardized, dtype=float).ravel()
-    if y.size == 0:
-        raise DataError("empirical characteristic function of an empty sample")
-    t = np.asarray(t, dtype=float)
-    return np.exp(1j * np.multiply.outer(t, y)).mean(axis=-1)
 
 
 def test_statistic(data, fitted, kappa):

@@ -14,9 +14,12 @@ composite Gauss-Legendre rule over the half line, split at the tail-series
 crossover, with every node's density from one ``pdf_batch`` call and the
 rule at half the panel width as its error check) and the A/H/J matrices
 plus the B constants of the EISE influence functions.  Both I and A are
-block diagonal over (mu, sigma, alpha), and one restricted inverse serves
-every covariance: all three parameters free, or alpha fixed, where the
-inverse covers (mu, sigma) only and its alpha row and column are zero.
+block diagonal over (mu, sigma, alpha).  One helper, ``_covariance``,
+turns them into each estimator's asymptotic covariance, V = I^-1 (MLE) or
+V = A^-1 with J = V H V (EISE), through one restricted inverse: all three
+parameters free, or alpha fixed, where the inverse covers (mu, sigma) only
+and its alpha row and column are zero.  The covariance kernels and the
+``estimate`` command's standard errors both read it.
 """
 
 from dataclasses import dataclass
@@ -51,11 +54,9 @@ __all__ = [
     "WeightSpec",
     "FitResult",
     "fisher_info",
-    "fisher_location_scale",
     "eise_matrices",
     "mle_fit",
     "eise_fit",
-    "loglik",
     "q_objective",
 ]
 
@@ -165,19 +166,6 @@ def fisher_info(alpha):
     return info
 
 
-def fisher_location_scale(alpha):
-    """(I11, I22) of the location-scale submodel; valid up to alpha = 2.
-
-    With alpha fixed the information matrix of (mu, sigma) is
-    diag(I11, I22); at alpha = 2 the stable member is N(mu, 2 sigma^2),
-    giving the closed forms 1/2 and 2.
-    """
-    if alpha == 2.0:
-        return 0.5, 2.0
-    info = fisher_info(alpha)
-    return info[0, 0], info[1, 1]
-
-
 # ----------------------------------------------------------------------
 # EISE weight and asymptotic matrices
 # ----------------------------------------------------------------------
@@ -221,8 +209,6 @@ class EiseMatrices:
     J: np.ndarray
     Bsigma: float
     Balpha: float
-    alpha: float
-    weight: WeightSpec
 
 
 def _inner_values(alpha, weight, s):
@@ -301,7 +287,30 @@ def eise_matrices(alpha, weight):
     J = ainv @ H @ ainv
     for mat in (A, H, J):
         mat.setflags(write=False)
-    return EiseMatrices(A=A, H=H, J=J, Bsigma=alpha * b0, Balpha=b1, alpha=alpha, weight=weight)
+    return EiseMatrices(A=A, H=H, J=J, Bsigma=alpha * b0, Balpha=b1)
+
+
+def _covariance(alpha, free, weight=None):
+    """(V, J, em) of the estimator over the ``free`` leading parameters of (mu, sigma, alpha).
+
+    J is the asymptotic covariance of sqrt(n) (theta_hat - theta) at the
+    standard law (sigma = 1); V is the inverse the covariance kernels read.
+    The MLE (``weight`` None) has V = J = I^-1, with I from
+    :func:`fisher_info`, or at alpha = 2 with alpha fixed the N(0, 2) closed
+    forms I11 = 1/2, I22 = 2; ``em`` is None.  The EISE under ``weight`` has
+    V = A^-1 and J = V H V, with ``em`` the :func:`eise_matrices` they come
+    from (the EISE kernels read its B constants too).  Both inverses are
+    :func:`_restricted_inverse`: ``free`` = 3 covers all three parameters,
+    ``free`` = 2 (alpha fixed) only (mu, sigma), with alpha's row and column
+    zero.
+    """
+    if weight is not None:
+        em = eise_matrices(alpha, weight)
+        V = _restricted_inverse(em.A, free)
+        return V, V @ em.H @ V, em
+    info = np.diag([0.5, 2.0]) if alpha == 2.0 and free == 2 else fisher_info(alpha)
+    V = _restricted_inverse(info, free)
+    return V, V, None
 
 
 # ----------------------------------------------------------------------
@@ -470,13 +479,6 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
         why = f"scale at its lower bound {_SIGMA_MIN:g}" if floored else res.message
         raise NonConvergenceError(f"{estimator.upper()} did not converge: {why}", best=result)
     return result
-
-
-def loglik(data, params):
-    """Mean log-likelihood of a symmetric stable sample."""
-    y = params.standardize(data)
-    f, _, _ = pdf_batch(y, params.alpha)
-    return float(np.mean(np.log(np.maximum(f, 1e-300)))) - math.log(params.sigma)
 
 
 def _check_spread(x, sigma):

@@ -1,8 +1,15 @@
 """Asymptotic covariance kernels of the ECF process with estimated parameters.
 
 Each kernel is the covariance of the limiting Gaussian process of the ECF
-distance.  Every kind has the shape of the paper's efficient-estimator
-formula, a stationary part minus a low-rank part, evaluated by :func:`gamma`:
+distance.  For an efficient estimator of a family with characteristic
+function Phi, the paper's general formula is
+
+    Gamma(s, t) = Phi(s - t) - Phi(s) conj(Phi(t)) - grad Phi(s)' I^-1 conj(grad Phi(t)),
+
+the complex covariance with the inverse information I^-1 (the tests keep
+it as the oracle of the MLE kinds).  Every kind here is real and has the
+same shape, a stationary part minus a low-rank part, evaluated by
+:func:`gamma`:
 
     Gamma(s, t) = C(s - t) - u_e(s)' B_e u_e(t) - u_o(s)' B_o u_o(t),
 
@@ -19,14 +26,15 @@ S(m) = [[a^2 m22, a m23], [a m23, m33]]:
     EISE  B_e = [[1, -r', 0], [-r, -S(J), S(V)], [0, S(V), 0]], r = (a p, q)',
           B_o = [[-J11, V11], [V11, 0]]
 
-V is the inverse of the estimator's matrix (the Fisher matrix I for MLE,
-A for EISE) over the free parameters, zero-padded to 3 x 3 and indexed
-(mu, sigma, alpha) = (1, 2, 3): all three for the H1 kinds, (mu, sigma)
-for the fixed-alpha kinds ``mle_h2`` and ``eise_fixed``, where V23 and V33
-are zero.  J = V H V, so a fixed alpha also zeroes J's alpha row and
-column, and p = Bs V22 + Ba V23, q = Bs V23 + Ba V33 with the EISE B
-constants Bs, Ba.  The EISE factors read M1-M3 from one cubic spline in
-|s| (see :class:`KernelSpec`).  Even and odd factors never share a term,
+V and J come from ``estimators._covariance``.  V is the inverse of the
+estimator's matrix (the Fisher matrix I for MLE, A for EISE) over the free
+parameters, zero-padded to 3 x 3 and indexed (mu, sigma, alpha) =
+(1, 2, 3): all three for the H1 kinds, (mu, sigma) for the fixed-alpha
+kinds ``mle_h2`` and ``eise_fixed``, where V23 and V33 are zero.  J = V H V,
+so a fixed alpha also zeroes J's alpha row and column, and
+p = Bs V22 + Ba V23, q = Bs V23 + Ba V33 with the EISE B constants Bs, Ba.
+The EISE factors read M1-M3 from one cubic spline in |s| (see
+:class:`KernelSpec`).  Even and odd factors never share a term,
 so under (s, t) -> (-s, -t) the odd factors' signs cancel in pairs and
 Gamma is even bit for bit; :func:`~stablegof.spectral.discretize` builds
 its Nystrom blocks from the factors at the nodes.
@@ -38,37 +46,17 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import block_diag
 
-from .estimators import (_inner_values, _restricted_inverse, eise_matrices, fisher_info,
-                         fisher_location_scale)
-from .stable_core import _safe_log_abs, cf, cf_grad
+from .estimators import _covariance, _inner_values
+from .stable_core import _safe_log_abs
 
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
     "make_kernel",
     "gamma",
-    "gamma_efficient",
 ]
 
 KERNEL_KINDS = ("mle_h1", "mle_h2", "eise_h1", "eise_fixed")
-
-
-def gamma_efficient(s, t, params, fisher_inverse):
-    """General efficient-estimator kernel (complex, Hermitian).
-
-    Gamma(s,t) = Phi(s-t) - Phi(s) conj(Phi(t))
-               - grad Phi(s)' I^-1 conj(grad Phi(t))
-    for any family with characteristic function ``cf`` and an efficient
-    estimator whose asymptotic covariance is the inverse information
-    ``fisher_inverse`` (p x p).  Complex-valued, so no :data:`KERNEL_KINDS`
-    entry: the paper's general formula and the tests' oracle for the MLE kernels.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    gs = np.stack(cf_grad(s, params))
-    gt = np.stack(cf_grad(t, params))
-    quad_form = np.einsum("i...,ij,j...->...", gs, np.asarray(fisher_inverse), np.conj(gt))
-    return cf(s - t, params) - cf(s, params) * np.conj(cf(t, params)) - quad_form
 
 
 # s-grid of the inner-integral spline; |s| beyond _S_MAX reads the last node
@@ -133,14 +121,11 @@ def make_kernel(kind, alpha, kappa=1.0, weight=None):
 
     free = 3 if kind.endswith("h1") else 2
     if kind.startswith("mle"):
-        info = fisher_info(alpha) if free == 3 else np.diag(fisher_location_scale(alpha))
-        V = _restricted_inverse(info, free)
+        V, _, _ = _covariance(alpha, free)
         return KernelSpec(kind, alpha, kappa, block_diag(1.0, block(V)), V[:1, :1])
     if weight is None:
         raise ValueError(f"{kind} kernel needs a WeightSpec")
-    em = eise_matrices(alpha, weight)
-    V = _restricted_inverse(em.A, free)
-    J = V @ em.H @ V
+    V, J, em = _covariance(alpha, free, weight)
     p, q = em.Bsigma * V[1, 1] + em.Balpha * V[1, 2], em.Bsigma * V[1, 2] + em.Balpha * V[2, 2]
     b_even = block_diag(1.0, -block(J), np.zeros((2, 2)))
     b_even[0, 1:3] = b_even[1:3, 0] = -alpha * p, -q

@@ -87,7 +87,6 @@ class ExperimentConfig:
 class SimulatedCritical:
     """Empirical upper quantiles of the statistic with order-statistic SEs."""
 
-    config: ExperimentConfig
     quantiles: dict
     n_failures: int
     statistics: dict = field(repr=False, default_factory=dict)
@@ -97,7 +96,6 @@ class SimulatedCritical:
 class PowerResult:
     """Rejection rates against an alternative, with binomial SEs."""
 
-    config: ExperimentConfig
     rates: dict
     n_failures: int
 
@@ -280,9 +278,7 @@ def simulate_critical(config):
     quantiles = {
         (k, xi): _order_quantile(stats[k], xi) for k in config.kappas for xi in config.xis
     }
-    return SimulatedCritical(
-        config=config, quantiles=quantiles, n_failures=failures, statistics=stats
-    )
+    return SimulatedCritical(quantiles=quantiles, n_failures=failures, statistics=stats)
 
 
 def power_study(config, critical_values):
@@ -309,4 +305,4 @@ def power_study(config, critical_values):
         for xi in config.xis:
             p = float(np.mean(arr[:, i] > critical_values[(k, xi)]))
             rates[(k, xi)] = (p, math.sqrt(p * (1.0 - p) / r))
-    return PowerResult(config=config, rates=rates, n_failures=failures)
+    return PowerResult(rates=rates, n_failures=failures)

@@ -12,9 +12,11 @@ alpha-derivatives are computed by Fourier inversion
 
 for moderate |x| and by the algebraic tail expansion in powers of
 x^(-k*alpha-1) beyond a per-alpha crossover; at alpha = 2 the normal closed
-forms then replace f and f'.  ``pdf_batch`` takes the inversion integrals
-from ``_fourier``'s shared grid, ``pdf`` (and ``pdf_batch`` where that grid
-would be too large) from ``_fourier``'s one QAWO routine, point by point.
+forms then replace f and f'.  Both density functions return the tuple
+(f, f', f_alpha): ``pdf`` as floats at one point, ``pdf_batch`` as arrays.
+``pdf_batch`` takes the inversion integrals from ``_fourier``'s shared
+grid, ``pdf`` (and ``pdf_batch`` where that grid would be too large) from
+``_fourier``'s one QAWO routine, point by point.
 The location/scale derivatives follow from the identities f_mu = -f' and
 f_sigma = -f - x f'.
 """
@@ -30,9 +32,7 @@ from ._fourier import _DENSITY_QAWO, _LOG_EPS, _grid_sums, _qawo_sums
 
 __all__ = [
     "StableParams",
-    "DensityEval",
     "cf",
-    "cf_grad",
     "pdf",
     "pdf_batch",
     "rand_stable",
@@ -58,19 +58,6 @@ class StableParams:
         return (np.asarray(x, dtype=float) - self.mu) / self.sigma
 
 
-@dataclass(frozen=True)
-class DensityEval:
-    """Standard-case density value and derivatives at one point.
-
-    ``f`` is f(x; alpha), ``fprime`` the x-derivative and ``falpha`` the
-    alpha-derivative.
-    """
-
-    f: float
-    fprime: float
-    falpha: float
-
-
 def cf(t, params):
     """Characteristic function exp(i*mu*t - |sigma*t|^alpha)."""
     t = np.asarray(t, dtype=float)
@@ -80,24 +67,6 @@ def cf(t, params):
 def _safe_log_abs(a):
     """log(a) where a > 0 and 0 elsewhere, elementwise and without a warning; a is an |x|."""
     return np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), 0.0)
-
-
-def cf_grad(t, params):
-    """Gradient of the characteristic function in (mu, sigma, alpha).
-
-    At t = 0 the formulas give 0 for all three components, their limits:
-    the alpha component carries |sigma t|^alpha log|sigma t|, and
-    ``_safe_log_abs`` reads the log there as 0.
-    """
-    t = np.asarray(t, dtype=float)
-    mu, sigma, alpha = params.mu, params.sigma, params.alpha
-    at = np.abs(sigma * t)
-    ata, lat = at**alpha, _safe_log_abs(at)
-    base = np.exp(1j * mu * t - ata)
-    d_mu = 1j * t * base
-    d_sigma = -base * ata * alpha / sigma
-    d_alpha = -base * ata * lat
-    return d_mu, d_sigma, d_alpha
 
 
 # ----------------------------------------------------------------------
@@ -303,14 +272,14 @@ def _gaussian_f_fp(x):
 def pdf(x, alpha):
     """Standard symmetric stable density with derivatives at a point.
 
-    Returns a :class:`DensityEval` holding f(x; alpha), the x-derivative and
-    the alpha-derivative.  Inversion integrals run at 1e-11 relative
-    tolerance; the tail series takes over above the per-alpha crossover.
-    Raises ``ValueError`` for alpha outside (0, 2] and
-    :class:`~stablegof.errors.QuadratureError` if the adaptive rule fails.
+    Returns the floats (f, f', f_alpha), as :func:`pdf_batch` returns
+    arrays: f(x; alpha), its x-derivative and its alpha-derivative.
+    Inversion integrals run at 1e-11 relative tolerance; the tail series
+    takes over above the per-alpha crossover.  Raises ``ValueError`` for
+    alpha outside (0, 2] and :class:`~stablegof.errors.QuadratureError` if
+    the adaptive rule fails.
     """
-    f, fp, fa = _density(np.array([float(x)]), alpha, _near_quad)
-    return DensityEval(float(f[0]), float(fp[0]), float(fa[0]))
+    return tuple(float(v[0]) for v in _density(np.array([float(x)]), alpha, _near_quad))
 
 
 def rand_stable(alpha, size=None, rng=None):

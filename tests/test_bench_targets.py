@@ -123,3 +123,19 @@ def test_tracer_sees_the_kernel_and_discretization_layers(tracer):
         tr.uninstall()
     assert tr.totals("kernels.make_kernel").calls == 1
     assert tr.totals("spectral.discretize").calls == 1
+
+
+def test_tracer_sees_the_covariance_inputs_of_every_kernel(tracer):
+    # the per-layer fisher_info and eise_matrices metrics read 0 if make_kernel
+    # stops reaching them through their module attributes
+    for span, args in (
+        ("estimators.fisher_info", ("mle_h1", 1.3)),
+        ("estimators.eise_matrices", ("eise_h1", 1.3, 1.0, stablegof.WeightSpec("exp_power", 1.0, 1.5))),
+    ):
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            stablegof.kernels.make_kernel(*args)
+        finally:
+            tr.uninstall()
+        assert tr.totals(span).calls >= 1, span

@@ -75,10 +75,43 @@ def test_estimate_eise_se_uses_the_fit_weight(cache, tmp_path, capsys):
         j = eise_matrices(alpha_hat, weight).J
         assert float(fields["se(alpha_hat)"]) == pytest.approx(math.sqrt(j[2, 2] / 60), rel=1e-5)
 
+        # with alpha fixed: the (mu, sigma) block of J = V H V, V = A^-1 over (mu, sigma), so
+        # J_ii = H_ii / A_ii^2; without --bar-alpha the exp_power weight takes the fixed alpha
+        fixed = weight if weight.kind == "exp_abs" else WeightSpec("exp_power", 1.0, 1.0)
         assert main(["estimate", str(path), "--estimator", "eise", "--fix-alpha", "1.0", *extra]) == 0
         out = capsys.readouterr().out
-        assert "no asymptotic covariance reported" in out
+        fields = dict(line.split(None, 1) for line in out.strip().splitlines())
+        em = eise_matrices(1.0, fixed)
+        sigma_hat = float(fields["sigma_hat"])
+        for i, name in enumerate(("se(mu_hat)", "se(sigma_hat)")):
+            want = sigma_hat * math.sqrt(em.H[i, i] / em.A[i, i] ** 2 / 60)
+            assert float(fields[name]) == pytest.approx(want, rel=2e-5)
         assert "se(alpha_hat)" not in out
+
+
+@pytest.mark.parametrize("alpha0", ["1.5", "2"])
+def test_estimate_mle_with_fixed_alpha_reports_mu_and_sigma_se(cache, cauchy_file, capsys, alpha0):
+    assert main(["estimate", str(cauchy_file), "--fix-alpha", alpha0]) == 0
+    out = capsys.readouterr().out
+    fields = dict(line.split(None, 1) for line in out.strip().splitlines())
+    # the inverse information of (mu, sigma); N(0, 2) has I11 = 1/2, I22 = 2
+    i11, i22 = (0.5, 2.0) if alpha0 == "2" else np.diag(fisher_info(float(alpha0)))[:2]
+    sigma_hat = float(fields["sigma_hat"])
+    assert float(fields["se(mu_hat)"]) == pytest.approx(sigma_hat * math.sqrt(1.0 / (i11 * 200)), rel=2e-5)
+    assert float(fields["se(sigma_hat)"]) == pytest.approx(sigma_hat * math.sqrt(1.0 / (i22 * 200)), rel=2e-5)
+    assert "se(alpha_hat)" not in out
+
+
+@pytest.mark.parametrize("estimator", ["mle", "eise"])
+def test_estimate_reports_no_se_at_the_alpha_bound(cache, tmp_path, capsys, estimator):
+    # a uniform sample is lighter-tailed than any stable law: both fits end at alpha = 2
+    path = tmp_path / "uniform.txt"
+    np.savetxt(path, np.random.default_rng(1).uniform(-1.0, 1.0, 60))
+    assert main(["estimate", str(path), "--estimator", estimator]) == 0
+    out = capsys.readouterr().out
+    assert "alpha_hat    2  (boundary)" in out
+    assert "no asymptotic covariance reported" in out
+    assert "se(" not in out
 
 
 def test_estimate_input_failures(cache, tmp_path, capsys):

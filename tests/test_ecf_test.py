@@ -1,4 +1,4 @@
-"""Empirical CF and the weighted-L2 statistic."""
+"""The weighted-L2 statistic."""
 
 import math
 import tracemalloc
@@ -9,28 +9,10 @@ import pytest
 from stablegof import _fourier, estimators
 from stablegof._fourier import _grid_sums, cos_transforms, envelope_cutoff
 from stablegof.errors import DataError, QuadratureError
-from stablegof.ecf_test import ecf, test_statistic
+from stablegof.ecf_test import test_statistic
 from stablegof.estimators import WeightSpec, mle_fit
 from stablegof.stable_core import StableParams, rand_stable
 from test_estimators import q_objective_direct
-
-
-def test_ecf_values():
-    assert ecf(0.0, [1.0, 2.0, -3.0]) == 1.0 + 0.0j
-    assert np.isclose(ecf(0.7, [2.5]), np.exp(1j * 0.7 * 2.5))
-    assert abs(ecf(math.pi / 2, [-1.0, 1.0])) < 1e-15  # cosine average at pi/2
-
-
-def test_ecf_modulus_bounded():
-    rng = np.random.default_rng(1)
-    y = rng.normal(size=40)
-    t = np.linspace(-20, 20, 101)
-    assert np.all(np.abs(ecf(t, y)) <= 1.0 + 1e-12)
-
-
-def test_ecf_empty_rejected():
-    with pytest.raises(DataError):
-        ecf(1.0, [])
 
 
 def test_statistic_requires_positive_kappa():
@@ -104,6 +86,11 @@ def test_statistic_rejects_non_finite_data():
         x = np.array([0.3, -1.2, bad, 2.0, 0.7])
         with pytest.raises(DataError):
             test_statistic(x, StableParams(0.0, 1.0, 1.5), 2.5)
+
+
+def test_statistic_rejects_an_empty_sample():
+    with pytest.raises(DataError, match="empty"):
+        test_statistic([], StableParams(0.0, 1.0, 1.5), 2.5)
 
 
 def test_far_point_quadrature_failure_raises():

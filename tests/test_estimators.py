@@ -23,6 +23,7 @@ from stablegof.ecf_test import test_statistic
 from stablegof.errors import DataError, NonConvergenceError, NumericsError, QuadratureError
 from stablegof.estimators import (
     WeightSpec,
+    _covariance,
     _fisher_rule,
     _restricted_inverse,
     _logf_lookup,
@@ -31,8 +32,6 @@ from stablegof.estimators import (
     eise_fit,
     eise_matrices,
     fisher_info,
-    fisher_location_scale,
-    loglik,
     mle_fit,
     q_objective,
 )
@@ -101,10 +100,10 @@ def tensor_h_quadrant(alpha, weight):
     return hv
 
 
-def h_entries(em):
-    """(H00, H11, H12, H22) of an EiseMatrices, divided by alpha^2 and alpha as
-    in the quadrant integrals."""
-    a, H = em.alpha, em.H
+def h_entries(em, a):
+    """(H00, H11, H12, H22) of the EiseMatrices at alpha = ``a``, divided by
+    alpha^2 and alpha as in the quadrant integrals."""
+    H = em.H
     return np.array([H[0, 0], H[1, 1] / a**2, H[1, 2] / a, H[2, 2]])
 
 
@@ -166,8 +165,7 @@ def adaptive_fisher_info(alpha):
     """
 
     def score_products(x):
-        d = pdf(x, alpha)
-        f, fp, fa = d.f, d.fprime, d.falpha
+        f, fp, fa = pdf(x, alpha)
         fs = -f - x * fp
         return np.array([fp * fp / f, fs * fs / f, fs * fa / f, fa * fa / f])
 
@@ -230,9 +228,33 @@ def test_fisher_rejects_gaussian_endpoint():
         fisher_info(2.0)
 
 
-def test_fisher_location_scale_gaussian():
-    i11, i22 = fisher_location_scale(2.0)
-    assert (i11, i22) == (0.5, 2.0)
+def test_mle_covariance_at_the_normal_endpoint_uses_the_closed_forms():
+    # with alpha = 2 fixed the law is N(mu, 2 sigma^2): I11 = 1/2, I22 = 2
+    v, j, em = _covariance(2.0, 2)
+    assert np.array_equal(v, np.diag([2.0, 0.5, 0.0])) and j is v and em is None
+    # alpha = 2 free has no information for alpha
+    with pytest.raises(ValueError):
+        _covariance(2.0, 3)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 1.9])
+def test_covariance_is_the_restricted_inverse_and_its_sandwich(alpha):
+    fi = fisher_info(alpha)
+    for free in (2, 3):
+        v, j, _ = _covariance(alpha, free)
+        assert np.array_equal(v, _restricted_inverse(fi, free)) and j is v
+    # the (mu, sigma) block of I alone gives the same bits with alpha fixed
+    assert np.array_equal(_covariance(alpha, 2)[0], _restricted_inverse(np.diag([fi[0, 0], fi[1, 1]]), 2))
+    w = WeightSpec("exp_power", 1.0, 1.5)
+    em = eise_matrices(alpha, w)
+    v, j, got = _covariance(alpha, 3, w)
+    assert got is em and np.array_equal(v, _restricted_inverse(em.A, 3))
+    assert np.array_equal(j, em.J)
+    v, j, _ = _covariance(alpha, 2, w)
+    assert np.array_equal(j, v @ em.H @ v)
+    assert j[2].tolist() == j[:, 2].tolist() == [0.0, 0.0, 0.0]
+    # with alpha fixed, J's (mu, sigma) entries are H_ii / A_ii^2
+    np.testing.assert_allclose(np.diag(j)[:2], np.diag(em.H)[:2] / np.diag(em.A)[:2] ** 2, rtol=1e-15)
 
 
 def test_fisher_matrix_positive_definite():
@@ -277,7 +299,7 @@ def test_inverse_entries_are_bit_identical_to_the_closed_forms():
             assert np.array_equal(v, v.T)
             # the inverse of the free block: V M is the identity on the free rows and columns
             np.testing.assert_allclose((v @ m)[:free, :free], np.eye(free), atol=1e-13)
-    # with alpha fixed a (mu, sigma) matrix is enough, as make_kernel passes for mle_h2
+    # with alpha fixed a (mu, sigma) matrix is enough, as _covariance passes at alpha = 2
     assert np.array_equal(_restricted_inverse(np.diag([0.5, 2.0]), 2), np.diag([2.0, 0.5, 0.0]))
 
 
@@ -365,7 +387,7 @@ def test_log_density_lookup_beyond_its_spline():
     # series, not only its first term (off by ~x^-alpha relative)
     ax = np.array([2e9, 1e12, 1e100])
     for alpha in (0.5, 1.5):
-        want = [math.log(pdf(v, alpha).f) for v in ax]
+        want = [math.log(pdf(v, alpha)[0]) for v in ax]
         [got] = _logf_lookup([alpha], ax)
         np.testing.assert_allclose(got, want, rtol=1e-13)
         # where f underflows, log f is the log of the series' first term
@@ -601,6 +623,17 @@ def test_fitters_reject_fixed_alpha_outside_range():
             eise_fit(x, WeightSpec("exp_abs", 1.0), fix_alpha=bad)
 
 
+def loglik(data, params):
+    """Mean log-likelihood of a symmetric stable sample.
+
+    The oracle of the MLE objective; moved here from ``stablegof.estimators``,
+    where no package path called it.
+    """
+    y = params.standardize(data)
+    f, _, _ = pdf_batch(y, params.alpha)
+    return float(np.mean(np.log(np.maximum(f, 1e-300)))) - math.log(params.sigma)
+
+
 def test_mle_objective_is_total_loglik():
     x = rand_stable(1.5, 100, np.random.default_rng(4))
     n = x.size
@@ -623,7 +656,7 @@ def test_mle_objective_is_total_loglik():
     ],
 )
 def test_h_matches_adaptive_quadrature(alpha, weight):
-    got = h_entries(eise_matrices(alpha, weight))
+    got = h_entries(eise_matrices(alpha, weight), alpha)
     want = 4.0 * adaptive_h_quadrant(alpha, weight)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -647,7 +680,7 @@ def test_eise_matrices_match_moments_and_tensor_rule(alpha, weight):
     assert em.Bsigma == pytest.approx(alpha * moment(alpha), rel=1e-12, abs=0)
     assert em.Balpha == pytest.approx(moment(alpha, 1), rel=1e-12, abs=0)
     hv = 4.0 * tensor_h_quadrant(alpha, weight)
-    np.testing.assert_allclose(h_entries(em), hv, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(h_entries(em, alpha), hv, rtol=1e-12, atol=0)
     assert em.H[0, 1] == em.H[0, 2] == em.A[0, 1] == em.A[0, 2] == 0.0
     want_h = np.array([[hv[0], 0, 0], [0, alpha**2 * hv[1], alpha * hv[2]], [0, alpha * hv[2], hv[3]]])
     ainv = np.linalg.inv(want_a)

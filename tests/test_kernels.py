@@ -14,18 +14,16 @@ from stablegof.estimators import (
     _inner_values,
     eise_matrices,
     fisher_info,
-    fisher_location_scale,
 )
 from stablegof.kernels import (
     KERNEL_KINDS,
     _N_GRID,
     _S_MAX,
     gamma,
-    gamma_efficient,
     make_kernel,
 )
 from stablegof.spectral import discretize, midpoint_grid
-from stablegof.stable_core import StableParams, _safe_log_abs
+from stablegof.stable_core import StableParams, _safe_log_abs, cf
 
 ACCEPT_GRID = [(a, k) for a in (1.0, 1.5, 1.8) for k in (1.0, 2.5, 5.0, 10.0)]
 
@@ -34,6 +32,52 @@ def nodes_on_the_line(n):
     """The N midpoint nodes mapped to the line by s = -sgn(x) log(1 - |x|)."""
     xi = midpoint_grid(n)
     return -np.sign(xi) * np.log1p(-np.abs(xi))
+
+
+def cf_grad(t, params):
+    """Gradient of the characteristic function in (mu, sigma, alpha).
+
+    At t = 0 the formulas give 0 for all three components, their limits:
+    the alpha component carries |sigma t|^alpha log|sigma t|, and
+    ``_safe_log_abs`` reads the log there as 0.  Moved here from
+    ``stablegof.stable_core`` with :func:`gamma_efficient`, its one caller.
+    """
+    t = np.asarray(t, dtype=float)
+    mu, sigma, alpha = params.mu, params.sigma, params.alpha
+    at = np.abs(sigma * t)
+    ata, lat = at**alpha, _safe_log_abs(at)
+    base = np.exp(1j * mu * t - ata)
+    d_mu = 1j * t * base
+    d_sigma = -base * ata * alpha / sigma
+    d_alpha = -base * ata * lat
+    return d_mu, d_sigma, d_alpha
+
+
+def gamma_efficient(s, t, params, fisher_inverse):
+    """General efficient-estimator kernel (complex, Hermitian).
+
+    Gamma(s,t) = Phi(s-t) - Phi(s) conj(Phi(t))
+               - grad Phi(s)' I^-1 conj(grad Phi(t))
+    for any family with characteristic function ``cf`` and an efficient
+    estimator whose asymptotic covariance is the inverse information
+    ``fisher_inverse`` (p x p).  The paper's general formula and the oracle
+    for the MLE kernels; moved here from ``stablegof.kernels``, where no
+    package path called it.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    gs = np.stack(cf_grad(s, params))
+    gt = np.stack(cf_grad(t, params))
+    quad_form = np.einsum("i...,ij,j...->...", gs, np.asarray(fisher_inverse), np.conj(gt))
+    return cf(s - t, params) - cf(s, params) * np.conj(cf(t, params)) - quad_form
+
+
+def location_scale_info(alpha):
+    """(I11, I22) with alpha fixed: from the Fisher matrix, or N(0, 2)'s 1/2 and 2 at alpha = 2."""
+    if alpha == 2.0:
+        return 0.5, 2.0
+    info = fisher_info(alpha)
+    return info[0, 0], info[1, 1]
 
 
 def gamma_cauchy(s, t):
@@ -190,7 +234,7 @@ def old_coefficients(kind, alpha, weight=None):
     if kind == "mle_h1":
         return closed_form_inverse_entries(fisher_info(alpha)), None, None
     if kind == "mle_h2":
-        i11, i22 = fisher_location_scale(alpha)
+        i11, i22 = location_scale_info(alpha)
         return (1.0 / i11, 1.0 / i22, 0.0, 0.0), None, None
     em = eise_matrices(alpha, weight)
     if kind == "eise_h1":
@@ -316,7 +360,7 @@ def test_fixed_alpha_kernel_drops_exponent_terms():
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 def test_mle_h2_is_h1_formula_with_zero_alpha_entries(alpha):
-    i11, i22 = fisher_location_scale(alpha)
+    i11, i22 = location_scale_info(alpha)
     rng = np.random.default_rng(9)
     s, t = rng.uniform(-15, 15, 400), rng.uniform(-15, 15, 400)
     got = gamma(s, t, make_kernel("mle_h2", alpha, 2.5))

@@ -14,7 +14,6 @@ from stablegof._fourier import _LOG_EPS, panel_grid
 from stablegof.stable_core import (
     StableParams,
     cf,
-    cf_grad,
     pdf,
     pdf_batch,
     rand_stable,
@@ -22,6 +21,7 @@ from stablegof.stable_core import (
     _near_quad,
     _tail_series,
 )
+from test_kernels import cf_grad
 
 STANDARD = {a: StableParams(0.0, 1.0, a) for a in (0.8, 1.0, 1.5, 1.8, 2.0)}
 
@@ -87,9 +87,9 @@ def test_cf_grad_matches_finite_differences():
 
 
 def test_pdf_closed_forms():
-    assert abs(pdf(0.0, 1.0).f - 1.0 / math.pi) < 1e-12
-    assert abs(pdf(0.0, 2.0).f - 1.0 / (2.0 * math.sqrt(math.pi))) < 1e-12
-    assert abs(pdf(1.0, 1.0).fprime - (-1.0 / (2.0 * math.pi))) < 1e-12
+    assert abs(pdf(0.0, 1.0)[0] - 1.0 / math.pi) < 1e-12
+    assert abs(pdf(0.0, 2.0)[0] - 1.0 / (2.0 * math.sqrt(math.pi))) < 1e-12
+    assert abs(pdf(1.0, 1.0)[1] - (-1.0 / (2.0 * math.pi))) < 1e-12
 
 
 def test_pdf_rejects_bad_alpha():
@@ -102,15 +102,15 @@ def test_pdf_rejects_bad_alpha():
 def test_pdf_matches_cauchy_everywhere():
     for x in (0.0, 0.4, 1.3, 3.0, 7.7, 15.0, 120.0):
         exact = 1.0 / (math.pi * (1.0 + x * x))
-        assert abs(pdf(x, 1.0).f - exact) < 1e-10 * exact
+        assert abs(pdf(x, 1.0)[0] - exact) < 1e-10 * exact
 
 
 def test_pdf_symmetry_exact():
     for alpha in (0.8, 1.4, 1.9):
         for x in (0.3, 2.2, 11.0):
-            assert pdf(x, alpha).f == pdf(-x, alpha).f
-            assert pdf(x, alpha).fprime == -pdf(-x, alpha).fprime
-            assert pdf(x, alpha).falpha == pdf(-x, alpha).falpha
+            assert pdf(x, alpha)[0] == pdf(-x, alpha)[0]
+            assert pdf(x, alpha)[1] == -pdf(-x, alpha)[1]
+            assert pdf(x, alpha)[2] == pdf(-x, alpha)[2]
 
 
 def _tail_mass(T, alpha, kmax=120):
@@ -130,7 +130,7 @@ def _tail_mass(T, alpha, kmax=120):
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 1.8])
 def test_density_normalization(alpha):
     T = 30.0
-    core, _ = integrate.quad(lambda x: pdf(x, alpha).f, 0.0, T, limit=300)
+    core, _ = integrate.quad(lambda x: pdf(x, alpha)[0], 0.0, T, limit=300)
     total = 2.0 * (core + _tail_mass(T, alpha))
     assert abs(total - 1.0) < 1e-5
 
@@ -149,11 +149,11 @@ def test_derivatives_match_finite_differences(alpha):
     xc = _crossover(alpha)
     points = [0.6, 2.0, 0.6 * xc, xc + 2.0, xc + 6.0]
     for x in points:
-        d = pdf(x, alpha)
-        fp_fd = (pdf(x + h, alpha).f - pdf(x - h, alpha).f) / (2 * h)
-        fa_fd = (pdf(x, alpha + h).f - pdf(x, alpha - h).f) / (2 * h)
-        assert abs(d.fprime - fp_fd) < 1e-5 * max(abs(d.fprime), 1e-6)
-        assert abs(d.falpha - fa_fd) < 1e-5 * max(abs(d.falpha), 1e-6)
+        _, fp, fa = pdf(x, alpha)
+        fp_fd = (pdf(x + h, alpha)[0] - pdf(x - h, alpha)[0]) / (2 * h)
+        fa_fd = (pdf(x, alpha + h)[0] - pdf(x, alpha - h)[0]) / (2 * h)
+        assert abs(fp - fp_fd) < 1e-5 * max(abs(fp), 1e-6)
+        assert abs(fa - fa_fd) < 1e-5 * max(abs(fa), 1e-6)
 
 
 def mpmath_series_density(x, alpha):
@@ -191,9 +191,8 @@ def test_small_alpha_density_where_qawo_reports_roundoff():
     # [0, 1] + [1, T] split runs clean
     x, alpha = 0.051474888479710317, 0.32
     want = mpmath_series_density(x, alpha)
-    d = pdf(x, alpha)
     batch = pdf_batch(np.array([x, -x]), alpha)
-    for got in ((d.f, d.fprime, d.falpha), [b[0] for b in batch]):
+    for got in (pdf(x, alpha), [b[0] for b in batch]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want[0])
     assert batch[1][0] == -batch[1][1]  # f' at x and -x
 
@@ -204,10 +203,10 @@ def test_pdf_batch_matches_scalar():
         xs = np.concatenate([rng.uniform(-6, 6, 15), rng.uniform(9, 50, 8)])
         f, fp, fa = pdf_batch(xs, alpha)
         for i, x in enumerate(xs):
-            d = pdf(x, alpha)
-            assert abs(f[i] - d.f) < 1e-8 * max(abs(d.f), 1e-12)
-            assert abs(fp[i] - d.fprime) < 1e-7 * max(abs(d.fprime), 1e-10)
-            assert abs(fa[i] - d.falpha) < 1e-7 * max(abs(d.falpha), 1e-10)
+            df, dfp, dfa = pdf(x, alpha)
+            assert abs(f[i] - df) < 1e-8 * max(abs(df), 1e-12)
+            assert abs(fp[i] - dfp) < 1e-7 * max(abs(dfp), 1e-10)
+            assert abs(fa[i] - dfa) < 1e-7 * max(abs(dfa), 1e-10)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.32])
@@ -229,8 +228,7 @@ def test_pdf_batch_quadrature_fallback_equals_pdf_bit_for_bit(monkeypatch, alpha
     batch = pdf_batch(xs, alpha)
     assert sizes == [4]
     for i, x in enumerate(xs):
-        d = pdf(x, alpha)
-        want = [v.hex() for v in (d.f, d.fprime, d.falpha)]
+        want = [v.hex() for v in pdf(x, alpha)]
         assert [float(b[i]).hex() for b in batch] == want
 
 
