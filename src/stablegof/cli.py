@@ -9,13 +9,15 @@ output file starts with a comment manifest recording the resolved
 parameters, the seed and the cache entries used.  ``estimate`` prints
 asymptotic standard errors from the fitted estimator's covariance: of mu,
 sigma and alpha when alpha is free, of mu and sigma under --fix-alpha, and
-none when alpha_hat is at its bound 2.  ``test`` computes its
-critical values from the spectra it needs, as ``table`` does for a grid,
-and reads no table file: the cell at alpha_hat (or at alpha0 under H2), or
-a search over alpha for the sup methods.  ``simulate`` runs every
-section of its config on one pool of spawned worker processes
-(``montecarlo.worker_pool``), so the workers start once per command, and
-no worker outlives the command, whether it succeeds or fails.
+none when alpha_hat is at its bound 2, then the optimizer's iteration
+count; it prints only a converged fit, and a fit that fails exits 3.
+``test`` computes its critical values from the spectra it needs, as
+``table`` does for a grid, and reads no table file: the cell at alpha_hat
+(or at alpha0 under H2), or a search over alpha for the sup methods.
+``simulate`` runs every section of its config on one pool of spawned
+worker processes (``montecarlo.worker_pool``), so the workers start once
+per command, and no worker outlives the command, whether it succeeds or
+fails.
 """
 
 import argparse
@@ -163,7 +165,7 @@ def cmd_estimate(args):
     p = fit.params
     n = len(x)
     print(f"n            {n}")
-    print(f"estimator    {fit.estimator}")
+    print(f"estimator    {args.estimator}")
     print(f"mu_hat       {p.mu:.6g}")
     print(f"sigma_hat    {p.sigma:.6g}")
     print(f"alpha_hat    {p.alpha:.6g}" + ("  (boundary)" if fit.boundary_alpha else ""))
@@ -178,7 +180,7 @@ def cmd_estimate(args):
         print(f"se(sigma_hat) {p.sigma * se[1]:.6g}")
         if free == 3:
             print(f"se(alpha_hat) {se[2]:.6g}")
-    print(f"converged    {fit.converged} after {fit.n_iter} iterations")
+    print(f"iterations   {fit.n_iter}")
     print(f"objective    {fit.objective:.8g}")
     return 0
 
@@ -273,35 +275,35 @@ def cmd_test(args):
             "alpha_hat is at the normal boundary 2, where H1 has no plug-in null law; "
             "test normality with --hypothesis H2 --alpha0 2, or use --method sup_all or sup_range"
         )
-    out = test_statistic(x, fit.params, args.kappa)
+    d = test_statistic(x, fit.params, args.kappa).statistic
     thresholds, cfg = critical_values(
         args.hypothesis, args.method, fit.params.alpha, args.kappa, args.alpha_range
     )
 
     lines = {
-        "n": out.n,
+        "n": x.size,
         "hypothesis": args.hypothesis,
-        "kappa": out.kappa,
+        "kappa": args.kappa,
         "mu_hat": f"{fit.params.mu:.6g}",
         "sigma_hat": f"{fit.params.sigma:.6g}",
         "alpha_hat": f"{fit.params.alpha:.6g}",
-        "statistic": f"{out.statistic:.6g}",
+        "statistic": f"{d:.6g}",
     }
     if cfg is not None:
-        lines["p_value"] = _p_value(out.statistic, cfg)
+        lines["p_value"] = _p_value(d, cfg)
     for xi, thr in thresholds.items():
         lines[f"critical_{int(xi * 100)}"] = f"{thr:.6g}"
-        lines[f"reject_{int(xi * 100)}"] = bool(out.statistic >= thr)
+        lines[f"reject_{int(xi * 100)}"] = bool(d >= thr)
     if args.machine:
         for k, v in lines.items():
             print(f"{k}={v}")
     else:
-        print(f"weighted-L2 stable GOF test ({args.hypothesis}, kappa={out.kappa:g}, n={out.n})")
+        print(f"weighted-L2 stable GOF test ({args.hypothesis}, kappa={args.kappa:g}, n={x.size})")
         print(
             f"fit: mu={fit.params.mu:.6g} sigma={fit.params.sigma:.6g} "
             f"alpha={fit.params.alpha:.6g}"
         )
-        print(f"statistic D = {out.statistic:.6g}")
+        print(f"statistic D = {d:.6g}")
         if cfg is not None:
             print(f"p-value {lines['p_value']}")
         for xi in TEST_LEVELS:
@@ -473,7 +475,9 @@ def build_parser():
 
     q = sub.add_parser("estimate", help="fit (mu, sigma, alpha) to a data file",
                        description="Standard errors: of mu, sigma and alpha when alpha is free, of mu "
-                       "and sigma under --fix-alpha, none when alpha_hat is at its bound 2.")
+                       "and sigma under --fix-alpha, none when alpha_hat is at its bound 2. "
+                       "'iterations' counts the L-BFGS-B iterations of the fit, which has "
+                       "converged; a fit that does not converge exits 3.")
     q.add_argument("input")
     q.add_argument("--estimator", choices=("mle", "eise"), default="mle")
     q.add_argument("--fix-alpha", type=float, default=None)

@@ -22,19 +22,15 @@ import numpy as np
 
 from .errors import DataError
 from .estimators import WeightSpec, _check_spread, q_objective
-from .stable_core import StableParams
 
 __all__ = ["TestOutcome", "test_statistic"]
 
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Observed statistic with the fit and weight that produced it."""
+    """The observed statistic D; the fit, weight and sample size are the caller's inputs."""
 
     statistic: float
-    fitted: StableParams
-    kappa: float
-    n: int
 
 
 def test_statistic(data, fitted, kappa):
@@ -66,9 +62,7 @@ def test_statistic(data, fitted, kappa):
     if not np.all(np.isfinite(x)):
         raise DataError("sample contains non-finite values")
     _check_spread(x, fitted.sigma)
-    n = x.size
-    d = n * q_objective(x, fitted, weight)
-    return TestOutcome(statistic=float(d), fitted=fitted, kappa=kappa, n=n)
+    return TestOutcome(float(x.size * q_objective(x, fitted, weight)))
 
 
 # public names that start with "test": keep pytest from collecting them in

@@ -410,15 +410,17 @@ def _grid_init(x, fix_alpha=None):
 
 @dataclass
 class FitResult:
-    """Outcome of a fit: parameters plus convergence diagnostics."""
+    """A converged fit: parameters, L-BFGS-B iterations and the final objective.
+
+    A returned fit has converged; a failed fit raises
+    :class:`~stablegof.errors.NonConvergenceError` with its best iterate, a
+    FitResult, in ``.best``.
+    """
 
     params: StableParams
-    converged: bool
     n_iter: int
     objective: float
-    message: str
     boundary_alpha: bool = False
-    estimator: str = "mle"
 
 
 def _accepted(res, bounds):
@@ -465,17 +467,13 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
     # a scale pinned at its floor is a degenerate fit (a likelihood spike on
     # tied points), however the optimizer ended
     floored = float(res.x[1]) <= _SIGMA_MIN
-    ok = _accepted(res, bounds) and not floored
     result = FitResult(
         params=StableParams(float(res.x[0]), float(res.x[1]), a_hat),
-        converged=ok,
         n_iter=int(res.nit),
         objective=report(float(res.fun)),
-        message=str(res.message),
         boundary_alpha=free and a_hat >= _ALPHA_MAX - 1e-8,
-        estimator=estimator,
     )
-    if not ok:
+    if floored or not _accepted(res, bounds):
         why = f"scale at its lower bound {_SIGMA_MIN:g}" if floored else res.message
         raise NonConvergenceError(f"{estimator.upper()} did not converge: {why}", best=result)
     return result

@@ -52,24 +52,16 @@ _GL_Z, _GL_W = 0.5 * (_GL_Z + 1.0), 0.5 * _GL_W  # mapped to [0, 1]
 _BOUND_SHARE = 0.1
 
 
-@dataclass(frozen=True)
-class _SeriesTable:
-    """x-free part of 1 - F(x) = sum_k (-1)^(k-1) sum_j exp(L_kj - x Y_kj).
-
-    ``y`` holds Y and ``log_w_cdf`` holds L, both l x 64: row k is the k-th
-    alternating-series term, the columns its Gauss-Legendre nodes.
-    """
-
-    y: np.ndarray
-    log_w_cdf: np.ndarray
-
-
 def _series_table(spectrum, l, m):
     """Tabulate the first l series terms over the first m eigenvalues.
 
-    Term k integrates over y in [lambda_{2k-1}/2, lambda_{2k}/2]; the two
-    determinant factors vanishing there are cancelled analytically, leaving
-    sqrt(lambda_{2k-1} lambda_{2k})/2 over the deflated product.  The same
+    Returns (Y, L), the x-free part of
+    1 - F(x) = sum_k (-1)^(k-1) sum_j exp(L_kj - x Y_kj), both l x 64: row
+    k is the k-th alternating-series term, the columns its Gauss-Legendre
+    nodes.  Term k integrates over y in [lambda_{2k-1}/2, lambda_{2k}/2];
+    the two determinant factors vanishing there are cancelled
+    analytically, leaving sqrt(lambda_{2k-1} lambda_{2k})/2 over the
+    deflated product.  The same
     construction serves simple, doubled and near-doubled pairs (see the
     module docstring).
     """
@@ -83,7 +75,7 @@ def _series_table(spectrum, l, m):
         rest = np.delete(lm, (2 * k, 2 * k + 1))
         log_prod[k] = np.sum(np.log(np.abs(1.0 - 2.0 * y[k, :, None] / rest)), axis=1)
     log_w = np.log(0.5 * np.sqrt(lo * hi))[:, None] + np.log(_GL_W) - 0.5 * log_prod
-    return _SeriesTable(y, log_w - np.log(y))
+    return y, log_w - np.log(y)
 
 
 @dataclass(frozen=True)
@@ -99,7 +91,7 @@ class InversionConfig:
     spectrum: Spectrum
     l: int
     m: int
-    _table: _SeriesTable = field(init=False, repr=False, compare=False)
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_avail = len(self.spectrum.lambdas)
@@ -128,8 +120,8 @@ def default_inversion_config(spectrum):
 
 def _series_terms(x, config):
     """Magnitudes of the l series terms of 1 - F at argument x."""
-    t = config._table
-    return np.exp(t.log_w_cdf - x * t.y).sum(axis=1)
+    y, log_w = config._table
+    return np.exp(log_w - x * y).sum(axis=1)
 
 
 def _check_alternating(terms):
@@ -147,7 +139,7 @@ def cdf_dk_with_bound(x, config):
     """CDF of the limit statistic plus an error bound.
 
     1 - F is the alternating sum of the tabulated terms (see
-    :class:`_SeriesTable`), and the bound is the alternating series', half
+    :func:`_series_table`), and the bound is the alternating series', half
     the last term.  Raises SeriesDivergenceError where the terms stop
     decreasing or the bound is not small against min(F, 1 - F), both of
     which happen deep in the left tail.

@@ -66,12 +66,14 @@ _N_GRID = 2048
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel kind with B_e (``b_even``), B_o (``b_odd``) and the EISE kinds' inner integrals.
+    """A kernel's alpha, kappa, B_e (``b_even``), B_o (``b_odd``) and EISE inner integrals.
 
-    ``inner`` is None for the MLE kinds.  For the EISE kinds it is one cubic
-    spline through (M1, M2, M3) at the ``_N_GRID`` nodes of [0, ``_S_MAX``],
-    one column per integral; :meth:`factors` reads it at min(|s|, ``_S_MAX``)
-    and gives M1 the sign of s.  The node values come from
+    The kind is :func:`make_kernel`'s argument and is not stored; it shows
+    in B_e, B_o and ``inner``.  ``inner`` is None for the MLE kinds.  For
+    the EISE kinds it is one cubic spline through (M1, M2, M3) at the
+    ``_N_GRID`` nodes of [0, ``_S_MAX``], one column per integral;
+    :meth:`factors` reads it at min(|s|, ``_S_MAX``) and gives M1 the sign
+    of s.  The node values come from
     :func:`~stablegof.estimators._inner_values`, which defines M1-M3 and
     states their accuracy.  Between the nodes the spline's error dominates:
     with the weight exp(-|t|^1.5), at the nodes of an N = 800
@@ -80,7 +82,6 @@ class KernelSpec:
     value by 1.7e-7 and 1.0e-7 relative.
     """
 
-    kind: str
     alpha: float
     kappa: float
     b_even: np.ndarray
@@ -122,7 +123,7 @@ def make_kernel(kind, alpha, kappa=1.0, weight=None):
     free = 3 if kind.endswith("h1") else 2
     if kind.startswith("mle"):
         V, _, _ = _covariance(alpha, free)
-        return KernelSpec(kind, alpha, kappa, block_diag(1.0, block(V)), V[:1, :1])
+        return KernelSpec(alpha, kappa, block_diag(1.0, block(V)), V[:1, :1])
     if weight is None:
         raise ValueError(f"{kind} kernel needs a WeightSpec")
     V, J, em = _covariance(alpha, free, weight)
@@ -133,7 +134,7 @@ def make_kernel(kind, alpha, kappa=1.0, weight=None):
     b_odd = np.array([[-J[0, 0], V[0, 0]], [V[0, 0], 0.0]])
     grid = np.linspace(0.0, _S_MAX, _N_GRID)
     inner = CubicSpline(grid, _inner_values(alpha, weight, grid))
-    return KernelSpec(kind, alpha, kappa, b_even, b_odd, inner)
+    return KernelSpec(alpha, kappa, b_even, b_odd, inner)
 
 
 def _form(us, b, ut):

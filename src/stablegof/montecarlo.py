@@ -284,8 +284,9 @@ def simulate_critical(config):
 def power_study(config, critical_values):
     """Rejection rates of the test against ``config.alternative``.
 
-    ``critical_values`` maps (kappa, xi) to the threshold used, asymptotic
-    or simulated.  The replications run as in :func:`simulate_critical`:
+    ``critical_values`` maps (kappa, xi) to the threshold c used, asymptotic
+    or simulated; a replication rejects at D >= c, as ``stablegof test``
+    does.  The replications run as in :func:`simulate_critical`:
     one spawned worker per available CPU, single-threaded BLAS, the pool of
     the enclosing :func:`worker_pool` block or else one of their own, and
     the caller's script guarded by ``if __name__ == "__main__":``.
@@ -303,6 +304,6 @@ def power_study(config, critical_values):
     r = config.replications
     for i, k in enumerate(config.kappas):
         for xi in config.xis:
-            p = float(np.mean(arr[:, i] > critical_values[(k, xi)]))
+            p = float(np.mean(arr[:, i] >= critical_values[(k, xi)]))
             rates[(k, xi)] = (p, math.sqrt(p * (1.0 - p) / r))
     return PowerResult(rates=rates, n_failures=failures)

@@ -43,9 +43,10 @@ with s = s(x) = -log(1 - x), U the factors at s (one row per node) and
 F = diag(w(x_i)).
 
 A saved spectrum is an uncompressed numpy archive (``np.savez``) with one
-array per stored field: ``lambdas`` (float64, ascending), ``kind`` (a
-unicode scalar), ``alpha`` and ``kappa`` (float64 scalars) and
-``n_dropped`` (an integer scalar).  It loads without pickling.
+array per stored field: ``lambdas`` (float64, ascending), ``kappa`` (a
+float64 scalar) and ``n_dropped`` (an integer scalar).  It loads without
+pickling.  The kernel kind and alpha are not stored: the ``cli`` cache
+names each entry by them.
 """
 
 from dataclasses import dataclass
@@ -62,20 +63,15 @@ __all__ = ["Spectrum", "midpoint_grid", "discretize", "eigen_spectrum", "build_s
 class Spectrum:
     """Ascending positive eigenvalues lambda_j of a discretized kernel.
 
+    ``kappa`` is the constant of the weight exp(-kappa|t|); it sets the
+    inversion's truncation defaults.
     ``n_dropped`` counts the eigenvalues discarded as discretization noise;
     together with the kept ones they are all N eigenvalues of the matrix.
     """
 
     lambdas: np.ndarray
-    kind: str
-    alpha: float
     kappa: float
     n_dropped: int = 0
-
-    @property
-    def n_nodes(self):
-        """Node count N of the discretization."""
-        return len(self.lambdas) + self.n_dropped
 
     def trace_sum(self, m=None):
         """sum_j 1/lambda_j over the first m eigenvalues = approximate E[D]."""
@@ -91,13 +87,7 @@ class Spectrum:
     @classmethod
     def load(cls, path):
         with np.load(path) as arc:
-            return cls(
-                lambdas=arc["lambdas"],
-                kind=str(arc["kind"]),
-                alpha=float(arc["alpha"]),
-                kappa=float(arc["kappa"]),
-                n_dropped=int(arc["n_dropped"]),
-            )
+            return cls(arc["lambdas"], float(arc["kappa"]), int(arc["n_dropped"]))
 
 
 def midpoint_grid(n):
@@ -137,12 +127,13 @@ def discretize(spec, n):
     return 0.5 * (even + even.T), 0.5 * (odd + odd.T)
 
 
-def eigen_spectrum(blocks, spec=None):
+def eigen_spectrum(blocks, kappa):
     """Spectrum of the integral operator from the blocks of a discretized kernel.
 
     ``blocks`` is a tuple of symmetric matrices whose eigenvalues together
     are those of the N x N kernel matrix: the even and odd blocks of
-    :func:`discretize`, or ``(matrix,)`` for a plain symmetric matrix.  The
+    :func:`discretize`, or ``(matrix,)`` for a plain symmetric matrix;
+    ``kappa``, the weight's constant, is stored on the result.  The
     node count N is the sum of the block orders.  Solves each block's
     symmetric dense problem for (2/N) times the block with LAPACK's
     divide-and-conquer driver (``evd``): the default ``evr`` took ~1.7 s on
@@ -163,15 +154,9 @@ def eigen_spectrum(blocks, spec=None):
         raise NumericsError("kernel matrix has no positive eigenvalues")
     keep = nu > 1e-13 * numax
     lam = np.sort(1.0 / nu[keep])
-    return Spectrum(
-        lambdas=lam,
-        kind=spec.kind if spec else "unknown",
-        alpha=spec.alpha if spec else float("nan"),
-        kappa=spec.kappa if spec else float("nan"),
-        n_dropped=int(np.sum(~keep)),
-    )
+    return Spectrum(lam, kappa, int(np.sum(~keep)))
 
 
 def build_spectrum(spec, n):
     """Discretize a kernel and extract its spectrum in one step."""
-    return eigen_spectrum(discretize(spec, n), spec)
+    return eigen_spectrum(discretize(spec, n), spec.kappa)

@@ -54,9 +54,6 @@ class StableParams:
         if not (0 < self.alpha <= 2):
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
 
-    def standardize(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
-
 
 def cf(t, params):
     """Characteristic function exp(i*mu*t - |sigma*t|^alpha)."""

@@ -139,3 +139,17 @@ def test_tracer_sees_the_covariance_inputs_of_every_kernel(tracer):
         finally:
             tr.uninstall()
         assert tr.totals(span).calls >= 1, span
+
+
+def test_results_carry_what_the_bench_reads():
+    # bench/workloads.py reads these attributes of the package's results, and
+    # the tracer's hooks read n_iter and n_dropped
+    x = rand_stable(1.5, 100, np.random.default_rng(8))
+    fit = stablegof.mle_fit(x)
+    assert isinstance(fit.params, StableParams) and isinstance(fit.n_iter, int)
+    assert isinstance(stablegof.test_statistic(x, fit.params, 2.5).statistic, float)
+    em = stablegof.eise_matrices(1.5, stablegof.WeightSpec("exp_power", 1.0, 1.5))
+    assert em.J.shape == (3, 3)
+    sp = stablegof.build_spectrum(stablegof.make_kernel("mle_h1", 1.5, 2.5), 100)
+    assert isinstance(sp.n_dropped, int)
+    assert stablegof.quantile_dk(0.05, stablegof.default_inversion_config(sp)) > 0

@@ -60,6 +60,15 @@ def test_estimate_reports_information_se(cache, cauchy_file, capsys):
     assert abs(float(fields["se(alpha_hat)"]) - want) < 1e-6
 
 
+def test_estimate_names_the_estimator_and_counts_the_iterations(cache, cauchy_file, capsys):
+    # a returned fit has converged, so the output states no convergence flag
+    assert main(["estimate", str(cauchy_file)]) == 0
+    fields = dict(line.split(None, 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert fields["estimator"] == "mle"
+    assert int(fields["iterations"]) == mle_fit(read_column(cauchy_file)).n_iter
+    assert "converged" not in fields
+
+
 def test_estimate_eise_se_uses_the_fit_weight(cache, tmp_path, capsys):
     path = tmp_path / "x.txt"
     np.savetxt(path, rand_stable(1.0, 60, np.random.default_rng(8)))

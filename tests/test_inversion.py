@@ -23,8 +23,8 @@ from stablegof.spectral import Spectrum, build_spectrum
 
 def pdf_series_terms(x, config):
     """Magnitudes of the density's series terms: the CDF's without its 1/y factor."""
-    t = config._table
-    return np.exp(t.log_w_cdf + np.log(t.y) - x * t.y).sum(axis=1)
+    y, log_w = config._table
+    return np.exp(log_w + np.log(y) - x * y).sum(axis=1)
 
 
 def pdf_dk(x, config):
@@ -126,7 +126,7 @@ def adaptive_series_terms(x, config, with_inverse_y):
 
 def synthetic_spectrum(lambdas, kappa=1.0):
     lam = np.asarray(lambdas, dtype=float)
-    return Spectrum(lambdas=lam, kind="synthetic", alpha=0.0, kappa=kappa)
+    return Spectrum(lambdas=lam, kappa=kappa)
 
 
 @pytest.fixture(scope="module")

@@ -244,14 +244,14 @@ def old_coefficients(kind, alpha, weight=None):
     return inv, np.diag([em.H[0, 0] * inv[0] ** 2, em.H[1, 1] * inv[1] ** 2, 0.0]), em
 
 
-def old_kernel(spec, weight=None):
-    """Gamma(s, t) of ``spec``'s kind by the formulas before the factor form.
+def old_kernel(kind, spec, weight=None):
+    """Gamma(s, t) of the ``kind`` that built ``spec``, by the formulas before the factor form.
 
     The EISE kinds read the inner integrals from :class:`HeldEiseInnerCache`,
     whose values equal the package's spline bit for bit, so the two differ
     only by rounding.
     """
-    inv, J, em = old_coefficients(spec.kind, spec.alpha, weight)
+    inv, J, em = old_coefficients(kind, spec.alpha, weight)
     if em is None:
         return lambda s, t: old_gamma_mle(s, t, spec.alpha, inv)
     inner = HeldEiseInnerCache(spec.alpha, weight)
@@ -314,7 +314,7 @@ def test_gamma_mle_matches_its_old_operation_order(kind, alpha):
     g = np.concatenate((-np.geomspace(1e-6, 40.0, 60)[::-1], [0.0], np.geomspace(1e-6, 40.0, 60)))
     s, t = np.meshgrid(g, g)
     spec = make_kernel(kind, alpha, 1.0)
-    want = old_kernel(spec)(s, t)
+    want = old_kernel(kind, spec)(s, t)
     assert np.max(np.abs(gamma(s, t, spec) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -326,7 +326,7 @@ def test_gamma_eise_matches_its_old_formula(kind, alpha):
     g = np.concatenate((-np.geomspace(1e-6, 40.0, 60)[::-1], [0.0], np.geomspace(1e-6, 40.0, 60)))
     s, t = np.meshgrid(g, g)
     spec = make_kernel(kind, alpha, 2.5, EISE_WEIGHT)
-    want = old_kernel(spec, EISE_WEIGHT)(s, t)
+    want = old_kernel(kind, spec, EISE_WEIGHT)(s, t)
     assert np.max(np.abs(gamma(s, t, spec) - want)) <= 4e-15 * np.max(np.abs(want))
 
 

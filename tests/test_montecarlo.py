@@ -130,7 +130,7 @@ class FailingFit:
         self.calls += 1
         if self.calls in self.failing_calls:
             raise NonConvergenceError(f"call {self.calls} fails")
-        return FitResult(StableParams(0.0, 1.0, config.alpha), True, 1, 0.0, "ok")
+        return FitResult(StableParams(0.0, 1.0, config.alpha), 1, 0.0)
 
 
 def _outcome(run):
@@ -201,6 +201,26 @@ def test_pool_is_bit_identical_and_restores_the_environment(monkeypatch, oracle_
 def report_worker(config, child):
     """Stands in for ``_attempts`` in the workers: a row naming the process and its BLAS settings."""
     return [os.getpid(), *(os.environ.get(name) for name in BLAS_THREAD_VARS)], 0
+
+
+# a statistic that every replication returns, and the threshold it meets exactly
+AT_THRESHOLD = 0.25
+
+
+def statistic_at_threshold(config, child):
+    """Stands in for ``_attempts`` in the workers: every statistic equals ``AT_THRESHOLD``."""
+    return [AT_THRESHOLD] * len(config.kappas), 0
+
+
+def test_power_study_rejects_at_the_threshold(monkeypatch):
+    # `stablegof test` rejects at D >= c; a power study counts the same rejections
+    monkeypatch.setattr(mc, "_attempts", statistic_at_threshold)
+    cfg = ExperimentConfig(
+        n=20, alpha=1.5, kappas=(2.5,), replications=100, seed=1, alternative=("student_t", 3.0)
+    )
+    res = power_study(cfg, {(2.5, xi): AT_THRESHOLD for xi in cfg.xis})
+    assert res.rates == {(2.5, xi): (1.0, 0.0) for xi in cfg.xis}
+    assert res.n_failures == 0
 
 
 def test_workers_start_with_single_threaded_blas(monkeypatch):
