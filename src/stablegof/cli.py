@@ -4,20 +4,21 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 numerical failure.
 Stochastic commands take --seed; expensive spectra are cached on disk under
 $STABLEGOF_CACHE (default ~/.cache/stablegof) keyed by kernel kind, alpha,
 kappa, node count and a digest of the package's sources, so reruns are
-bit-identical and a code change never reads an old entry.  Every
-output file starts with a comment manifest recording the resolved
-parameters, the seed and the cache entries used.  ``estimate`` prints
-asymptotic standard errors from the fitted estimator's covariance: of mu,
-sigma and alpha when alpha is free, of mu and sigma under --fix-alpha, and
-none when alpha_hat is at its bound 2, then the optimizer's iteration
-count; it prints only a converged fit, and a fit that fails exits 3.
-``test`` computes its critical values from the spectra it needs, as
-``table`` does for a grid, and reads no table file: the cell at alpha_hat
-(or at alpha0 under H2), or a search over alpha for the sup methods.
-``simulate`` runs every section of its config on one pool of spawned
-worker processes (``montecarlo.worker_pool``), so the workers start once
-per command, and no worker outlives the command, whether it succeeds or
-fails.
+bit-identical and a code change never reads an old entry.  Every output
+file starts with a comment manifest recording the resolved parameters, the
+seed and the cache entries used.  ``estimate`` (whose EISE weight is
+exp(-nu |t|^bar_alpha), exp(-nu |t|) at bar_alpha = 1) prints asymptotic
+standard errors from the fitted estimator's covariance: of mu, sigma and
+alpha when alpha is free, of mu and sigma under --fix-alpha, and none when
+alpha_hat is at its bound 2, then the optimizer's iteration count; it
+prints only a converged fit, and a fit that fails exits 3.  ``test``
+computes its critical values from the spectra it needs, as ``table`` does
+for a grid, and reads no table file: the cell at alpha_hat (or at alpha0
+under H2), or with ``sup`` their largest over alpha in --alpha-range or
+[0.8, 1.9]; it refuses an option that its run would ignore.  ``simulate``
+runs every section of its config on one pool of spawned worker processes
+(``montecarlo.worker_pool``), so the workers start once per command, and
+no worker outlives the command, whether it succeeds or fails.
 """
 
 import argparse
@@ -35,10 +36,10 @@ import numpy as np
 from scipy import optimize
 
 from . import __version__
-from .errors import DataError, NumericsError, SeriesDivergenceError
+from .errors import DataError, NumericsError
 from .estimators import WeightSpec, _covariance, eise_fit, mle_fit
 from .ecf_test import test_statistic
-from .inversion import cdf_dk, cdf_dk_with_bound, default_inversion_config, quantile_dk
+from .inversion import _first_evaluable, cdf_dk_with_bound, default_inversion_config, quantile_dk
 from .kernels import make_kernel
 from .montecarlo import TEST_LEVELS, ExperimentConfig, power_study, simulate_critical, worker_pool
 from .spectral import Spectrum, build_spectrum
@@ -156,11 +157,8 @@ def cmd_estimate(args):
     if args.estimator == "mle":
         fit = mle_fit(x, fix_alpha=args.fix_alpha)
     else:
-        if args.weight_kind == "exp_abs":
-            weight = WeightSpec("exp_abs", args.nu)
-        else:
-            bar = args.bar_alpha if args.bar_alpha is not None else args.fix_alpha or 1.5
-            weight = WeightSpec("exp_power", args.nu, bar)
+        bar = args.bar_alpha if args.bar_alpha is not None else args.fix_alpha or 1.5
+        weight = WeightSpec("exp_power", args.nu, bar)
         fit = eise_fit(x, weight, fix_alpha=args.fix_alpha)
     p = fit.params
     n = len(x)
@@ -192,8 +190,8 @@ def cmd_estimate(args):
 
 # the node count of every cell `test` builds, and `table`'s default
 _NODES = 800
-# the exponent range of `test --method sup_all`: the span of the paper's table grid
-_SUP_ALL_RANGE = (0.8, 1.9)
+# `test --method sup`'s range without --alpha-range: the span of the paper's table grid
+_SUP_RANGE = (0.8, 1.9)
 
 
 def _check_kappas(kappas, text):
@@ -223,12 +221,11 @@ def critical_values(hypothesis, method, alpha, kappa, alpha_range=None):
 
     Under H2 they are the quantiles of the ``mle_h2`` cell at the fixed
     exponent ``alpha``; under H1 with ``plugin``, of the ``mle_h1`` cell at
-    the estimate ``alpha``.  ``sup_range`` takes, at each level, the
-    maximum of the ``mle_h1`` quantile over ``alpha_range`` (see
-    :func:`_sup`), and ``sup_all`` the same over ``_SUP_ALL_RANGE``.  Every
-    cell has ``_NODES`` nodes and comes through :func:`cached_spectrum`.
-    Returns a dict from level to threshold, and the inversion config of the
-    one cell behind them, or None for the sup methods.
+    the estimate ``alpha``.  ``sup`` takes, at each level, the maximum of
+    the ``mle_h1`` quantile over ``alpha_range``, or ``_SUP_RANGE`` when it
+    is None (see :func:`_sup`).  Every cell has ``_NODES`` nodes and comes
+    through :func:`cached_spectrum`.  Returns a dict from level to threshold
+    and the inversion config of the one cell behind them, None for ``sup``.
     """
     @functools.cache
     def cell(kind, a):
@@ -237,7 +234,7 @@ def critical_values(hypothesis, method, alpha, kappa, alpha_range=None):
     if hypothesis == "H2" or method == "plugin":
         cfg = cell("mle_h2" if hypothesis == "H2" else "mle_h1", alpha)
         return {xi: quantile_dk(xi, cfg) for xi in TEST_LEVELS}, cfg
-    lo, hi = _SUP_ALL_RANGE if method == "sup_all" else alpha_range
+    lo, hi = alpha_range or _SUP_RANGE
     return {xi: _sup(lambda a: quantile_dk(xi, cell("mle_h1", a)), lo, hi) for xi in TEST_LEVELS}, None
 
 
@@ -246,34 +243,31 @@ def _p_value(d, cfg):
 
     Where the series cannot evaluate F (deep in the left tail, F < 0.07 on
     the probed cells), a lower bound: '>' 1 - F at the first point
-    max(d, E[D]/100) * 1.1^k where it can.
+    max(d, E[D]/100) * 1.1^k, k < 60, where it can (``_first_evaluable``).
     """
-    x = max(d, cfg.spectrum.trace_sum(cfg.m) / 100)
-    while True:
-        try:
-            p = 1.0 - cdf_dk(x, cfg)
-        except SeriesDivergenceError:
-            x *= 1.1
-            continue
-        return f"{p:.6g}" if x == d else f">{p:.6g}"
+    x, f = _first_evaluable(max(d, cfg.spectrum.trace_sum(cfg.m) / 100), 1.1, cfg)
+    return f"{1.0 - f:.6g}" if x == d else f">{1.0 - f:.6g}"
 
 
 def cmd_test(args):
     _check_kappas([args.kappa], args.kappa)
-    if args.hypothesis == "H2" and args.alpha0 is None:
-        raise UsageError("--alpha0 is required under H2")
+    # an option the run would ignore is refused: H1 fits alpha, and only H1's sup reads a range
+    if (args.alpha0 is None) == (args.hypothesis == "H2"):
+        raise UsageError("--alpha0, the exponent H2 fixes, is required under H2 and refused under H1")
     if args.alpha0 is not None and not (0 < args.alpha0 <= 2):
         raise UsageError(f"--alpha0 must lie in (0, 2], got {args.alpha0}")
     if args.alpha_range is not None and not (0 < args.alpha_range[0] < args.alpha_range[1] < 2):
         raise UsageError(f"--alpha-range A B needs 0 < A < B < 2, got {args.alpha_range}")
-    if args.hypothesis == "H1" and args.method == "sup_range" and args.alpha_range is None:
-        raise UsageError("--method sup_range needs --alpha-range A B")
+    if args.hypothesis == "H2" and args.method == "sup":
+        raise UsageError("--method sup is an H1 method; H2 uses the alpha0 cell")
+    if args.method == "plugin" and args.alpha_range is not None:
+        raise UsageError("--alpha-range is the range of --method sup")
     x = read_column(args.input)
-    fit = mle_fit(x, fix_alpha=args.alpha0 if args.hypothesis == "H2" else None)
+    fit = mle_fit(x, fix_alpha=args.alpha0)
     if args.hypothesis == "H1" and args.method == "plugin" and fit.boundary_alpha:
         raise DataError(
             "alpha_hat is at the normal boundary 2, where H1 has no plug-in null law; "
-            "test normality with --hypothesis H2 --alpha0 2, or use --method sup_all or sup_range"
+            "test normality with --hypothesis H2 --alpha0 2, or use --method sup"
         )
     d = test_statistic(x, fit.params, args.kappa).statistic
     thresholds, cfg = critical_values(
@@ -481,9 +475,9 @@ def build_parser():
     q.add_argument("input")
     q.add_argument("--estimator", choices=("mle", "eise"), default="mle")
     q.add_argument("--fix-alpha", type=float, default=None)
-    q.add_argument("--weight-kind", choices=("exp_abs", "exp_power"), default="exp_power")
-    q.add_argument("--nu", type=float, default=1.0)
-    q.add_argument("--bar-alpha", type=float, default=None)
+    q.add_argument("--nu", type=float, default=1.0, help="EISE weight exp(-nu|t|^bar_alpha)")
+    q.add_argument("--bar-alpha", type=float, default=None,
+                   help="in (0, 2], 1 for exp(-nu|t|); default --fix-alpha, else 1.5")
     q.set_defaults(func=cmd_estimate)
 
     q = sub.add_parser("test", help="run the goodness-of-fit test on a data file",
@@ -492,12 +486,11 @@ def build_parser():
     q.add_argument("--kappa", type=float, required=True, help="weight exp(-kappa|t|), kappa >= 1")
     q.add_argument("--hypothesis", choices=("H1", "H2"), default="H1")
     q.add_argument("--alpha0", type=float, default=None, help="the exponent fixed by H2, in (0, 2]")
-    q.add_argument("--method", choices=("plugin", "sup_all", "sup_range"), default="plugin",
+    q.add_argument("--method", choices=("plugin", "sup"), default="plugin",
                    help="H1: the critical value at alpha_hat with a p-value (plugin; H2 does this at "
-                   "alpha0), or its maximum over --alpha-range (sup_range) or [%g, %g] (sup_all)"
-                   % _SUP_ALL_RANGE)
+                   "alpha0), or its maximum over --alpha-range, default [%g, %g] (sup)" % _SUP_RANGE)
     q.add_argument("--alpha-range", type=float, nargs=2, default=None, metavar=("A", "B"),
-                   help="sup_range's range, 0 < A < B < 2")
+                   help="sup's range, 0 < A < B < 2")
     q.add_argument("--machine", action="store_true", help="key=value output")
     q.set_defaults(func=cmd_test)
 

@@ -176,7 +176,8 @@ class WeightSpec:
     """Even weight function for the EISE criterion.
 
     kind "exp_abs" is w(t) = exp(-kappa |t|); kind "exp_power" is
-    w(t) = exp(-nu |t|^bar_alpha).
+    w(t) = exp(-nu |t|^bar_alpha).  The kind is a label: every route
+    follows :meth:`terms`, so ``exp_power`` at bar_alpha = 1 is ``exp_abs``.
     """
 
     kind: str
@@ -534,10 +535,10 @@ def mle_fit(data, fix_alpha=None, maxiter=300):
 
 
 def _w0_and_deriv(d, weight, grad):
-    """W0(d) = int cos(td) w(t) dt over the real line for an ``exp_power``
-    weight and, with ``grad``, dW0/dd (else None).
+    """W0(d) = int cos(td) w(t) dt over the real line for the weight
+    w(t) = exp(-nu |t|^p), p != 1, and, with ``grad``, dW0/dd (else None).
 
-    W0(d) = 2 pi c f(c d; bar_alpha) with c = nu^(-1/bar_alpha).  The
+    W0(d) = 2 pi c f(c d; p) with c = nu^(-1/p).  The
     density is evaluated once per distinct |c d|, in one ``pdf_batch``
     call, and scattered back with the sign of f' restored: d_kj = -d_jk and
     the diagonal is zero, so a square of pair differences holds about half
@@ -545,11 +546,11 @@ def _w0_and_deriv(d, weight, grad):
     from its |x| alone (its grid depends only on max |x|, which is kept),
     so the result is bit-identical to one call over every cell.
     """
-    nu, ba = weight.kappa_or_nu, weight.bar_alpha
-    c = nu ** (-1.0 / ba)
+    ((nu, p),) = weight.terms()
+    c = nu ** (-1.0 / p)
     cd = c * d
     u, inv = np.unique(np.abs(cd).ravel(), return_inverse=True)
-    fu, fpu, _ = pdf_batch(u, ba)
+    fu, fpu, _ = pdf_batch(u, p)
     w0 = 2.0 * math.pi * c * fu[inv].reshape(d.shape)
     if not grad:
         return w0, None
@@ -602,7 +603,7 @@ def _cauchy_rows(z, x, sigma, kappa, grad, shift=None):
 
 
 def _pair_table(x, sigma, kappa, grad):
-    """The ``exp_abs`` pair sums of :func:`_pair_sums`, from full rows of
+    """The exp(-kappa|t|) pair sums of :func:`_pair_sums`, from full rows of
     :func:`_cauchy_rows` and, above ``_DIRECT_MAX`` points, a Chebyshev
     table in x.
 
@@ -662,10 +663,10 @@ def _pair_table(x, sigma, kappa, grad):
 def _pair_sums(x, sigma, weight, grad):
     """sum_jk W0(d_jk) and, with ``grad``, sum_jk W0'(d_jk) d_jk, d_jk = (x_j - x_k)/sigma.
 
-    With the ``exp_abs`` weight both come from :func:`_pair_table`.  With
-    an ``exp_power`` weight both summands are even in d, so each row block
-    [start, stop) of at most ``_BLOCK_CELLS`` pairs (as in
-    ``_fourier._grid_sums``) is summed over its own square of columns
+    The weight's exponent picks the route, not its kind: at exponent 1 both
+    sums come from :func:`_pair_table`.  Otherwise both summands are even
+    in d, so each row block [start, stop) of at most ``_BLOCK_CELLS`` pairs
+    (as in ``_fourier._grid_sums``) is summed over its own square of columns
     [start, stop) once and over the columns [stop, n) twice: about n^2/2
     density evaluations, in bounded memory.  Up to n = 512 one block holds
     every row, the square is the whole matrix and nothing is doubled.  The
@@ -674,8 +675,9 @@ def _pair_sums(x, sigma, weight, grad):
     mirrored cells, so the sums are those of the full square to the last
     bit.
     """
-    if weight.kind == "exp_abs":
-        return _pair_table(x, sigma, weight.kappa_or_nu, grad)
+    ((c, p),) = weight.terms()
+    if p == 1:
+        return _pair_table(x, sigma, c, grad)
     n = x.size
     s0 = s1 = 0.0
     block = max(1, _BLOCK_CELLS // n)
@@ -702,9 +704,9 @@ def q_objective(data, params, weight, grad=False):
     W0, W1, W2 the weighted cosine integrals; all three are evaluated
     against the characteristic-function envelope, so heavy outliers are
     exact rather than aliased.  The pair sum over W0 comes from
-    :func:`_pair_sums`: with the weight exp(-kappa|t|), from full rows and,
-    above 750 points, a Chebyshev table in x, within about 1e-15 relative
-    of the full-matrix sum.  With ``grad=True`` also returns dQ/dtheta;
+    :func:`_pair_sums`: at the weight exponent 1, from full rows and, above
+    750 points, a Chebyshev table in x, within about 1e-15 relative of the
+    full-matrix sum.  With ``grad=True`` also returns dQ/dtheta;
     without it only the value's transform W1 is formed (see
     ``_fourier.cos_transforms``), and Q is the one returned with ``grad`` to
     the last bit.  With the weight exp(-kappa|t|), n*Q is the test

@@ -164,43 +164,47 @@ def cdf_dk(x, config):
     return cdf_dk_with_bound(x, config)[0]
 
 
+def _first_evaluable(x, step, config):
+    """(x', F(x')) at the first x' = x step^k, k < 60, where the series evaluates F.
+
+    F is read through the module attribute ``cdf_dk_with_bound``, which a
+    wrapper may replace; SeriesDivergenceError when no step evaluates.
+    """
+    for _ in range(60):
+        try:
+            return x, cdf_dk_with_bound(x, config)[0]
+        except SeriesDivergenceError:
+            x *= step
+    raise SeriesDivergenceError(f"could not evaluate the CDF on the walk up to x={x / step:.6g}")
+
+
 def quantile_dk(xi, config):
     """Upper-tail quantile: the x with P(D > x) = xi, for xi in (0, 0.5).
 
     Brackets around the mean E[D] = sum 1/lambda_j and solves
     cdf(x) = 1 - xi by Brent's method to |F - (1 - xi)| < 1e-5.  The lower
-    end starts at E[D]/10 and moves up only while the series diverges
-    there.  F at the first end that evaluates was at most 0.238 on 33
-    tabulated cells and is 0.248 for a single chi-square(1) term, below
-    every target 1 - xi > 1/2, so the lower end never moves down.
+    end walks up from E[D]/10 by x1.5, at most 60 steps, while the series
+    diverges there (:func:`_first_evaluable`).  F at the first such end was
+    at most 0.238 on 33 tabulated cells and is 0.248 for one chi-square(1)
+    term, below every target 1 - xi > 1/2: the end never moves down.
     """
     if not (0 < xi < 0.5):
         raise ValueError(f"xi must be in (0, 0.5), got {xi}")
     target = 1.0 - xi
     mean = config.spectrum.trace_sum(config.m)
-    lo, hi = mean / 10.0, 10.0 * mean
+    hi = 10.0 * mean
 
     def f(x):
         return cdf_dk(x, config) - target
 
-    # the series can misbehave deep in the left tail; walk the lower
-    # bracket up until it evaluates
-    flo = None
-    for _ in range(60):
-        try:
-            flo = f(lo)
-            break
-        except SeriesDivergenceError:
-            lo *= 1.5
-    if flo is None:
-        raise SeriesDivergenceError("could not evaluate CDF anywhere in the bracket")
+    lo, cdf_lo = _first_evaluable(mean / 10.0, 1.5, config)
     fhi = f(hi)
     tries = 0
     while fhi < 0 and tries < 120:
         hi *= 2.0
         fhi = f(hi)
         tries += 1
-    if flo > 0 or fhi < 0:
+    if cdf_lo > target or fhi < 0:
         raise ValueError(f"failed to bracket the {xi} quantile in [{lo}, {hi}]")
     root = optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
     if abs(f(root)) > 1e-5:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import stablegof
+from stablegof.errors import SeriesDivergenceError
 from stablegof.stable_core import StableParams, rand_stable
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
@@ -139,6 +140,46 @@ def test_tracer_sees_the_covariance_inputs_of_every_kernel(tracer):
         finally:
             tr.uninstall()
         assert tr.totals(span).calls >= 1, span
+
+
+def test_tracer_counts_every_cdf_evaluation_of_a_quantile(tracer, monkeypatch):
+    # inversion.cdf_evals_per_quantile counts the evaluations inside
+    # quantile_dk that return through the inversion.cdf_dk_with_bound
+    # attribute; a walk to the lower bracket that bypassed the attribute would
+    # make it read low.  _series_terms runs once per evaluation, whichever
+    # route made it.
+    inv = stablegof.inversion
+    cfg = inv.default_inversion_config(
+        stablegof.build_spectrum(stablegof.make_kernel("mle_h1", 1.5, 2.5), 100)
+    )
+    seen = {"terms": 0, "returned": 0, "refused": 0}
+    series_terms, cdf = inv._series_terms, inv.cdf_dk_with_bound
+
+    def counted_terms(*args):
+        seen["terms"] += 1
+        return series_terms(*args)
+
+    def counted_cdf(x, config):
+        try:
+            out = cdf(x, config)
+        except SeriesDivergenceError:
+            seen["refused"] += 1
+            raise
+        seen["returned"] += 1
+        return out
+
+    monkeypatch.setattr(inv, "_series_terms", counted_terms)
+    monkeypatch.setattr(inv, "cdf_dk_with_bound", counted_cdf)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        inv.quantile_dk(0.05, cfg)
+    finally:
+        tr.uninstall()
+    # the series refused the walk's first points on this cell
+    assert seen["refused"] >= 1
+    assert seen["returned"] + seen["refused"] == seen["terms"]
+    assert tracer.layer_metric(tr, "inversion.cdf_evals_per_quantile") == seen["returned"]
 
 
 def test_results_carry_what_the_bench_reads():

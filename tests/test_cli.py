@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from stablegof import cli
+from stablegof import cli, inversion
 from stablegof import montecarlo as mc
 from stablegof.cli import cached_spectrum, critical_values, main, read_column
 from stablegof.ecf_test import test_statistic
@@ -75,7 +75,8 @@ def test_estimate_eise_se_uses_the_fit_weight(cache, tmp_path, capsys):
     cases = [
         # without --bar-alpha the fit weight is exp_power(nu, 1.5), not exp_power(nu, alpha_hat)
         ([], WeightSpec("exp_power", 1.0, 1.5)),
-        (["--weight-kind", "exp_abs"], WeightSpec("exp_abs", 1.0)),
+        # bar_alpha = 1 is the weight exp(-nu|t|)
+        (["--bar-alpha", "1"], WeightSpec("exp_power", 1.0, 1.0)),
     ]
     for extra, weight in cases:
         assert main(["estimate", str(path), "--estimator", "eise", *extra]) == 0
@@ -85,8 +86,9 @@ def test_estimate_eise_se_uses_the_fit_weight(cache, tmp_path, capsys):
         assert float(fields["se(alpha_hat)"]) == pytest.approx(math.sqrt(j[2, 2] / 60), rel=1e-5)
 
         # with alpha fixed: the (mu, sigma) block of J = V H V, V = A^-1 over (mu, sigma), so
-        # J_ii = H_ii / A_ii^2; without --bar-alpha the exp_power weight takes the fixed alpha
-        fixed = weight if weight.kind == "exp_abs" else WeightSpec("exp_power", 1.0, 1.0)
+        # J_ii = H_ii / A_ii^2; the weight is exp_power(1, 1) either way: --bar-alpha 1, or
+        # without it the fixed alpha
+        fixed = WeightSpec("exp_power", 1.0, 1.0)
         assert main(["estimate", str(path), "--estimator", "eise", "--fix-alpha", "1.0", *extra]) == 0
         out = capsys.readouterr().out
         fields = dict(line.split(None, 1) for line in out.strip().splitlines())
@@ -342,14 +344,13 @@ def test_test_has_no_estimator_option(cauchy_file, capsys):
     assert "unrecognized arguments: --estimator" in capsys.readouterr().err
 
 
-def test_sup_range_without_alpha_range_exits_1_before_the_fit(cache, cauchy_file, monkeypatch, capsys):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("the sample was fitted")
-
-    monkeypatch.setattr(cli, "mle_fit", no_fit)
-    code = main(["test", str(cauchy_file), "--kappa", "2.5", "--method", "sup_range"])
-    assert code == 1
-    assert "--alpha-range" in capsys.readouterr().err
+def test_sup_without_alpha_range_takes_the_papers_span(cache, cauchy_file, capsys):
+    argv = ["test", str(cauchy_file), "--kappa", "2.5", "--method", "sup", "--machine"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--alpha-range", "0.8", "1.9"]) == 0
+    assert capsys.readouterr().out == default
+    assert "critical_5=" in default and "p_value" not in default
 
 
 @pytest.mark.parametrize("kappa", ["inf", "nan"])
@@ -368,10 +369,16 @@ def test_test_refuses_a_non_finite_kappa(cache, cauchy_file, capsys, kappa):
         ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "0"],
         ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "2.5"],
         ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "nan"],
-        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "1.8", "1.3"],
-        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "0", "1.5"],
-        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "1.5", "2"],
-        ["--kappa", "2.5", "--method", "sup_range", "--alpha-range", "nan", "1.5"],
+        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "1.8", "1.3"],
+        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "0", "1.5"],
+        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "1.5", "2"],
+        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "nan", "1.5"],
+        # options the run would ignore: H1 fits alpha, H2 uses the alpha0
+        # cell, and plugin reads no range
+        ["--kappa", "2.5", "--alpha0", "1.5"],
+        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "1", "--method", "sup"],
+        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "1", "--alpha-range", "1.3", "1.8"],
+        ["--kappa", "2.5", "--alpha-range", "1.3", "1.8"],
     ],
 )
 def test_test_checks_its_inputs_before_the_sample(cache, tmp_path, monkeypatch, capsys, extra):
@@ -429,6 +436,26 @@ def test_p_value_below_the_series_range_is_a_lower_bound():
     assert float(text[1:]) >= 1.0 - cdf_dk(0.6 * mean, cfg)
 
 
+def test_p_value_walk_is_bounded(cache, cauchy_file, monkeypatch, capsys):
+    # a cell whose series never evaluates: the walk gives up with exit 3
+    # after its 60 steps instead of running on
+    cfg = default_inversion_config(build_spectrum(make_kernel("mle_h1", 1.0, 2.5), 100))
+    thresholds = {xi: quantile_dk(xi, cfg) for xi in TEST_LEVELS}
+    monkeypatch.setattr(cli, "critical_values", lambda *args: (thresholds, cfg))
+    calls = []
+
+    def refusing(x, config):
+        calls.append(x)
+        if len(calls) > 1000:
+            raise RuntimeError("the walk did not stop")
+        raise SeriesDivergenceError("refused")
+
+    monkeypatch.setattr(inversion, "cdf_dk_with_bound", refusing)
+    assert main(["test", str(cauchy_file), "--kappa", "2.5"]) == 3
+    assert 1 <= len(calls) <= 60
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--kappa", "2.5"], ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "2"]],
@@ -456,7 +483,7 @@ def test_test_prints_the_machine_fields_for_people(cache, cauchy_file, capsys, a
 def test_sup_range_is_at_least_every_cell_of_its_range(cache):
     # at kappa = 2.5, q(alpha) is not monotone on [1.3, 1.8]: it falls to a
     # minimum near alpha = 1.72 and rises again
-    thresholds, cfg = critical_values("H1", "sup_range", None, 2.5, (1.3, 1.8))
+    thresholds, cfg = critical_values("H1", "sup", None, 2.5, (1.3, 1.8))
     assert cfg is None
     grid = np.round(np.arange(1.3, 1.8 + 1e-9, 0.01), 2)
     cells = [default_inversion_config(cached_spectrum("mle_h1", a, 2.5, 800)[0]) for a in grid]

@@ -916,6 +916,36 @@ def test_pair_sums_of_few_points_build_no_table(n, monkeypatch):
         assert_pair_sums_close(x, 0.7, WeightSpec("exp_abs", kappa), 2e-15)
 
 
+@pytest.mark.parametrize("n", [100, 800])
+def test_exp_power_with_exponent_one_is_exp_abs_bit_for_bit(n, monkeypatch):
+    # the exponent picks the pair-sum route: exp(-nu|t|) of either kind takes
+    # the Cauchy rows, and at n = 800 the x-table, never the density
+    def no_density(*args):
+        raise AssertionError("the pair sum took the density")
+
+    monkeypatch.setattr(estimators, "_w0_and_deriv", no_density)
+    calls = cauchy_rows_calls(monkeypatch)
+    x = 2.0 + 3.0 * rand_stable(1.0, n, np.random.default_rng(n))
+    params = StableParams(0.3, 1.4, 1.1)
+    for nu in (1.0, 2.5):
+        power, plain = WeightSpec("exp_power", nu, 1), WeightSpec("exp_abs", nu)
+        got, want = q_objective(x, params, power, grad=True), q_objective(x, params, plain, grad=True)
+        assert [v.hex() for v in (got[0], *got[1])] == [v.hex() for v in (want[0], *want[1])]
+        assert q_objective(x, params, power).hex() == q_objective(x, params, plain).hex()
+    # node rows of a table come in multiples of 25 points
+    assert any(z.size != n for z in calls) == (n == 800)
+
+
+def test_eise_fit_under_exp_power_with_exponent_one_is_the_exp_abs_fit():
+    x = rand_stable(1.0, 100, np.random.default_rng(3))
+    got = eise_fit(x, WeightSpec("exp_power", 1.0, 1))
+    want = eise_fit(x, WeightSpec("exp_abs", 1.0))
+    assert got.n_iter == want.n_iter
+    assert [v.hex() for v in (got.params.mu, got.params.sigma, got.params.alpha, got.objective)] == [
+        v.hex() for v in (want.params.mu, want.params.sigma, want.params.alpha, want.objective)
+    ]
+
+
 def cauchy_rows_calls(monkeypatch):
     """Record the points z of every ``_cauchy_rows`` call."""
     calls, cauchy_rows = [], estimators._cauchy_rows
