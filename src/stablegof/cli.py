@@ -11,14 +11,16 @@ exp(-nu |t|^bar_alpha), exp(-nu |t|) at bar_alpha = 1) prints asymptotic
 standard errors from the fitted estimator's covariance: of mu, sigma and
 alpha when alpha is free, of mu and sigma under --fix-alpha, and none when
 alpha_hat is at its bound 2, then the optimizer's iteration count; it
-prints only a converged fit, and a fit that fails exits 3.  ``test``
-computes its critical values from the spectra it needs, as ``table`` does
-for a grid, and reads no table file: the cell at alpha_hat (or at alpha0
-under H2), or with ``sup`` their largest over alpha in --alpha-range or
-[0.8, 1.9]; it refuses an option that its run would ignore.  ``simulate``
-runs every section of its config on one pool of spawned worker processes
+prints only a converged fit, a fit that fails exits 3, and the MLE refuses
+the EISE's --nu and --bar-alpha.  ``test`` computes its critical values
+from the spectra it needs, as ``table`` does for a grid, and reads no
+table file: the H1 cell at alpha_hat, the H2 cell at --alpha0 (a fixed
+exponent is H2), or with --sup the largest H1 value over alpha in [A, B],
+default [0.8, 1.9], which H2 refuses.  ``simulate`` runs every section of
+its config on one pool of spawned worker processes
 (``montecarlo.worker_pool``), so the workers start once per command, and
-no worker outlives the command, whether it succeeds or fails.
+no worker outlives the command, whether it succeeds or fails; it refuses
+an unknown section key.
 """
 
 import argparse
@@ -152,13 +154,15 @@ def _manifest_lines(subcommand, params, spectra=()):
 
 
 def cmd_estimate(args):
+    if args.estimator == "mle" and (args.nu, args.bar_alpha) != (None, None):
+        raise UsageError("--nu and --bar-alpha set the EISE weight; the MLE has none")
     x = read_column(args.input)
     weight = None
     if args.estimator == "mle":
         fit = mle_fit(x, fix_alpha=args.fix_alpha)
     else:
         bar = args.bar_alpha if args.bar_alpha is not None else args.fix_alpha or 1.5
-        weight = WeightSpec("exp_power", args.nu, bar)
+        weight = WeightSpec("exp_power", 1.0 if args.nu is None else args.nu, bar)
         fit = eise_fit(x, weight, fix_alpha=args.fix_alpha)
     p = fit.params
     n = len(x)
@@ -190,7 +194,7 @@ def cmd_estimate(args):
 
 # the node count of every cell `test` builds, and `table`'s default
 _NODES = 800
-# `test --method sup`'s range without --alpha-range: the span of the paper's table grid
+# the range of a bare `test --sup`: the span of the paper's table grid
 _SUP_RANGE = (0.8, 1.9)
 
 
@@ -216,26 +220,26 @@ def _sup(q, lo, hi):
     return max(vals[i], -res.fun)
 
 
-def critical_values(hypothesis, method, alpha, kappa, alpha_range=None):
+def critical_values(kind, alpha, kappa, sup_range=None):
     """Asymptotic critical values of `test` at each level of ``TEST_LEVELS``.
 
-    Under H2 they are the quantiles of the ``mle_h2`` cell at the fixed
-    exponent ``alpha``; under H1 with ``plugin``, of the ``mle_h1`` cell at
-    the estimate ``alpha``.  ``sup`` takes, at each level, the maximum of
-    the ``mle_h1`` quantile over ``alpha_range``, or ``_SUP_RANGE`` when it
-    is None (see :func:`_sup`).  Every cell has ``_NODES`` nodes and comes
-    through :func:`cached_spectrum`.  Returns a dict from level to threshold
-    and the inversion config of the one cell behind them, None for ``sup``.
+    Without ``sup_range`` they are the quantiles of the ``kind`` cell
+    (``mle_h1`` at the estimate, ``mle_h2`` at the fixed exponent) at
+    ``alpha``.  With ``sup_range = (lo, hi)`` they are, at each level, the
+    maximum of the ``kind`` quantile over alpha in [lo, hi] (see
+    :func:`_sup`), and ``alpha`` is not read.  Every cell has ``_NODES``
+    nodes and comes through :func:`cached_spectrum`.  Returns a dict from
+    level to threshold and the inversion config of the one cell behind
+    them, None under ``sup_range``.
     """
     @functools.cache
-    def cell(kind, a):
+    def cell(a):
         return default_inversion_config(cached_spectrum(kind, a, kappa, _NODES)[0])
 
-    if hypothesis == "H2" or method == "plugin":
-        cfg = cell("mle_h2" if hypothesis == "H2" else "mle_h1", alpha)
+    if sup_range is None:
+        cfg = cell(alpha)
         return {xi: quantile_dk(xi, cfg) for xi in TEST_LEVELS}, cfg
-    lo, hi = alpha_range or _SUP_RANGE
-    return {xi: _sup(lambda a: quantile_dk(xi, cell("mle_h1", a)), lo, hi) for xi in TEST_LEVELS}, None
+    return {xi: _sup(lambda a: quantile_dk(xi, cell(a)), *sup_range) for xi in TEST_LEVELS}, None
 
 
 def _p_value(d, cfg):
@@ -251,32 +255,29 @@ def _p_value(d, cfg):
 
 def cmd_test(args):
     _check_kappas([args.kappa], args.kappa)
-    # an option the run would ignore is refused: H1 fits alpha, and only H1's sup reads a range
-    if (args.alpha0 is None) == (args.hypothesis == "H2"):
-        raise UsageError("--alpha0, the exponent H2 fixes, is required under H2 and refused under H1")
+    # a fixed exponent is the H2 hypothesis; sup is an H1 method
     if args.alpha0 is not None and not (0 < args.alpha0 <= 2):
         raise UsageError(f"--alpha0 must lie in (0, 2], got {args.alpha0}")
-    if args.alpha_range is not None and not (0 < args.alpha_range[0] < args.alpha_range[1] < 2):
-        raise UsageError(f"--alpha-range A B needs 0 < A < B < 2, got {args.alpha_range}")
-    if args.hypothesis == "H2" and args.method == "sup":
-        raise UsageError("--method sup is an H1 method; H2 uses the alpha0 cell")
-    if args.method == "plugin" and args.alpha_range is not None:
-        raise UsageError("--alpha-range is the range of --method sup")
+    if args.sup is not None and args.alpha0 is not None:
+        raise UsageError("--sup is an H1 method; under --alpha0 (H2) the alpha0 cell gives the values")
+    sup = None if args.sup is None else tuple(args.sup) or _SUP_RANGE
+    if sup and not (len(sup) == 2 and 0 < sup[0] < sup[1] < 2):
+        raise UsageError(f"--sup takes no values or A B with 0 < A < B < 2, got {args.sup}")
+    hypothesis = "H1" if args.alpha0 is None else "H2"
     x = read_column(args.input)
     fit = mle_fit(x, fix_alpha=args.alpha0)
-    if args.hypothesis == "H1" and args.method == "plugin" and fit.boundary_alpha:
+    # only a free alpha reaches the boundary, so this is H1's plug-in
+    if sup is None and fit.boundary_alpha:
         raise DataError(
             "alpha_hat is at the normal boundary 2, where H1 has no plug-in null law; "
-            "test normality with --hypothesis H2 --alpha0 2, or use --method sup"
+            "test normality with --alpha0 2, or use --sup"
         )
     d = test_statistic(x, fit.params, args.kappa).statistic
-    thresholds, cfg = critical_values(
-        args.hypothesis, args.method, fit.params.alpha, args.kappa, args.alpha_range
-    )
+    thresholds, cfg = critical_values(f"mle_{hypothesis.lower()}", fit.params.alpha, args.kappa, sup)
 
     lines = {
         "n": x.size,
-        "hypothesis": args.hypothesis,
+        "hypothesis": hypothesis,
         "kappa": args.kappa,
         "mu_hat": f"{fit.params.mu:.6g}",
         "sigma_hat": f"{fit.params.sigma:.6g}",
@@ -292,20 +293,14 @@ def cmd_test(args):
         for k, v in lines.items():
             print(f"{k}={v}")
     else:
-        print(f"weighted-L2 stable GOF test ({args.hypothesis}, kappa={args.kappa:g}, n={x.size})")
-        print(
-            f"fit: mu={fit.params.mu:.6g} sigma={fit.params.sigma:.6g} "
-            f"alpha={fit.params.alpha:.6g}"
-        )
+        print(f"weighted-L2 stable GOF test ({hypothesis}, kappa={args.kappa:g}, n={x.size})")
+        print(f"fit: mu={lines['mu_hat']} sigma={lines['sigma_hat']} alpha={lines['alpha_hat']}")
         print(f"statistic D = {d:.6g}")
         if cfg is not None:
             print(f"p-value {lines['p_value']}")
-        for xi in TEST_LEVELS:
-            pct = int(xi * 100)
-            print(
-                f"{pct}% critical value {lines[f'critical_{pct}']} -> "
-                + ("REJECT" if lines[f"reject_{pct}"] else "accept")
-            )
+        for pct in (int(xi * 100) for xi in TEST_LEVELS):
+            decision = "REJECT" if lines[f"reject_{pct}"] else "accept"
+            print(f"{pct}% critical value {lines[f'critical_{pct}']} -> {decision}")
     return 0
 
 
@@ -378,10 +373,18 @@ def _parse_alternative(text):
     return (kind, par)
 
 
+# the keys a section may hold, the first three required, besides its thresholds critical_<kappa>_<xi>
+_SECTION_KEYS = ("n", "alpha", "kappas", "hypothesis", "estimator", "replications", "seed", "alternative", "xis")
+
+
 def _experiment_from_section(sec):
-    missing = [key for key in ("n", "alpha", "kappas") if key not in sec]
+    missing = [key for key in _SECTION_KEYS[:3] if key not in sec]
     if missing:
         raise DataError(f"missing required key(s): {', '.join(missing)}")
+    # a misspelt key would otherwise run with its default; [DEFAULT] keys are in every section
+    unknown = [key for key in sec if key not in _SECTION_KEYS and not key.startswith("critical_")]
+    if unknown:
+        raise DataError(f"unknown key(s): {', '.join(unknown)}")
     alt = _parse_alternative(sec.get("alternative", fallback=None))
     return ExperimentConfig(
         n=sec.getint("n"),
@@ -415,9 +418,7 @@ def _section_rows(name, sec, seed):
         for xi in config.xis:
             key = f"critical_{k:g}_{xi:g}"
             if key not in sec:
-                raise DataError(
-                    f"[{name}] needs {key} (threshold for kappa={k:g}, xi={xi:g})"
-                )
+                raise DataError(f"[{name}] needs {key} (threshold for kappa={k:g}, xi={xi:g})")
             crit[(k, xi)] = sec.getfloat(key)
     res = power_study(config, crit)
     return [
@@ -447,8 +448,7 @@ def cmd_simulate(args):
         for ln in _manifest_lines("simulate", params):
             fh.write(ln + "\n")
         fh.write("experiment,kind,n,alpha,kappa,xi,value,se,n_failures\n")
-        for row in out_rows:
-            name, kind, n, a, k, xi, v, se, nf = row
+        for name, kind, n, a, k, xi, v, se, nf in out_rows:
             fh.write(f"{name},{kind},{n},{a:.10g},{k:.10g},{xi:.10g},{v:.10g},{se:.10g},{nf}\n")
     print(f"wrote {len(out_rows)} rows to {args.output}")
     return 0
@@ -475,22 +475,22 @@ def build_parser():
     q.add_argument("input")
     q.add_argument("--estimator", choices=("mle", "eise"), default="mle")
     q.add_argument("--fix-alpha", type=float, default=None)
-    q.add_argument("--nu", type=float, default=1.0, help="EISE weight exp(-nu|t|^bar_alpha)")
+    q.add_argument("--nu", type=float, default=None, help="EISE weight exp(-nu|t|^bar_alpha), default 1")
     q.add_argument("--bar-alpha", type=float, default=None,
                    help="in (0, 2], 1 for exp(-nu|t|); default --fix-alpha, else 1.5")
     q.set_defaults(func=cmd_estimate)
 
     q = sub.add_parser("test", help="run the goodness-of-fit test on a data file",
-                       description=f"Critical values come from {_NODES}-node spectra; no table is read.")
+                       usage="%(prog)s [-h] input --kappa KAPPA [--alpha0 ALPHA0] [--sup [A B]] [--machine]",
+                       description=f"Critical values come from {_NODES}-node spectra; no table is read. "
+                       "Give the input file first: --sup takes optional values.")
     q.add_argument("input")
     q.add_argument("--kappa", type=float, required=True, help="weight exp(-kappa|t|), kappa >= 1")
-    q.add_argument("--hypothesis", choices=("H1", "H2"), default="H1")
-    q.add_argument("--alpha0", type=float, default=None, help="the exponent fixed by H2, in (0, 2]")
-    q.add_argument("--method", choices=("plugin", "sup"), default="plugin",
-                   help="H1: the critical value at alpha_hat with a p-value (plugin; H2 does this at "
-                   "alpha0), or its maximum over --alpha-range, default [%g, %g] (sup)" % _SUP_RANGE)
-    q.add_argument("--alpha-range", type=float, nargs=2, default=None, metavar=("A", "B"),
-                   help="sup's range, 0 < A < B < 2")
+    q.add_argument("--alpha0", type=float, default=None,
+                   help="test H2, the exponent fixed at alpha0 in (0, 2]; without it H1, alpha estimated")
+    q.add_argument("--sup", type=float, nargs="*", default=None, metavar="A B",
+                   help="H1: the largest critical value over alpha in [A, B], 0 < A < B < 2, default "
+                   "[%g, %g]; without it the value at alpha_hat, with a p-value" % _SUP_RANGE)
     q.add_argument("--machine", action="store_true", help="key=value output")
     q.set_defaults(func=cmd_test)
 

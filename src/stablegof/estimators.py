@@ -321,6 +321,7 @@ def _covariance(alpha, free, weight=None):
 _INIT_ALPHA_GRID = tuple(np.round(np.arange(0.5, 2.0001, 0.05), 10))
 _ALPHA_MIN, _ALPHA_MAX = 0.3, 2.0
 _SIGMA_MIN = 1e-6
+_MAXITER = 300  # the iteration cap of both fits
 
 
 # knots of the log-density splines, uniform in u = asinh|x| up to |x| = 1e9
@@ -439,13 +440,15 @@ def _accepted(res, bounds):
     return bool(np.max(np.abs(np.where(out, 0.0, res.jac))) <= 1e-6)
 
 
-def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
+def _lbfgs_fit(x, objective, estimator, report, fix_alpha, tolerances):
     """Bounded L-BFGS fit of (mu, sigma, alpha) shared by both estimators.
 
     ``objective(mu, sigma, alpha)`` returns the value and its 3-gradient.  A
     fixed alpha is dropped from the optimizer's variables (not pinned by
     equal bounds), so L-BFGS-B sees the two-parameter (mu, sigma) problem.
-    ``report`` maps the final value to :attr:`FitResult.objective`.  Raises
+    ``tolerances`` holds the estimator's gtol and ftol, and the cap is
+    ``_MAXITER`` iterations.  ``report`` maps the final value to
+    :attr:`FitResult.objective`.  Raises
     :class:`~stablegof.errors.NonConvergenceError` carrying the best iterate
     if the optimizer gives up or ends with sigma at its floor ``_SIGMA_MIN``.
     """
@@ -463,7 +466,8 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, options):
         val, g = objective(theta[0], theta[1], theta[2] if free else alpha)
         return val, g[: theta.size]
 
-    res = optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
+    res = optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                            options={"maxiter": _MAXITER, **tolerances})
     a_hat = float(res.x[2]) if free else alpha
     # a scale pinned at its floor is a degenerate fit (a likelihood spike on
     # tied points), however the optimizer ended
@@ -486,10 +490,10 @@ def _check_spread(x, sigma):
         raise DataError(f"sample spread too wide: differences over scale {sigma:g} overflow")
 
 
-def _check_sample(data, min_n=5):
+def _check_sample(data):
     x = np.asarray(data, dtype=float).ravel()
-    if x.size < min_n:
-        raise DataError(f"need at least {min_n} observations, got {x.size}")
+    if x.size < 5:
+        raise DataError(f"need at least 5 observations, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise DataError("sample contains non-finite values")
     if np.max(x) == np.min(x):
@@ -499,7 +503,7 @@ def _check_sample(data, min_n=5):
     return x
 
 
-def mle_fit(data, fix_alpha=None, maxiter=300):
+def mle_fit(data, fix_alpha=None):
     """Maximum likelihood fit of (mu, sigma, alpha).
 
     Starts from the sample median and a profile-likelihood grid over
@@ -523,10 +527,7 @@ def mle_fit(data, fix_alpha=None, maxiter=300):
         g = np.array([r.mean() / sigma, (1.0 + (y * r).mean()) / sigma, -(fa / f).mean()])
         return val, g
 
-    return _lbfgs_fit(
-        x, negll, "mle", lambda fun: -fun * n, fix_alpha,
-        {"maxiter": maxiter, "gtol": 1e-8, "ftol": 1e-13},
-    )
+    return _lbfgs_fit(x, negll, "mle", lambda fun: -fun * n, fix_alpha, {"gtol": 1e-8, "ftol": 1e-13})
 
 
 # ----------------------------------------------------------------------
@@ -732,7 +733,7 @@ def q_objective(data, params, weight, grad=False):
     return q, np.array([dq_mu, dq_sigma, dq_alpha])
 
 
-def eise_fit(data, weight, fix_alpha=None, maxiter=300):
+def eise_fit(data, weight, fix_alpha=None):
     """Fit (mu, sigma, alpha) by minimizing the EISE criterion Q.
 
     Initialization reuses the profile-likelihood grid of :func:`mle_fit`;
@@ -744,7 +745,4 @@ def eise_fit(data, weight, fix_alpha=None, maxiter=300):
     def q(mu, sigma, alpha):
         return q_objective(x, StableParams(mu, max(sigma, _SIGMA_MIN), alpha), weight, grad=True)
 
-    return _lbfgs_fit(
-        x, q, "eise", lambda fun: fun, fix_alpha,
-        {"maxiter": maxiter, "gtol": 1e-9, "ftol": 1e-15},
-    )
+    return _lbfgs_fit(x, q, "eise", lambda fun: fun, fix_alpha, {"gtol": 1e-9, "ftol": 1e-15})

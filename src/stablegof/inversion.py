@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import SeriesDivergenceError
+from .errors import NumericsError, SeriesDivergenceError
 from .spectral import Spectrum
 
 __all__ = ["InversionConfig", "default_inversion_config", "cdf_dk", "quantile_dk", "cdf_dk_with_bound"]
@@ -187,6 +187,7 @@ def quantile_dk(xi, config):
     diverges there (:func:`_first_evaluable`).  F at the first such end was
     at most 0.238 on 33 tabulated cells and is 0.248 for one chi-square(1)
     term, below every target 1 - xi > 1/2: the end never moves down.
+    A bracket or a root that fails raises NumericsError.
     """
     if not (0 < xi < 0.5):
         raise ValueError(f"xi must be in (0, 0.5), got {xi}")
@@ -205,8 +206,8 @@ def quantile_dk(xi, config):
         fhi = f(hi)
         tries += 1
     if cdf_lo > target or fhi < 0:
-        raise ValueError(f"failed to bracket the {xi} quantile in [{lo}, {hi}]")
+        raise NumericsError(f"failed to bracket the {xi} quantile in [{lo}, {hi}]")
     root = optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
     if abs(f(root)) > 1e-5:
-        raise ValueError("quantile root did not meet the 1e-5 CDF tolerance")
+        raise NumericsError("quantile root did not meet the 1e-5 CDF tolerance")
     return float(root)

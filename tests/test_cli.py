@@ -5,6 +5,10 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +129,14 @@ def test_estimate_reports_no_se_at_the_alpha_bound(cache, tmp_path, capsys, esti
     assert "se(" not in out
 
 
+@pytest.mark.parametrize("extra", [["--nu", "2"], ["--bar-alpha", "1"], ["--estimator", "mle", "--nu", "1"]])
+def test_estimate_mle_refuses_the_eise_weight(tmp_path, monkeypatch, capsys, extra):
+    # the MLE has no weight, so these options would be ignored
+    monkeypatch.setattr(cli, "read_column", lambda path: pytest.fail("the sample was read"))
+    assert main(["estimate", str(tmp_path / "unread.txt"), *extra]) == 1
+    assert "the MLE has none" in capsys.readouterr().err
+
+
 def test_estimate_input_failures(cache, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -135,8 +147,11 @@ def test_estimate_input_failures(cache, tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "missing.txt")]) == 2
 
 
-def test_usage_errors(cache, cauchy_file):
-    assert main(["test", str(cauchy_file), "--kappa", "2.5", "--hypothesis", "H2"]) == 1
+def test_usage_errors(cache, cauchy_file, capsys):
+    # --alpha0 names H2 and --sup the sup method, so the options that named them are gone
+    for gone in (["--hypothesis", "H2"], ["--method", "sup"], ["--alpha-range", "1.3", "1.8"]):
+        assert main(["test", str(cauchy_file), "--kappa", "2.5", *gone]) == 1
+        assert f"unrecognized arguments: {gone[0]}" in capsys.readouterr().err
     assert main(["table", "--alphas", "1.0", "--kappas", "0.5", "--hypothesis", "H1", "-o", "x"]) == 1
     assert main(["bogus"]) == 1
 
@@ -252,11 +267,11 @@ def test_paired_h2_cell_table_and_test(cache, cauchy_file, tmp_path, capsys):
 
     capsys.readouterr()
     code = main([
-        "test", str(cauchy_file), "--hypothesis", "H2", "--alpha0", "1.0", "--kappa", "2.5",
-        "--machine",
+        "test", str(cauchy_file), "--alpha0", "1.0", "--kappa", "2.5", "--machine",
     ])
     assert code == 0
     fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
+    assert fields["hypothesis"] == "H2"
     assert fields["critical_10"] == "0.285611"
     assert fields["critical_5"] == "0.334988"
 
@@ -345,10 +360,10 @@ def test_test_has_no_estimator_option(cauchy_file, capsys):
 
 
 def test_sup_without_alpha_range_takes_the_papers_span(cache, cauchy_file, capsys):
-    argv = ["test", str(cauchy_file), "--kappa", "2.5", "--method", "sup", "--machine"]
+    argv = ["test", str(cauchy_file), "--kappa", "2.5", "--machine", "--sup"]
     assert main(argv) == 0
     default = capsys.readouterr().out
-    assert main(argv + ["--alpha-range", "0.8", "1.9"]) == 0
+    assert main(argv + ["0.8", "1.9"]) == 0
     assert capsys.readouterr().out == default
     assert "critical_5=" in default and "p_value" not in default
 
@@ -366,19 +381,19 @@ def test_test_refuses_a_non_finite_kappa(cache, cauchy_file, capsys, kappa):
     [
         ["--kappa", "0.5"],
         ["--kappa", "-inf"],
-        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "0"],
-        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "2.5"],
-        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "nan"],
-        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "1.8", "1.3"],
-        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "0", "1.5"],
-        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "1.5", "2"],
-        ["--kappa", "2.5", "--method", "sup", "--alpha-range", "nan", "1.5"],
-        # options the run would ignore: H1 fits alpha, H2 uses the alpha0
-        # cell, and plugin reads no range
-        ["--kappa", "2.5", "--alpha0", "1.5"],
-        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "1", "--method", "sup"],
-        ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "1", "--alpha-range", "1.3", "1.8"],
-        ["--kappa", "2.5", "--alpha-range", "1.3", "1.8"],
+        ["--kappa", "2.5", "--alpha0", "0"],
+        ["--kappa", "2.5", "--alpha0", "2.5"],
+        ["--kappa", "2.5", "--alpha0", "nan"],
+        ["--kappa", "2.5", "--sup", "1.8", "1.3"],
+        ["--kappa", "2.5", "--sup", "0", "1.5"],
+        ["--kappa", "2.5", "--sup", "1.5", "2"],
+        ["--kappa", "2.5", "--sup", "nan", "1.5"],
+        # --sup takes no values or two
+        ["--kappa", "2.5", "--sup", "1.5"],
+        # sup is an H1 method: under H2 the run uses the alpha0 cell
+        ["--kappa", "2.5", "--alpha0", "1", "--sup"],
+        ["--kappa", "2.5", "--alpha0", "1", "--sup", "1.3", "1.8"],
+        ["--kappa", "2.5", "--sup", "1.3", "1.5", "1.8"],
     ],
 )
 def test_test_checks_its_inputs_before_the_sample(cache, tmp_path, monkeypatch, capsys, extra):
@@ -390,6 +405,51 @@ def test_test_checks_its_inputs_before_the_sample(cache, tmp_path, monkeypatch, 
         monkeypatch.setattr(cli, name, unreachable)
     assert main(["test", str(tmp_path / "unread.txt"), *extra]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, cell, sup",
+    [
+        ([], "mle_h1", None),
+        (["--alpha0", "1.0"], "mle_h2", None),
+        (["--sup", "1.3", "1.8"], "mle_h1", (1.3, 1.8)),
+        (["--alpha0", "1.0", "--sup"], None, None),
+    ],
+    ids=["plugin", "H2", "sup", "H2_with_sup"],
+)
+def test_test_options_pick_the_hypothesis_and_method(cache, cauchy_file, monkeypatch, capsys, extra, cell, sup):
+    # --alpha0 is H2 at the alpha0 cell; --sup is H1's sup method; the two together are refused
+    cfg = default_inversion_config(build_spectrum(make_kernel("mle_h1", 1.0, 2.5), 100))
+    thresholds = {xi: quantile_dk(xi, cfg) for xi in TEST_LEVELS}
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return thresholds, None if args[3] else cfg
+
+    monkeypatch.setattr(cli, "critical_values", recording)
+    if cell is None:
+        monkeypatch.setattr(cli, "read_column", lambda path: pytest.fail("the sample was read"))
+        assert main(["test", str(cauchy_file), "--kappa", "2.5", *extra]) == 1
+        assert "--sup is an H1 method" in capsys.readouterr().err
+        return
+    assert main(["test", str(cauchy_file), "--kappa", "2.5", *extra, "--machine"]) == 0
+    fields = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
+    fit = mle_fit(read_column(cauchy_file), fix_alpha=1.0 if cell == "mle_h2" else None)
+    assert calls == [(cell, fit.params.alpha, 2.5, sup)]
+    assert fields["hypothesis"] == cell[-2:].upper()
+    assert ("p_value" in fields) == (sup is None)
+
+
+def test_a_failed_quantile_exits_3(cache, cauchy_file, monkeypatch, capsys):
+    # F = 0.99 everywhere puts the lower end of every bracket above 1 - xi
+    cfg = default_inversion_config(build_spectrum(make_kernel("mle_h1", 1.0, 2.5), 100))
+    monkeypatch.setattr(inversion, "cdf_dk_with_bound", lambda x, config: (0.99, 0.0))
+    with pytest.raises(NumericsError, match="failed to bracket"):
+        quantile_dk(0.05, cfg)
+    monkeypatch.setattr(cli, "cached_spectrum", lambda *args: (cfg.spectrum, "small"))
+    assert main(["test", str(cauchy_file), "--kappa", "2.5"]) == 3
+    assert "numerical failure: failed to bracket" in capsys.readouterr().err
 
 
 def test_plugin_threshold_and_p_value_come_from_the_alpha_hat_cell(cache, cauchy_file, monkeypatch, capsys):
@@ -405,7 +465,7 @@ def test_plugin_threshold_and_p_value_come_from_the_alpha_hat_cell(cache, cauchy
     ((args, (thresholds, cfg)),) = calls
     x = read_column(cauchy_file)
     params = mle_fit(x).params
-    assert args[:4] == ("H1", "plugin", params.alpha, 2.5)
+    assert args == ("mle_h1", params.alpha, 2.5, None)
     want = default_inversion_config(build_spectrum(make_kernel("mle_h1", params.alpha, 2.5), 800))
     for xi in TEST_LEVELS:
         assert thresholds[xi] == quantile_dk(xi, want)
@@ -458,7 +518,7 @@ def test_p_value_walk_is_bounded(cache, cauchy_file, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--kappa", "2.5"], ["--kappa", "2.5", "--hypothesis", "H2", "--alpha0", "2"]],
+    [["--kappa", "2.5"], ["--kappa", "2.5", "--alpha0", "2"]],
     ids=["H1_plugin", "H2_normal"],
 )
 def test_test_prints_the_machine_fields_for_people(cache, cauchy_file, capsys, argv):
@@ -476,14 +536,14 @@ def test_test_prints_the_machine_fields_for_people(cache, cauchy_file, capsys, a
         decision = "REJECT" if fields[f"reject_{pct}"] == "True" else "accept"
         assert line == f"{pct}% critical value {fields[f'critical_{pct}']} -> {decision}"
     # Cauchy data fit the stable family and are far from normal
-    want = "False" if "H2" not in argv else "True"
+    want = "False" if "--alpha0" not in argv else "True"
     assert all(fields[f"reject_{int(xi * 100)}"] == want for xi in TEST_LEVELS)
 
 
 def test_sup_range_is_at_least_every_cell_of_its_range(cache):
     # at kappa = 2.5, q(alpha) is not monotone on [1.3, 1.8]: it falls to a
     # minimum near alpha = 1.72 and rises again
-    thresholds, cfg = critical_values("H1", "sup", None, 2.5, (1.3, 1.8))
+    thresholds, cfg = critical_values("mle_h1", None, 2.5, (1.3, 1.8))
     assert cfg is None
     grid = np.round(np.arange(1.3, 1.8 + 1e-9, 0.01), 2)
     cells = [default_inversion_config(cached_spectrum("mle_h1", a, 2.5, 800)[0]) for a in grid]
@@ -517,7 +577,7 @@ def test_plugin_at_the_normal_boundary_is_input_error(cache, tmp_path, monkeypat
     monkeypatch.setattr(cli, "cached_spectrum", no_cell)
     assert main(["test", str(path), "--kappa", "2.5"]) == 2
     err = capsys.readouterr().err
-    assert "no plug-in null law" in err and "--hypothesis H2 --alpha0 2" in err
+    assert "no plug-in null law" in err and "--alpha0 2, or use --sup" in err
 
 
 def test_simulate_determinism_and_power_rows(cache, tmp_path):
@@ -558,8 +618,14 @@ def test_simulate_bad_config(cache, tmp_path):
 
 @pytest.mark.parametrize(
     "section",
-    ["alpha = 2.5\n", "alpha = 1.5\nalternative = normal\n", "alpha = 1.5\nalternative = normal x\n"],
-    ids=["alpha_above_2", "alternative_without_parameter", "non_numeric_parameter"],
+    [
+        "alpha = 2.5\n",
+        "alpha = 1.5\nalternative = normal\n",
+        "alpha = 1.5\nalternative = normal x\n",
+        # a misspelt key would run with the default of 2000 replications
+        "alpha = 1.5\nreplication = 500\n",
+    ],
+    ids=["alpha_above_2", "alternative_without_parameter", "non_numeric_parameter", "unknown_key"],
 )
 def test_simulate_bad_section_exits_2_before_any_replication(cache, tmp_path, monkeypatch, capsys, section):
     def no_run(*args):
@@ -574,6 +640,25 @@ def test_simulate_bad_section_exits_2_before_any_replication(cache, tmp_path, mo
     )
     assert main(["simulate", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
     assert "bad experiment section [exp]" in capsys.readouterr().err
+
+
+def test_simulate_reads_default_keys_as_keys_of_every_section(cache, tmp_path, monkeypatch, capsys):
+    configs = []
+
+    def recording(config):
+        configs.append(config)
+        return mc.SimulatedCritical(quantiles={}, n_failures=0)
+
+    monkeypatch.setattr(cli, "simulate_critical", recording)
+    cfg = tmp_path / "sim.ini"
+    body = "[exp]\nn = 20\nalpha = 1.5\nkappas = 2.5\n"
+    cfg.write_text("[DEFAULT]\nhypothesis = H2\nreplications = 100\n" + body)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o.csv")]) == 0
+    assert [(c.hypothesis, c.replications) for c in configs] == [("H2", 100)]
+    cfg.write_text("[DEFAULT]\nreplication = 100\n" + body)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
+    assert "bad experiment section [exp]: unknown key(s): replication" in capsys.readouterr().err
+    assert len(configs) == 1
 
 
 def test_simulate_infinite_kappa_exits_2_before_any_replication(cache, tmp_path, monkeypatch, capsys):
@@ -663,3 +748,36 @@ def test_simulate_bad_second_section_exits_2_and_leaves_no_worker(cache, tmp_pat
     assert len(recorded_experiments) == 1
     assert multiprocessing.active_children() == []
     assert mc._pool is None
+
+
+def test_simulate_entry_point_runs_and_leaves_no_process(cache, tmp_path):
+    # the module run as a script: its __main__ guard and the spawned workers
+    # that import it; the command runs in its own process group, which is
+    # empty once the command and every process it started have ended
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text("[h2]\n" + TWO_SECTIONS["first"])
+    out = tmp_path / "o.csv"
+    paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.Popen([sys.executable, "-m", "stablegof.cli", "simulate", str(cfg), "-o", str(out)],
+                            env=env, start_new_session=True)
+    try:
+        assert proc.wait(timeout=300) == 0
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.1)
+        else:
+            pytest.fail("a process of the command outlived it")
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    rows = data_rows(out)
+    assert rows[0] == "experiment,kind,n,alpha,kappa,xi,value,se,n_failures"
+    assert [row.split(",")[:3] for row in rows[1:]] == [["h2", "critical", "20"]] * len(TEST_LEVELS)

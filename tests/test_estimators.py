@@ -425,11 +425,12 @@ def test_a_sample_whose_differences_overflow_is_refused():
             call()
 
 
-def test_mle_nonconvergence_carries_best_iterate():
+def test_mle_nonconvergence_carries_best_iterate(monkeypatch):
     rng = np.random.default_rng(4)
     x = rand_stable(1.5, 100, rng)
+    monkeypatch.setattr(estimators, "_MAXITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
-        mle_fit(x, maxiter=1)
+        mle_fit(x)
     assert exc.value.best is not None
     assert exc.value.best.params.sigma > 0
     # one root for numerical failures: the CLI's exit code 3 and the Monte
@@ -634,13 +635,14 @@ def loglik(data, params):
     return float(np.mean(np.log(np.maximum(f, 1e-300)))) - math.log(params.sigma)
 
 
-def test_mle_objective_is_total_loglik():
+def test_mle_objective_is_total_loglik(monkeypatch):
     x = rand_stable(1.5, 100, np.random.default_rng(4))
     n = x.size
     for fit in (mle_fit(x), mle_fit(x, fix_alpha=1.5)):
         assert fit.objective == pytest.approx(n * loglik(x, fit.params), rel=1e-12)
+    monkeypatch.setattr(estimators, "_MAXITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
-        mle_fit(x, maxiter=1)
+        mle_fit(x)
     best = exc.value.best
     assert best.objective == pytest.approx(n * loglik(x, best.params), rel=1e-12)
 
