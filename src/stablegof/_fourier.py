@@ -20,10 +20,12 @@ outliers cannot alias into the grid sum.  The value of D needs only the
 first transform: without ``grad``, :func:`cos_transforms` forms the grid sum
 from real cosines alone and makes one quadrature per far point instead of
 three.  The stable density (``stable_core``) is the same three sums with
-phi(t) = t^alpha, scaled by 1/pi instead of 2: on the grid (alpha = 2
-included), or point by point through :func:`_qawo_sums`, the package's one
-QAWO, which also serves the far points.  Its two routes differ only in
-their QUADPACK settings and accepted error, ``_DENSITY_QAWO`` and ``_FAR_QAWO``.
+phi(t) = t^alpha, scaled by 1/pi instead of 2: through :func:`_near_sums`
+(alpha = 2 included), so a density batch of more than 750 near points
+shares the y-table too, or point by point through :func:`_qawo_sums`, the
+package's one QAWO, which also serves the far points.  Its two routes
+differ only in their QUADPACK settings and accepted error,
+``_DENSITY_QAWO`` and ``_FAR_QAWO``.
 
 The non-oscillatory integrals after an EISE fit, the A/H matrices and B
 constants of ``estimators.eise_matrices`` and the inner integrals of the
@@ -231,26 +233,37 @@ def _cheb_table(tables, nodes, points, panel, tol):
     within ``tol`` (one number, or one per panel).  Point j lies on panel
     ``panel[j]``.  Returns the panels' pass mask and, for the points on
     passing panels only, every table's barycentric formula, which is exactly
-    a node's value where a point lands on that node.
+    a node's value where a point lands on that node.  The points are
+    interpolated in blocks of at most ``_BLOCK_CELLS // _TABLE_NODES``, so
+    memory stays bounded; a point's formula reads only its own row, so its
+    bits do not depend on the block.
     """
     ok = np.max(np.abs(tables[0] @ _CHEB_TAIL.T), axis=1) <= tol
-    on = ok[panel]
-    panel = panel[on]
-    diff = points[on][:, None] - nodes[panel]
-    hit = diff == 0.0
-    with np.errstate(divide="ignore"):
-        c = _CHEB_W / diff
-    on_node = hit.any(axis=1)
-    c[on_node] = hit[on_node]
-    den = c.sum(axis=1)
-    return ok, tuple(
-        None if g is None else np.einsum("ij,ij->i", c, g[panel]) / den for g in tables
-    )
+    on = np.flatnonzero(ok[panel])
+    sums = tuple(None if g is None else np.empty(on.size) for g in tables)
+    step = max(1, _BLOCK_CELLS // _TABLE_NODES)
+    for lo in range(0, on.size, step):
+        blk = on[lo : lo + step]
+        pb = panel[blk]
+        diff = points[blk][:, None] - nodes[pb]
+        hit = diff == 0.0
+        with np.errstate(divide="ignore"):
+            c = _CHEB_W / diff
+        on_node = hit.any(axis=1)
+        c[on_node] = hit[on_node]
+        den = c.sum(axis=1)
+        for g, out in zip(tables, sums):
+            if g is not None:
+                out[lo : lo + blk.size] = np.einsum("ij,ij->i", c, g[pb]) / den
+    return ok, sums
 
 
 def _near_sums(ay, alpha, terms, T, grad=True):
     """The sums of :func:`_grid_sums` at each |y| in ``ay``, from a Chebyshev
     table in y when one pays and is accurate, else directly.
+
+    It serves the near points of :func:`cos_transforms` and of the stable
+    density (``stable_core._near_grid``, with phi(t) = t^alpha).
 
     The table covers [0, W*P], P = max(1, ceil(max|y|/W)), with P panels
     W = ``_TABLE_WIDTH`` wide of ``_TABLE_NODES`` Chebyshev nodes each, all

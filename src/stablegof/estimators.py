@@ -1,10 +1,14 @@
 """Fitting symmetric stable laws: maximum likelihood and EISE.
 
-Both estimators are affine equivariant.  The MLE maximizes
-sum_j log f((x_j - mu)/sigma; alpha) - n log sigma using analytic score
-functions built from the density derivatives; the EISE minimizes the
-weighted integrated squared distance Q between the empirical
-characteristic function of the standardized data and exp(-|t|^alpha).
+Both estimators are affine equivariant.  Both fits run on the sample
+divided by a power of two near its IQR/2 (1 while IQR/2 lies in
+[1/16, 16]) and scale mu and sigma back, so the optimizer's absolute
+tolerances and scale floor act relative to the sample's scale.  The MLE
+maximizes sum_j log f((x_j - mu)/sigma; alpha) - n log sigma using
+analytic score functions built from the density derivatives; the EISE
+minimizes the weighted integrated squared distance Q between the
+empirical characteristic function of the standardized data and
+exp(-|t|^alpha).
 The two fits differ only in their objective: one bounded L-BFGS routine
 runs both, with alpha free or fixed.
 
@@ -222,27 +226,42 @@ def _inner_values(alpha, weight, s):
     One graded Gauss-Legendre rule on [-U, 0], [0, min(s, U)] and
     [min(s, U), U], split at the cusps u = 0 and u = s, with U the cutoff of
     exp(-|u|^alpha) w(u); evaluated over row blocks of at most
-    ``_RULE_CELLS`` nodes.  Matches mpmath to 1e-15 absolute for alpha and
-    the weight exponent down to 0.3.  Raises QuadratureError on a non-finite
+    ``_RULE_CELLS`` nodes.  Every s >= U has the same three intervals,
+    [-U, 0], [0, U] and the empty [U, U], so those rows share one rule and
+    its u-only factors |u|, ln|u|, |u|^alpha and the weight's exponent; a
+    row then forms only exp(-|s-u|^a - |u|^a - ...).  The operations and
+    the row length are those of a row with its own rule, so the sums are
+    the same bits.  Matches mpmath to 1e-15 absolute for alpha and the
+    weight exponent down to 0.3.  Raises QuadratureError on a non-finite
     value.
     """
-    U = envelope_cutoff(((1.0, alpha),) + weight.terms())
-    c = np.minimum(s, U)
-    ends = np.stack([np.full_like(s, -U), np.zeros_like(s), c, np.full_like(s, U)], axis=-1)
+    terms = weight.terms()
+    U = envelope_cutoff(((1.0, alpha),) + terms)
     out = np.empty((s.size, 3))
     rows = max(1, _RULE_CELLS // (3 * _GRADED_NODES))
-    for lo in range(0, s.size, rows):
-        blk = slice(lo, lo + rows)
-        u, w = _graded_rule(ends[blk, :-1], ends[blk, 1:])
+
+    def factors(lo, hi):
+        u, w = _graded_rule(lo, hi)
         u, w = u.reshape(u.shape[0], -1), w.reshape(w.shape[0], -1)
         au = np.abs(u)
-        lg = _safe_log_abs(au)
-        ua = au**alpha
-        w *= np.exp(-np.abs(s[blk, None] - u) ** alpha - ua - _phi(au, weight.terms()))
-        out[blk, 0] = np.sum(w * u, axis=1)
-        w *= ua
-        out[blk, 1] = np.sum(w, axis=1)
-        out[blk, 2] = np.sum(w * lg, axis=1)
+        return u, w, au**alpha, _safe_log_abs(au), _phi(au, terms)
+
+    past = s >= U
+    shared = factors(np.array([[-U, 0.0, U]]), np.array([[0.0, U, U]])) if past.any() else None
+    for idx, rule in ((np.flatnonzero(~past), None), (np.flatnonzero(past), shared)):
+        for lo in range(0, idx.size, rows):
+            blk = idx[lo : lo + rows]
+            sb = s[blk, None]
+            if rule is None:
+                ends = np.hstack([np.full_like(sb, -U), np.zeros_like(sb), sb, np.full_like(sb, U)])
+                u, w, ua, lg, ph = factors(ends[:, :-1], ends[:, 1:])
+            else:
+                u, w, ua, lg, ph = rule
+            e = w * np.exp(-np.abs(sb - u) ** alpha - ua - ph)
+            out[blk, 0] = np.sum(e * u, axis=1)
+            e *= ua
+            out[blk, 1] = np.sum(e, axis=1)
+            out[blk, 2] = np.sum(e * lg, axis=1)
     if not np.all(np.isfinite(out)):
         raise QuadratureError(f"EISE inner integrals not finite at alpha={alpha}, {weight}")
     return out
@@ -440,18 +459,39 @@ def _accepted(res, bounds):
     return bool(np.max(np.abs(np.where(out, 0.0, res.jac))) <= 1e-6)
 
 
+def _scale_exponent(x):
+    """The k for which the fits run on x / 2^k: round(log2(IQR/2)).
+
+    k is 0 while IQR/2 lies in [2^-4, 2^4], and where the IQR is 0.
+    """
+    q75, q25 = np.percentile(x, [75, 25])
+    half = 0.5 * float(q75 - q25)
+    if half == 0.0 or 2.0**-4 <= half <= 2.0**4:
+        return 0
+    return round(math.log2(half))
+
+
 def _lbfgs_fit(x, objective, estimator, report, fix_alpha, tolerances):
     """Bounded L-BFGS fit of (mu, sigma, alpha) shared by both estimators.
 
-    ``objective(mu, sigma, alpha)`` returns the value and its 3-gradient.  A
-    fixed alpha is dropped from the optimizer's variables (not pinned by
-    equal bounds), so L-BFGS-B sees the two-parameter (mu, sigma) problem.
-    ``tolerances`` holds the estimator's gtol and ftol, and the cap is
-    ``_MAXITER`` iterations.  ``report`` maps the final value to
-    :attr:`FitResult.objective`.  Raises
+    The fit runs on x / 2^k, k from :func:`_scale_exponent`, and its mu and
+    sigma are multiplied by 2^k; both steps are exact.  So the absolute
+    tolerances and the floor ``_SIGMA_MIN`` act relative to the sample's
+    scale, and a sample and its power-of-two multiples give the same alpha.
+    ``objective(xs, mu, sigma, alpha)`` returns the value on the scaled
+    sample ``xs`` and its 3-gradient.  A fixed alpha is dropped from the
+    optimizer's variables (not pinned by equal bounds), so L-BFGS-B sees
+    the two-parameter (mu, sigma) problem.  ``tolerances`` holds the
+    estimator's gtol and ftol, and the cap is ``_MAXITER`` iterations.
+    ``report(value, k)`` maps the final value to
+    :attr:`FitResult.objective` on the unscaled sample.  Raises
     :class:`~stablegof.errors.NonConvergenceError` carrying the best iterate
-    if the optimizer gives up or ends with sigma at its floor ``_SIGMA_MIN``.
+    if the optimizer gives up or ends with sigma at its floor.
     """
+    k = _scale_exponent(x)
+    x = np.ldexp(x, -k)
+    # the fits standardize by a scale of at least _SIGMA_MIN
+    _check_spread(x, _SIGMA_MIN)
     if fix_alpha is not None and not (0 < fix_alpha <= 2):
         raise ValueError(f"fix_alpha must be in (0, 2], got {fix_alpha}")
     mu0, s0, a0 = _grid_init(x, fix_alpha=fix_alpha)
@@ -463,7 +503,7 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, tolerances):
         bounds.append((_ALPHA_MIN, _ALPHA_MAX))
 
     def fun(theta):
-        val, g = objective(theta[0], theta[1], theta[2] if free else alpha)
+        val, g = objective(x, theta[0], theta[1], theta[2] if free else alpha)
         return val, g[: theta.size]
 
     res = optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
@@ -473,13 +513,13 @@ def _lbfgs_fit(x, objective, estimator, report, fix_alpha, tolerances):
     # tied points), however the optimizer ended
     floored = float(res.x[1]) <= _SIGMA_MIN
     result = FitResult(
-        params=StableParams(float(res.x[0]), float(res.x[1]), a_hat),
+        params=StableParams(math.ldexp(float(res.x[0]), k), math.ldexp(float(res.x[1]), k), a_hat),
         n_iter=int(res.nit),
-        objective=report(float(res.fun)),
+        objective=report(float(res.fun), k),
         boundary_alpha=free and a_hat >= _ALPHA_MAX - 1e-8,
     )
     if floored or not _accepted(res, bounds):
-        why = f"scale at its lower bound {_SIGMA_MIN:g}" if floored else res.message
+        why = f"scale at its lower bound {math.ldexp(_SIGMA_MIN, k):g}" if floored else res.message
         raise NonConvergenceError(f"{estimator.upper()} did not converge: {why}", best=result)
     return result
 
@@ -498,8 +538,6 @@ def _check_sample(data):
         raise DataError("sample contains non-finite values")
     if np.max(x) == np.min(x):
         raise DataError("degenerate sample: all observations identical")
-    # the fits standardize by a scale of at least _SIGMA_MIN
-    _check_spread(x, _SIGMA_MIN)
     return x
 
 
@@ -513,13 +551,15 @@ def mle_fit(data, fix_alpha=None):
     the upper alpha bound is flagged as a boundary solution.  Raises
     :class:`~stablegof.errors.NonConvergenceError` (carrying the best
     iterate) if the optimizer gives up, or if sigma ends at its lower bound
-    1e-6, where the likelihood of a sample with tied points is unbounded.
+    1e-6 (times the power of two the sample is scaled by, see
+    :func:`_lbfgs_fit`), where the likelihood of a sample with tied points
+    is unbounded.
     """
     x = _check_sample(data)
     n = x.size
 
-    def negll(mu, sigma, alpha):
-        y = (x - mu) / sigma
+    def negll(xs, mu, sigma, alpha):
+        y = (xs - mu) / sigma
         f, fp, fa = pdf_batch(y, alpha)
         f = np.maximum(f, 1e-300)
         r = fp / f
@@ -527,7 +567,9 @@ def mle_fit(data, fix_alpha=None):
         g = np.array([r.mean() / sigma, (1.0 + (y * r).mean()) / sigma, -(fa / f).mean()])
         return val, g
 
-    return _lbfgs_fit(x, negll, "mle", lambda fun: -fun * n, fix_alpha, {"gtol": 1e-8, "ftol": 1e-13})
+    # the log-likelihood of x is that of x / 2^k less n k log 2
+    return _lbfgs_fit(x, negll, "mle", lambda fun, k: -fun * n - n * k * math.log(2.0), fix_alpha,
+                      {"gtol": 1e-8, "ftol": 1e-13})
 
 
 # ----------------------------------------------------------------------
@@ -543,9 +585,13 @@ def _w0_and_deriv(d, weight, grad):
     density is evaluated once per distinct |c d|, in one ``pdf_batch``
     call, and scattered back with the sign of f' restored: d_kj = -d_jk and
     the diagonal is zero, so a square of pair differences holds about half
-    as many distinct values as cells.  ``pdf_batch`` computes each point
-    from its |x| alone (its grid depends only on max |x|, which is kept),
-    so the result is bit-identical to one call over every cell.
+    as many distinct values as cells.  Within one route ``pdf_batch``
+    computes each point from its |x| alone and the batch's max |x|, which
+    is kept: the direct grid sums up to 750 near points, its y-table above.
+    So the result is bit-identical to one call over every cell where both
+    batches take the same route, and within the table's accuracy (about
+    1e-15 absolute on f and f') where the distinct values are 750 or fewer
+    and the cells more, as in a tied sample.
     """
     ((nu, p),) = weight.terms()
     c = nu ** (-1.0 / p)
@@ -669,12 +715,15 @@ def _pair_sums(x, sigma, weight, grad):
     in d, so each row block [start, stop) of at most ``_BLOCK_CELLS`` pairs
     (as in ``_fourier._grid_sums``) is summed over its own square of columns
     [start, stop) once and over the columns [stop, n) twice: about n^2/2
-    density evaluations, in bounded memory.  Up to n = 512 one block holds
+    density evaluations, in bounded memory.  A block's distinct differences
+    go to ``pdf_batch`` in one call, which takes more than 750 near points
+    from the density's Chebyshev y-table.  Up to n = 512 one block holds
     every row, the square is the whole matrix and nothing is doubled.  The
     sums still run over every cell of the square, in row order: only the
     density evaluations inside :func:`_w0_and_deriv` are shared between
     mirrored cells, so the sums are those of the full square to the last
-    bit.
+    bit wherever the distinct differences take the density route of every
+    cell (see :func:`_w0_and_deriv`).
     """
     ((c, p),) = weight.terms()
     if p == 1:
@@ -742,7 +791,7 @@ def eise_fit(data, weight, fix_alpha=None):
     """
     x = _check_sample(data)
 
-    def q(mu, sigma, alpha):
-        return q_objective(x, StableParams(mu, max(sigma, _SIGMA_MIN), alpha), weight, grad=True)
+    def q(xs, mu, sigma, alpha):
+        return q_objective(xs, StableParams(mu, max(sigma, _SIGMA_MIN), alpha), weight, grad=True)
 
-    return _lbfgs_fit(x, q, "eise", lambda fun: fun, fix_alpha, {"gtol": 1e-9, "ftol": 1e-15})
+    return _lbfgs_fit(x, q, "eise", lambda fun, k: fun, fix_alpha, {"gtol": 1e-9, "ftol": 1e-15})

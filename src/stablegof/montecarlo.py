@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ValueError("kappas must be finite and positive")
         if not all(0 < xi < 1 for xi in self.xis):
             raise ValueError("xis must lie in (0, 1)")
+        # the kinds of draw_alternative, checked before any worker starts
+        if self.alternative is not None and self.alternative[0] not in ("stable", "student_t", "normal"):
+            raise ValueError(f"unknown alternative {self.alternative[0]!r}")
 
 
 @dataclass

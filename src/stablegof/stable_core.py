@@ -15,8 +15,10 @@ x^(-k*alpha-1) beyond a per-alpha crossover; at alpha = 2 the normal closed
 forms then replace f and f'.  Both density functions return the tuple
 (f, f', f_alpha): ``pdf`` as floats at one point, ``pdf_batch`` as arrays.
 ``pdf_batch`` takes the inversion integrals from ``_fourier``'s shared
-grid, ``pdf`` (and ``pdf_batch`` where that grid would be too large) from
-``_fourier``'s one QAWO routine, point by point.
+grid, through the Chebyshev y-table of ``cos_transforms`` for batches of
+more than 750 near points; ``pdf`` (and ``pdf_batch`` where that grid would
+be too large) takes them from ``_fourier``'s one QAWO routine, point by
+point.
 The location/scale derivatives follow from the identities f_mu = -f' and
 f_sigma = -f - x f'.
 """
@@ -28,7 +30,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, digamma
 
-from ._fourier import _DENSITY_QAWO, _LOG_EPS, _grid_sums, _qawo_sums
+from ._fourier import _DENSITY_QAWO, _LOG_EPS, _near_sums, _qawo_sums
 
 __all__ = [
     "StableParams",
@@ -207,9 +209,13 @@ def pdf_batch(x, alpha):
 
     Splits the points at the per-alpha crossover: Fourier inversion on a
     shared Gauss-Legendre grid below it, tail series above.  At alpha = 2,
-    f and f' are then replaced by the closed forms of N(0, 2).  Accuracy is
-    ~1e-9 relative; use :func:`pdf` when adaptive-quadrature accuracy is
-    needed at a single point.
+    f and f' are then replaced by the closed forms of N(0, 2).  Up to 750
+    points below the crossover each get their own grid sums, which depend
+    only on the point and the batch's largest |x|; a larger batch reads
+    them from the Chebyshev y-table of ``_fourier._near_sums`` where every
+    panel passes its tail check, within about 1e-15 absolute of those sums
+    (see :func:`_near_grid`).  Accuracy is ~1e-9 relative; use :func:`pdf`
+    when adaptive-quadrature accuracy is needed at a single point.
     """
     return _density(np.atleast_1d(np.asarray(x, dtype=float)), alpha, _near_grid)
 
@@ -238,12 +244,21 @@ def _density(x, alpha, near):
 
 
 def _near_grid(ax, alpha):
-    """Inversion on the shared grid; per-point quadrature where that grid would be too large."""
+    """Inversion on the shared grid; per-point quadrature where that grid would be too large.
+
+    The grid sums come from ``_fourier._near_sums``: direct for at most 750
+    points, else from its Chebyshev y-table where every panel passes the
+    tail check, and direct again where one fails.  On stable samples of
+    5000 and 30,000 points (four each) the table's f, f' and f_alpha were
+    within 1.2e-15 absolute of the direct sums at alpha in {1.3, 1.4, 1.5,
+    1.7, 1.8, 1.95, 2} and 4.0e-15 at alpha = 1.25; at alpha in
+    {0.9, 1.1, 1.2} the check refused the table.
+    """
     # grid size scales like T*xmax; for small alpha the cutoff T blows up
     T = _LOG_EPS ** (1.0 / alpha)
     if T * max(float(np.max(ax)), 1.0) > 6.0e4:
         return _near_quad(ax, alpha)
-    g0, g1, ga = _grid_sums(ax, alpha, ((1.0, alpha),), T)
+    g0, g1, ga = _near_sums(ax, alpha, ((1.0, alpha),), T)
     return g0 / math.pi, -g1 / math.pi, -ga / math.pi
 
 

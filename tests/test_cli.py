@@ -624,8 +624,10 @@ def test_simulate_bad_config(cache, tmp_path):
         "alpha = 1.5\nalternative = normal x\n",
         # a misspelt key would run with the default of 2000 replications
         "alpha = 1.5\nreplication = 500\n",
+        "alpha = 1.5\nalternative = weibull 1\n",
     ],
-    ids=["alpha_above_2", "alternative_without_parameter", "non_numeric_parameter", "unknown_key"],
+    ids=["alpha_above_2", "alternative_without_parameter", "non_numeric_parameter", "unknown_key",
+         "unknown_alternative"],
 )
 def test_simulate_bad_section_exits_2_before_any_replication(cache, tmp_path, monkeypatch, capsys, section):
     def no_run(*args):

@@ -5,6 +5,7 @@ their ``sum``-over-a-generator forms, and the failure policy of the far points' 
 one retry on a split interval, then QuadratureError."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -395,15 +396,61 @@ def test_table_takes_a_nodes_value_and_serves_the_top_panels_upper_end():
         assert np.all(np.isfinite(g)) and np.max(np.abs(g - w)) <= 1e-14
 
 
-def test_density_at_large_n_keeps_the_direct_grid():
-    alpha = 1.5
-    x = rand_stable(alpha, 5000, np.random.default_rng(9))
-    f, fp, fa = pdf_batch(x, alpha)
-    ax = np.abs(x)
-    small = ax <= _crossover(alpha)
-    assert np.count_nonzero(small) > 750
-    g0, g1, ga = _grid_sums(ax[small], alpha, ((1.0, alpha),), _LOG_EPS ** (1.0 / alpha))
-    assert np.array_equal(f[small], g0 / math.pi)
-    fp_want = -g1 / math.pi
-    assert np.array_equal(fp[small], np.where(x[small] < 0, -fp_want, fp_want))
-    assert np.array_equal(fa[small], -ga / math.pi)
+def test_density_at_large_n_takes_the_table_where_it_passes(monkeypatch):
+    # more than 750 near points go through _near_sums' y-table: within 2e-15
+    # of the direct grid sums where every panel passes its tail check, and
+    # the direct sums' own bits where the check refuses the table (alpha < 1.3)
+    passed, cheb_table = [], _fourier._cheb_table
+
+    def recording(*args):
+        ok, sums = cheb_table(*args)
+        passed.append(bool(ok.all()))
+        return ok, sums
+
+    monkeypatch.setattr(_fourier, "_cheb_table", recording)
+    for alpha in (0.9, 1.2, 1.3, 1.5, 1.7, 1.95):
+        x = rand_stable(alpha, 5000, np.random.default_rng(9))
+        passed.clear()
+        f, fp, fa = pdf_batch(x, alpha)
+        ax = np.abs(x)
+        small = ax <= _crossover(alpha)
+        assert np.count_nonzero(small) > 750
+        g0, g1, ga = _grid_sums(ax[small], alpha, ((1.0, alpha),), _LOG_EPS ** (1.0 / alpha))
+        fp_want = -g1 / math.pi
+        got = (f[small], fp[small], fa[small])
+        want = (g0 / math.pi, np.where(x[small] < 0, -fp_want, fp_want), -ga / math.pi)
+        assert passed == [alpha >= 1.3]
+        for g, w in zip(got, want):
+            if alpha < 1.3:
+                assert np.array_equal(g, w)
+            else:
+                assert np.max(np.abs(g - w)) <= 2e-15
+
+
+def test_table_interpolates_the_same_bits_in_blocks(monkeypatch):
+    # _cheb_table interpolates blocks of _BLOCK_CELLS // _TABLE_NODES points;
+    # each point's formula reads only its own row, so the block size is invisible
+    x = rand_stable(1.5, 3000, np.random.default_rng(12))
+    terms = ((1.0, 1.5), (2.5, 1.0))
+    T = envelope_cutoff(terms)
+    ay = np.abs(x)[np.abs(x) <= 60.0]
+    whole = _fourier._near_sums(ay, 1.5, terms, T)
+    assert not np.array_equal(whole[0], _grid_sums(ay, 1.5, terms, T, grad=False)[0])  # the table served
+    pdf = pdf_batch(x, 1.7)
+    monkeypatch.setattr(_fourier, "_BLOCK_CELLS", 7 * _fourier._TABLE_NODES)
+    for got, want in zip(_fourier._near_sums(ay, 1.5, terms, T) + pdf_batch(x, 1.7), whole + pdf):
+        assert np.array_equal(got, want)
+
+
+def test_density_table_memory_bounded():
+    # 100,000 points: the table's barycentric arrays of shape (points, 25)
+    # took the peak to 67 MB when formed all at once; in blocks it is 16 MB
+    x = rand_stable(1.5, 100_000, np.random.default_rng(3))
+    pdf_batch(x[:1000], 1.5)  # the crossover's cache
+    tracemalloc.start()
+    try:
+        pdf_batch(x, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

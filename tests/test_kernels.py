@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from stablegof._fourier import envelope_cutoff
+from stablegof._fourier import _GRADED_NODES, _RULE_CELLS, _graded_rule, _phi, envelope_cutoff
 from stablegof.estimators import (
     WeightSpec,
     _inner_values,
@@ -400,6 +400,41 @@ def test_inner_values_match_adaptive_quadrature(alpha, weight):
     got = _inner_values(alpha, weight, s)
     want = np.array([adaptive_inner(alpha, weight, si) for si in s])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def per_row_inner_values(alpha, weight, s):
+    """``_inner_values`` with its own graded rule and u-only factors in every row."""
+    U = envelope_cutoff(((1.0, alpha),) + weight.terms())
+    c = np.minimum(s, U)
+    ends = np.stack([np.full_like(s, -U), np.zeros_like(s), c, np.full_like(s, U)], axis=-1)
+    out = np.empty((s.size, 3))
+    rows = max(1, _RULE_CELLS // (3 * _GRADED_NODES))
+    for lo in range(0, s.size, rows):
+        blk = slice(lo, lo + rows)
+        u, w = _graded_rule(ends[blk, :-1], ends[blk, 1:])
+        u, w = u.reshape(u.shape[0], -1), w.reshape(w.shape[0], -1)
+        au = np.abs(u)
+        lg = _safe_log_abs(au)
+        ua = au**alpha
+        w *= np.exp(-np.abs(s[blk, None] - u) ** alpha - ua - _phi(au, weight.terms()))
+        out[blk, 0] = np.sum(w * u, axis=1)
+        w *= ua
+        out[blk, 1] = np.sum(w, axis=1)
+        out[blk, 2] = np.sum(w * lg, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.7])
+@pytest.mark.parametrize(
+    "weight", [WeightSpec("exp_abs", 2.5), WeightSpec("exp_power", 1.0, 1.5)], ids=["exp_abs", "power1.5"]
+)
+def test_inner_values_share_the_rule_past_the_cutoff_bit_for_bit(alpha, weight):
+    # the rows with s >= U share one rule; below, at and above U, in an
+    # unsorted order and over more than one row block of each kind
+    U = envelope_cutoff(((1.0, alpha),) + weight.terms())
+    s = np.concatenate((np.linspace(0.0, _S_MAX, _N_GRID)[::-3], [U, np.nextafter(U, 0.0), 0.5 * U]))
+    assert np.count_nonzero(s >= U) > 52 and np.count_nonzero(s < U) > 52
+    assert np.array_equal(_inner_values(alpha, weight, s), per_row_inner_values(alpha, weight, s))
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.33, 1.7, 1.76])

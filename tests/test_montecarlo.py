@@ -76,6 +76,9 @@ def test_draw_alternative_kinds():
     assert abs(z.var() - 2.0) < 0.06
     with pytest.raises(ValueError):
         draw_alternative(("weibull", 1.0), 10, 1.5, rng)
+    # a config refuses the kind before any worker starts
+    with pytest.raises(ValueError, match="unknown alternative 'weibull'"):
+        ExperimentConfig(n=20, alpha=1.5, kappas=(2.5,), replications=100, alternative=("weibull", 1.0))
 
 
 def test_simulate_critical_reproducible():
@@ -239,9 +242,9 @@ def test_workers_start_with_single_threaded_blas(monkeypatch):
 def test_worker_exception_reaches_the_caller():
     cfg = ExperimentConfig(
         n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=1,
-        alternative=("weibull", 1.0),
+        alternative=("stable", 3.0),
     )
-    with pytest.raises(ValueError, match="unknown alternative 'weibull'"):
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 2\], got 3.0"):
         power_study(cfg, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
     assert multiprocessing.active_children() == []
 
@@ -290,10 +293,10 @@ def test_experiments_in_one_block_share_the_workers(monkeypatch):
 def test_a_failed_experiment_leaves_the_pool_to_the_next(oracle_statistics):
     cfg = ExperimentConfig(
         n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=1,
-        alternative=("weibull", 1.0),
+        alternative=("stable", 3.0),
     )
     with mc.worker_pool():
-        with pytest.raises(ValueError, match="unknown alternative 'weibull'"):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 2\], got 3.0"):
             power_study(cfg, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
         res = simulate_critical(POOL_CONFIG)
     assert np.array_equal(res.statistics[2.5], oracle_statistics)
