@@ -27,14 +27,18 @@ package's one QAWO, which also serves the far points.  Its two routes
 differ only in their QUADPACK settings and accepted error,
 ``_DENSITY_QAWO`` and ``_FAR_QAWO``.
 
-The non-oscillatory integrals after an EISE fit, the A/H matrices and B
-constants of ``estimators.eise_matrices`` and the inner integrals of the
-EISE kernel (``estimators._inner_values``), use :func:`_graded_rule`
-instead: one Gauss-Legendre rule on many intervals at once, graded toward
-both ends where their integrands have cusps.  :func:`envelope_moment`, one
-adaptive quadrature per call, remains for the constant part of the EISE
-objective.  :func:`_gl_panels` is the one panel map of every fixed rule,
-``estimators._fisher_rule``'s included.
+The non-oscillatory integrals after an EISE fit use one graded
+Gauss-Legendre template instead.  :func:`_graded_rule` lays it on many
+intervals at once, graded toward both ends where the integrands have
+cusps; the A/H matrices and B constants of ``estimators.eise_matrices``
+take their nodes in s from it.  The inner integrals of the EISE kernel
+(``estimators._inner_values``) map every interval onto one of two unit
+rules formed from the template at import: ``_TWO_SIDED`` (the same rule on
+[0, 1]) and ``_ONE_SIDED`` (graded toward 0 only, for an interval with
+one cusp).  :func:`envelope_moment`, one adaptive quadrature per call,
+remains for the constant part of the EISE objective.  :func:`_gl_panels`
+is the one panel map of every fixed rule, ``estimators._fisher_rule``'s
+included.
 """
 
 import math
@@ -76,12 +80,13 @@ _CHEB_TAIL = 2.0 / _TABLE_NODES * np.cos(
 # panels of _graded_rule: dyadic levels toward each end, uniform ones in the middle
 _GRADE_LEVELS = 40
 _MID_PANELS = 4
-# nodes per interval of _graded_rule
+# nodes per interval of _graded_rule (840)
 _GRADED_NODES = _GL_NODES.size * (2 * _GRADE_LEVELS + _MID_PANELS)
-# nodes per block of the sums over graded rules, which hold about eight
-# float arrays of that size at once: 2^17 nodes keep them near 8 MB.  Larger
-# blocks fragment the heap: with 2^19, a later EISE fit's arrays did not fit
-# in the freed blocks and peak RSS rose by 24 MB.
+# (row, node) cells per block of the sums over graded rules in
+# estimators._inner_values, which hold about eight float arrays of that size
+# at once: 2^17 cells keep them near 8 MB.  Larger blocks fragment the heap:
+# with 2^19, a later EISE fit's arrays did not fit in the freed blocks and
+# peak RSS rose by 24 MB.
 _RULE_CELLS = 2**17
 # QUADPACK options and accepted error (abs, rel) of the density's QAWO route,
 # then of the far points', which take QUADPACK's default tolerances
@@ -152,6 +157,15 @@ def panel_grid(T, xmax):
     return _gl_panels(np.append(lo, T))
 
 
+# the [0, 1] template of _graded_rule: panel edges graded dyadically over
+# [0, 1/4] (the innermost panel 2^-41 wide) and uniform over [1/4, 3/4]
+_GRADE_EDGES = np.concatenate(([0.0], 2.0 ** -np.arange(_GRADE_LEVELS + 1.0, 1.0, -1.0)))
+_MID_EDGES = np.linspace(0.25, 0.75, _MID_PANELS + 1)
+# its nodes and weights measured from a ([0, 3/4]) and from b ([0, 1/4])
+_OFF_A, _FW_A = _gl_panels(np.concatenate((_GRADE_EDGES, _MID_EDGES[1:])))
+_OFF_B, _FW_B = _gl_panels(_GRADE_EDGES)
+
+
 def _graded_rule(a, b):
     """Gauss-Legendre nodes/weights on every interval [a, b] at once, 10 per panel.
 
@@ -161,21 +175,32 @@ def _graded_rule(a, b):
     cusp (p >= 0.3) at either end is integrated to rounding level.  Nodes
     near ``b`` are measured from ``b``.  Returns (u, w) of shape
     ``broadcast(a, b).shape + (_GRADED_NODES,)``; a degenerate interval gets
-    zero weights.
+    zero weights.  :data:`_TWO_SIDED` is the same rule on [0, 1], and
+    :data:`_ONE_SIDED` its variant graded toward 0 only.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    levels = _GRADE_LEVELS
-    edges = np.concatenate(([0.0], 2.0 ** -np.arange(levels + 1.0, 1.0, -1.0)))
-    fmid = np.linspace(0.25, 0.75, _MID_PANELS + 1)
-    # [0, 1/4] graded and [1/4, 3/4] uniform, measured from a; [0, 1/4] again from b
-    off_a, fw_a = _gl_panels(np.concatenate((edges, fmid[1:])))
-    off_b, fw_b = _gl_panels(edges)
-    off, fw = np.concatenate((off_a, off_b)), np.concatenate((fw_a, fw_b))
-    from_b = np.arange(off.size) >= off_a.size
+    off, fw = np.concatenate((_OFF_A, _OFF_B)), np.concatenate((_FW_A, _FW_B))
+    from_b = np.arange(off.size) >= _OFF_A.size
     a, b = a[..., None], b[..., None]
     length = b - a
     u = np.where(from_b, b - length * off, a + length * off)
     return u, length * fw
+
+
+# Unit rules of the EISE inner integrals (estimators._inner_values), formed
+# once here.  _TWO_SIDED is (v, 1 - v, w): _graded_rule on [0, 1], with each
+# node's distance 1 - v from 1 taken from the template, so it is exact near
+# that end too.  _ONE_SIDED is (v, w) on [0, 1] graded toward 0 only, for an
+# interval with one cusp: the template's graded panels over [0, 1/4] and its
+# middle panels' width 1/8 continued to 1, 46 panels (460 nodes).
+_TWO_SIDED = (
+    np.concatenate((_OFF_A, 1.0 - _OFF_B)),
+    np.concatenate((1.0 - _OFF_A, _OFF_B)),
+    np.concatenate((_FW_A, _FW_B)),
+)
+_ONE_SIDED = _gl_panels(
+    np.concatenate((_GRADE_EDGES, np.linspace(0.25, 1.0, 3 * _MID_PANELS // 2 + 1)[1:]))
+)
 
 
 def _grid_sums(ay, alpha, terms, T, grad=True):

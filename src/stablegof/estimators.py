@@ -38,10 +38,11 @@ from ._fourier import (
     _BLOCK_CELLS,
     _CHEB_X,
     _DIRECT_MAX,
-    _GRADED_NODES,
+    _ONE_SIDED,
     _RULE_CELLS,
     _TABLE_NODES,
     _TABLE_TAIL,
+    _TWO_SIDED,
     _cheb_table,
     _gl_panels,
     _graded_rule,
@@ -51,7 +52,7 @@ from ._fourier import (
     envelope_moment,
 )
 from .errors import DataError, NonConvergenceError, QuadratureError
-from .stable_core import StableParams, pdf_batch, _crossover, _safe_log_abs, _tail_series
+from .stable_core import StableParams, pdf_batch, _crossover, _gaussian_f_fp, _tail_series
 
 __all__ = [
     "EiseMatrices",
@@ -223,45 +224,83 @@ def _inner_values(alpha, weight, s):
     M2(s) = int exp(-|s-u|^a - |u|^a) |u|^a       w(u) du   (even)
     M3(s) = int exp(-|s-u|^a - |u|^a) |u|^a ln|u| w(u) du   (even)
 
-    One graded Gauss-Legendre rule on [-U, 0], [0, min(s, U)] and
-    [min(s, U), U], split at the cusps u = 0 and u = s, with U the cutoff of
-    exp(-|u|^alpha) w(u); evaluated over row blocks of at most
-    ``_RULE_CELLS`` nodes.  Every s >= U has the same three intervals,
-    [-U, 0], [0, U] and the empty [U, U], so those rows share one rule and
-    its u-only factors |u|, ln|u|, |u|^alpha and the weight's exponent; a
-    row then forms only exp(-|s-u|^a - |u|^a - ...).  The operations and
-    the row length are those of a row with its own rule, so the sums are
-    the same bits.  Matches mpmath to 1e-15 absolute for alpha and the
-    weight exponent down to 0.3.  Raises QuadratureError on a non-finite
-    value.
+    The integrals run over [-U, U], U the cutoff of exp(-|u|^alpha) w(u),
+    split at the cusps u = 0 and u = s, and every interval takes one of the
+    two unit rules of ``_fourier`` (formed at import), so no row builds a
+    rule:
+
+    - [-U, 0] (every row) and [0, U] (rows with s >= U) have nodes that do
+      not depend on s.  Their u-only factors are formed once per call; a
+      row forms exp(-|s-u|^a) at 460 nodes and one product with the
+      (nodes x 3) matrix of weighted factors.
+    - [0, s] (0 < s < U) is u = s v on the two-sided unit rule, so
+      |u|^a = s^a v^a, |s-u|^a = s^a (1-v)^a, ln u = ln s + ln v and the
+      weight's exponent is sum c s^p v^p: a row costs one exp per node and
+      one product with the (nodes x 3) matrix of unit-rule factors.
+    - [s, U] (s < U) is u = s + (U-s) v on the one-sided rule, with
+      |s-u|^a = (U-s)^a v^a; only this interval forms u-factors per row.
+
+    [-U, 0], [0, U] and [s, U] have a cusp at one end only and are graded
+    toward it (460 nodes); [0, s] keeps the two-sided rule (840 nodes).
+    Row blocks hold at most ``_RULE_CELLS`` (row, node) cells.  A call
+    takes about 20 ms on the 840 nodes of :func:`eise_matrices` and on the
+    2048-node kernel grid (2 vCPUs), against 80-140 ms with a rule per row.
+
+    On those nodes, alpha in [0.5, 2] and the weights exp(-|t|),
+    exp(-|t|^0.7) and exp(-2.5|t|^1.5), the values agree with a two-sided
+    rule per interval and row to 1.8e-15 of each column's largest |M|.
+    Against 30-digit mpmath they were within 3e-16 absolute for alpha and
+    the weight's exponent >= 0.5 (the tests hold 1e-14).  At alpha =
+    bar_alpha = 0.3, U = 2.5e4 makes the innermost panel 2^-41 U = 1.1e-8
+    wide, and M3(0) is 4.6e-13 off.  Raises QuadratureError on a
+    non-finite value.
     """
     terms = weight.terms()
     U = envelope_cutoff(((1.0, alpha),) + terms)
-    out = np.empty((s.size, 3))
-    rows = max(1, _RULE_CELLS // (3 * _GRADED_NODES))
+    v1, w1 = _ONE_SIDED
+    v2, c2, w2 = _TWO_SIDED
+    # [0, U] graded toward 0; [-U, 0] is its mirror, with M1's factor negated
+    u = U * v1
+    ua = u**alpha
+    we = U * w1 * np.exp(-ua - _phi(u, terms))
+    pos = np.stack((we * u, we * ua, we * ua * np.log(u)), axis=1)
+    neg = pos * np.array([-1.0, 1.0, 1.0])
+    # [0, s]: a row's exponent is (s^a, c s^p, ...) @ g, its sums s^2 or s^(1+a) times @ unit
+    v2a = v2**alpha
+    g = np.stack([v2a + c2**alpha] + [v2**p for _, p in terms])
+    unit = np.stack((w2 * v2, w2 * v2a, w2 * v2a * np.log(v2)), axis=1)
+    v1a = v1**alpha
+    out = np.zeros((s.size, 3))
 
-    def factors(lo, hi):
-        u, w = _graded_rule(lo, hi)
-        u, w = u.reshape(u.shape[0], -1), w.reshape(w.shape[0], -1)
-        au = np.abs(u)
-        return u, w, au**alpha, _safe_log_abs(au), _phi(au, terms)
+    def blocks(idx, nodes):
+        step = max(1, _RULE_CELLS // nodes)
+        for lo in range(0, idx.size, step):
+            blk = idx[lo : lo + step]
+            yield blk, s[blk, None]
 
+    # exp(-|s-u|^a) is below the smallest normal float (where numpy's exp
+    # takes a slow path) once |s-u| >= reach, so a row that far from an
+    # interval skips it; s >= U is the only test, so a NaN s takes [s, U]
+    reach = (-math.log(np.finfo(float).tiny)) ** (1.0 / alpha)
     past = s >= U
-    shared = factors(np.array([[-U, 0.0, U]]), np.array([[0.0, U, U]])) if past.any() else None
-    for idx, rule in ((np.flatnonzero(~past), None), (np.flatnonzero(past), shared)):
-        for lo in range(0, idx.size, rows):
-            blk = idx[lo : lo + rows]
-            sb = s[blk, None]
-            if rule is None:
-                ends = np.hstack([np.full_like(sb, -U), np.zeros_like(sb), sb, np.full_like(sb, U)])
-                u, w, ua, lg, ph = factors(ends[:, :-1], ends[:, 1:])
-            else:
-                u, w, ua, lg, ph = rule
-            e = w * np.exp(-np.abs(sb - u) ** alpha - ua - ph)
-            out[blk, 0] = np.sum(e * u, axis=1)
-            e *= ua
-            out[blk, 1] = np.sum(e, axis=1)
-            out[blk, 2] = np.sum(e * lg, axis=1)
+    for blk, sb in blocks(np.flatnonzero(s < reach), v1.size):
+        out[blk] += np.exp(-((sb + u) ** alpha)) @ neg
+    for blk, sb in blocks(np.flatnonzero(past & (s < U + reach)), v1.size):
+        out[blk] += np.exp(-((sb - u) ** alpha)) @ pos
+    for blk, sb in blocks(np.flatnonzero(~past), v1.size):
+        length = U - sb
+        ub = sb + length * v1
+        uba = ub**alpha
+        e = length * w1 * np.exp(-(length**alpha) * v1a - uba - _phi(ub, terms))
+        out[blk, 0] += np.einsum("ij,ij->i", e, ub)
+        e *= uba
+        out[blk, 1] += np.sum(e, axis=1)
+        out[blk, 2] += np.einsum("ij,ij->i", e, np.log(ub))
+    for blk, sb in blocks(np.flatnonzero(~past & (s > 0)), v2.size):
+        sa = sb**alpha
+        m = np.exp(-(np.hstack([sa] + [c * sb**p for c, p in terms]) @ g)) @ unit
+        m[:, 2] += np.log(sb[:, 0]) * m[:, 1]
+        out[blk] += sb * np.hstack((sb, sa, sa)) * m
     if not np.all(np.isfinite(out)):
         raise QuadratureError(f"EISE inner integrals not finite at alpha={alpha}, {weight}")
     return out
@@ -277,8 +316,11 @@ def eise_matrices(alpha, weight):
     g Phi times powers and logs of s.  Each H entry is a double integral over
     (s, t); integrating over t first (Fubini) turns it into a single
     integral of the kernel's inner integrals (:func:`_inner_values`), minus
-    Phi(s) times a B moment for the mean term.  For alpha in [0.5, 2] and
-    exp_abs and exp_power weights, A and the B constants agree with the
+    Phi(s) times a B moment for the mean term.  The rule's 840 nodes all
+    lie below the cutoff U = T of the inner integrals, so each takes the
+    [0, s] and [s, U] intervals of :func:`_inner_values`, which is nearly
+    all of a call's cost (about 20 ms on 2 vCPUs).  For alpha in [0.5, 2]
+    and exp_abs and exp_power weights, A and the B constants agree with the
     adaptive :func:`~stablegof._fourier.envelope_moment` (epsrel 1e-11) to
     4e-13 relative, H with a tensor rule over (s, t) to 3e-15 and J to
     3e-13.  Where the adaptive moment misses its epsrel (A22 by 6.7e-11 at
@@ -581,11 +623,13 @@ def _w0_and_deriv(d, weight, grad):
     """W0(d) = int cos(td) w(t) dt over the real line for the weight
     w(t) = exp(-nu |t|^p), p != 1, and, with ``grad``, dW0/dd (else None).
 
-    W0(d) = 2 pi c f(c d; p) with c = nu^(-1/p).  The
-    density is evaluated once per distinct |c d|, in one ``pdf_batch``
-    call, and scattered back with the sign of f' restored: d_kj = -d_jk and
-    the diagonal is zero, so a square of pair differences holds about half
-    as many distinct values as cells.  Within one route ``pdf_batch``
+    W0(d) = 2 pi c f(c d; p) with c = nu^(-1/p).  The density is
+    evaluated once per distinct |c d|, in one ``pdf_batch`` call, and
+    scattered back with the sign of f' restored: d_kj = -d_jk and the
+    diagonal is zero, so a square of pair differences holds about half as
+    many distinct values as cells.  At p = 2, f and f' come from the
+    closed form of N(0, 2) that ``pdf_batch`` returns there, without the
+    grid sums it forms first.  Within one route ``pdf_batch``
     computes each point from its |x| alone and the batch's max |x|, which
     is kept: the direct grid sums up to 750 near points, its y-table above.
     So the result is bit-identical to one call over every cell where both
@@ -597,7 +641,7 @@ def _w0_and_deriv(d, weight, grad):
     c = nu ** (-1.0 / p)
     cd = c * d
     u, inv = np.unique(np.abs(cd).ravel(), return_inverse=True)
-    fu, fpu, _ = pdf_batch(u, p)
+    fu, fpu = _gaussian_f_fp(u) if p == 2.0 else pdf_batch(u, p)[:2]
     w0 = 2.0 * math.pi * c * fu[inv].reshape(d.shape)
     if not grad:
         return w0, None
@@ -717,7 +761,8 @@ def _pair_sums(x, sigma, weight, grad):
     [start, stop) once and over the columns [stop, n) twice: about n^2/2
     density evaluations, in bounded memory.  A block's distinct differences
     go to ``pdf_batch`` in one call, which takes more than 750 near points
-    from the density's Chebyshev y-table.  Up to n = 512 one block holds
+    from the density's Chebyshev y-table; at exponent 2 they take the
+    closed form of N(0, 2) instead.  Up to n = 512 one block holds
     every row, the square is the whole matrix and nothing is doubled.  The
     sums still run over every cell of the square, in row order: only the
     density evaluations inside :func:`_w0_and_deriv` are shared between

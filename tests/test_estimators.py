@@ -990,6 +990,25 @@ def test_exp_power_with_exponent_one_is_exp_abs_bit_for_bit(n, monkeypatch):
     assert any(z.size != n for z in calls) == (n == 800)
 
 
+def test_exp_power_with_exponent_two_takes_the_gaussian_closed_form(monkeypatch):
+    # at exponent 2 the pair sum reads f and f' of N(0, 2) directly, the bits
+    # pdf_batch returns there after forming (and dropping) its grid sums
+    x = 2.0 + 3.0 * rand_stable(1.6, 100, np.random.default_rng(20))
+    params = StableParams(0.3, 1.4, 1.6)
+    weights = [WeightSpec("exp_power", nu, 2.0) for nu in (0.5, 1.0, 2.5)]
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "_gaussian_f_fp", lambda u: pdf_batch(u, 2.0)[:2])
+        want = [(q_objective(x, params, w), q_objective(x, params, w, grad=True)) for w in weights]
+
+    def no_density(*args):
+        raise AssertionError("the pair sum called pdf_batch")
+
+    monkeypatch.setattr(estimators, "pdf_batch", no_density)
+    for w, (value, (q, g)) in zip(weights, want):
+        got_value, (got_q, got_g) = q_objective(x, params, w), q_objective(x, params, w, grad=True)
+        assert [v.hex() for v in (got_value, got_q, *got_g)] == [v.hex() for v in (value, q, *g)]
+
+
 def test_eise_fit_under_exp_power_with_exponent_one_is_the_exp_abs_fit():
     x = rand_stable(1.0, 100, np.random.default_rng(3))
     got = eise_fit(x, WeightSpec("exp_power", 1.0, 1))

@@ -3,11 +3,13 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
+from stablegof import _fourier, estimators
 from stablegof._fourier import _GRADED_NODES, _RULE_CELLS, _graded_rule, _phi, envelope_cutoff
 from stablegof.estimators import (
     WeightSpec,
@@ -386,12 +388,12 @@ def test_make_kernel_rejects_unknown_kinds():
         make_kernel("cauchy_mle", 1.0)
 
 
+INNER_WEIGHTS = [WeightSpec("exp_abs", 1.0), WeightSpec("exp_power", 1.0, 0.7), WeightSpec("exp_power", 2.5, 1.5)]
+INNER_WEIGHT_IDS = ["exp_abs", "power0.7", "power1.5"]
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-@pytest.mark.parametrize(
-    "weight",
-    [WeightSpec("exp_abs", 1.0), WeightSpec("exp_power", 1.0, 0.7), WeightSpec("exp_power", 2.5, 1.5)],
-    ids=["exp_abs", "power0.7", "power1.5"],
-)
+@pytest.mark.parametrize("weight", INNER_WEIGHTS, ids=INNER_WEIGHT_IDS)
 def test_inner_values_match_adaptive_quadrature(alpha, weight):
     # nodes of the cache's s-grid: both ends, near the u = 0 cusp, and past
     # the cutoff U of every case
@@ -403,7 +405,12 @@ def test_inner_values_match_adaptive_quadrature(alpha, weight):
 
 
 def per_row_inner_values(alpha, weight, s):
-    """``_inner_values`` with its own graded rule and u-only factors in every row."""
+    """(M1, M2, M3) with a two-sided graded rule of its own on each interval of each row.
+
+    Reference copy of ``_inner_values`` before it shared its rules and
+    u-only factors: [-U, 0], [0, min(s, U)] and [min(s, U), U], each on
+    ``_graded_rule``, row by row.
+    """
     U = envelope_cutoff(((1.0, alpha),) + weight.terms())
     c = np.minimum(s, U)
     ends = np.stack([np.full_like(s, -U), np.zeros_like(s), c, np.full_like(s, U)], axis=-1)
@@ -424,17 +431,78 @@ def per_row_inner_values(alpha, weight, s):
     return out
 
 
-@pytest.mark.parametrize("alpha", [0.8, 1.7])
-@pytest.mark.parametrize(
-    "weight", [WeightSpec("exp_abs", 2.5), WeightSpec("exp_power", 1.0, 1.5)], ids=["exp_abs", "power1.5"]
-)
-def test_inner_values_share_the_rule_past_the_cutoff_bit_for_bit(alpha, weight):
-    # the rows with s >= U share one rule; below, at and above U, in an
-    # unsorted order and over more than one row block of each kind
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2, 1.7, 2.0])
+@pytest.mark.parametrize("weight", INNER_WEIGHTS, ids=INNER_WEIGHT_IDS)
+def test_inner_values_match_the_per_row_rule(alpha, weight):
+    # around the cutoff U, the 840 nodes of eise_matrices (all below U) and
+    # the kernel grid, unsorted; largest error seen 1.8e-15 of a column's max
     U = envelope_cutoff(((1.0, alpha),) + weight.terms())
-    s = np.concatenate((np.linspace(0.0, _S_MAX, _N_GRID)[::-3], [U, np.nextafter(U, 0.0), 0.5 * U]))
-    assert np.count_nonzero(s >= U) > 52 and np.count_nonzero(s < U) > 52
-    assert np.array_equal(_inner_values(alpha, weight, s), per_row_inner_values(alpha, weight, s))
+    edge = [0.0, 1e-6, 0.5 * U, np.nextafter(U, 0.0), U, 1.5 * U]
+    s = np.concatenate((edge, _graded_rule(0.0, U)[0], np.linspace(0.0, _S_MAX, _N_GRID)[::-1]))
+    want = per_row_inner_values(alpha, weight, s)
+    got = _inner_values(alpha, weight, s)
+    assert np.all(np.abs(got - want) <= 5e-15 * np.max(np.abs(want), axis=0))
+
+
+def mpmath_inner(alpha, weight, s):
+    """(M1, M2, M3) at one s >= 0 by 30-digit mpmath quadrature over the whole line.
+
+    Split at the cusps u = 0 and u = s and on a geometric ladder on each
+    side, out to infinity, so no truncation at the cutoff U is shared with
+    the rule under test.
+    """
+    ((c, p),) = weight.terms()
+    with mpmath.workdps(30):
+        a, c, p, s = (mpmath.mpf(v) for v in (alpha, c, p, s))
+
+        def integrand(k):
+            def f(u):
+                au = abs(u)
+                if au == 0:
+                    return mpmath.mpf(0)
+                e = mpmath.exp(-abs(s - u) ** a - au**a - c * au**p)
+                return (u, au**a, au**a * mpmath.log(au))[k] * e
+
+            return f
+
+        ladder = [mpmath.mpf(10) ** k for k in range(-2, 6)]
+        cusps = [mpmath.mpf(0)] + ([s] if s > 0 else [])
+        pts = [-mpmath.inf] + [-x for x in ladder[::-1]] + cusps + [s + x for x in ladder] + [mpmath.inf]
+        return np.array([float(mpmath.quad(integrand(k), pts)) for k in range(3)])
+
+
+@pytest.mark.parametrize(
+    "alpha,weight,atol",
+    [
+        (0.5, WeightSpec("exp_power", 1.0, 0.5), 1e-14),
+        (0.8, WeightSpec("exp_abs", 1.0), 1e-14),
+        (1.2, WeightSpec("exp_power", 1.0, 0.7), 1e-14),
+        (1.7, WeightSpec("exp_power", 2.5, 1.5), 1e-14),
+        (2.0, WeightSpec("exp_abs", 2.5), 1e-14),
+        # U = 2.5e4: the innermost panel, 2^-41 U = 1.1e-8 wide, leaves
+        # M3(0) 4.6e-13 off
+        (0.3, WeightSpec("exp_power", 1.0, 0.3), 5e-13),
+    ],
+    ids=["0.5-power0.5", "0.8-exp_abs", "1.2-power0.7", "1.7-power1.5", "2-exp_abs2.5", "0.3-power0.3"],
+)
+def test_inner_values_match_mpmath(alpha, weight, atol):
+    # largest error seen for alpha, bar_alpha >= 0.5: 2.8e-16
+    U = envelope_cutoff(((1.0, alpha),) + weight.terms())
+    s = np.array([0.0, 0.7, 0.5 * U])
+    want = np.array([mpmath_inner(alpha, weight, si) for si in s])
+    np.testing.assert_allclose(_inner_values(alpha, weight, s), want, rtol=0, atol=atol)
+
+
+def test_inner_values_build_no_rule_per_row(monkeypatch):
+    # the unit rules are formed once, at import: no call builds a graded rule
+    def no_rule(*args):
+        raise AssertionError("_inner_values built a graded rule")
+
+    monkeypatch.setattr(_fourier, "_graded_rule", no_rule)
+    monkeypatch.setattr(estimators, "_graded_rule", no_rule)
+    grid = np.linspace(0.0, _S_MAX, _N_GRID)
+    for alpha, weight in ((0.8, INNER_WEIGHTS[0]), (1.7, INNER_WEIGHTS[2])):
+        assert np.all(np.isfinite(_inner_values(alpha, weight, grid)))
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.33, 1.7, 1.76])
