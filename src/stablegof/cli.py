@@ -360,70 +360,66 @@ def cmd_table(args):
 
 
 def _parse_alternative(text):
-    if text is None or text.strip() in ("", "none", "null"):
+    if text.strip() in ("", "none", "null"):
         return None
     parts = text.replace("(", " ").replace(")", " ").split()
     if len(parts) != 2:
         raise ValueError(f"alternative must be a kind and one parameter, got {text!r}")
-    kind = parts[0]
-    if kind == "student_t":
-        par = math.inf if parts[1] in ("inf", "infty") else float(parts[1])
-    else:
-        par = float(parts[1])
-    return (kind, par)
+    kind, par = parts
+    return kind, math.inf if par == "infty" else float(par)
 
 
-# the keys a section may hold, the first three required, besides its thresholds critical_<kappa>_<xi>
-_SECTION_KEYS = ("n", "alpha", "kappas", "hypothesis", "estimator", "replications", "seed", "alternative", "xis")
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+# the reader of each key a section may hold besides its thresholds
+# critical_<kappa>_<xi>; a key the section lacks takes its ExperimentConfig
+# default, and one without a default is required
+_SECTION_READERS = {
+    "n": int,
+    "alpha": float,
+    "kappas": _floats,
+    "hypothesis": str,
+    "estimator": str,
+    "replications": int,
+    "seed": int,
+    "alternative": _parse_alternative,
+    "xis": _floats,
+}
 
 
 def _experiment_from_section(sec):
-    missing = [key for key in _SECTION_KEYS[:3] if key not in sec]
+    required = [f.name for f in dataclasses.fields(ExperimentConfig) if f.default is dataclasses.MISSING]
+    missing = [key for key in required if key not in sec]
     if missing:
         raise DataError(f"missing required key(s): {', '.join(missing)}")
     # a misspelt key would otherwise run with its default; [DEFAULT] keys are in every section
-    unknown = [key for key in sec if key not in _SECTION_KEYS and not key.startswith("critical_")]
+    unknown = [key for key in sec if key not in _SECTION_READERS and not key.startswith("critical_")]
     if unknown:
         raise DataError(f"unknown key(s): {', '.join(unknown)}")
-    alt = _parse_alternative(sec.get("alternative", fallback=None))
-    return ExperimentConfig(
-        n=sec.getint("n"),
-        alpha=sec.getfloat("alpha"),
-        kappas=tuple(float(k) for k in sec.get("kappas").split(",")),
-        hypothesis=sec.get("hypothesis", "H1"),
-        estimator=sec.get("estimator", "mle"),
-        replications=sec.getint("replications", 2000),
-        seed=sec.getint("seed", 0),
-        alternative=alt,
-        xis=tuple(float(v) for v in sec["xis"].split(",")) if "xis" in sec else TEST_LEVELS,
-    )
+    return ExperimentConfig(**{key: read(sec[key]) for key, read in _SECTION_READERS.items() if key in sec})
 
 
 def _section_rows(name, sec, seed):
     """Run one experiment section; its output rows."""
     try:
         config = _experiment_from_section(sec)
+        crit = None if config.alternative is None else {
+            (k, xi): sec.parser.getfloat(name, f"critical_{k:g}_{xi:g}")
+            for k in config.kappas for xi in config.xis
+        }
     except (ValueError, TypeError, configparser.Error) as exc:
         raise DataError(f"bad experiment section [{name}]: {exc}")
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    if config.alternative is None:
-        res = simulate_critical(config)
-        return [
-            (name, "critical", config.n, config.alpha, k, xi, q, se, res.n_failures)
-            for (k, xi), (q, se) in sorted(res.quantiles.items())
-        ]
-    crit = {}
-    for k in config.kappas:
-        for xi in config.xis:
-            key = f"critical_{k:g}_{xi:g}"
-            if key not in sec:
-                raise DataError(f"[{name}] needs {key} (threshold for kappa={k:g}, xi={xi:g})")
-            crit[(k, xi)] = sec.getfloat(key)
-    res = power_study(config, crit)
+    if crit is None:
+        kind, res = "critical", simulate_critical(config)
+    else:
+        kind, res = "power", power_study(config, crit)
     return [
-        (name, "power", config.n, config.alpha, k, xi, p, se, res.n_failures)
-        for (k, xi), (p, se) in sorted(res.rates.items())
+        (name, kind, config.n, config.alpha, k, xi, v, se, res.n_failures)
+        for (k, xi), (v, se) in sorted(res.values.items())
     ]
 
 

@@ -39,8 +39,7 @@ from .stable_core import rand_stable
 
 __all__ = [
     "ExperimentConfig",
-    "SimulatedCritical",
-    "PowerResult",
+    "ExperimentResult",
     "simulate_critical",
     "power_study",
     "worker_pool",
@@ -50,6 +49,13 @@ __all__ = [
 # upper-tail levels xi at which ``table`` and ``test`` report critical
 # values, and the default levels of an experiment
 TEST_LEVELS = (0.10, 0.05)
+
+# the parameter domain of each kind of draw_alternative; NaN lies in none
+_ALTERNATIVE_DOMAINS = {
+    "stable": ("0 < alpha <= 2", lambda a: 0 < a <= 2),
+    "student_t": ("df > 0", lambda df: df > 0),
+    "normal": ("a finite variance > 0", lambda var: 0 < var < math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -81,26 +87,26 @@ class ExperimentConfig:
             raise ValueError("kappas must be finite and positive")
         if not all(0 < xi < 1 for xi in self.xis):
             raise ValueError("xis must lie in (0, 1)")
-        # the kinds of draw_alternative, checked before any worker starts
-        if self.alternative is not None and self.alternative[0] not in ("stable", "student_t", "normal"):
-            raise ValueError(f"unknown alternative {self.alternative[0]!r}")
+        # the kinds of draw_alternative and their parameters, checked before any worker starts
+        if self.alternative is not None:
+            kind, par = self.alternative
+            if kind not in _ALTERNATIVE_DOMAINS:
+                raise ValueError(f"unknown alternative {kind!r}")
+            domain, holds = _ALTERNATIVE_DOMAINS[kind]
+            if not holds(par):
+                raise ValueError(f"the {kind} alternative needs {domain}, got {par}")
 
 
 @dataclass
-class SimulatedCritical:
-    """Empirical upper quantiles of the statistic with order-statistic SEs."""
+class ExperimentResult:
+    """(value, SE) per (kappa, xi): a simulated critical value or a rejection rate.
 
-    quantiles: dict
+    ``statistics`` holds D of every replication, (R, K) in replication order.
+    """
+
+    values: dict
     n_failures: int
-    statistics: dict = field(repr=False, default_factory=dict)
-
-
-@dataclass
-class PowerResult:
-    """Rejection rates against an alternative, with binomial SEs."""
-
-    rates: dict
-    n_failures: int
+    statistics: np.ndarray = field(repr=False)
 
 
 def draw_alternative(alternative, n, alpha, rng):
@@ -205,15 +211,11 @@ _pool = None  # the executor of the outermost open worker_pool() block
 
 @contextmanager
 def worker_pool():
-    """A spawn-context process pool, one worker per available CPU.
+    """A spawn-context process pool, one worker per available CPU (see the module docstring).
 
     The outermost block creates the pool and, on exit, cancels any queued
     work and waits for its workers to end; a block opened inside it yields
-    the same pool, so the experiments of one block share its workers and pay
-    their start-up once.  The pool starts a worker only when work is
-    submitted.  Every experiment runs inside such a block: one called
-    outside any gets a pool of its own, gone when it returns.  The open
-    pool is held in module state, so two threads must not use this at once.
+    the same pool.  The pool starts a worker only when work is submitted.
     """
     global _pool
     if _pool is not None:
@@ -253,8 +255,19 @@ def _replicate(config):
             raise RuntimeError(_UNGUARDED_MAIN) from exc
 
 
-def _order_quantile(sorted_stats, xi):
-    """Upper-xi order statistic and its distribution-free standard error."""
+def _experiment(config, summary):
+    """Run ``config``'s replications; ``summary(d, kappa, xi)`` reduces D's column at kappa to (value, SE)."""
+    rows, failures = _replicate(config)
+    stats = np.asarray(rows)
+    values = {
+        (k, xi): summary(stats[:, i], k, xi) for i, k in enumerate(config.kappas) for xi in config.xis
+    }
+    return ExperimentResult(values, failures, stats)
+
+
+def _order_quantile(d, kappa, xi):
+    """Upper-xi order statistic of ``d`` and its distribution-free standard error."""
+    sorted_stats = np.sort(d)
     r = len(sorted_stats)
     k = min(max(int(math.ceil((1.0 - xi) * r)) - 1, 0), r - 1)
     half = math.sqrt(r * xi * (1.0 - xi))
@@ -267,32 +280,20 @@ def _order_quantile(sorted_stats, xi):
 def simulate_critical(config):
     """Simulated upper percentage points of the statistic under the null.
 
-    The replications run in one spawned worker process per available CPU,
-    each with single-threaded BLAS, from the pool of the enclosing
-    :func:`worker_pool` block, or from a pool of their own that is shut
-    down before this returns.  A script that calls this must do so under
-    ``if __name__ == "__main__":`` (see the module docstring).
+    Each value is an order statistic of D with its distribution-free SE.
+    The replications run on the worker pool of the module docstring.
     """
     if config.alternative is not None:
         raise ValueError("critical-value simulation runs under the null (no alternative)")
-
-    rows, failures = _replicate(config)
-    stats = {k: np.sort(np.array([r[i] for r in rows])) for i, k in enumerate(config.kappas)}
-    quantiles = {
-        (k, xi): _order_quantile(stats[k], xi) for k in config.kappas for xi in config.xis
-    }
-    return SimulatedCritical(quantiles=quantiles, n_failures=failures, statistics=stats)
+    return _experiment(config, _order_quantile)
 
 
 def power_study(config, critical_values):
-    """Rejection rates of the test against ``config.alternative``.
+    """Rejection rates of the test against ``config.alternative``, with binomial SEs.
 
     ``critical_values`` maps (kappa, xi) to the threshold c used, asymptotic
     or simulated; a replication rejects at D >= c, as ``stablegof test``
-    does.  The replications run as in :func:`simulate_critical`:
-    one spawned worker per available CPU, single-threaded BLAS, the pool of
-    the enclosing :func:`worker_pool` block or else one of their own, and
-    the caller's script guarded by ``if __name__ == "__main__":``.
+    does.  The replications run on the worker pool of the module docstring.
     """
     if config.alternative is None:
         raise ValueError("power study needs an alternative")
@@ -301,12 +302,8 @@ def power_study(config, critical_values):
             if (k, xi) not in critical_values:
                 raise ValueError(f"missing critical value for kappa={k}, xi={xi}")
 
-    rows, failures = _replicate(config)
-    arr = np.asarray(rows)
-    rates = {}
-    r = config.replications
-    for i, k in enumerate(config.kappas):
-        for xi in config.xis:
-            p = float(np.mean(arr[:, i] >= critical_values[(k, xi)]))
-            rates[(k, xi)] = (p, math.sqrt(p * (1.0 - p) / r))
-    return PowerResult(rates=rates, n_failures=failures)
+    def rate(d, kappa, xi):
+        p = float(np.mean(d >= critical_values[(kappa, xi)]))
+        return p, math.sqrt(p * (1.0 - p) / config.replications)
+
+    return _experiment(config, rate)

@@ -1,10 +1,12 @@
-"""The two dataset workloads of the benchmark meet their stored references.
+"""Every workload of the benchmark meets its stored references.
 
 ``bench/checks.py`` compares a round's outputs with ``bench/references.json``
 to 1e-8 relative at the reference seed.  The EISE fit reacts to the last bits
 of its objective, so a change to the density or the pair sums can move
-``eise_pipeline``'s sigma_hat close to that tolerance; these tests run both
-workloads at full size and the reference seed, about a second per round.
+``eise_pipeline``'s sigma_hat close to that tolerance, and a change to the
+Monte Carlo summaries would move ``mc_null``'s critical values; these tests
+run every workload at full size and the reference seed, about a second per
+round (``mc_null`` about 3.5 s, on its worker processes).
 """
 
 import importlib.util
@@ -31,8 +33,8 @@ def bench():
     return load("workloads"), load("checks"), references
 
 
-@pytest.mark.parametrize("workload", ["eise_pipeline", "test_large_n"])
-def test_dataset_workload_meets_its_references(bench, workload, tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["mc_null", "table_h1", "eise_pipeline", "test_large_n"])
+def test_workload_meets_its_references(bench, workload, tmp_path, monkeypatch):
     workloads, checks, references = bench
     monkeypatch.setenv("STABLEGOF_CACHE", str(tmp_path / "cache"))
     out = workloads.ROUNDS[workload](REFERENCE_SEED, str(tmp_path), workloads.SIZES["full"], lambda name: None)

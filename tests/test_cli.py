@@ -625,9 +625,17 @@ def test_simulate_bad_config(cache, tmp_path):
         # a misspelt key would run with the default of 2000 replications
         "alpha = 1.5\nreplication = 500\n",
         "alpha = 1.5\nalternative = weibull 1\n",
+        # parameters outside their kind's domain, refused before the workers start
+        "alpha = 1.5\nalternative = normal -1\n",
+        "alpha = 1.5\nalternative = student_t -2\n",
+        "alpha = 1.5\nalternative = stable 3\n",
+        # a power section's thresholds are read before its replications run
+        "alpha = 1.5\nalternative = student_t 3\nxis = 0.1, 0.05, 0.01\n",
+        "alpha = 1.5\nalternative = student_t 3\nxis = 0.1, 0.05, 0.01\ncritical_2.5_0.01 = x\n",
     ],
     ids=["alpha_above_2", "alternative_without_parameter", "non_numeric_parameter", "unknown_key",
-         "unknown_alternative"],
+         "unknown_alternative", "normal_negative_variance", "student_t_negative_df", "stable_alpha_3",
+         "missing_threshold", "non_numeric_threshold"],
 )
 def test_simulate_bad_section_exits_2_before_any_replication(cache, tmp_path, monkeypatch, capsys, section):
     def no_run(*args):
@@ -649,7 +657,7 @@ def test_simulate_reads_default_keys_as_keys_of_every_section(cache, tmp_path, m
 
     def recording(config):
         configs.append(config)
-        return mc.SimulatedCritical(quantiles={}, n_failures=0)
+        return mc.ExperimentResult(values={}, n_failures=0, statistics=np.empty((0, 1)))
 
     monkeypatch.setattr(cli, "simulate_critical", recording)
     cfg = tmp_path / "sim.ini"
@@ -692,7 +700,7 @@ def table_rows(path):
 
 @pytest.fixture()
 def recorded_experiments(monkeypatch):
-    """Each simulate_critical the CLI runs: the pool open around it and its statistics."""
+    """Each simulate_critical the CLI runs: the pool open around it and its (R, K) statistics."""
     runs = []
 
     def recording(config):
@@ -719,8 +727,7 @@ def test_simulate_runs_its_sections_on_one_pool(cache, tmp_path, recorded_experi
         alone += data_rows(tmp_path / f"{name}.csv")[1:]
     assert data_rows(tmp_path / "both.csv")[1:] == alone
     for together, apart in zip((stats_a, stats_b), (r[1] for r in recorded_experiments[2:])):
-        assert together.keys() == apart.keys()
-        assert all(np.array_equal(together[k], apart[k]) for k in together)
+        assert np.array_equal(together, apart)
     assert multiprocessing.active_children() == []
 
 

@@ -1082,3 +1082,17 @@ def test_pair_table_refused_on_every_panel_sums_every_point_directly(monkeypatch
     calls = cauchy_rows_calls(monkeypatch)
     assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 2.5), 1e-14)
     assert [z.size for z in calls[1::2]] == [5000, 5000]
+
+
+@pytest.mark.parametrize("n, seed", [(50, 0), (100, 1), (100, 2), (1000, 3), (5000, 0)])
+def test_normal_endpoint_mle_meets_its_closed_form(n, seed):
+    # at alpha = 2 the law is N(mu, 2 sigma^2): mu_hat is the mean and
+    # sigma_hat the standard deviation over sqrt(2); the largest distance
+    # seen was 8.9e-9 sigma_hat (n = 100, seed 2), a stopping tolerance of
+    # L-BFGS-B, not rounding
+    x = np.random.default_rng(seed).normal(3.0, 2.0, n)
+    p = mle_fit(x, fix_alpha=2.0).params
+    sigma = x.std() / math.sqrt(2.0)
+    assert abs(p.mu - x.mean()) <= 1e-7 * sigma
+    assert abs(p.sigma - sigma) <= 1e-7 * sigma
+    assert p.alpha == 2.0

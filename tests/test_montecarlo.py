@@ -81,14 +81,31 @@ def test_draw_alternative_kinds():
         ExperimentConfig(n=20, alpha=1.5, kappas=(2.5,), replications=100, alternative=("weibull", 1.0))
 
 
+@pytest.mark.parametrize(
+    "alternative",
+    [("stable", 0.0), ("stable", 3.0), ("stable", math.nan), ("student_t", -2.0), ("student_t", 0.0),
+     ("student_t", math.nan), ("normal", -1.0), ("normal", 0.0), ("normal", math.inf), ("normal", math.nan)],
+)
+def test_config_refuses_an_alternative_parameter_outside_its_domain(alternative):
+    # refused before any worker starts, not inside the draws
+    with pytest.raises(ValueError, match=f"the {alternative[0]} alternative needs"):
+        ExperimentConfig(n=20, alpha=1.5, kappas=(2.5,), replications=100, alternative=alternative)
+
+
+def test_config_takes_the_ends_of_each_alternative_domain():
+    for alternative in (("stable", 2.0), ("stable", 1e-3), ("student_t", math.inf), ("student_t", 1e-3),
+                        ("normal", 1e-3)):
+        ExperimentConfig(n=20, alpha=1.5, kappas=(2.5,), replications=100, alternative=alternative)
+
+
 def test_simulate_critical_reproducible():
     cfg = ExperimentConfig(
         n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=51
     )
     a = simulate_critical(cfg)
     b = simulate_critical(cfg)
-    assert a.quantiles == b.quantiles
-    np.testing.assert_array_equal(a.statistics[2.5], b.statistics[2.5])
+    assert a.values == b.values
+    np.testing.assert_array_equal(a.statistics, b.statistics)
 
 
 def test_simulate_critical_rejects_alternative():
@@ -118,7 +135,7 @@ def test_size_matches_level_under_null():
         seed=7, alternative=("stable", 1.5),
     )
     res = power_study(cfg, crit)
-    p, se = res.rates[(2.5, 0.10)]
+    p, se = res.values[(2.5, 0.10)]
     assert abs(p - 0.10) < 3 * max(se, math.sqrt(0.1 * 0.9 / 300))
 
 
@@ -167,7 +184,8 @@ def test_fold_matches_the_serial_loop(monkeypatch, replications, failing_calls):
 
 @pytest.fixture(scope="module")
 def oracle_statistics(tmp_path_factory):
-    """The serial loop's statistics, computed in a process with single-threaded BLAS."""
+    """The serial loop's statistics, (R, K) in replication order, computed in a process
+    with single-threaded BLAS."""
     out = tmp_path_factory.mktemp("oracle") / "stats.npy"
     code = textwrap.dedent(f"""
         import sys
@@ -175,7 +193,7 @@ def oracle_statistics(tmp_path_factory):
         sys.path[:0] = [{SRC!r}, {os.path.dirname(os.path.abspath(__file__))!r}]
         from test_montecarlo import POOL_CONFIG, serial_replicate
         rows, _ = serial_replicate(POOL_CONFIG)
-        np.save({str(out)!r}, np.sort(np.array(rows)[:, 0]))
+        np.save({str(out)!r}, np.array(rows))
     """)
     env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
@@ -197,7 +215,7 @@ def test_pool_is_bit_identical_and_restores_the_environment(monkeypatch, oracle_
     before = dict(os.environ)
     res = simulate_critical(POOL_CONFIG)
     assert dict(os.environ) == before
-    assert np.array_equal(res.statistics[2.5], oracle_statistics)
+    assert np.array_equal(res.statistics, oracle_statistics)
     assert multiprocessing.active_children() == []
 
 
@@ -222,7 +240,7 @@ def test_power_study_rejects_at_the_threshold(monkeypatch):
         n=20, alpha=1.5, kappas=(2.5,), replications=100, seed=1, alternative=("student_t", 3.0)
     )
     res = power_study(cfg, {(2.5, xi): AT_THRESHOLD for xi in cfg.xis})
-    assert res.rates == {(2.5, xi): (1.0, 0.0) for xi in cfg.xis}
+    assert res.values == {(2.5, xi): (1.0, 0.0) for xi in cfg.xis}
     assert res.n_failures == 0
 
 
@@ -239,13 +257,21 @@ def test_workers_start_with_single_threaded_blas(monkeypatch):
     assert all(os.environ[name] == "4" for name in BLAS_THREAD_VARS)
 
 
-def test_worker_exception_reaches_the_caller():
-    cfg = ExperimentConfig(
-        n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=1,
-        alternative=("stable", 3.0),
-    )
-    with pytest.raises(ValueError, match=r"alpha must be in \(0, 2\], got 3.0"):
-        power_study(cfg, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
+def raise_in_worker(config, child):
+    """Stands in for ``_attempts`` in the workers: every replication raises."""
+    raise ValueError(f"replication {child.spawn_key[0]} raised")
+
+
+# an alternative whose replications run; raise_in_worker makes them fail
+FAILING_POWER = ExperimentConfig(
+    n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=1, alternative=("stable", 1.5)
+)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(mc, "_attempts", raise_in_worker)
+    with pytest.raises(ValueError, match=r"replication \d+ raised"):
+        power_study(FAILING_POWER, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
     assert multiprocessing.active_children() == []
 
 
@@ -290,16 +316,14 @@ def test_experiments_in_one_block_share_the_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_a_failed_experiment_leaves_the_pool_to_the_next(oracle_statistics):
-    cfg = ExperimentConfig(
-        n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=1,
-        alternative=("stable", 3.0),
-    )
+def test_a_failed_experiment_leaves_the_pool_to_the_next(monkeypatch, oracle_statistics):
     with mc.worker_pool():
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 2\], got 3.0"):
-            power_study(cfg, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_attempts", raise_in_worker)
+            with pytest.raises(ValueError, match=r"replication \d+ raised"):
+                power_study(FAILING_POWER, {(2.5, 0.10): 0.1, (2.5, 0.05): 0.2})
         res = simulate_critical(POOL_CONFIG)
-    assert np.array_equal(res.statistics[2.5], oracle_statistics)
+    assert np.array_equal(res.statistics, oracle_statistics)
     assert multiprocessing.active_children() == []
 
 
