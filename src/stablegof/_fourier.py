@@ -11,15 +11,16 @@ panelized Gauss-Legendre grid of :func:`panel_grid` and the three sums of
 ``exp``) and summed row by row, so a point's three sums depend on the rest
 of its batch only through the grid, which max |y| sets.  A large batch
 (more than 750 near points) is summed instead at the nodes of a piecewise
-Chebyshev table in y and interpolated (:func:`_near_sums`), since the
-transforms are analytic in a strip around the real y axis.  One panel
-helper, :func:`_cheb_table`, checks and interpolates that table and the
-x-table of the large-n pair sums (``estimators._pair_table``).  The few points
-beyond ``ysplit`` fall back to adaptive oscillatory quadrature so heavy-tail
+Chebyshev table in y and interpolated (:func:`_near_sums`): the sums are
+integrals over [0, T], so they are entire in y, and a panel whose tail check
+fails is halved until its halves pass.  One panel helper,
+:func:`_cheb_table`, checks and interpolates that table and the x-table of
+the large-n pair sums (``estimators._pair_table``).  The few points beyond
+``ysplit`` fall back to adaptive oscillatory quadrature so heavy-tail
 outliers cannot alias into the grid sum.  The value of D needs only the
-first transform: without ``grad``, :func:`cos_transforms` forms the grid sum
-from real cosines alone and makes one quadrature per far point instead of
-three.  The stable density (``stable_core``) is the same three sums with
+first transform: without ``grad``, :func:`cos_transforms` forms the grid
+sum from real cosines alone and makes one quadrature per far point instead
+of three.  The stable density (``stable_core``) is the same three sums with
 phi(t) = t^alpha, scaled by 1/pi instead of 2: through :func:`_near_sums`
 (alpha = 2 included), so a density batch of more than 750 near points
 shares the y-table too, or point by point through :func:`_qawo_sums`, the
@@ -285,39 +286,63 @@ def _cheb_table(tables, nodes, points, panel, tol):
 
 def _near_sums(ay, alpha, terms, T, grad=True):
     """The sums of :func:`_grid_sums` at each |y| in ``ay``, from a Chebyshev
-    table in y when one pays and is accurate, else directly.
+    table in y when one pays, else directly.
 
     It serves the near points of :func:`cos_transforms` and of the stable
     density (``stable_core._near_grid``, with phi(t) = t^alpha).
 
-    The table covers [0, W*P], P = max(1, ceil(max|y|/W)), with P panels
-    W = ``_TABLE_WIDTH`` wide of ``_TABLE_NODES`` Chebyshev nodes each, all
-    summed in one :func:`_grid_sums` call and interpolated by
-    :func:`_cheb_table`.  It is built only for more than ``_DIRECT_MAX``
-    points, the nodes of the largest table (max|y| = 60, the default
-    ``ysplit``), so every smaller batch keeps its direct sums to the last
-    bit.  It is used only when the last two Chebyshev coefficients of its
-    first sum are within ``_TABLE_TAIL`` on every panel.  That fails where
-    the envelope decays slower than about exp(-t): c0 is then analytic only
-    in a strip |Im y| < kappa narrower than a panel, or in none (alpha < 1
-    with no exp(-kappa|t|) term).  Without the check the table missed c0 by
-    3.5e-10 at alpha = 0.5 with exp(-0.5|t|) and by 1.4e-5 at alpha = 0.3
-    with exp(-|t|^0.5).
-    A point takes the barycentric formula on its own panel (the top end,
-    W*P, on the top panel).  Both choices depend only on ``ay`` and the
-    first sum, which is the same with or without ``grad``, so the value and
-    gradient routes choose alike.
+    The table is built only for more than ``_DIRECT_MAX`` points, the nodes
+    of its first round at max|y| = 60 (the default ``ysplit``), so every
+    smaller batch keeps its direct sums to the last bit.  The first round
+    covers [0, W*P], P = max(1, ceil(max|y|/W)), with P panels W =
+    ``_TABLE_WIDTH`` wide of ``_TABLE_NODES`` Chebyshev nodes each.  A panel
+    passes when the last two Chebyshev coefficients of its first sum are
+    within ``_TABLE_TAIL``, and its points take :func:`_cheb_table`'s
+    barycentric formula.  A panel that fails is halved, the halves that hold
+    a point make the next round, and so on until every panel passes.  Each
+    round's nodes are summed in one :func:`_grid_sums` call.  Halving
+    converges because the sums, integrals over [0, T], are entire in y: a
+    narrower panel's Bernstein ellipse is smaller, and the sums are bounded
+    on it.  Where the nodes summed, the next round's included, would reach
+    the number of points, the batch is summed directly instead, so the
+    table never costs more node rows than the direct sums.
+    A point lies on the panel whose left end is the last one at or below it
+    (the top end, W*P, on the top panel).  Both choices depend only on
+    ``ay`` and the first sum, which is the same with or without ``grad``, so
+    the value and gradient routes halve alike.
+    On 5000-point stable samples every sum the table served was within
+    1.1e-14 absolute of the direct sums at alpha from 0.7 to 1.7 (4.1e-15
+    from 0.9 to 1.2, whose first panels fail), 3.4e-14 at alpha = 0.5 with
+    exp(-0.5|t|), and 7.6e-13 at alpha = 0.3 with exp(-|t|^0.5); the
+    first panels alone had missed c0 there by 3.5e-10 and 1.4e-5.
     """
     if ay.size <= _DIRECT_MAX:
         return _grid_sums(ay, alpha, terms, T, grad)
-    panels = max(1, math.ceil(float(np.max(ay)) / _TABLE_WIDTH))
-    centers = _TABLE_WIDTH * (np.arange(panels) + 0.5)
-    nodes = centers[:, None] + 0.5 * _TABLE_WIDTH * _CHEB_X
-    tables = _grid_sums(nodes.ravel(), alpha, terms, T, grad)
-    tables = tuple(None if g is None else g.reshape(nodes.shape) for g in tables)
-    panel = np.minimum((ay // _TABLE_WIDTH).astype(np.intp), panels - 1)
-    ok, sums = _cheb_table(tables, nodes, ay, panel, _TABLE_TAIL)
-    return sums if ok.all() else _grid_sums(ay, alpha, terms, T, grad)
+    out = (np.empty_like(ay),) + tuple(np.empty_like(ay) if grad else None for _ in range(2))
+    width = _TABLE_WIDTH
+    left = width * np.arange(max(1, math.ceil(float(np.max(ay)) / width)))
+    todo = np.arange(ay.size)  # the points no passing panel has served yet
+    summed = 0
+    while True:
+        nodes = (left + 0.5 * width)[:, None] + 0.5 * width * _CHEB_X
+        summed += nodes.size
+        if summed >= ay.size:
+            return _grid_sums(ay, alpha, terms, T, grad)
+        tables = _grid_sums(nodes.ravel(), alpha, terms, T, grad)
+        tables = tuple(None if g is None else g.reshape(nodes.shape) for g in tables)
+        at = ay[todo]
+        panel = np.searchsorted(left, at, side="right") - 1
+        ok, sums = _cheb_table(tables, nodes, at, panel, _TABLE_TAIL)
+        served = ok[panel]
+        for g, o in zip(sums, out):
+            if o is not None:
+                o[todo[served]] = g
+        if served.all():
+            return out
+        todo, at, panel = todo[~served], at[~served], panel[~served]
+        # the halves of the failing panels that hold a point, in order
+        width *= 0.5
+        left = np.unique(left[panel] + np.where(at >= left[panel] + width, width, 0.0))
 
 
 def _qawo_sums(ay, alpha, terms, T, route, grad=True):
@@ -371,14 +396,16 @@ def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
 
     where phi(t) = sum c * t^p over ``terms``.  Points with |y| <= ``ysplit``
     take the grid sums of :func:`_grid_sums`; when they outnumber the 750
-    nodes of the largest table (at the default ``ysplit``), the sums come
-    from a Chebyshev table in |y| instead, where its check passes (see
-    :func:`_near_sums`).  On n = 5000 stable samples, alpha in {0.5, 0.9,
-    1.2, 1.7} and weights exp(-kappa|t|) (kappa 0.2 to 10) and
-    exp(-nu|t|^p) (p 0.5 to 1.5), every sum the table served was within
-    1.2e-14 absolute of the direct sum, itself off by rounding of that
-    order.  At alpha 0.9 and 1.7 with kappa 1 and 10, the test statistic
-    moved by at most 6.7e-12.
+    nodes of the table's first round (at the default ``ysplit``), the sums
+    come from a Chebyshev table in |y| instead, on panels halved until they
+    pass its check (see :func:`_near_sums`).  On n = 5000 stable samples,
+    alpha in {0.5, 0.9, 1.2, 1.7} and weights exp(-kappa|t|) (kappa 0.2 to
+    10) and exp(-nu|t|^p) (p 0.5 to 1.5), every sum the table served was
+    within 1.2e-14 absolute of the direct sum, itself off by rounding of
+    that order, where the first panels pass, and within 1.5e-13 where they
+    are halved (the most, at alpha = 0.5 with kappa = 0.2 or p = 0.5).  At
+    alpha 0.9 and 1.7 with kappa 1 and 10, the test statistic moved by at
+    most 6.7e-12.
     The points beyond ``ysplit`` get QAWO, one per sum.  Without ``grad``
     it returns (c0, None, None): the grid sum is formed from real cosines
     alone and each far point gets one quadrature instead of three, with

@@ -1,6 +1,8 @@
 """Characteristic function, density and sampling checks against closed forms."""
 
+import json
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln
 
-from stablegof import stable_core
+from stablegof import _fourier, stable_core
 from stablegof._fourier import _LOG_EPS, panel_grid
 from stablegof.stable_core import (
     StableParams,
@@ -197,6 +199,66 @@ def test_small_alpha_density_where_qawo_reports_roundoff():
     assert batch[1][0] == -batch[1][1]  # f' at x and -x
 
 
+ORACLE = json.loads(pathlib.Path(__file__).with_name("density_oracle.json").read_text())
+ORACLE_ALPHAS = sorted({row["alpha"] for row in ORACLE}, key=float)
+
+
+def oracle_points(alpha):
+    """The oracle's x at ``alpha`` with both signs, and its (f, f', f_alpha) there."""
+    rows = [row for row in ORACLE if row["alpha"] == alpha]
+    x = np.array([float(row["x"]) for row in rows])
+    want = [np.array([float(row[k]) for row in rows]) for k in ("f", "fp", "fa")]
+    return np.concatenate([x, -x]), [np.concatenate([w, s * w]) for w, s in zip(want, (1, -1, 1))]
+
+
+def assert_relative(got, want, bounds):
+    for g, w, bound in zip(got, want, bounds):
+        assert np.all(np.abs(g - w) <= bound * np.abs(w))
+
+
+# Against the 30-digit mpmath table of tests/make_density_oracle.py, two
+# points below and two above the crossover at each alpha.  pdf was at most
+# 1.6e-12 relative off (f' at alpha = 1.9, x = 11.4).  pdf_batch's f and f'
+# were within 1.5e-10, its f_alpha within 1.2e-9 (both at alpha = 0.5,
+# x = 0.95): panel_grid's innermost panel [0, 2^-14] takes the t^alpha log t
+# cusp on its 10 nodes.  In a 5000-point batch, which reads the y-table,
+# the points keep those bounds.  x = 10.5 at alpha = 2 lies below that
+# alpha's crossover, 13: the asymptotic f_alpha series is 1.8e-8 off there.
+PDF_BOUNDS = (1e-11, 1e-11, 1e-11)
+PDF_BATCH_BOUNDS = (1e-9, 1e-9, 1.5e-9)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_pdf_and_small_batches_meet_the_mpmath_oracle(alpha):
+    x, want = oracle_points(alpha)
+    a = float(alpha)
+    assert np.any(np.abs(x) <= _crossover(a)) and np.any(np.abs(x) > _crossover(a))
+    assert_relative(np.array([pdf(v, a) for v in x]).T, want, PDF_BOUNDS)
+    assert_relative(pdf_batch(x, a), want, PDF_BATCH_BOUNDS)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_a_large_batch_through_the_table_meets_the_mpmath_oracle(alpha, monkeypatch):
+    # below alpha = 1.25 the table's first width-2 panels fail their tail
+    # check, and the points take halved ones
+    x, want = oracle_points(alpha)
+    a = float(alpha)
+    sample = rand_stable(a, 5000, np.random.default_rng(41))
+    batch = np.concatenate([sample, x])
+    near = np.count_nonzero(np.abs(batch) <= _crossover(a))
+    sizes, grid_sums = [], _fourier._grid_sums
+
+    def recording(ay, *args, **kwargs):
+        sizes.append(ay.size)
+        return grid_sums(ay, *args, **kwargs)
+
+    monkeypatch.setattr(_fourier, "_grid_sums", recording)
+    got = pdf_batch(batch, a)
+    assert near > _fourier._DIRECT_MAX and near not in sizes
+    assert (len(sizes) > 1) == (a < 1.25)
+    assert_relative([g[sample.size :] for g in got], want, PDF_BATCH_BOUNDS)
+
+
 def test_pdf_batch_matches_scalar():
     rng = np.random.default_rng(3)
     for alpha in (0.8, 1.2, 1.7, 2.0):
@@ -237,15 +299,15 @@ def gaussian_pdf3(x):
     former separate route, kept as the reference for ``pdf_batch(x, 2.0)``.
 
     f and f' are the closed-form normal expressions.  The alpha-derivative
-    comes from a single cosine sum on the inversion grid for |x| <= 10 and
-    from the tail expansion beyond.
+    comes from a single cosine sum on the inversion grid up to the
+    crossover (|x| <= 13) and from the tail expansion beyond.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     f = np.exp(-0.25 * x * x) / (2.0 * math.sqrt(math.pi))
     fp = -0.5 * x * f
     ax = np.abs(x)
     fa = np.empty_like(ax)
-    small = ax <= 10.0
+    small = ax <= _crossover(2.0)
     if np.any(small):
         t, w = panel_grid(_LOG_EPS**0.5, float(np.max(ax[small])))
         wt = w * np.where(t > 0, t**2 * np.log(np.maximum(t, 1e-300)), 0.0) * np.exp(-(t**2))
@@ -257,7 +319,7 @@ def gaussian_pdf3(x):
 
 
 def test_pdf_batch_gaussian_member_matches_reference():
-    xs = np.concatenate([np.linspace(0.0, 60.0, 241), [9.999, 10.0, 10.001]])
+    xs = np.concatenate([np.linspace(0.0, 60.0, 241), [12.999, 13.0, 13.001]])
     for x in (xs, -xs, np.concatenate([-xs[::3], xs[1::3]])):
         got, want = pdf_batch(x, 2.0), gaussian_pdf3(x)
         for g, w in zip(got, want):

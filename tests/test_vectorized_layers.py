@@ -79,7 +79,7 @@ def loop_tail_series(x, alpha):
 def loop_crossover(alpha):
     """Reference copy of ``_crossover`` forming every trial's arrays afresh."""
     if alpha == 2.0:
-        return 10.0
+        return 13.0
     trials = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 10.0, 12.0, 15.0, 20.0, 30.0)
     for xc in trials:
         k = np.arange(1, _TAIL_KMAX + 1, dtype=float)
