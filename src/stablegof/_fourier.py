@@ -9,24 +9,22 @@ with phi(t) a sum of power terms c * t^p.  Moderate |y| goes through the
 panelized Gauss-Legendre grid of :func:`panel_grid` and the three sums of
 :func:`_grid_sums`, formed from real ``np.cos``/``np.sin`` (no complex
 ``exp``) and summed row by row, so a point's three sums depend on the rest
-of its batch only through the grid, which max |y| sets.  A large batch
-(more than 750 near points) is summed instead at the nodes of a piecewise
-Chebyshev table in y and interpolated (:func:`_near_sums`): the sums are
-integrals over [0, T], so they are entire in y, and a panel whose tail check
-fails is halved until its halves pass.  One panel helper,
-:func:`_cheb_table`, checks and interpolates that table and the x-table of
-the large-n pair sums (``estimators._pair_table``).  The few points beyond
-``ysplit`` fall back to adaptive oscillatory quadrature so heavy-tail
-outliers cannot alias into the grid sum.  The value of D needs only the
-first transform: without ``grad``, :func:`cos_transforms` forms the grid
-sum from real cosines alone and makes one quadrature per far point instead
-of three.  The stable density (``stable_core``) is the same three sums with
-phi(t) = t^alpha, scaled by 1/pi instead of 2: through :func:`_near_sums`
-(alpha = 2 included), so a density batch of more than 750 near points
-shares the y-table too, or point by point through :func:`_qawo_sums`, the
-package's one QAWO, which also serves the far points.  Its two routes
-differ only in their QUADPACK settings and accepted error,
-``_DENSITY_QAWO`` and ``_FAR_QAWO``.
+of its batch only through the grid, which max |y| sets.  A batch of more
+than 750 near points is summed instead at the nodes of piecewise Chebyshev
+tables in y where a panel holds more points than nodes
+(:func:`_near_sums`).  One driver, :func:`_table_sums`, builds, checks,
+halves and interpolates those tables and the x-tables of the large-n pair
+sums (``estimators._pair_table``), under one tail rule.  The few points
+beyond ``ysplit`` fall back to adaptive oscillatory quadrature so
+heavy-tail outliers cannot alias into the grid sum.  The value of D needs
+only the first transform: without ``grad``, :func:`cos_transforms` forms
+the grid sum from real cosines alone and makes one quadrature per far
+point instead of three.  The stable density (``stable_core``) is the same
+three sums with phi(t) = t^alpha, scaled by 1/pi instead of 2: through
+:func:`_near_sums` (alpha = 2 included), or point by point through
+:func:`_qawo_sums`, the package's one QAWO, which also serves the far
+points.  Its two routes differ only in their QUADPACK settings and
+accepted error, ``_DENSITY_QAWO`` and ``_FAR_QAWO``.
 
 The non-oscillatory integrals after an EISE fit use one graded
 Gauss-Legendre template instead.  :func:`_graded_rule` lays it on many
@@ -56,19 +54,19 @@ _LOG_EPS = 41.5
 # complex cos + i sin values are 4 MB, which stay in cache between np.cos,
 # np.sin and the sums; 2^21 (32 MB) ran the n = 5000 pair sums 1.8x slower
 _BLOCK_CELLS = 2**18
-# batches of at most _DIRECT_MAX points are summed directly, in _near_sums
-# and in estimators._pair_table, as they do not repay a table's fixed cost:
-# the y-table's is its 750 nodes (default ysplit of 60); the x-table took
-# 166-199 us against 53-63 us for full rows at n = 100 (value only, alpha 1.2
-# and 1.8, 2 vCPUs), though from about 400 points it wins (2x at 750)
+# batches of at most _DIRECT_MAX points are summed directly by _table_sums,
+# as they do not repay a table's fixed cost: the y-table's is its 750 nodes
+# (default ysplit of 60); the x-table took 166-199 us against 53-63 us for
+# full rows at n = 100 (value only, alpha 1.2 and 1.8, 2 vCPUs), though from
+# about 400 points it wins (2x at 750)
 _DIRECT_MAX = 750
-# Chebyshev tables of _near_sums (panels _TABLE_WIDTH wide in |y|) and of
-# estimators._pair_table (panels kappa*sigma wide in x), through _cheb_table:
-# each panel has the m = _TABLE_NODES first-kind Chebyshev nodes cos(theta_k),
-# theta_k = (2k+1) pi/(2m), their barycentric weights (-1)^k sin(theta_k), and
-# the rows k = m-2, m-1 of the map from node values to Chebyshev coefficients,
-# (2/m) cos(k theta_j).  A panel passes when those two coefficients of its
-# first sum are within _TABLE_TAIL (times its largest value, in the x-table).
+# the Chebyshev tables of _table_sums: panels _TABLE_WIDTH wide in |y| for
+# _near_sums (kappa*sigma wide in x for estimators._pair_table), each with the
+# m = _TABLE_NODES first-kind Chebyshev nodes cos(theta_k), theta_k = (2k+1)
+# pi/(2m), their barycentric weights (-1)^k sin(theta_k), and the rows k =
+# m-2, m-1 of the map from node values to Chebyshev coefficients, (2/m)
+# cos(k theta_j).  A panel passes when those two coefficients of its first
+# sum are within _TABLE_TAIL * max(1, its largest |first sum|).
 _TABLE_WIDTH = 2.0
 _TABLE_NODES = 25
 _TABLE_TAIL = 1e-14
@@ -249,14 +247,14 @@ def _grid_sums(ay, alpha, terms, T, grad=True):
     return g0, g1, ga
 
 
-def _cheb_table(tables, nodes, points, panel, tol):
+def _cheb_table(tables, nodes, points, panel):
     """The barycentric formula at ``points`` of sums tabulated on Chebyshev panels.
 
     ``nodes`` holds each panel's ``_TABLE_NODES`` first-kind Chebyshev
-    nodes, one row per panel, in the frame of ``points``, and ``tables`` the
-    sums at them in the same shape (None for a sum not formed).  A panel
-    passes when the last two Chebyshev coefficients of its first sum are
-    within ``tol`` (one number, or one per panel).  Point j lies on panel
+    nodes, one row per panel, and ``tables`` the sums at them in the same
+    shape (None for a sum not formed).  A panel passes when the last two
+    Chebyshev coefficients of its first sum are within ``_TABLE_TAIL``
+    times max(1, its largest |first sum|).  Point j lies on panel
     ``panel[j]``.  Returns the panels' pass mask and, for the points on
     passing panels only, every table's barycentric formula, which is exactly
     a node's value where a point lands on that node.  The points are
@@ -264,7 +262,8 @@ def _cheb_table(tables, nodes, points, panel, tol):
     memory stays bounded; a point's formula reads only its own row, so its
     bits do not depend on the block.
     """
-    ok = np.max(np.abs(tables[0] @ _CHEB_TAIL.T), axis=1) <= tol
+    scale = np.maximum(1.0, np.max(np.abs(tables[0]), axis=1))
+    ok = np.max(np.abs(tables[0] @ _CHEB_TAIL.T), axis=1) <= _TABLE_TAIL * scale
     on = np.flatnonzero(ok[panel])
     sums = tuple(None if g is None else np.empty(on.size) for g in tables)
     step = max(1, _BLOCK_CELLS // _TABLE_NODES)
@@ -284,65 +283,79 @@ def _cheb_table(tables, nodes, points, panel, tol):
     return ok, sums
 
 
+def _table_sums(points, width, sums):
+    """``sums(points)`` from piecewise Chebyshev tables where they pay, else directly.
+
+    ``sums(z)`` returns a tuple of arrays (or None for a sum not formed) at
+    a 1-D array z, each entire in z.  It serves the y-table of
+    :func:`_near_sums` and the x-table of ``estimators._pair_table``.
+    Up to ``_DIRECT_MAX`` points it returns ``sums(points)``.  Above that,
+    point z lies on the panel [k w, (k + 1) w], k = floor(z/w), first with
+    w = ``width``, and a panel holding more than ``_TABLE_NODES`` points
+    gets a table: its Chebyshev nodes, those of every such panel of one
+    round in one ``sums`` call, checked and interpolated by
+    :func:`_cheb_table`.  A failing panel is halved, and its halves that
+    still hold more points than nodes make the next round.  Every other
+    point is summed directly, in one ``sums`` call: points on sparser
+    panels, at |z| >= 2^52 ``width``, where panels no longer have distinct
+    centers, and those left over where the node rows, the next round's
+    included, would reach the number of points.  So a table's rows cost
+    less than the rows it replaces, and where no panel gets a table the
+    result is ``sums(points)``.  Halving converges because the sums are
+    entire: a narrower panel's Bernstein ellipse is smaller, and the sums
+    are bounded on it.  The panels depend only on the points and the first
+    sum.
+    """
+    if points.size <= _DIRECT_MAX:
+        return sums(points)
+    served = []  # (point indices, their sums) of each round
+    todo = np.flatnonzero(np.abs(points) < 2.0**52 * width)
+    rows = 0
+    while todo.size:
+        k, panel, counts = np.unique(np.floor(points[todo] / width), return_inverse=True, return_counts=True)
+        dense = counts > _TABLE_NODES
+        rows += _TABLE_NODES * np.count_nonzero(dense)
+        if not dense.any() or rows >= points.size:
+            break
+        on = dense[panel]
+        todo, panel = todo[on], (np.cumsum(dense) - 1)[panel[on]]
+        nodes = ((k[dense] + 0.5) * width)[:, None] + 0.5 * width * _CHEB_X
+        tables = tuple(None if g is None else g.reshape(nodes.shape) for g in sums(nodes.ravel()))
+        ok, got = _cheb_table(tables, nodes, points[todo], panel)
+        passed = ok[panel]
+        served.append((todo[passed], got))
+        todo = todo[~passed]
+        width *= 0.5
+    direct = np.ones(points.size, dtype=bool)
+    for idx, _ in served:
+        direct[idx] = False
+    if direct.any():
+        served.append((direct, sums(points[direct])))
+    out = tuple(None if g is None else np.empty(points.size) for g in served[0][1])
+    for idx, got in served:
+        for o, g in zip(out, got):
+            if o is not None:
+                o[idx] = g
+    return out
+
+
 def _near_sums(ay, alpha, terms, T, grad=True):
-    """The sums of :func:`_grid_sums` at each |y| in ``ay``, from a Chebyshev
-    table in y when one pays, else directly.
+    """The sums of :func:`_grid_sums` at each |y| in ``ay``, through :func:`_table_sums`
+    on panels ``_TABLE_WIDTH`` wide.
 
     It serves the near points of :func:`cos_transforms` and of the stable
-    density (``stable_core._near_grid``, with phi(t) = t^alpha).
-
-    The table is built only for more than ``_DIRECT_MAX`` points, the nodes
-    of its first round at max|y| = 60 (the default ``ysplit``), so every
-    smaller batch keeps its direct sums to the last bit.  The first round
-    covers [0, W*P], P = max(1, ceil(max|y|/W)), with P panels W =
-    ``_TABLE_WIDTH`` wide of ``_TABLE_NODES`` Chebyshev nodes each.  A panel
-    passes when the last two Chebyshev coefficients of its first sum are
-    within ``_TABLE_TAIL``, and its points take :func:`_cheb_table`'s
-    barycentric formula.  A panel that fails is halved, the halves that hold
-    a point make the next round, and so on until every panel passes.  Each
-    round's nodes are summed in one :func:`_grid_sums` call.  Halving
-    converges because the sums, integrals over [0, T], are entire in y: a
-    narrower panel's Bernstein ellipse is smaller, and the sums are bounded
-    on it.  Where the nodes summed, the next round's included, would reach
-    the number of points, the batch is summed directly instead, so the
-    table never costs more node rows than the direct sums.
-    A point lies on the panel whose left end is the last one at or below it
-    (the top end, W*P, on the top panel).  Both choices depend only on
-    ``ay`` and the first sum, which is the same with or without ``grad``, so
-    the value and gradient routes halve alike.
-    On 5000-point stable samples every sum the table served was within
-    1.1e-14 absolute of the direct sums at alpha from 0.7 to 1.7 (4.1e-15
-    from 0.9 to 1.2, whose first panels fail), 3.4e-14 at alpha = 0.5 with
-    exp(-0.5|t|), and 7.6e-13 at alpha = 0.3 with exp(-|t|^0.5); the
-    first panels alone had missed c0 there by 3.5e-10 and 1.4e-5.
+    density (``stable_core._near_grid``, with phi(t) = t^alpha).  Every
+    batch of at most 750 points keeps its direct sums to the last bit.
+    Each round's nodes are one :func:`_grid_sums` call, whose grid the
+    largest node sets; the points summed directly get a grid set by their
+    own largest |y|.  The first sum has the same bits with or without
+    ``grad``, so the value and gradient routes table alike.  On 5000-point
+    stable samples every sum was within 8.7e-15 absolute of the direct sums
+    of the whole batch at alpha from 0.7 to 1.7 with exp(-|t|), 3.4e-14 at
+    alpha = 0.5 with exp(-0.5|t|), and 7.6e-13 at alpha = 0.3 with
+    exp(-|t|^0.5), where the first panels fail and are halved.
     """
-    if ay.size <= _DIRECT_MAX:
-        return _grid_sums(ay, alpha, terms, T, grad)
-    out = (np.empty_like(ay),) + tuple(np.empty_like(ay) if grad else None for _ in range(2))
-    width = _TABLE_WIDTH
-    left = width * np.arange(max(1, math.ceil(float(np.max(ay)) / width)))
-    todo = np.arange(ay.size)  # the points no passing panel has served yet
-    summed = 0
-    while True:
-        nodes = (left + 0.5 * width)[:, None] + 0.5 * width * _CHEB_X
-        summed += nodes.size
-        if summed >= ay.size:
-            return _grid_sums(ay, alpha, terms, T, grad)
-        tables = _grid_sums(nodes.ravel(), alpha, terms, T, grad)
-        tables = tuple(None if g is None else g.reshape(nodes.shape) for g in tables)
-        at = ay[todo]
-        panel = np.searchsorted(left, at, side="right") - 1
-        ok, sums = _cheb_table(tables, nodes, at, panel, _TABLE_TAIL)
-        served = ok[panel]
-        for g, o in zip(sums, out):
-            if o is not None:
-                o[todo[served]] = g
-        if served.all():
-            return out
-        todo, at, panel = todo[~served], at[~served], panel[~served]
-        # the halves of the failing panels that hold a point, in order
-        width *= 0.5
-        left = np.unique(left[panel] + np.where(at >= left[panel] + width, width, 0.0))
+    return _table_sums(ay, _TABLE_WIDTH, lambda z: _grid_sums(z, alpha, terms, T, grad))
 
 
 def _qawo_sums(ay, alpha, terms, T, route, grad=True):
@@ -395,17 +408,13 @@ def cos_transforms(y, alpha, terms, ysplit=60.0, grad=True):
         ca(y) = 2 int_0^inf t^alpha log(t) cos(ty) exp(-phi(t)) dt
 
     where phi(t) = sum c * t^p over ``terms``.  Points with |y| <= ``ysplit``
-    take the grid sums of :func:`_grid_sums`; when they outnumber the 750
-    nodes of the table's first round (at the default ``ysplit``), the sums
-    come from a Chebyshev table in |y| instead, on panels halved until they
-    pass its check (see :func:`_near_sums`).  On n = 5000 stable samples,
-    alpha in {0.5, 0.9, 1.2, 1.7} and weights exp(-kappa|t|) (kappa 0.2 to
-    10) and exp(-nu|t|^p) (p 0.5 to 1.5), every sum the table served was
-    within 1.2e-14 absolute of the direct sum, itself off by rounding of
-    that order, where the first panels pass, and within 1.5e-13 where they
-    are halved (the most, at alpha = 0.5 with kappa = 0.2 or p = 0.5).  At
-    alpha 0.9 and 1.7 with kappa 1 and 10, the test statistic moved by at
-    most 6.7e-12.
+    take the grid sums of :func:`_grid_sums`, through the Chebyshev y-table
+    of :func:`_near_sums` when they are more than 750.  On n = 5000 stable
+    samples, alpha in {0.5, 0.9, 1.2, 1.7} and weights exp(-kappa|t|)
+    (kappa 0.2 to 10) and exp(-nu|t|^p) (p 0.5 to 1.5), every sum was
+    within 2.3e-14 absolute of the direct sums, and within 1.5e-13 at
+    alpha = 0.5 with kappa = 0.2 or p = 0.5.  At alpha 0.9 and 1.7 with
+    kappa 1 and 10, the test statistic moved by at most 2.3e-12.
     The points beyond ``ysplit`` get QAWO, one per sum.  Without ``grad``
     it returns (c0, None, None): the grid sum is formed from real cosines
     alone and each far point gets one quadrature instead of three, with

@@ -49,11 +49,12 @@ def test_statistic(data, fitted, kappa):
     accuracy falls as D shrinks.  On the benchmark samples, summing in
     another order moved D by at most 2e-13 at n <= 200 and 1.1e-12 at
     n = 5000; relative to D that reached 5e-11 (D = 8e-4) and 5e-10
-    (D = 2e-3).  Above 750 near points the transforms come from a Chebyshev
-    table in y (see ``_fourier.cos_transforms``), and above 750 points the
-    pair sum from a Chebyshev table in x (see ``estimators._pair_table``);
-    against the full-matrix pair sum that table was within 6.8e-16
-    relative on the benchmark's n = 5000 datasets.
+    (D = 2e-3).  Above 750 points the near transforms and the pair sum come
+    from Chebyshev tables, in y and in x, on the panels that hold more than
+    25 points (``_fourier._table_sums``): on n = 5000 stable samples the
+    y-table moved D by at most 2.3e-12 (see ``_fourier.cos_transforms``),
+    and the x-table was within 1.9e-16 relative of the full-matrix pair sum
+    (see ``estimators._pair_table``).
     """
     weight = WeightSpec("exp_abs", kappa)
     x = np.asarray(data, dtype=float).ravel()

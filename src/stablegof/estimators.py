@@ -36,17 +36,14 @@ from scipy.interpolate import CubicSpline
 
 from ._fourier import (
     _BLOCK_CELLS,
-    _CHEB_X,
     _DIRECT_MAX,
     _ONE_SIDED,
     _RULE_CELLS,
-    _TABLE_NODES,
-    _TABLE_TAIL,
     _TWO_SIDED,
-    _cheb_table,
     _gl_panels,
     _graded_rule,
     _phi,
+    _table_sums,
     cos_transforms,
     envelope_cutoff,
     envelope_moment,
@@ -629,13 +626,13 @@ def _w0_and_deriv(d, weight, grad):
     diagonal is zero, so a square of pair differences holds about half as
     many distinct values as cells.  At p = 2, f and f' come from the
     closed form of N(0, 2) that ``pdf_batch`` returns there, without the
-    grid sums it forms first.  Within one route ``pdf_batch``
+    grid sums it forms first.  Up to 750 near points ``pdf_batch``
     computes each point from its |x| alone and the batch's max |x|, which
-    is kept: the direct grid sums up to 750 near points, its y-table above.
-    So the result is bit-identical to one call over every cell where both
-    batches take the same route, and within the table's accuracy (about
-    1e-15 absolute on f and f') where the distinct values are 750 or fewer
-    and the cells more, as in a tied sample.
+    is kept, and above 750 from the y-table's panels that hold more than
+    25 of them.  So the result is bit-identical to one call over every cell
+    where both batches are 750 or fewer near points, or table the same
+    panels, and within the table's accuracy (about 1e-15 absolute on f and
+    f') otherwise, as in a tied sample.
     """
     ((nu, p),) = weight.terms()
     c = nu ** (-1.0 / p)
@@ -649,9 +646,9 @@ def _w0_and_deriv(d, weight, grad):
     return w0, 2.0 * math.pi * c * c * np.where(cd < 0, -fp, fp)
 
 
-def _cauchy_rows(z, x, sigma, kappa, grad, shift=None):
+def _cauchy_rows(z, x, sigma, kappa, grad):
     """sum_k W0(d_ik) and, with ``grad``, sum_k W0'(d_ik) d_ik for each i, with
-    W0(d) = 2 kappa/(kappa^2 + d^2) and d_ik = (z_i - x_k + shift_i)/sigma.
+    W0(d) = 2 kappa/(kappa^2 + d^2) and d_ik = (z_i - x_k)/sigma.
 
     The rows are formed in blocks of at most ``_BLOCK_CELLS`` cells, in
     place in one buffer (two with ``grad``): d, d^2, kappa^2 + d^2, then
@@ -659,7 +656,7 @@ def _cauchy_rows(z, x, sigma, kappa, grad, shift=None):
     near d = 0 nor makes inf/inf where d^2 overflows.  W0 takes the same
     operations with or without ``grad``, so its sums are the same bits.
     Each row is summed along its own cells by numpy's pairwise sum, so a
-    row's sums depend on its z_i and shift_i alone, whatever its block.
+    row's sums depend on its z_i alone, whatever its block.
     """
     n = x.size
     f0 = np.empty(z.size)
@@ -673,8 +670,6 @@ def _cauchy_rows(z, x, sigma, kappa, grad, shift=None):
             blk = slice(lo, lo + rows)
             d = a[: z[blk].size]
             np.subtract(z[blk, None], x, out=d)
-            if shift is not None:
-                np.add(d, shift[blk, None], out=d)
             np.divide(d, sigma, out=d)
             if grad:
                 den = b[: d.shape[0]]
@@ -694,61 +689,27 @@ def _cauchy_rows(z, x, sigma, kappa, grad, shift=None):
 
 
 def _pair_table(x, sigma, kappa, grad):
-    """The exp(-kappa|t|) pair sums of :func:`_pair_sums`, from full rows of
-    :func:`_cauchy_rows` and, above ``_DIRECT_MAX`` points, a Chebyshev
-    table in x.
+    """The exp(-kappa|t|) pair sums of :func:`_pair_sums`: the rows of
+    :func:`_cauchy_rows` through ``_fourier._table_sums``, on panels
+    h = kappa sigma wide in x.
 
     F0(z) = sum_k W0((z - x_k)/sigma) has its poles at x_k +- i kappa sigma,
-    so on a panel h = kappa sigma wide its Chebyshev coefficients fall like
+    so on a panel h wide its Chebyshev coefficients fall like
     (2 + sqrt 5)^-k: 25 nodes reach rounding.  So does F1(z) =
-    sum_k W0'(d) d, with double poles at the same places.  The panels are
-    [p h, (p + 1) h], p = floor(x/h); above ``_DIRECT_MAX`` points, one
-    holding more than ``_TABLE_NODES`` points gets a table, whose node rows
-    come from :func:`_cauchy_rows`, and its points take the barycentric
-    formula of ``_fourier._cheb_table``.  Every other point is summed
-    directly, one full row each, in a single :func:`_cauchy_rows` call:
-    points in sparser panels, on panels whose F0 fails the tail check (the
-    last two coefficients within ``_TABLE_TAIL`` of its largest value), and
-    beyond |x| = 2^52 h, where panels no longer have distinct centers.  A
-    table's 25 rows cost less than the more than 25 rows it replaces.  The
-    check reads F0 alone, so the value and gradient routes choose alike and
-    give the same s0.  Nodes and points are measured from their panel's
-    center c: a node row is d = ((c - x_k) + o)/sigma for the node offset
-    o, so a sample far from 0 loses no digits.  On n = 5000 stable samples
-    (alpha 0.5 to 1.95, kappa 1 to 10) the sums were within 8.3e-16 (s0)
-    and 5.3e-16 (s1) relative of the full-matrix sums.
+    sum_k W0'(d) d, with double poles at the same places.  Above 750 points
+    the sample is first measured from its median, so a sample far from 0
+    keeps its digits on the panels; up to 750 every row is direct and keeps
+    its bits.  The tail check reads F0 alone, so the value and gradient
+    routes choose alike and give the same s0; F0 > 25/kappa on a tabled
+    panel, so the check is relative to F0 for kappa up to 25.  On n = 5000
+    stable samples (alpha 0.5 to 1.95, kappa 1 to 10, locations 0 to 1e12)
+    the sums were within 1.2e-16 (s0) and 1.9e-16 (s1) relative of the
+    full-matrix sums.
     """
-    n = x.size
-    direct = np.ones(n, dtype=bool)
-    s0 = s1 = 0.0
-    dense = np.zeros(0, dtype=bool)
-    if n > _DIRECT_MAX:
-        h = float(kappa) * float(sigma)
-        inside = np.flatnonzero(np.abs(x) < 2.0**52 * h)
-        panels, which, counts = np.unique(
-            np.floor(x[inside] / h), return_inverse=True, return_counts=True
-        )
-        dense = counts > _TABLE_NODES
-    if np.any(dense):
-        tabled = dense[which]
-        centers = h * (panels[dense] + 0.5)
-        offsets = 0.5 * h * _CHEB_X
-        at_nodes = _cauchy_rows(
-            np.repeat(centers, _TABLE_NODES), x, sigma, kappa, grad,
-            shift=np.tile(offsets, centers.size),
-        )
-        tables = tuple(None if f is None else f.reshape(centers.size, -1) for f in at_nodes)
-        points = inside[tabled]
-        panel = (np.cumsum(dense) - 1)[which[tabled]]
-        ok, sums = _cheb_table(
-            tables, np.broadcast_to(offsets, tables[0].shape), x[points] - centers[panel], panel,
-            _TABLE_TAIL * np.max(tables[0], axis=1),
-        )
-        direct[points[ok[panel]]] = False
-        s0 = float(np.sum(sums[0]))
-        s1 = float(np.sum(sums[1])) if grad else 0.0
-    rows = _cauchy_rows(x[direct], x, sigma, kappa, grad)
-    return s0 + float(np.sum(rows[0])), s1 + float(np.sum(rows[1])) if grad else 0.0
+    if x.size > _DIRECT_MAX:
+        x = x - np.median(x)
+    f0, f1 = _table_sums(x, float(kappa) * float(sigma), lambda z: _cauchy_rows(z, x, sigma, kappa, grad))
+    return float(np.sum(f0)), float(np.sum(f1)) if grad else 0.0
 
 
 def _pair_sums(x, sigma, weight, grad):
@@ -800,7 +761,7 @@ def q_objective(data, params, weight, grad=False):
     against the characteristic-function envelope, so heavy outliers are
     exact rather than aliased.  The pair sum over W0 comes from
     :func:`_pair_sums`: at the weight exponent 1, from full rows and, above
-    750 points, a Chebyshev table in x, within about 1e-15 relative of the
+    750 points, a Chebyshev table in x, within about 2e-16 relative of the
     full-matrix sum.  With ``grad=True`` also returns dQ/dtheta;
     without it only the value's transform W1 is formed (see
     ``_fourier.cos_transforms``), and Q is the one returned with ``grad`` to

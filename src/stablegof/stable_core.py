@@ -15,9 +15,8 @@ x^(-k*alpha-1) beyond a per-alpha crossover; at alpha = 2 the normal closed
 forms then replace f and f'.  Both density functions return the tuple
 (f, f', f_alpha): ``pdf`` as floats at one point, ``pdf_batch`` as arrays.
 ``pdf_batch`` takes the inversion integrals from ``_fourier``'s shared
-grid, through the Chebyshev y-table of ``cos_transforms`` for batches of
-more than 750 near points, on panels halved until they pass its tail
-check; ``pdf`` (and ``pdf_batch`` where that grid would be too large) takes
+grid, through its Chebyshev y-table for batches of more than 750 near
+points; ``pdf`` (and ``pdf_batch`` where that grid would be too large) takes
 them from ``_fourier``'s one QAWO routine, point by point.  Against a
 30-digit mpmath table at alpha from 0.5 to 2 (``tests/density_oracle.json``),
 ``pdf`` was within 1.6e-12 relative, and ``pdf_batch`` within 1.5e-10 on f
@@ -195,8 +194,6 @@ def _crossover(alpha):
         grow = np.nonzero(np.diff(mag) > 0)[0]
         stop = int(grow[0]) + 1 if grow.size else len(k)
         val = abs(float(np.sum(sgn[:stop] * mag[:stop]))) / math.pi
-        if val <= 0:
-            continue
         trunc = float(mag[stop - 1]) if stop < len(k) else float(mag[-1])
         cancel = float(np.max(mag[:stop])) * 2.3e-16
         if (trunc + cancel) / math.pi <= 1e-13 * val:
@@ -217,9 +214,9 @@ def pdf_batch(x, alpha):
     f and f' are then replaced by the closed forms of N(0, 2).  Up to 750
     points below the crossover each get their own grid sums, which depend
     only on the point and the batch's largest |x|; a larger batch reads
-    them from the Chebyshev y-table of ``_fourier._near_sums``, whose
-    failing panels are halved until they pass its tail check, within about
-    1e-15 absolute of those sums (see :func:`_near_grid`).  Accuracy is
+    them from the Chebyshev y-table of ``_fourier._near_sums`` on its
+    panels of more than 25 points, within about 4e-15 absolute of those
+    sums (see :func:`_near_grid`).  Accuracy is
     ~1e-9 relative (1.2e-9 on f_alpha at alpha = 0.5, x = 0.95); use
     :func:`pdf` when adaptive-quadrature accuracy is needed at a single
     point.
@@ -254,13 +251,12 @@ def _near_grid(ax, alpha):
     """Inversion on the shared grid; per-point quadrature where that grid would be too large.
 
     The grid sums come from ``_fourier._near_sums``: direct for at most 750
-    points, else from its Chebyshev y-table, on width-2 panels where they
-    pass the tail check and on halved ones where they fail, as they do for
-    alpha below about 1.25.  On stable samples of 5000 and 30,000 points
-    (four each) the table's f, f' and f_alpha were within 1.2e-15 absolute
-    of the direct sums at alpha in {1.3, 1.4, 1.5, 1.7, 1.8, 1.95, 2} and
-    4.0e-15 at alpha = 1.25, and on halved panels within 1.5e-15 at alpha
-    in {0.9, 1, 1.1, 1.2} and 3.8e-15 at 0.7.
+    points, else from its Chebyshev y-table on the panels that hold more
+    than 25 points, width-2 panels halved where they fail its tail check,
+    as they do for alpha below about 1.25.  On stable samples of 5000 and
+    30,000 points (four each) f, f' and f_alpha were within 1.1e-15
+    absolute of the direct sums at alpha in {1.3, 1.5, 1.7, 1.95, 2}, 4.0e-15
+    at alpha = 1.25, 1.5e-15 at alpha in {0.9, 1, 1.1, 1.2} and 3.8e-15 at 0.7.
     """
     # grid size scales like T*xmax; for small alpha the cutoff T blows up
     T = _LOG_EPS ** (1.0 / alpha)

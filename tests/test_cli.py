@@ -147,6 +147,24 @@ def test_estimate_input_failures(cache, tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("estimate", "value\n", "holds no numeric rows"),  # a header alone
+        ("simulate", None, "cannot read config"),  # no such file
+        ("simulate", "n = 20\n", "bad config"),  # no section header
+    ],
+    ids=["header-only", "missing-config", "malformed-config"],
+)
+def test_unusable_input_files_exit_2(cache, tmp_path, capsys, command, text, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    extra = ["-o", str(tmp_path / "o.csv")] if command == "simulate" else []
+    assert main([command, str(path), *extra]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_usage_errors(cache, cauchy_file, capsys):
     # --alpha0 names H2 and --sup the sup method, so the options that named them are gone
     for gone in (["--hypothesis", "H2"], ["--method", "sup"], ["--alpha-range", "1.3", "1.8"]):

@@ -128,9 +128,20 @@ def test_statistic_from_the_pair_table_matches_the_direct_pair_sums(alpha, monke
     # moved by 1.7e-12 at most
     fit = StableParams(0.0, 1.0, alpha)
     x = rand_stable(alpha, 5000, np.random.default_rng(int(100 * alpha)))
+    sizes, cauchy_rows = [], estimators._cauchy_rows
+
+    def recording(z, *args):
+        sizes.append(z.size)
+        return cauchy_rows(z, *args)
+
+    monkeypatch.setattr(estimators, "_cauchy_rows", recording)
     got = [test_statistic(x, fit, k).statistic for k in (1.0, 2.5, 10.0)]
-    monkeypatch.setattr(estimators, "_DIRECT_MAX", x.size)  # every point a direct row
+    assert x.size not in sizes  # the table served
+    sizes.clear()
+    # every point a direct row; the near sums keep their table
+    monkeypatch.setattr(estimators, "_table_sums", lambda points, width, sums: sums(points))
     want = [test_statistic(x, fit, k).statistic for k in (1.0, 2.5, 10.0)]
+    assert sizes == [x.size] * 3
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-11
 

@@ -35,6 +35,7 @@ from stablegof.estimators import (
     mle_fit,
     q_objective,
 )
+from stablegof.kernels import make_kernel
 from stablegof.stable_core import StableParams, _crossover, pdf, pdf_batch, rand_stable
 
 EULER_GAMMA = np.euler_gamma
@@ -411,6 +412,27 @@ def test_mle_rejects_bad_samples():
         mle_fit(np.array([1.0, 2.0]))
     with pytest.raises(DataError):
         mle_fit(np.ones(50))
+
+
+REFUSALS = {
+    **{
+        f"{name}-{bad}": (DataError, lambda fit=fit, bad=bad: fit(np.r_[np.linspace(-1.0, 1.0, 20), bad]))
+        for name, fit in (("mle", mle_fit), ("eise", lambda x: eise_fit(x, WeightSpec("exp_abs", 1.0))))
+        for bad in (math.nan, math.inf)
+    },
+    **{
+        f"eise_matrices-{alpha}": (ValueError, lambda alpha=alpha: eise_matrices(alpha, WeightSpec("exp_abs", 1.0)))
+        for alpha in (0.0, 2.5)
+    },
+    "eise_h1-no-weight": (ValueError, lambda: make_kernel("eise_h1", 1.5, 2.5)),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_bad_inputs_are_refused(case):
+    error, call = REFUSALS[case]
+    with pytest.raises(error):
+        call()
 
 
 def test_a_sample_whose_differences_overflow_is_refused():
@@ -939,13 +961,23 @@ def assert_pair_sums_close(x, sigma, weight, rtol):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.2, 1.7, 1.95])
 def test_pair_table_matches_the_full_matrix(alpha, monkeypatch):
-    # largest relative errors seen: 8.3e-16 in s0, 5.3e-16 in s1
+    # largest relative errors seen: 1.2e-16 in s0, 1.9e-16 in s1
     x = 2.0 + 3.0 * rand_stable(alpha, 5000, np.random.default_rng(int(100 * alpha)))
     calls = cauchy_rows_calls(monkeypatch)
     for kappa in (1.0, 2.5, 10.0):
         assert_pair_sums_close(x, 2.9, WeightSpec("exp_abs", kappa), 2e-15)
     # node rows, then direct rows, in each of the six sums
     assert len(calls) == 12 and all(z.size % 25 == 0 for z in calls[::2])
+
+
+def test_pair_table_far_from_zero_matches_the_full_matrix(monkeypatch):
+    # the rows are measured from the sample's median, so a location of 1e12
+    # costs no digits (largest relative error seen: 2.1e-16)
+    x = 1e12 + 3.0 * rand_stable(1.2, 5000, np.random.default_rng(21))
+    calls = cauchy_rows_calls(monkeypatch)
+    for kappa in (1.0, 10.0):
+        assert_pair_sums_close(x, 2.9, WeightSpec("exp_abs", kappa), 2e-15)
+    assert len(calls) == 8 and all(np.max(np.abs(z)) < 1e9 for z in calls)
 
 
 def test_pair_sums_of_at_most_750_points_keep_the_direct_sums(monkeypatch):
@@ -968,7 +1000,7 @@ def test_pair_sums_of_few_points_build_no_table(n, monkeypatch):
     def no_table(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(estimators, "_cheb_table", no_table)
+    monkeypatch.setattr(_fourier, "_cheb_table", no_table)
     x = 2.0 + 3.0 * rand_stable(1.2, n, np.random.default_rng(n))
     for kappa in (1.0, 2.5, 10.0):
         assert_pair_sums_close(x, 0.7, WeightSpec("exp_abs", kappa), 2e-15)
@@ -1051,25 +1083,24 @@ def test_pair_table_with_tied_points():
 
 
 def test_pair_table_takes_a_nodes_value(monkeypatch):
-    # h = kappa sigma = 1: the panel [0, 1] has center 0.5 and nodes
-    # 0.5 + 0.5 cos(theta_k); put a point on the first node the local
-    # frame holds exactly
-    offsets = 0.5 * _fourier._CHEB_X
-    k = next(i for i, o in enumerate(offsets) if (0.5 + o) - 0.5 == o)
-    x = rand_stable(1.5, 5000, np.random.default_rng(17))
-    x[0] = 0.5 + offsets[k]
-    seen, cheb_table = [], estimators._cheb_table
+    # a symmetric sample has median 0, so the table's frame is the sample's
+    # own; h = kappa sigma = 1: the panel [0, 1] has nodes 0.5 + 0.5
+    # cos(theta_k), and a point on one of them takes that node's value
+    half = rand_stable(1.5, 2500, np.random.default_rng(17))
+    half[0] = 0.5 + 0.5 * _fourier._CHEB_X[4]
+    x = np.concatenate([half, -half])
+    seen, cheb_table = [], _fourier._cheb_table
 
-    def recording(tables, nodes, points, panel, tol):
-        ok, sums = cheb_table(tables, nodes, points, panel, tol)
+    def recording(tables, nodes, points, panel):
+        ok, sums = cheb_table(tables, nodes, points, panel)
         on = ok[panel]
-        hit = points[on] == offsets[k]
-        seen.append((tables[0][panel[on][hit], k], sums[0][hit]))
+        hit = points[on] == half[0]
+        seen.append((tables[0][panel[on][hit], 4], sums[0][hit]))
         return ok, sums
 
-    monkeypatch.setattr(estimators, "_cheb_table", recording)
+    monkeypatch.setattr(_fourier, "_cheb_table", recording)
     assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 1.0), 2e-15)
-    assert all(t.size == 1 and np.array_equal(t, v) for t, v in seen)
+    assert seen and all(t.size == 1 and np.array_equal(t, v) for t, v in seen)
 
 
 def test_pair_table_does_not_pay_on_sparse_panels(monkeypatch):
@@ -1081,11 +1112,37 @@ def test_pair_table_does_not_pay_on_sparse_panels(monkeypatch):
 
 
 def test_pair_table_refused_on_every_panel_sums_every_point_directly(monkeypatch):
-    monkeypatch.setattr(estimators, "_TABLE_TAIL", 0.0)
+    # with a zero tail no panel passes: the panels are halved until their
+    # node rows would reach the point count, and every point is a direct row
+    monkeypatch.setattr(_fourier, "_TABLE_TAIL", 0.0)
     x = rand_stable(0.9, 5000, np.random.default_rng(18))
     calls = cauchy_rows_calls(monkeypatch)
     assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 2.5), 1e-14)
-    assert [z.size for z in calls[1::2]] == [5000, 5000]
+    direct = [i for i, z in enumerate(calls) if z.size == 5000]
+    assert len(direct) == 2 and direct[1] == len(calls) - 1
+    assert all(z.size % 25 == 0 and z.size < 5000 for i, z in enumerate(calls) if i not in direct)
+
+
+def test_pair_table_halves_a_failing_panel(monkeypatch):
+    # every panel h = kappa sigma = 2.5 wide is refused; the halves holding
+    # more than 25 points make the second round, whose nodes lie 1.25 apart
+    # at most, and the rest are direct rows
+    x = rand_stable(1.2, 5000, np.random.default_rng(19))
+    rounds, cheb_table = [], _fourier._cheb_table
+
+    def refusing_the_first_round(tables, nodes, points, panel):
+        rounds.append(np.ptp(nodes, axis=1))
+        if np.all(rounds[-1] > 2.0):
+            return np.zeros(nodes.shape[0], dtype=bool), tuple(None if g is None else g[:0, 0] for g in tables)
+        return cheb_table(tables, nodes, points, panel)
+
+    monkeypatch.setattr(_fourier, "_cheb_table", refusing_the_first_round)
+    calls = cauchy_rows_calls(monkeypatch)
+    assert_pair_sums_close(x, 1.0, WeightSpec("exp_abs", 2.5), 2e-15)
+    assert len(rounds) == 4 and len(calls) == 6
+    for first, second in (rounds[:2], rounds[2:]):
+        assert np.all(first > 2.4) and np.all(first < 2.5) and np.all(second < 1.25)
+    assert [z.size for z in calls[:2]] == [25 * r.size for r in rounds[:2]]
 
 
 @pytest.mark.parametrize("n, seed", [(50, 0), (100, 1), (100, 2), (1000, 3), (5000, 0)])

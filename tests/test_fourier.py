@@ -317,11 +317,15 @@ def grid_sums_batches(monkeypatch):
     return batches
 
 
-def table_nodes(ay):
-    """The Chebyshev nodes of ``_near_sums``' table for the points ``ay``, one row per panel."""
-    panels = max(1, math.ceil(float(np.max(ay)) / _fourier._TABLE_WIDTH))
-    centers = _fourier._TABLE_WIDTH * (np.arange(panels) + 0.5)
-    return centers[:, None] + 0.5 * _fourier._TABLE_WIDTH * _fourier._CHEB_X
+def first_round(ay):
+    """The first round of ``_near_sums``' table on the points ``ay``: the
+    Chebyshev nodes of the panels holding more points than nodes, one row per
+    panel, and the points on the other panels."""
+    width = _fourier._TABLE_WIDTH
+    k, which, counts = np.unique(np.floor(ay / width), return_inverse=True, return_counts=True)
+    dense = counts > _fourier._TABLE_NODES
+    nodes = ((k[dense] + 0.5) * width)[:, None] + 0.5 * width * _fourier._CHEB_X
+    return nodes, ay[~dense[which]]
 
 
 def near_points(alpha, seed, n=5000, cut=60.0):
@@ -336,18 +340,22 @@ TABLE_WEIGHTS = [WeightSpec("exp_abs", 1.0), WeightSpec("exp_abs", 10.0), Weight
 @pytest.mark.parametrize("alpha", [0.9, 1.7])
 @pytest.mark.parametrize("weight", TABLE_WEIGHTS, ids=["exp_abs1", "exp_abs10", "power1.5"])
 def test_table_sums_match_the_direct_sums(alpha, weight, monkeypatch):
-    # largest difference seen: 7.4e-15, where the direct sums' own rounding
-    # is of that order
+    # one round of node rows on the panels holding more than 25 points, then
+    # the points of the sparser panels in one direct call; largest
+    # difference seen: 7.4e-15, where the direct sums' own rounding is of
+    # that order
     terms = ((1.0, alpha),) + weight.terms()
     T = envelope_cutoff(terms)
     for seed in (1, 2, 3):
         ay = near_points(alpha, seed)
+        nodes, sparse = first_round(ay)
         want = _grid_sums(ay, alpha, terms, T)
         batches = grid_sums_batches(monkeypatch)
         got = _fourier._near_sums(ay, alpha, terms, T)
         value = _fourier._near_sums(ay, alpha, terms, T, grad=False)
         monkeypatch.undo()
-        assert [b.size for b in batches] == [table_nodes(ay).size] * 2
+        assert [b.size for b in batches] == [nodes.size, sparse.size] * 2
+        assert np.array_equal(batches[0], nodes.ravel()) and np.array_equal(batches[1], sparse)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-14
         assert np.array_equal(value[0], got[0]) and value[1:] == (None, None)
@@ -413,20 +421,52 @@ def test_refined_table_value_route_is_the_gradient_routes_first_sum(case, monkey
     assert np.array_equal(value[0], got[0]) and value[1:] == (None, None)
 
 
-def test_a_table_that_would_reach_the_batch_size_gives_the_direct_sums(monkeypatch):
-    # 30 first panels over [0, 60] are 750 nodes: once one fails, its halves
-    # would take the nodes to 800, as many as the points, so the batch is
-    # summed directly instead, to the last bit
-    ay = np.random.default_rng(7).uniform(0.0, 60.0, 800)
-    terms = ((1.0, 0.5), (0.5, 1.0))
-    T = envelope_cutoff(terms)
-    for grad in (True, False):
-        batches = grid_sums_batches(monkeypatch)
-        got = _fourier._near_sums(ay, 0.5, terms, T, grad)
-        monkeypatch.undo()
-        assert [b.size for b in batches] == [750, 800] and batches[1] is ay
-        for g, w in zip(got, _grid_sums(ay, 0.5, terms, T, grad)):
-            assert (g is None and w is None) or np.array_equal(g, w)
+def oscillating(z):
+    """Sums for ``_table_sums`` whose panels on [0, 2] fail at widths 2 to
+    1/16, and pass at once on [10, 12], where they are constant."""
+    return np.where(z < 10.0, np.cos(200.0 * z), 1.0), None
+
+
+def test_a_table_that_would_reach_the_batch_size_gives_the_direct_sums():
+    # 2000 points spaced evenly on [0, 2]: the panels there fail at widths 2
+    # to 1/16 (rounds of 1, 2, ..., 32 panels, 1575 node rows in all), and
+    # the 64 panels 1/32 wide would take the rows to 3175, past the point
+    # count; so those points are summed directly, in one call, to the last
+    # bit.  500 points on [10, 12] pass the first round and keep its values
+    near = (np.arange(2000) + 0.5) / 1000.0
+    for served in (0, 500):
+        z = np.concatenate([near, 10.0 + (np.arange(served) + 0.5) / 250.0])
+        calls = []
+
+        def recording(z):
+            calls.append(z)
+            return oscillating(z)
+
+        got, none = _fourier._table_sums(z, 2.0, recording)
+        assert none is None
+        assert [c.size for c in calls] == [25 * 2**k + 25 * bool(served) * (k == 0) for k in range(6)] + [2000]
+        assert np.array_equal(calls[-1], near)
+        assert np.array_equal(got[:2000], oscillating(near)[0])
+        assert np.all(np.abs(got[2000:] - 1.0) <= 1e-15)
+
+
+def assert_fewer_node_rows_on_dense_panels(ay, alpha, terms, monkeypatch):
+    """``_near_sums`` on ``ay`` tables only panels holding more points than
+    nodes, in fewer node rows than ``ay`` has points."""
+    rounds, cheb_table = [], _fourier._cheb_table
+
+    def recording(tables, nodes, *args):
+        rounds.append(nodes)
+        return cheb_table(tables, nodes, *args)
+
+    monkeypatch.setattr(_fourier, "_cheb_table", recording)
+    _fourier._near_sums(ay, alpha, terms, envelope_cutoff(terms), grad=False)
+    monkeypatch.undo()
+    assert rounds and sum(nodes.size for nodes in rounds) < ay.size
+    for row in np.concatenate(rounds):
+        half = 0.5 * (row.max() - row.min()) / _fourier._CHEB_X[0]
+        mid = 0.5 * (row.max() + row.min())
+        assert np.count_nonzero((ay >= mid - half) & (ay < mid + half)) > _fourier._TABLE_NODES
 
 
 @pytest.mark.parametrize(
@@ -441,26 +481,34 @@ def test_a_table_that_would_reach_the_batch_size_gives_the_direct_sums(monkeypat
 )
 def test_the_table_sums_fewer_node_rows_than_the_batch_has_points(n, top, alpha, terms, monkeypatch):
     ay = np.random.default_rng(n).uniform(0.0, top, n)
-    T = envelope_cutoff(terms)
-    batches = grid_sums_batches(monkeypatch)
-    _fourier._near_sums(ay, alpha, terms, T, grad=False)
-    monkeypatch.undo()
-    assert sum(b.size for b in batches if b is not ay) < ay.size
+    assert_fewer_node_rows_on_dense_panels(ay, alpha, terms, monkeypatch)
 
 
-def test_table_takes_a_nodes_value_and_serves_the_top_panels_upper_end():
-    rng = np.random.default_rng(8)
-    ay = rng.uniform(0.0, 59.5, 1000)
-    nodes = table_nodes(np.append(ay, 60.0))
-    ay[:3] = nodes[0, 4], nodes[17, 12], 60.0
+def test_d0_like_near_sums_table_no_sparse_panel(monkeypatch):
+    # a stable sample like the benchmark's first n = 5000 dataset (alpha
+    # 0.9) in the statistic at kappa = 1, whose sparse panels had taken most
+    # of the node rows when every panel over [0, 60] was tabled
+    assert_fewer_node_rows_on_dense_panels(near_points(0.9, 2006), 0.9, ((1.0, 0.9), (1.0, 1.0)), monkeypatch)
+
+
+def test_table_takes_a_nodes_value_and_sums_a_panels_right_end_on_the_next_panel(monkeypatch):
+    # 100 points a panel on [0, 20]; 20.0 lies on the panel [20, 22], alone,
+    # so it is summed directly, on the grid its own |y| sets
+    ay = np.random.default_rng(8).uniform(0.0, 20.0, 1000)
+    nodes, _ = first_round(ay)
+    ay[:3] = nodes[0, 4], nodes[7, 12], 20.0
     terms = ((1.0, 1.1), (1.0, 1.0))
     T = envelope_cutoff(terms)
+    batches = grid_sums_batches(monkeypatch)
     got = _fourier._near_sums(ay, 1.1, terms, T)
+    monkeypatch.undo()
+    assert [b.size for b in batches] == [nodes.size, 1] and batches[1][0] == 20.0
     at_nodes = _grid_sums(nodes.ravel(), 1.1, terms, T)
+    alone = _grid_sums(np.array([20.0]), 1.1, terms, T)
     direct = _grid_sums(ay, 1.1, terms, T)
-    for g, table, w in zip(got, at_nodes, direct):
+    for g, table, top, w in zip(got, at_nodes, alone, direct):
         table = table.reshape(nodes.shape)
-        assert g[0] == table[0, 4] and g[1] == table[17, 12]
+        assert g[0] == table[0, 4] and g[1] == table[7, 12] and g[2] == top[0]
         assert np.all(np.isfinite(g)) and np.max(np.abs(g - w)) <= 1e-14
 
 
@@ -541,7 +589,7 @@ TABLE_POINTS = np.concatenate([[1e-3, -1e-3, 60.0, -60.0], np.random.default_rng
 # 8.3e-15 (direct), 6.9e-15 (table) and 1.5e-11 (far, c0 at alpha = 2, kappa = 1)
 CLOSED_FORM_ROUTES = {
     "direct": (DIRECT_POINTS, 2e-14, [DIRECT_POINTS.size]),
-    "table": (TABLE_POINTS, 2e-14, [table_nodes(np.abs(TABLE_POINTS)).size]),
+    "table": (TABLE_POINTS, 2e-14, [part.size for part in first_round(np.abs(TABLE_POINTS))]),
     "far": (np.concatenate([np.geomspace(60.5, 3000.0, 40), -np.geomspace(61.0, 2500.0, 7)]), 5e-11, []),
 }
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from stablegof import inversion
 from stablegof.errors import SeriesDivergenceError
 from stablegof.inversion import (
     InversionConfig,
@@ -301,6 +302,25 @@ def test_first_lower_bracket_end_is_below_the_median(cell):
     else:
         sp = build_spectrum(make_kernel(*cell), 800)
     assert first_lower_end(default_inversion_config(sp)) < 0.5
+
+
+def test_a_quantile_beyond_ten_means_doubles_the_upper_end(monkeypatch):
+    # one dominant eigenvalue: D is near one chi-square(1) term, whose upper
+    # 0.001 point (10.86 here) lies beyond the first upper end, 10 E[D];
+    # the Imhof CDF there was 7.8e-11 off the target
+    lam = np.concatenate(([1.0], 100.0 * np.arange(1.0, 20.0)))
+    cfg = default_inversion_config(synthetic_spectrum(lam))
+    seen, cdf = [], inversion.cdf_dk
+
+    def recording(x, config):
+        seen.append(x)
+        return cdf(x, config)
+
+    monkeypatch.setattr(inversion, "cdf_dk", recording)
+    q = quantile_dk(0.001, cfg)
+    first_hi = 10.0 * cfg.spectrum.trace_sum(cfg.m)
+    assert q > first_hi and seen[:2] == [first_hi, 2.0 * first_hi]
+    assert abs(imhof_cdf(q, lam[: cfg.m]) - 0.999) <= 1e-8
 
 
 def test_published_cdf_spot_values(spectrum_h1_a1k1):

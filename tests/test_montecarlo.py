@@ -182,17 +182,16 @@ def test_fold_matches_the_serial_loop(monkeypatch, replications, failing_calls):
     assert got == expected
 
 
-@pytest.fixture(scope="module")
-def oracle_statistics(tmp_path_factory):
-    """The serial loop's statistics, (R, K) in replication order, computed in a process
-    with single-threaded BLAS."""
-    out = tmp_path_factory.mktemp("oracle") / "stats.npy"
+def serial_statistics(out_dir, config_name):
+    """The serial loop's statistics for this module's ``config_name``, (R, K) in
+    replication order, computed in a process with single-threaded BLAS."""
+    out = out_dir / "stats.npy"
     code = textwrap.dedent(f"""
         import sys
         import numpy as np
         sys.path[:0] = [{SRC!r}, {os.path.dirname(os.path.abspath(__file__))!r}]
-        from test_montecarlo import POOL_CONFIG, serial_replicate
-        rows, _ = serial_replicate(POOL_CONFIG)
+        from test_montecarlo import {config_name}, serial_replicate
+        rows, _ = serial_replicate({config_name})
         np.save({str(out)!r}, np.array(rows))
     """)
     env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
@@ -200,9 +199,25 @@ def oracle_statistics(tmp_path_factory):
     return np.load(out)
 
 
+@pytest.fixture(scope="module")
+def oracle_statistics(tmp_path_factory):
+    return serial_statistics(tmp_path_factory.mktemp("oracle"), "POOL_CONFIG")
+
+
 POOL_CONFIG = ExperimentConfig(
     n=20, alpha=1.5, kappas=(2.5,), hypothesis="H2", replications=100, seed=51
 )
+EISE_CONFIG = ExperimentConfig(
+    n=20, alpha=1.5, kappas=(1.0, 2.5), hypothesis="H2", estimator="eise", replications=100, seed=52
+)
+
+
+def test_an_eise_section_matches_the_serial_loop(tmp_path):
+    # the pool's EISE fits (weight exp(-|t|^alpha) at the null alpha) give the
+    # serial loop's statistics bit for bit
+    res = simulate_critical(EISE_CONFIG)
+    assert np.array_equal(res.statistics, serial_statistics(tmp_path, "EISE_CONFIG"))
+    assert res.statistics.shape == (100, 2) and res.n_failures == 0
 
 
 @pytest.mark.parametrize("preset", [None, "2"])

@@ -240,22 +240,28 @@ def test_pdf_and_small_batches_meet_the_mpmath_oracle(alpha):
 @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
 def test_a_large_batch_through_the_table_meets_the_mpmath_oracle(alpha, monkeypatch):
     # below alpha = 1.25 the table's first width-2 panels fail their tail
-    # check, and the points take halved ones
+    # check, and the points take halved ones: more than one round
     x, want = oracle_points(alpha)
     a = float(alpha)
     sample = rand_stable(a, 5000, np.random.default_rng(41))
     batch = np.concatenate([sample, x])
     near = np.count_nonzero(np.abs(batch) <= _crossover(a))
-    sizes, grid_sums = [], _fourier._grid_sums
+    sizes, rounds = [], []
+    grid_sums, cheb_table = _fourier._grid_sums, _fourier._cheb_table
 
     def recording(ay, *args, **kwargs):
         sizes.append(ay.size)
         return grid_sums(ay, *args, **kwargs)
 
+    def counting(*args):
+        rounds.append(args[1].shape[0])
+        return cheb_table(*args)
+
     monkeypatch.setattr(_fourier, "_grid_sums", recording)
+    monkeypatch.setattr(_fourier, "_cheb_table", counting)
     got = pdf_batch(batch, a)
     assert near > _fourier._DIRECT_MAX and near not in sizes
-    assert (len(sizes) > 1) == (a < 1.25)
+    assert rounds and (len(rounds) > 1) == (a < 1.25)
     assert_relative([g[sample.size :] for g in got], want, PDF_BATCH_BOUNDS)
 
 
